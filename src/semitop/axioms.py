@@ -10,8 +10,9 @@ just "no witness".
 from dataclasses import dataclass, field
 
 from .generalized import GeneralizedFamilies
+from .lattice import saturated
 from .semi import SemiAnalysis
-from .spaces import FiniteSpace, iter_points
+from .spaces import FiniteSpace, SetFamily, iter_points
 
 AXIOM_KEYS = ("t1", "r0", "semi_t1", "semi_r0", "semi_t_half")
 
@@ -43,13 +44,23 @@ def is_t1(space: FiniteSpace) -> bool:
     return t1_witness(space) is None
 
 
+def _first_escape(fam: SetFamily, hulls, n: int):
+    """First (member, point) whose hull escapes the member, or None.
+
+    The bad members are those not saturated under `hulls`; the lowest
+    one is first in canonical order, then its first bad point.
+    """
+    bad = fam.bits & ~saturated(hulls, n)
+    if not bad:
+        return None
+    o = (bad & -bad).bit_length() - 1
+    return o, next(x for x in iter_points(o) if hulls[x] & ~o)
+
+
 def r0_witness(space: FiniteSpace):
     """First (open, point) with the point's closure escaping the open."""
-    for o in space.opens:
-        for x in iter_points(o):
-            if space.closure(1 << x) & ~o:
-                return o, x
-    return None
+    hulls = [space.closure(1 << x) for x in range(space.n)]
+    return _first_escape(space.opens, hulls, space.n)
 
 
 def is_r0(space: FiniteSpace) -> bool:
@@ -70,12 +81,8 @@ def is_semi_t1(an: SemiAnalysis) -> bool:
 
 def semi_r0_witness(an: SemiAnalysis):
     """First (semi-open, point) with the semi-closure escaping the set."""
-    scl = [an.semi_closure(1 << x) for x in range(an.space.n)]
-    for o in an.semi_open:
-        for x in iter_points(o):
-            if scl[x] & ~o:
-                return o, x
-    return None
+    hulls = [an.semi_closure(1 << x) for x in range(an.space.n)]
+    return _first_escape(an.semi_open, hulls, an.space.n)
 
 
 def is_semi_r0(an: SemiAnalysis) -> bool:
@@ -84,10 +91,8 @@ def is_semi_r0(an: SemiAnalysis) -> bool:
 
 def semi_t_half_witness(an: SemiAnalysis, fams: GeneralizedFamilies):
     """First sg-closed subset that is not semi-closed."""
-    for b in fams.sg_closed:
-        if b not in an.semi_closed:
-            return b
-    return None
+    bad = fams.sg_closed.bits & ~an.semi_closed.bits
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def is_semi_t_half(an: SemiAnalysis, fams: GeneralizedFamilies) -> bool:

@@ -8,8 +8,9 @@ Named ids are reserved words, never file paths: the fixed fixtures
 
 from dataclasses import dataclass
 
-from .spaces import (MAX_POINTS, FiniteSpace, SpaceError, TooManyPoints,
-                     iter_points, space_from_masks)
+from .lattice import decode, everything, saturated
+from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
+                     TooManyPoints, iter_points, space_from_masks)
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -51,8 +52,8 @@ def _fixed(sid: str) -> FiniteSpace | None:
 
 def discrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
     names = _letters(n)
-    return space_from_masks(names, range(1 << n), max_points=max_points,
-                            name=f"discrete:{n}")
+    return space_from_masks(names, SetFamily.from_bits(everything(n)),
+                            max_points=max_points, name=f"discrete:{n}")
 
 
 def indiscrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
@@ -133,10 +134,7 @@ def khalimsky_window(lo: int, hi: int, *,
         else:
             cell = [j for j in (i - 1, i, i + 1) if lo <= j <= hi]
         mins.append(sum(1 << (j - lo) for j in cell))
-    opens = []
-    for m in range(1 << w):
-        if all(mins[x] & ~m == 0 for x in iter_points(m)):
-            opens.append(m)
+    opens = SetFamily.from_bits(saturated(mins, w))
     space = space_from_masks(names, opens, max_points=max_points,
                              name=f"khalimsky:{lo}:{hi}")
     return Window(space, lo, hi, boundary_warning=(lo % 2 == 0 or hi % 2 == 0))
@@ -188,11 +186,7 @@ def _table_families(n: int) -> list:
     families = []
 
     def emit():
-        opens = []
-        for m in range(1 << n):
-            if all(table[x] & ~m == 0 for x in iter_points(m)):
-                opens.append(m)
-        families.append(tuple(opens))
+        families.append(decode(saturated(table, n)))
 
     def place(x):
         if x == n:

@@ -45,11 +45,10 @@ def _axiom_lines(prof) -> list:
     return lines
 
 
-def _family_line(space: FiniteSpace, key: str, masks) -> str:
-    masks = sorted(masks)
+def _family_line(space: FiniteSpace, key: str, fam) -> str:
     if space.n <= _PRINT_CAP:
-        return f"{key}: {space.render_family(masks)}"
-    return f"{key}: {len(masks)} sets"
+        return f"{key}: {space.render_family(fam)}"
+    return f"{key}: {len(fam)} sets"
 
 
 def cmd_analyze(args) -> int:
@@ -95,6 +94,11 @@ def _check_law_ids(law_ids) -> None:
             raise SpaceError(f"unknown law id {lid!r}; see `semitop claim --list`")
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise SpaceError(f"--workers must be at least 1, got {workers}")
+
+
 def _emit_report(report, fmt: str) -> int:
     if fmt == "machine":
         print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
@@ -107,6 +111,7 @@ def _emit_report(report, fmt: str) -> int:
 def cmd_laws(args) -> int:
     if not 1 <= args.max_points <= 5:
         raise SpaceError("--max-points must be between 1 and 5")
+    _check_workers(args.workers)
     if args.laws:
         _check_law_ids(args.laws)
     spaces = _space_stream(args)
@@ -165,6 +170,7 @@ def cmd_claim(args) -> int:
         raise SpaceError("claim needs a law id (or --list)")
     if args.id not in reg:
         raise SpaceError(f"unknown law id {args.id!r}; see `semitop claim --list`")
+    _check_workers(args.workers)
     law = reg[args.id]
     print(f"law: {law.id}")
     print(f"status: {law.status}")

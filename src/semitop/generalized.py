@@ -11,15 +11,22 @@ and the sg-closed condition is the mirror image
     semi_closure(B) subset-of semi_kernel(B)
 
 (a set is inside every semi-open superset of B iff it is inside their
-intersection).  B is g.V_s when its complement is g.Lambda_s; the
-second route through the dual operator is evaluated as well and the two
-must agree.
+intersection).  B is g.V_s when its complement is g.Lambda_s.
+
+Family-wide, with in_k[x] the masks whose semi-kernel holds x (the
+union of has[y] over the y with x in K_y) and down[x] the masks whose
+semi-closure misses x (see `semi`):
+
+    g.Lambda_s = AND_x ~(in_k[x] & down[x])
+    sg-closed  = AND_x (in_k[x] | down[x])
+    g.V_s      = g.Lambda_s mirrored
 """
 
 from dataclasses import dataclass
 
+from .lattice import columns, everything, mirror
 from .semi import SemiAnalysis
-from .spaces import FiniteSpace, SetFamily
+from .spaces import FiniteSpace, SetFamily, iter_points
 
 
 @dataclass(frozen=True)
@@ -44,43 +51,28 @@ def is_g_lambda_s(an: SemiAnalysis, b: int) -> bool:
 
 
 def is_g_v_s(an: SemiAnalysis, b: int) -> bool:
-    """Complement is g.Lambda_s; checked against the semi-open route.
-
-    The second evaluation asks that every semi-open subset of b land
-    inside v_s(b).  Both answers are computed on every call and must
-    agree.
-    """
-    by_complement = is_g_lambda_s(an, an.space.complement(b))
-    vs = an.v_s(b)
-    by_semi_open = True
-    for u in an.semi_open:
-        if u & b == u and u & vs != u:
-            by_semi_open = False
-            break
-    assert by_complement == by_semi_open, \
-        f"g.V_s routes disagree on {an.space.render(b)}"
-    return by_complement
+    """Complement is g.Lambda_s."""
+    return is_g_lambda_s(an, an.space.complement(b))
 
 
 def generalized_families(an: SemiAnalysis) -> GeneralizedFamilies:
-    """Scan every subset once; the dual family is taken by complements."""
-    space = an.space
-    full = space.full
-    scl = an._scl
-    kern = an.semi_kernel
-    d_lambda = []
-    sg = []
-    for b in range(1 << space.n):
-        s = scl(b)
-        k = kern(b)
-        if k & s == k:
-            d_lambda.append(b)
-        if s & k == s:
-            sg.append(b)
+    """The three families as bitsets, from the kernels and down[x]."""
+    n = an.space.n
+    has = columns(n)[0]
+    in_k = [0] * n
+    for y, kern in enumerate(an.point_kernels):
+        for x in iter_points(kern):
+            in_k[x] |= has[y]
+    escapes = 0
+    sg = everything(n)
+    for x in range(n):
+        escapes |= in_k[x] & an.down[x]
+        sg &= in_k[x] | an.down[x]
+    d_lambda = everything(n) ^ escapes
     return GeneralizedFamilies(
-        d_lambda=SetFamily(d_lambda),
-        d_v=SetFamily(full ^ b for b in d_lambda),
-        sg_closed=SetFamily(sg),
+        d_lambda=SetFamily.from_bits(d_lambda),
+        d_v=SetFamily.from_bits(mirror(d_lambda, n)),
+        sg_closed=SetFamily.from_bits(sg),
     )
 
 

@@ -1,0 +1,111 @@
+"""Bit-sliced families over the subset lattice of an n-point carrier.
+
+A family of subsets is one 2**n-bit integer whose bit m is set iff mask
+m is a member.  Family-wide questions then become a few big-int
+operations per point instead of a loop over all 2**n masks:
+
+    has[x]   the masks containing point x;  lack[x] = its complement
+    sup(S)   AND of has[x] over x in S: the supersets of S
+    spread   closure under adding (or removing) points, the subset-sum
+             (zeta) transform, Knuth TAOCP 4A section 7.1.3
+    mirror   bit m -> bit full^m: the family of complements
+"""
+
+from functools import cache
+from typing import Iterator
+
+# bit-reversal of every byte, for `mirror`
+_REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
+def everything(n: int) -> int:
+    """The family of all 2**n masks."""
+    return (1 << (1 << n)) - 1
+
+
+@cache
+def columns(n: int) -> tuple:
+    """(has, lack): per point, the masks with that bit set / clear."""
+    lack = []
+    for i in range(n):
+        # 2**i masks with bit i clear, then 2**i with it set, repeated
+        col, period = (1 << (1 << i)) - 1, 2 << i
+        while period < 1 << n:
+            col |= col << period
+            period <<= 1
+        lack.append(col)
+    ones = everything(n)
+    return tuple(ones ^ c for c in lack), tuple(lack)
+
+
+def iter_points(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def sup(s: int, n: int) -> int:
+    """The masks that are supersets of `s`."""
+    has = columns(n)[0]
+    out = everything(n)
+    for x in iter_points(s):
+        out &= has[x]
+    return out
+
+
+def saturated(hulls, n: int) -> int:
+    """The masks A with hulls[x] inside A for every x in A."""
+    lack = columns(n)[1]
+    out = everything(n)
+    for x, hull in enumerate(hulls):
+        out &= lack[x] | sup(hull, n)
+    return out
+
+
+def meets(bits: int, n: int) -> list:
+    """Per point x, the intersection of the members that contain x."""
+    has, lack = columns(n)
+    out = []
+    for x in range(n):
+        with_x = bits & has[x]
+        out.append(sum(1 << z for z in range(n) if not with_x & lack[z]))
+    return out
+
+
+def spread(bits: int, n: int, upward: bool) -> int:
+    """Every superset (upward) or subset (downward) of a member."""
+    lack = columns(n)[1]
+    for i in range(n):
+        if upward:
+            bits |= (bits & lack[i]) << (1 << i)
+        else:
+            bits |= (bits >> (1 << i)) & lack[i]
+    return bits
+
+
+def mirror(bits: int, n: int) -> int:
+    """The family of complements: bit m moves to bit full^m."""
+    width = 1 << n
+    nbytes = (width + 7) // 8
+    raw = bits.to_bytes(nbytes, "little")[::-1].translate(_REVERSED)
+    return int.from_bytes(raw, "little") >> (nbytes * 8 - width)
+
+
+def encode(masks) -> int:
+    """Bitset of an iterable of non-negative masks."""
+    masks = set(masks)
+    if not masks:
+        return 0
+    if min(masks) < 0:
+        raise ValueError(f"negative mask {min(masks)}")
+    buf = bytearray((max(masks) >> 3) + 1)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def decode(bits: int) -> tuple:
+    """The members of a bitset, ascending."""
+    return tuple(i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from .axioms import axiom_profile
-from .catalog import catalog_entries
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .semi import SemiAnalysis, set_class
 from .spaces import FiniteSpace, submasks
@@ -891,7 +890,3 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     report = LawReport([results[lid] for lid in law_ids], len(spaces))
     report.wall_time = time.perf_counter() - started
     return report
-
-
-def default_named_spaces() -> list:
-    return [entry.space for entry in catalog_entries()]

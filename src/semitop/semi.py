@@ -1,97 +1,34 @@
-"""Semi-open set machinery for one finite space.
+"""Semi-open set machinery for one finite space, on one bit-sliced core.
 
-`SemiAnalysis` scans all 2**n subsets once with the interior/closure
-test A subset-of Cl(Int(A)) and keeps the semi-open family SO, its
-complement family SC, and the per-point semi-kernels.  Per-query
-operators follow their set definitions:
+Every family is a 2**n-bit integer over the subset lattice (see
+`lattice`: has[x] marks the masks containing x, lack[x] the others,
+sup(S) the supersets of S).  With U_x the minimal neighbourhood of x,
+A is semi-open iff A is inside Cl(Int(A)), i.e. every x in A has some
+y in U_x with U_y inside A:
 
-    semi_closure(B) = intersection of the semi-closed supersets of B
-    semi_kernel(B)  = union of the cached point kernels over B
-    v_s(B)          = union of the semi-closed subsets of B
+    SO  = AND_x (lack[x] | OR_{y in U_x} sup(U_y))
+    SC  = SO mirrored (bit m -> bit full^m)
+    K_x = {z : SO & has[x] & lack[z] == 0}        point semi-kernels
+    up[x]   = supersets of the semi-closed sets containing x
+    down[y] = subsets of the semi-closed sets avoiding y
 
-Family-wide scans on larger spaces go through a subset-lattice reach
-index instead of the quadratic loops; the index answers "is some
-semi-closed set wedged between here and there" in O(n) per subset and
-is checked against the plain loops by the test suite.
+`up` and `down` are the subset-sum spreads of SC & has[x] and
+SC & lack[y].  The fixed-point families and the per-query operators
+read off them:
+
+    Lambda_s        = AND_x (lack[x] | sup(K_x))    (`lattice.saturated`)
+    V_s             = AND_x (lack[x] | up[x])
+    semi_kernel(B)  = union of K_x over x in B
+    semi_closure(B) = {y : B not in down[y]}
+    v_s(B)          = {x : B in up[x]}      (B in up[x] needs x in B)
+
+Per-query tests read byte views of up/down, O(1) each at any n.
 """
 
 from dataclasses import dataclass
 
+from .lattice import columns, everything, meets, mirror, saturated, spread, sup
 from .spaces import FiniteSpace, SetFamily, iter_points
-
-# past this many (subset, family-member) probes a bulk scan switches to
-# the reach index
-_BULK_LIMIT = 1 << 21
-
-_pattern_cache: dict = {}
-
-
-def _subset_patterns(n: int) -> list:
-    """pattern[i]: big-int bitset of the mask indices with bit i clear."""
-    pats = _pattern_cache.get(n)
-    if pats is None:
-        size = 1 << n
-        ones = (1 << size) - 1
-        pats = []
-        for i in range(n):
-            period = 2 << i
-            block = (1 << (1 << i)) - 1
-            pats.append(ones // ((1 << period) - 1) * block)
-        _pattern_cache[n] = pats
-    return pats
-
-
-def _spread(marks: int, n: int, upward: bool) -> int:
-    """Close a set of lattice positions under adding (or removing) points.
-
-    `marks` has bit m set for every seed mask m; the result marks every
-    superset (upward) or subset (downward) of a seed.
-    """
-    pats = _subset_patterns(n)
-    for i in range(n):
-        step = 1 << i
-        if upward:
-            marks |= (marks & pats[i]) << step
-        else:
-            marks |= (marks >> step) & pats[i]
-    return marks
-
-
-def _seed_bits(masks, n: int) -> int:
-    size = 1 << n
-    buf = bytearray((size + 7) // 8)
-    for m in masks:
-        buf[m >> 3] |= 1 << (m & 7)
-    return int.from_bytes(bytes(buf), "little")
-
-
-class _ReachIndex:
-    """Per-point reachability bitsets over the subset lattice.
-
-    up[x] answers: does some semi-closed set containing x sit inside B?
-    down[y] answers: does some semi-closed superset of B avoid y?
-    Both are what the dual operator and the semi-closure quantify over.
-    """
-
-    __slots__ = ("up", "down")
-
-    def __init__(self, semi_closed, n: int):
-        size = 1 << n
-        nbytes = (size + 7) // 8
-        self.up = []
-        self.down = []
-        for x in range(n):
-            bit = 1 << x
-            with_x = [f for f in semi_closed if f & bit]
-            without_x = [f for f in semi_closed if not f & bit]
-            grown = _spread(_seed_bits(with_x, n), n, upward=True)
-            shrunk = _spread(_seed_bits(without_x, n), n, upward=False)
-            self.up.append(grown.to_bytes(nbytes, "little"))
-            self.down.append(shrunk.to_bytes(nbytes, "little"))
-
-    @staticmethod
-    def _test(table: bytes, m: int) -> int:
-        return table[m >> 3] >> (m & 7) & 1
 
 
 class SemiAnalysis:
@@ -100,32 +37,36 @@ class SemiAnalysis:
     def __init__(self, space: FiniteSpace):
         self.space = space
         n = space.n
-        full = space.full
-        so = []
-        for a in range(1 << n):
-            if a & ~space.closure(space.interior(a)) == 0:
-                so.append(a)
-        self.semi_open = SetFamily(so)
-        self.semi_closed = SetFamily(full ^ a for a in so)
-        kernels = [full] * n
-        for o in so:
-            for x in iter_points(o):
-                kernels[x] &= o
-        self.point_kernels = tuple(kernels)
-        self._reach = None
+        has, lack = columns(n)
+        # in_int[y]: the masks A with y in Int(A), i.e. U_y inside A
+        in_int = [sup(u, n) for u in space.min_nbhd]
+        so = everything(n)
+        for x, u in enumerate(space.min_nbhd):
+            in_cl_int = 0
+            for y in iter_points(u):
+                in_cl_int |= in_int[y]
+            so &= lack[x] | in_cl_int
+        sc = mirror(so, n)
+        self.semi_open = SetFamily.from_bits(so)
+        self.semi_closed = SetFamily.from_bits(sc)
+        self.point_kernels = tuple(meets(so, n))
+        self.up = [spread(sc & has[x], n, upward=True) for x in range(n)]
+        self.down = [spread(sc & lack[x], n, upward=False) for x in range(n)]
+        nbytes = ((1 << n) + 7) // 8
+        self._up_view = [b.to_bytes(nbytes, "little") for b in self.up]
+        self._down_view = [b.to_bytes(nbytes, "little") for b in self.down]
 
     # -- per-query operators ------------------------------------------
 
     def semi_closure(self, b: int) -> int:
         """Smallest semi-closed superset of b."""
         self.space.check_mask(b)
-        acc = self.space.full
-        for f in self.semi_closed:
-            if f & b == b:
-                acc &= f
-                if acc == b:
-                    break
-        return acc
+        i, bit = b >> 3, 1 << (b & 7)
+        out = 0
+        for y, view in enumerate(self._down_view):
+            if not view[i] & bit:
+                out |= 1 << y
+        return out
 
     def semi_kernel(self, b: int) -> int:
         """Intersection of the semi-open supersets of b, via point kernels."""
@@ -138,11 +79,12 @@ class SemiAnalysis:
     def v_s(self, b: int) -> int:
         """Union of the semi-closed subsets of b."""
         self.space.check_mask(b)
-        acc = 0
-        for f in self.semi_closed:
-            if f & b == f:
-                acc |= f
-        return acc
+        i, bit = b >> 3, 1 << (b & 7)
+        out = 0
+        for x, view in enumerate(self._up_view):
+            if view[i] & bit:
+                out |= 1 << x
+        return out
 
     def is_lambda_s_set(self, b: int) -> bool:
         return self.semi_kernel(b) == b
@@ -150,59 +92,20 @@ class SemiAnalysis:
     def is_v_s_set(self, b: int) -> bool:
         return self.v_s(b) == b
 
-    # -- reach-index routes -------------------------------------------
-
-    def build_reach_index(self) -> None:
-        if self._reach is None:
-            self._reach = _ReachIndex(self.semi_closed.members, self.space.n)
-
-    def _bulk(self) -> bool:
-        """Whether family-wide scans should use the reach index."""
-        if self._reach is not None:
-            return True
-        if (1 << self.space.n) * len(self.semi_closed) > _BULK_LIMIT:
-            self.build_reach_index()
-            return True
-        return False
-
-    def semi_closure_indexed(self, b: int) -> int:
-        self.build_reach_index()
-        test = _ReachIndex._test
-        out = b
-        for y in range(self.space.n):
-            if not b >> y & 1 and not test(self._reach.down[y], b):
-                out |= 1 << y
-        return out
-
-    def v_s_indexed(self, b: int) -> int:
-        self.build_reach_index()
-        test = _ReachIndex._test
-        out = 0
-        for x in iter_points(b):
-            if test(self._reach.up[x], b):
-                out |= 1 << x
-        return out
-
-    def _scl(self, b: int) -> int:
-        return self.semi_closure_indexed(b) if self._bulk() else self.semi_closure(b)
-
-    def _vs(self, b: int) -> int:
-        return self.v_s_indexed(b) if self._bulk() else self.v_s(b)
-
     # -- fixed-point families -----------------------------------------
 
     def lambda_s_sets(self) -> SetFamily:
         """All subsets equal to their semi-kernel."""
-        kern = self.semi_kernel
-        return SetFamily(b for b in range(1 << self.space.n) if kern(b) == b)
+        return SetFamily.from_bits(saturated(self.point_kernels, self.space.n))
 
     def v_s_sets(self) -> SetFamily:
         """All subsets equal to the union of their semi-closed subsets."""
-        if self._bulk():
-            vs = self.v_s_indexed
-        else:
-            vs = self.v_s
-        return SetFamily(b for b in range(1 << self.space.n) if vs(b) == b)
+        n = self.space.n
+        lack = columns(n)[1]
+        out = everything(n)
+        for x, up in enumerate(self.up):
+            out &= lack[x] | up
+        return SetFamily.from_bits(out)
 
 
 def semi_open_family(space: FiniteSpace) -> SetFamily:

@@ -3,9 +3,9 @@
 A space has points 0..n-1 carrying string labels; a subset of the
 carrier is an int whose bit i is set iff point i belongs to it.
 Families of subsets (the topology, semi-open sets, ...) are `SetFamily`
-values: deduplicated mask tuples in ascending numeric order.  That
-ascending order is the canonical order used everywhere for witness
-selection, rendering and reports.
+values: one bitset over the 2**n masks (see `lattice`), iterated in
+ascending numeric order.  That ascending order is the canonical order
+used everywhere for witness selection, rendering and reports.
 
 Every finite topology is Alexandrov: each point has a smallest open
 neighbourhood, and the table of those neighbourhoods is fixed at
@@ -16,7 +16,10 @@ validation time.  Interior and closure are then O(n) mask loops:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
+
+from .lattice import decode, encode, iter_points, meets, mirror, saturated
 
 MAX_POINTS = 20
 
@@ -63,14 +66,6 @@ class NotClosedUnderIntersection(_NotClosed):
     pass
 
 
-def iter_points(mask: int) -> Iterator[int]:
-    """Indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def submasks(mask: int) -> Iterator[int]:
     """Every subset of `mask`, descending in numeric value, ending at 0."""
     sub = mask
@@ -82,28 +77,42 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 class SetFamily:
-    """Deduplicated collection of subset masks, ascending, O(1) membership."""
+    """Family of subset masks held as one bitset (see `lattice`).
 
-    __slots__ = ("members", "_index")
+    `in` is a bit test and `len` a bit count; `members` is decoded on
+    first use, ascending.
+    """
 
     def __init__(self, masks: Iterable[int]):
-        self.members = tuple(sorted(set(masks)))
-        self._index = frozenset(self.members)
+        self.bits = encode(masks)
+
+    @classmethod
+    def from_bits(cls, bits: int) -> "SetFamily":
+        fam = cls.__new__(cls)
+        fam.bits = bits
+        return fam
+
+    @cached_property
+    def members(self) -> tuple:
+        return decode(self.bits)
 
     def __contains__(self, mask) -> bool:
-        return mask in self._index
+        try:
+            return self.bits >> mask & 1 == 1
+        except ValueError:  # negative shift count: a negative mask
+            return False
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SetFamily) and self.members == other.members
+        return isinstance(other, SetFamily) and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash(self.members)
+        return hash(self.bits)
 
     def __repr__(self) -> str:
         return f"SetFamily({list(self.members)!r})"
@@ -128,7 +137,7 @@ class FiniteSpace:
     def n(self) -> int:
         return len(self.names)
 
-    @property
+    @cached_property
     def full(self) -> int:
         return (1 << len(self.names)) - 1
 
@@ -166,7 +175,7 @@ class FiniteSpace:
         return (self.full ^ a) in self.opens
 
     def closed_family(self) -> SetFamily:
-        return SetFamily(self.full ^ o for o in self.opens)
+        return SetFamily.from_bits(mirror(self.opens.bits, self.n))
 
     def subspace(self, s: int) -> "FiniteSpace":
         """Relative topology on the points of `s`, original labels kept."""
@@ -230,83 +239,56 @@ def _validate_names(names: tuple, max_points: int) -> None:
         seen.add(lab)
 
 
-def _min_table(members, n: int) -> list:
-    full = (1 << n) - 1
-    mins = [full] * n
-    for m in members:
-        for x in iter_points(m):
-            mins[x] &= m
-    return mins
-
-
-def _pairwise_witness(members, index):
+def _pairwise_witness(fam: SetFamily):
+    members = fam.members
     for i, a in enumerate(members):
         for b in members[i + 1:]:
-            if (a | b) not in index:
+            if (a | b) not in fam:
                 return ("union", a, b)
-            if (a & b) not in index:
+            if (a & b) not in fam:
                 return ("intersection", a, b)
-    return None
-
-
-def _closure_witness(members, n: int):
-    """First pair breaking union/intersection closure, or None.
-
-    For large families the quadratic pair scan is screened first by the
-    Alexandrov criterion: a family containing the empty set and the
-    carrier is closed under pairwise union and intersection iff it
-    equals the family of sets saturated under its own minimal
-    neighbourhood table.  The pair scan then runs only to locate a
-    witness.
-    """
-    index = frozenset(members)
-    if len(members) ** 2 <= (1 << n) * max(n, 1) * 4:
-        return _pairwise_witness(members, index)
-    mins = _min_table(members, n)
-    count = 0
-    for m in range(1 << n):
-        ok = True
-        for x in iter_points(m):
-            if mins[x] & ~m:
-                ok = False
-                break
-        if ok:
-            count += 1
-    if count == len(members):
-        return None
-    return _pairwise_witness(members, index)
 
 
 def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
                      max_points: int = MAX_POINTS,
                      name: str | None = None) -> FiniteSpace:
-    """Validate a topology given as subset masks and build the space."""
+    """Validate a topology given as subset masks and build the space.
+
+    `masks` may be a `SetFamily`.  A family holding the empty set and
+    the carrier is closed under pairwise union and intersection iff it
+    equals the family of sets saturated under its own minimal
+    neighbourhood table (Alexandrov), so that bitset test decides; the
+    quadratic pair scan runs only to locate a witness.
+    """
     names = tuple(names)
     _validate_names(names, max_points)
     n = len(names)
     full = (1 << n) - 1
-    fam = SetFamily(masks)
-    for m in fam:
-        if m < 0 or m > full:
-            raise ValueError(f"mask {m} out of range for {n} points")
+    if isinstance(masks, SetFamily):
+        fam = masks
+        if fam.bits >> (1 << n):
+            raise ValueError(f"a mask is out of range for {n} points")
+    else:
+        masks = set(masks)
+        bad = [m for m in masks if not 0 <= m <= full]
+        if bad:
+            raise ValueError(f"mask {min(bad)} out of range for {n} points")
+        fam = SetFamily(masks)
     if 0 not in fam or full not in fam:
         raise MissingEmptyOrUniverse(
             "the topology must contain the empty set and the whole carrier")
 
-    def render(mask):
-        if mask == 0:
-            return "∅"
-        return "{" + ",".join(names[i] for i in iter_points(mask)) + "}"
-
-    hit = _closure_witness(fam.members, n)
-    if hit is not None:
-        kind, a, b = hit
-        msg = f"{render(a)} and {render(b)} are opens but their {kind} is not"
+    mins = meets(fam.bits, n)
+    space = FiniteSpace(names, fam, tuple(mins), name)
+    if saturated(mins, n) != fam.bits:
+        # neither member of a witness pair is the empty set or the carrier
+        kind, a, b = _pairwise_witness(fam)
+        msg = (f"{space.render(a)} and {space.render(b)} are opens "
+               f"but their {kind} is not")
         if kind == "union":
             raise NotClosedUnderUnion(msg, (a, b))
         raise NotClosedUnderIntersection(msg, (a, b))
-    mins = _min_table(fam.members, n)
-    return FiniteSpace(names, fam, tuple(mins), name)
+    return space
 
 
 def build_space(names: Iterable[str], opens: Iterable[Iterable[str]], *,

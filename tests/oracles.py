@@ -1,8 +1,8 @@
 """Slow independent reimplementations used to cross-check the package.
 
 Everything here quantifies literally over the relevant family; nothing
-reuses the cached kernels, the reach index, or the single-containment
-rewrites from the package.
+reuses the cached kernels, the bit-sliced families, or the
+single-containment rewrites from the package.
 """
 
 from semitop.semi import SemiAnalysis
@@ -80,6 +80,52 @@ def g_lambda_oracle(an: SemiAnalysis, b: int) -> bool:
 
 def g_v_oracle(an: SemiAnalysis, b: int) -> bool:
     return g_lambda_oracle(an, an.space.full ^ b)
+
+
+def t1_witness_oracle(space: FiniteSpace):
+    for x in range(space.n):
+        if closure_oracle(space, 1 << x) != 1 << x:
+            return x
+    return None
+
+
+def r0_witness_oracle(space: FiniteSpace):
+    """First (open, point) in ascending order, closure escaping the open."""
+    cl = [closure_oracle(space, 1 << x) for x in range(space.n)]
+    for o in sorted(space.opens):
+        for x in range(space.n):
+            if o >> x & 1 and cl[x] & ~o:
+                return o, x
+    return None
+
+
+def semi_t1_witness_oracle(an: SemiAnalysis):
+    """First point whose singleton's complement is not semi-open."""
+    space = an.space
+    for x in range(space.n):
+        if not semi_open_oracle(space, space.full ^ (1 << x)):
+            return x
+    return None
+
+
+def semi_r0_witness_oracle(an: SemiAnalysis):
+    n = an.space.n
+    scl = [semi_closure_oracle(an, 1 << x) for x in range(n)]
+    for o in sorted(an.semi_open):
+        for x in range(n):
+            if o >> x & 1 and scl[x] & ~o:
+                return o, x
+    return None
+
+
+def semi_t_half_witness_oracle(an: SemiAnalysis):
+    """First sg-closed subset whose complement is not semi-open."""
+    space = an.space
+    for b in range(1 << space.n):
+        if sg_closed_oracle(an, b) and \
+                not semi_open_oracle(space, space.full ^ b):
+            return b
+    return None
 
 
 def naive_is_topology(masks, n: int) -> bool:

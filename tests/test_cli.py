@@ -124,6 +124,15 @@ def test_laws_bad_inputs(capsys):
     assert code == 2 and "--max-points" in err
 
 
+def test_workers_must_be_positive(capsys):
+    for argv in (("laws", "--max-points", "1"), ("claim", "prop-3.2a")):
+        for bad in ("0", "-3"):
+            code, out, err = run_cli(capsys, *argv, "--workers", bad)
+            assert code == 2 and out == ""
+            assert f"--workers must be at least 1, got {bad}" in err
+            assert "Traceback" not in err
+
+
 def test_laws_exit_one_on_expected_failure(capsys, monkeypatch):
     fake = Law("fake-cli-fails", "$B=B$",
                lambda ctx: laws_mod._Fail((0,), (), "forced"),

@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import semitop.semi as semi_mod
-from oracles import (random_space, semi_closure_oracle, semi_kernel_oracle,
-                     semi_open_oracle, v_s_oracle)
-from semitop.catalog import khalimsky_window, named_space
+from oracles import (g_lambda_oracle, g_v_oracle, r0_witness_oracle,
+                     random_space, semi_closure_oracle, semi_kernel_oracle,
+                     semi_open_oracle, semi_r0_witness_oracle,
+                     semi_t1_witness_oracle, semi_t_half_witness_oracle,
+                     sg_closed_oracle, t1_witness_oracle, v_s_oracle)
+from semitop.axioms import (r0_witness, semi_r0_witness, semi_t1_witness,
+                            semi_t_half_witness, t1_witness)
+from semitop.catalog import enumerate_topologies, khalimsky_window, named_space
+from semitop.generalized import generalized_families
 from semitop.semi import SemiAnalysis, semi_open_family, set_class
 from semitop.spaces import space_from_masks
 
@@ -86,34 +91,65 @@ def test_operators_match_oracles_random(seed, n):
         assert an.v_s(b) == v_s_oracle(an, b)
 
 
-def test_reach_index_agrees_with_loops(spaces4):
-    rng = random.Random(5150)
-    picks = spaces4[::11] + [random_space(rng, 8) for _ in range(6)]
-    for space in picks:
-        an = SemiAnalysis(space)
-        an.build_reach_index()
-        for b in range(1 << space.n):
-            assert an.semi_closure_indexed(b) == an.semi_closure(b)
-            assert an.v_s_indexed(b) == an.v_s(b)
+def _core_matches_oracles(space, masks):
+    """Families, kernels, operators and four axiom witnesses of the
+    bit-sliced core against the literal oracles, on `masks`."""
+    an = SemiAnalysis(space)
+    fams = generalized_families(an)
+    lam = an.lambda_s_sets()
+    vs = an.v_s_sets()
+    for x in range(space.n):
+        assert an.point_kernels[x] == semi_kernel_oracle(an, 1 << x)
+    for b in masks:
+        semi_open = semi_open_oracle(space, b)
+        assert (b in an.semi_open) == semi_open
+        assert ((space.full ^ b) in an.semi_closed) == semi_open
+        kern = semi_kernel_oracle(an, b)
+        dual = v_s_oracle(an, b)
+        assert an.semi_kernel(b) == kern
+        assert an.semi_closure(b) == semi_closure_oracle(an, b)
+        assert an.v_s(b) == dual
+        assert (b in lam) == (kern == b)
+        assert (b in vs) == (dual == b)
+        assert (b in fams.d_lambda) == g_lambda_oracle(an, b)
+        assert (b in fams.d_v) == g_v_oracle(an, b)
+        assert (b in fams.sg_closed) == sg_closed_oracle(an, b)
+    assert t1_witness(space) == t1_witness_oracle(space)
+    assert r0_witness(space) == r0_witness_oracle(space)
+    assert semi_t1_witness(an) == semi_t1_witness_oracle(an)
+    assert semi_r0_witness(an) == semi_r0_witness_oracle(an)
+    return an, fams
 
 
-def test_forced_bulk_dispatch(monkeypatch, e33):
-    monkeypatch.setattr(semi_mod, "_BULK_LIMIT", 0)
-    an = SemiAnalysis(e33)
-    for b in range(1 << e33.n):
-        assert an._scl(b) == an.semi_closure(b)
-        assert an._vs(b) == an.v_s(b)
-    assert an._reach is not None
+def test_core_matches_oracles_exhaustive(spaces3, spaces4):
+    small = [s for n in (1, 2) for s in enumerate_topologies(n)]
+    for space in small + spaces3 + spaces4:
+        an, fams = _core_matches_oracles(space, range(1 << space.n))
+        assert len(an.semi_closed) == len(an.semi_open)
+        assert semi_t_half_witness(an, fams) == semi_t_half_witness_oracle(an)
 
 
-def test_bulk_kicks_in_for_wide_windows():
-    an = SemiAnalysis(khalimsky_window(-7, 7).space)
-    rng = random.Random(31)
-    assert an._bulk()
-    for _ in range(40):
-        b = rng.randrange(1 << an.space.n)
-        assert an.semi_closure_indexed(b) == an.semi_closure(b)
-        assert an.v_s_indexed(b) == an.v_s(b)
+def test_core_matches_oracles_random_6_to_9():
+    rng = random.Random(2024)
+    for n in range(6, 10):
+        for _ in range(2):
+            space = random_space(rng, n)
+            masks = rng.sample(range(1 << n), 48) + [0, space.full]
+            an, fams = _core_matches_oracles(space, masks)
+            assert semi_t_half_witness(an, fams) == \
+                semi_t_half_witness_oracle(an)
+
+
+def test_core_matches_oracles_khalimsky():
+    space = khalimsky_window(-7, 7).space
+    rng = random.Random(77)
+    masks = rng.sample(range(1 << space.n), 40)
+    masks += [1 << x for x in range(space.n)]
+    an, fams = _core_matches_oracles(space, masks)
+    # the literal semi-T1/2 oracle scans all 2**15 masks; compare the
+    # bit trick with the ascending scan of the checked families instead
+    first = next((b for b in fams.sg_closed if b not in an.semi_closed), None)
+    assert semi_t_half_witness(an, fams) == first
 
 
 def test_semi_open_family_helper(e1):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -28,6 +29,44 @@ def test_set_family_dedups_and_sorts():
     assert len(fam) == 3
     assert fam == SetFamily((1, 0, 3))
     assert hash(fam) == hash(SetFamily((0, 1, 3)))
+
+
+def test_set_family_membership_out_of_range():
+    fam = SetFamily([0, 1, 3])
+    assert -1 not in fam and -8 not in fam
+    assert 4 not in fam and 1 << 40 not in fam
+    with pytest.raises(ValueError):
+        SetFamily([0, -1])
+
+
+def test_set_family_view_iterates_ascending():
+    masks = [37, 2, 1 << 12, 0, 255, 9, 2]
+    fam = SetFamily(masks)
+    assert list(fam) == sorted(set(masks))
+    assert fam.members == tuple(sorted(set(masks)))
+    assert len(fam) == 6
+    assert SetFamily.from_bits(fam.bits) == fam
+
+
+def test_set_family_eq_hash_consistent():
+    a = SetFamily(range(0, 64, 3))
+    b = SetFamily(reversed(range(0, 64, 3)))
+    assert a == b and hash(a) == hash(b)
+    assert list(a) == list(b)  # decoding one side leaves equality alone
+    assert a != SetFamily(range(0, 64, 4))
+    assert a != a.members
+    assert len({a, b, SetFamily([])}) == 2
+
+
+def test_set_family_pickle_round_trip():
+    fam = SetFamily([0, 5, 6, 1 << 15])
+    fam.members  # decoded or not, the family round-trips
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam and hash(back) == hash(fam)
+    assert back.members == (0, 5, 6, 1 << 15)
+    space = space_from_masks("abc", [0, 1, 6, 7], name="e1")
+    again = pickle.loads(pickle.dumps(space))
+    assert again == space and again.opens.members == (0, 1, 6, 7)
 
 
 def test_validation_errors():
