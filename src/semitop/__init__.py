@@ -6,7 +6,7 @@ from .axioms import (AxiomProfile, axiom_profile, is_r0, is_semi_r0,
                      is_semi_t1, is_semi_t_half, is_t1)
 from .catalog import (CatalogEntry, EmptyWindow, UnknownId, Window,
                       catalog_entries, enumerate_topologies, khalimsky_window,
-                      naive_topology_families, named_space)
+                      named_space)
 from .fileformat import (ParseError, load_topology, parse_topology,
                          serialize_topology)
 from .generalized import (GeneralizedFamilies, derived_set,

@@ -9,7 +9,7 @@ just "no witness".
 
 from dataclasses import dataclass, field
 
-from .generalized import GeneralizedFamilies
+from .generalized import GeneralizedFamilies, generalized_families
 from .lattice import saturated
 from .semi import SemiAnalysis
 from .spaces import FiniteSpace, SetFamily, iter_points
@@ -103,8 +103,6 @@ def axiom_profile(space: FiniteSpace,
                   analysis: SemiAnalysis | None = None,
                   families: GeneralizedFamilies | None = None) -> AxiomProfile:
     """Run all five axioms, collecting a witness for each failure."""
-    from .generalized import generalized_families
-
     an = analysis if analysis is not None else SemiAnalysis(space)
     fams = families if families is not None else generalized_families(an)
     witnesses = {}

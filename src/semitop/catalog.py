@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .lattice import decode, everything, saturated
 from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
-                     TooManyPoints, iter_points, space_from_masks)
+                     TooManyPoints, space_from_masks)
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -142,37 +142,6 @@ def khalimsky_window(lo: int, hi: int, *,
 
 # -- enumeration ------------------------------------------------------
 
-def naive_topology_families(n: int) -> list:
-    """Every topology on n labeled points by brute family filtering.
-
-    Tries all 2**(2**n - 2) families containing the empty set and the
-    carrier and keeps those closed under pairwise union and
-    intersection.  Practical through n = 4; serves as the oracle for
-    the table-driven generator.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError("naive filter is only practical for 1 <= n <= 4")
-    full = (1 << n) - 1
-    middles = list(range(1, full))
-    out = []
-    for choice in range(1 << len(middles)):
-        members = [0, full]
-        members += [middles[i] for i in iter_points(choice)]
-        index = frozenset(members)
-        ok = True
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if (a | b) not in index or (a & b) not in index:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(sorted(index)))
-    out.sort()
-    return out
-
-
 def _table_families(n: int) -> list:
     """Topologies via minimal-neighbourhood tables.
 
@@ -214,15 +183,13 @@ def _table_families(n: int) -> list:
 def enumerate_topologies(n: int):
     """All labeled topologies on n points, ascending by opens tuple.
 
-    The naive family filter is the implementation through n = 3; the
-    table generator takes over for n = 4 and 5 and is held to the naive
-    answer by the tests.
+    The tests hold the table generator to a naive family filter for
+    n <= 4.
     """
     if not 1 <= n <= 5:
         raise TooManyPoints("enumeration supports 1 <= n <= 5")
     names = _letters(n)
-    families = naive_topology_families(n) if n <= 3 else _table_families(n)
-    for i, fam in enumerate(families):
+    for i, fam in enumerate(_table_families(n)):
         yield space_from_masks(names, fam, name=f"enum:{n}:{i}")
 
 

@@ -7,7 +7,8 @@ line window, and `claim` runs one registry entry by id.
 
 Output is deterministic byte-for-byte for a fixed invocation; timing
 goes to stderr.  Exit codes: 0 success, 1 a claim expected to hold
-failed somewhere (or a disputed claim went stale), 2 bad input.
+failed somewhere (or a disputed claim went stale, or a named law
+examined no space), 2 bad input.
 """
 
 import argparse

@@ -6,13 +6,20 @@ Every `Law` pairs a stable id with an anchor quoting the statement it
 checks and a checker that exhaustively quantifies the statement over
 one analysed space.  Checkers return None on success or a `_Fail`
 carrying the first offending subsets/points in canonical mask order;
-`run_suite` wraps failures into `Witness` records and aggregates a
-deterministic `LawReport` over a stream of spaces.
+`check_law` and `run_suite` turn a failure into a `Witness`, and
+`run_suite` aggregates a deterministic `LawReport` over a stream of
+spaces.
+
+The checkers read one `SpaceContext` per space.  It holds the core's
+analysis, generalized families and axiom profile, and builds each
+per-mask table (`kern`, `vs`, `grade`) and fixed-point family on first
+read, so a space pays only for the tables its applicable laws read.
 
 A law whose statement quantifies over pairs of subsets is checked over
 all ordered pairs plus the full subset family (finite associativity
 extends pairs to arbitrary finite families); such laws only run on
 spaces small enough for the quadratic scan, per-law `max_points`.
+An expected law that examines no space reports `not exercised`.
 
 Disputed laws are claims the suite expects to fail: reproducing their
 documented counterexample keeps the exit code at zero, while a run that
@@ -23,12 +30,14 @@ stale.
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .axioms import axiom_profile
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .semi import SemiAnalysis, set_class
-from .spaces import FiniteSpace, submasks
+from .spaces import FiniteSpace, SetFamily, submasks
 
 PAIR_CAP = 8      # laws quadratic in the subset count
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
@@ -91,28 +100,68 @@ class LawScopeError(Exception):
 
 
 class SpaceContext:
-    """Everything the checkers need about one space, computed once."""
+    """Everything the checkers need about one space, each part built once.
+
+    The analysis, generalized families and axiom profile are built up
+    front; every table below is built on first read.
+    """
 
     def __init__(self, space: FiniteSpace):
         self.space = space
         self.an = SemiAnalysis(space)
         self.fams = generalized_families(self.an)
         self.prof = axiom_profile(space, self.an, self.fams)
-        n = space.n
-        self.masks = range(1 << n)
+        self.masks = range(1 << space.n)
         self.so = self.an.semi_open
         self.sc = self.an.semi_closed
-        self.kern = [self.an.semi_kernel(m) for m in self.masks]
-        self.lam_sets = frozenset(m for m in self.masks if self.kern[m] == m)
-        if n <= FAMILY_CAP:
-            self.vs = [self.an.v_s(m) for m in self.masks]
-            self.scl = [self.an.semi_closure(m) for m in self.masks]
-            self.vs_sets = frozenset(m for m in self.masks if self.vs[m] == m)
-        else:
-            self.vs = self.scl = self.vs_sets = None
+
+    @cached_property
+    def kern(self) -> list:
+        """kern[m] is the semi-kernel of m: the union of its point kernels."""
+        pk = self.an.point_kernels
+        kern = [0] * len(self.masks)
+        for m in self.masks[1:]:
+            low = m & -m
+            kern[m] = kern[m ^ low] | pk[low.bit_length() - 1]
+        return kern
+
+    @cached_property
+    def vs(self) -> list:
+        """vs[m] is `v_s(m)`."""
+        return [self.an.v_s(m) for m in self.masks]
+
+    @cached_property
+    def grade(self) -> list:
+        """grade[m] is `set_class(space, m)`."""
+        return [set_class(self.space, m) for m in self.masks]
+
+    @cached_property
+    def lam_sets(self) -> SetFamily:
+        return self.an.lambda_s_sets()
+
+    @cached_property
+    def vs_sets(self) -> SetFamily:
+        return self.an.v_s_sets()
 
     def comp(self, m: int) -> int:
         return self.space.full ^ m
+
+
+def _closed_under(fam: SetFamily, op, identity: int, what: str):
+    """Fail unless `op` keeps `fam` closed: every pair, then the whole family.
+
+    `identity` starts the whole-family fold; `what` names the operation
+    and the family in the failure message.
+    """
+    members, bits = fam.members, fam.bits
+    whole = identity
+    for i, a in enumerate(members):
+        whole = op(whole, a)
+        for b in members[i:]:
+            if not bits >> op(a, b) & 1:
+                return _Fail((a, b), (), f"{what} leaves the family")
+    if not bits >> whole & 1:
+        return _Fail((), (), f"{what} over the whole family leaves it")
 
 
 # -- checkers: the semi-kernel and its dual ---------------------------
@@ -218,39 +267,16 @@ def _chk_3_7a(ctx):
 
 
 def _chk_3_7b(ctx):
-    lam = sorted(ctx.lam_sets)
-    for i, a in enumerate(lam):
-        for b in lam[i:]:
-            if (a | b) not in ctx.lam_sets:
-                return _Fail((a, b), (), "union of kernel-fixed sets is not kernel-fixed")
-    vss = sorted(ctx.vs_sets)
-    for i, a in enumerate(vss):
-        for b in vss[i:]:
-            if (a | b) not in ctx.vs_sets:
-                return _Fail((a, b), (), "union of dual-fixed sets is not dual-fixed")
-    whole = 0
-    for a in lam:
-        whole |= a
-    if whole not in ctx.lam_sets:
-        return _Fail((), (), "union of every kernel-fixed set is not kernel-fixed")
+    return (_closed_under(ctx.lam_sets, or_, 0, "union of kernel-fixed sets")
+            or _closed_under(ctx.vs_sets, or_, 0, "union of dual-fixed sets"))
 
 
 def _chk_3_7c(ctx):
-    lam = sorted(ctx.lam_sets)
-    for i, a in enumerate(lam):
-        for b in lam[i:]:
-            if (a & b) not in ctx.lam_sets:
-                return _Fail((a, b), (), "intersection of kernel-fixed sets is not kernel-fixed")
-    vss = sorted(ctx.vs_sets)
-    for i, a in enumerate(vss):
-        for b in vss[i:]:
-            if (a & b) not in ctx.vs_sets:
-                return _Fail((a, b), (), "intersection of dual-fixed sets is not dual-fixed")
-    whole = ctx.space.full
-    for a in lam:
-        whole &= a
-    if whole not in ctx.lam_sets:
-        return _Fail((), (), "intersection of every kernel-fixed set is not kernel-fixed")
+    full = ctx.space.full
+    return (_closed_under(ctx.lam_sets, and_, full,
+                          "intersection of kernel-fixed sets")
+            or _closed_under(ctx.vs_sets, and_, full,
+                             "intersection of dual-fixed sets"))
 
 
 def _chk_3_7d(ctx):
@@ -295,21 +321,19 @@ def _chk_r0_implies_semi_r0(ctx):
 
 
 def _chk_semi_t1_v_sets(ctx):
-    space = ctx.space
-    pre = all(ctx.vs[m] == m
-              for m in ctx.masks if set_class(space, m).preopen)
-    beta = all(ctx.vs[m] == m
-               for m in ctx.masks if set_class(space, m).beta_open)
+    vs, grade = ctx.vs, ctx.grade
+    pre = all(vs[m] == m for m in ctx.masks if grade[m].preopen)
+    beta = all(vs[m] == m for m in ctx.masks if grade[m].beta_open)
     if not ctx.prof.semi_t1 == pre == beta:
         return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
 
 
 def _chk_semi_r0_v_sets(ctx):
-    space = ctx.space
-    so_fixed = all(ctx.vs[o] == o for o in ctx.so)
-    open_fixed = all(ctx.vs[o] == o for o in space.opens)
-    simply_fixed = all(ctx.vs[m] == m
-                       for m in ctx.masks if set_class(space, m).simply_open)
+    vs = ctx.vs
+    so_fixed = all(vs[o] == o for o in ctx.so)
+    open_fixed = all(vs[o] == o for o in ctx.space.opens)
+    simply_fixed = all(vs[m] == m
+                       for m in ctx.masks if ctx.grade[m].simply_open)
     if not ctx.prof.semi_r0 == so_fixed == open_fixed == simply_fixed:
         return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
 
@@ -353,23 +377,22 @@ def _chk_beta_open(ctx):
     for m in ctx.masks:
         cl_m = space.closure(m)
         dense = any(m & ~r == 0 and r & ~cl_m == 0 for r in reg_closed)
-        if dense != set_class(space, m).beta_open:
+        if dense != ctx.grade[m].beta_open:
             return _Fail((m,), (), "dense-in-regular-closed and closure-composite forms disagree")
 
 
 def _chk_simply_open(ctx):
-    space = ctx.space
-    nwd = [space.interior(space.closure(m)) == 0 for m in ctx.masks]
+    grade = ctx.grade
     for m in ctx.masks:
-        split = any(u & ~m == 0 and nwd[m & ~u] for u in space.opens)
-        if split != set_class(space, m).simply_open:
+        split = any(u & ~m == 0 and grade[m & ~u].nowhere_dense
+                    for u in ctx.space.opens)
+        if split != grade[m].simply_open:
             return _Fail((m,), (), "open-plus-nowhere-dense and boundary forms disagree")
 
 
 def _chk_beta_containments(ctx):
-    space = ctx.space
     for m in ctx.masks:
-        c = set_class(space, m)
+        c = ctx.grade[m]
         if (c.preopen or m in ctx.so) and not c.beta_open:
             return _Fail((m,), (), "preopen or semi-open set that is not beta-open")
 
@@ -385,26 +408,10 @@ def _chk_4_5ab(ctx):
 
 
 def _chk_4_5cd(ctx):
-    dl = ctx.fams.d_lambda
-    for i, a in enumerate(dl.members):
-        for b in dl.members[i:]:
-            if (a | b) not in dl:
-                return _Fail((a, b), (), "union leaves the generalized family")
-    dv = ctx.fams.d_v
-    for i, a in enumerate(dv.members):
-        for b in dv.members[i:]:
-            if (a & b) not in dv:
-                return _Fail((a, b), (), "intersection leaves the dual generalized family")
-    whole = 0
-    for a in dl:
-        whole |= a
-    if whole not in dl:
-        return _Fail((), (), "union of the whole generalized family escapes it")
-    whole = ctx.space.full
-    for a in dv:
-        whole &= a
-    if whole not in dv:
-        return _Fail((), (), "intersection of the whole dual family escapes it")
+    return (_closed_under(ctx.fams.d_lambda, or_, 0,
+                          "union of generalized sets")
+            or _closed_under(ctx.fams.d_v, and_, ctx.space.full,
+                             "intersection of dual-generalized sets"))
 
 
 def _chk_4_6(ctx):
@@ -708,18 +715,16 @@ def registry() -> dict:
 
 # -- running ----------------------------------------------------------
 
-def check_law(law: Law, space, ctx: SpaceContext | None = None):
-    """Run one law on one space; None means pass, a Witness means fail."""
-    if isinstance(law, str):
-        law = registry()[law]
+def _refusal(law: Law, space: FiniteSpace) -> str | None:
+    """Why `law` does not run on `space` (scope, then size cap), or None."""
     if not law.applies(space):
-        raise LawScopeError(f"{law.id} does not apply to {space.describe()}")
+        return f"{law.id} does not apply to {space.describe()}"
     if space.n > law.max_points:
-        raise LawScopeError(
-            f"{law.id} is bounded to {law.max_points} points, space has {space.n}")
-    if ctx is None:
-        ctx = SpaceContext(space)
-    fail = law.check(ctx)
+        return f"{law.id} is bounded to {law.max_points} points, space has {space.n}"
+    return None
+
+
+def _witness(law: Law, space: FiniteSpace, fail: _Fail | None):
     if fail is None:
         return None
     return Witness(
@@ -733,6 +738,18 @@ def check_law(law: Law, space, ctx: SpaceContext | None = None):
     )
 
 
+def check_law(law: Law, space, ctx: SpaceContext | None = None):
+    """Run one law on one space; None means pass, a Witness means fail."""
+    if isinstance(law, str):
+        law = registry()[law]
+    refusal = _refusal(law, space)
+    if refusal is not None:
+        raise LawScopeError(refusal)
+    if ctx is None:
+        ctx = SpaceContext(space)
+    return _witness(law, space, law.check(ctx))
+
+
 @dataclass
 class LawResult:
     law_id: str
@@ -741,11 +758,14 @@ class LawResult:
     passed: int = 0
     witnesses: list = field(default_factory=list)
     dispute_space_examined: bool = False
+    named: bool = False               # the caller asked for this law by id
 
     def verdict(self) -> str:
         failed = self.examined - self.passed
         if self.status == "expected":
-            return "ok" if failed == 0 else f"VIOLATED ({failed} spaces)"
+            if failed > 0:
+                return f"VIOLATED ({failed} spaces)"
+            return "ok" if self.examined else "not exercised"
         if failed > 0:
             return f"disputed: confirmed ({failed} spaces)"
         if self.dispute_space_examined:
@@ -755,7 +775,7 @@ class LawResult:
     def is_fatal(self) -> bool:
         failed = self.examined - self.passed
         if self.status == "expected":
-            return failed > 0
+            return failed > 0 or (self.named and self.examined == 0)
         return failed == 0 and self.dispute_space_examined
 
 
@@ -816,19 +836,17 @@ class LawReport:
 
 
 def _eval_space(space: FiniteSpace, law_ids):
-    """Worker body: evaluate the selected laws on one space."""
+    """Worker body: (law id, witness or None) for each law that runs."""
     reg = registry()
     ctx = None
     out = []
     for lid in law_ids:
         law = reg[lid]
-        if not law.applies(space) or space.n > law.max_points:
-            out.append((lid, "skip", None))
+        if _refusal(law, space) is not None:
             continue
         if ctx is None:
             ctx = SpaceContext(space)
-        fail = law.check(ctx)
-        out.append((lid, "done", fail))
+        out.append((lid, _witness(law, space, law.check(ctx))))
     return space, out
 
 
@@ -838,12 +856,15 @@ def _star_eval(args):
 
 def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
               workers: int = 1) -> LawReport:
-    """Evaluate the registry over a stream of spaces.
+    """Evaluate the registry, or the laws named in `law_ids`, over a
+    stream of spaces.
 
-    The merged report is deterministic in the law registration order and
+    A named expected law that examines no space fails the report.  The
+    merged report is deterministic in the law registration order and
     the stream order, independent of the worker count.
     """
     reg = registry()
+    named = law_ids is not None
     if law_ids is None:
         law_ids = list(reg)
     else:
@@ -853,7 +874,8 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                 raise KeyError(f"unknown law id {lid!r}")
     spaces = list(spaces)
     started = time.perf_counter()
-    results = {lid: LawResult(lid, reg[lid].status) for lid in law_ids}
+    results = {lid: LawResult(lid, reg[lid].status, named=named)
+               for lid in law_ids}
 
     if workers > 1 and len(spaces) > 1:
         chunk = max(1, len(spaces) // (workers * 8))
@@ -866,26 +888,16 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
         evaluated = [_eval_space(s, law_ids) for s in spaces]
 
     for space, outcomes in evaluated:
-        for lid, state, fail in outcomes:
-            if state == "skip":
-                continue
+        for lid, witness in outcomes:
             r = results[lid]
             r.examined += 1
             if reg[lid].dispute_space is not None and \
                     space.name == reg[lid].dispute_space:
                 r.dispute_space_examined = True
-            if fail is None:
+            if witness is None:
                 r.passed += 1
             else:
-                r.witnesses.append(Witness(
-                    law_id=lid,
-                    space_name=space.describe(),
-                    subsets=tuple(space.render(m) for m in fail.subsets),
-                    points=tuple(space.names[x] for x in fail.points),
-                    message=fail.message,
-                    space=space,
-                    subset_masks=tuple(fail.subsets),
-                ))
+                r.witnesses.append(witness)
 
     report = LawReport([results[lid] for lid in law_ids], len(spaces))
     report.wall_time = time.perf_counter() - started

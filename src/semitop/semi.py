@@ -112,7 +112,7 @@ def semi_open_family(space: FiniteSpace) -> SetFamily:
     return SemiAnalysis(space).semi_open
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetClass:
     """Openness grades of one subset."""
 

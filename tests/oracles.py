@@ -140,6 +140,37 @@ def naive_is_topology(masks, n: int) -> bool:
     return True
 
 
+def naive_topology_families(n: int) -> list:
+    """Every topology on n labeled points by brute family filtering.
+
+    Tries all 2**(2**n - 2) families containing the empty set and the
+    carrier and keeps those closed under pairwise union and
+    intersection.  Practical through n = 4; serves as the oracle for
+    the table-driven generator.
+    """
+    if not 1 <= n <= 4:
+        raise ValueError("naive filter is only practical for 1 <= n <= 4")
+    full = (1 << n) - 1
+    middles = list(range(1, full))
+    out = []
+    for choice in range(1 << len(middles)):
+        members = [0, full]
+        members += [m for i, m in enumerate(middles) if choice >> i & 1]
+        index = frozenset(members)
+        ok = True
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if (a | b) not in index or (a & b) not in index:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(tuple(sorted(index)))
+    out.sort()
+    return out
+
+
 def random_space(rng, n: int, name=None) -> FiniteSpace:
     """Random topology via a random reachability preorder.
 

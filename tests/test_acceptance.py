@@ -7,10 +7,9 @@ Each test covers one numbered criterion and prints a single
 import random
 import time
 
-from oracles import random_space
+from oracles import naive_topology_families, random_space
 from semitop.axioms import axiom_profile
-from semitop.catalog import (enumerate_topologies, khalimsky_window,
-                             named_space, naive_topology_families)
+from semitop.catalog import enumerate_topologies, khalimsky_window, named_space
 from semitop.generalized import derived_set, g_v_s_singletons, \
     generalized_families
 from semitop.laws import registry, run_suite

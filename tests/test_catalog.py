@@ -1,10 +1,10 @@
 import pytest
 
-from oracles import naive_is_topology
+from oracles import naive_is_topology, naive_topology_families
 from semitop.catalog import (EmptyWindow, UnknownId, catalog_entries,
                              discrete_space, enumerate_topologies,
                              indiscrete_space, is_named_id, khalimsky_window,
-                             named_space, naive_topology_families)
+                             named_space)
 from semitop.spaces import TooManyPoints
 
 

@@ -146,6 +146,23 @@ def test_laws_exit_one_on_expected_failure(capsys, monkeypatch):
     assert "VIOLATED" in out and "exit-code: 1" in out
 
 
+def test_named_law_that_examines_nothing_fails(capsys):
+    for law_id, space in (("prop-3.2b", "khalimsky:-7:7"),      # size cap
+                          ("remark-3.3-strictness", "e33")):    # scope
+        for cmd in (("laws", "--law", law_id), ("claim", law_id)):
+            code, out, _ = run_cli(capsys, *cmd, "--space", space)
+            assert code == 1, (cmd, space)
+            assert "not exercised" in out and "exit-code: 1" in out
+
+
+def test_unnamed_law_that_examines_nothing_is_not_fatal(capsys):
+    code, out, _ = run_cli(capsys, "laws", "--space", "e33")
+    assert code == 0
+    line = next(l for l in out.splitlines()
+                if l.startswith("remark-3.3-strictness"))
+    assert line.endswith("not exercised")
+
+
 def test_laws_deterministic_output(capsys):
     one = run_cli(capsys, "laws", "--max-points", "3")
     two = run_cli(capsys, "laws", "--max-points", "3")

@@ -1,12 +1,15 @@
 import json
+from operator import or_
 
 import pytest
 
 import semitop.laws as laws_mod
-from semitop.catalog import catalog_entries, named_space
+from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, PAIR_CAP, Law,
                           LawScopeError, SpaceContext, Witness, check_law,
                           register_laws, registry, run_suite)
+from semitop.semi import set_class
+from semitop.spaces import SetFamily
 
 
 def _stream3(spaces3):
@@ -57,6 +60,9 @@ def test_check_law_size_bound():
     with pytest.raises(LawScopeError):
         check_law("prop-3.2b", wide)
     assert check_law("prop-3.2a", wide) is None
+    assert check_law("prop-3.2b", named_space(f"discrete:{PAIR_CAP}")) is None
+    with pytest.raises(LawScopeError, match=f"bounded to {PAIR_CAP} points"):
+        check_law("prop-3.2b", named_space(f"discrete:{PAIR_CAP + 1}"))
 
 
 def test_check_law_disputed_witness():
@@ -71,6 +77,59 @@ def test_shared_context_reuse(e33):
     ctx = SpaceContext(e33)
     for lid in ("prop-3.2a", "prop-3.2f", "thm-5.3"):
         assert check_law(lid, e33, ctx) is None
+
+
+def test_context_tables_match_per_call_operators():
+    for n in range(1, 5):
+        for space in enumerate_topologies(n):
+            ctx = SpaceContext(space)
+            an = ctx.an
+            for m in ctx.masks:
+                assert ctx.kern[m] == an.semi_kernel(m)
+                assert ctx.vs[m] == an.v_s(m)
+                assert ctx.grade[m] == set_class(space, m)
+            assert ctx.lam_sets.members == tuple(
+                m for m in ctx.masks if an.semi_kernel(m) == m)
+            assert ctx.vs_sets.members == tuple(
+                m for m in ctx.masks if an.v_s(m) == m)
+
+
+def test_context_builds_only_the_tables_read():
+    wide = named_space("khalimsky:-7:7")
+    ctx = SpaceContext(wide)
+    assert not {"kern", "vs", "grade", "lam_sets", "vs_sets"} & set(vars(ctx))
+    uncapped = [law for law in registry().values()
+                if law.max_points > FAMILY_CAP and law.applies(wide)]
+    assert uncapped
+    for law in uncapped:
+        witness = check_law(law, wide, ctx)
+        assert witness is None or law.status == "disputed", law.id
+    assert "vs" not in vars(ctx)
+
+
+def test_registry_grades_each_mask_once(monkeypatch):
+    space = next(s for s in enumerate_topologies(4) if len(s.opens) > 4)
+    calls = []
+
+    def counted(sp, m):
+        calls.append(m)
+        return set_class(sp, m)
+
+    monkeypatch.setattr(laws_mod, "set_class", counted)
+    ctx = SpaceContext(space)
+    for law in registry().values():
+        if law.applies(space):
+            check_law(law, space, ctx)
+    assert len(set(calls)) == 1 << space.n
+    assert len(calls) <= (1 << space.n) + space.n
+
+
+def test_closed_under_reports_the_first_escaping_pair():
+    fam = SetFamily([0, 0b01, 0b10, 0b11, 0b100])
+    fail = laws_mod._closed_under(fam, or_, 0, "union of test sets")
+    assert fail.subsets == (0b01, 0b100)
+    assert fail.message == "union of test sets leaves the family"
+    assert laws_mod._closed_under(SetFamily([0, 1, 2, 3]), or_, 0, "x") is None
 
 
 def test_expected_laws_hold_on_all_3_point_spaces(spaces3):
