@@ -36,18 +36,15 @@ def _letters(n: int) -> tuple:
     return tuple(_LETTERS[:n])
 
 
-def _fixed(sid: str) -> FiniteSpace | None:
-    if sid == "e1":
-        # three points; the only proper opens are {a} and {b,c}
-        return space_from_masks("abc", [0b000, 0b001, 0b110, 0b111], name="e1")
-    if sid == "e33":
-        return space_from_masks("abc", [0b000, 0b011, 0b111], name="e33")
-    if sid == "e3a":
-        return space_from_masks("abc", [0b000, 0b001, 0b010, 0b011, 0b111],
-                                name="e3a")
-    if sid == "sierpinski":
-        return space_from_masks("ab", [0b00, 0b01, 0b11], name="sierpinski")
-    return None
+# fixed fixtures: id -> (labels, open masks)
+_FIXED = {
+    # three points; the only proper opens are {a} and {b,c}
+    "e1": ("abc", [0b000, 0b001, 0b110, 0b111]),
+    "e33": ("abc", [0b000, 0b011, 0b111]),
+    "e3a": ("abc", [0b000, 0b001, 0b010, 0b011, 0b111]),
+    "sierpinski": ("ab", [0b00, 0b01, 0b11]),
+}
+_FAMILY_PREFIXES = ("discrete:", "indiscrete:", "khalimsky:")
 
 
 def discrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
@@ -64,9 +61,9 @@ def indiscrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
 
 def named_space(sid: str, *, max_points: int = MAX_POINTS) -> FiniteSpace:
     """Resolve a reserved space id."""
-    space = _fixed(sid)
-    if space is not None:
-        return space
+    if sid in _FIXED:
+        names, opens = _FIXED[sid]
+        return space_from_masks(names, opens, name=sid)
     parts = sid.split(":")
     try:
         if len(parts) == 2 and parts[0] in ("discrete", "indiscrete"):
@@ -84,13 +81,9 @@ def named_space(sid: str, *, max_points: int = MAX_POINTS) -> FiniteSpace:
 
 
 def is_named_id(sid: str) -> bool:
-    try:
-        named_space(sid)
-    except UnknownId:
-        return False
-    except SpaceError:
-        return True  # well-formed id, bad parameters
-    return True
+    """Whether `sid` is reserved: a fixed id, or a parametric family
+    prefix whatever its parameters (`named_space` judges those)."""
+    return sid in _FIXED or sid.startswith(_FAMILY_PREFIXES)
 
 
 @dataclass(frozen=True)

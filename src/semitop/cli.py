@@ -13,6 +13,7 @@ examined no space), 2 bad input.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ _PRINT_CAP = 8
 
 
 def resolve_space(spec: str) -> FiniteSpace:
+    """A reserved id is never read as a file, even with bad parameters."""
     if is_named_id(spec):
         return named_space(spec)
     return load_topology(Path(spec))
@@ -96,8 +98,12 @@ def _check_law_ids(law_ids) -> None:
 
 
 def _check_workers(workers: int) -> None:
+    # a fork pool starts every worker up front, so cap them at the CPUs
     if workers < 1:
         raise SpaceError(f"--workers must be at least 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise SpaceError(f"--workers must be at most {cpus}, got {workers}")
 
 
 def _emit_report(report, fmt: str) -> int:

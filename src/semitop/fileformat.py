@@ -7,13 +7,14 @@
     open: a
 
 `points:` comes first and lists the distinct labels, whitespace
-separated.  Every following `open:` line names one member of the
-topology by its labels; an empty remainder is the empty set, and the
-carrier must appear as an open line like any other member.  Parse
-errors carry the offending line number and token.
+separated; no label contains any of `,{}#:`.  Every following `open:`
+line names one member of the topology by its labels; an empty
+remainder is the empty set, and the carrier must appear as an open line
+like any other member.  Parse errors, a file that is not UTF-8
+included, carry the offending line number and token.
 """
 
-from .spaces import MAX_POINTS, FiniteSpace, build_space
+from .spaces import _LABEL_FORBIDDEN, MAX_POINTS, FiniteSpace, build_space
 
 
 class ParseError(Exception):
@@ -47,6 +48,10 @@ def parse_topology(text: str, *, source: str = "<string>",
             if not tokens:
                 raise ParseError("points line lists no labels", line=lineno,
                                  source=source)
+            for t in tokens:
+                if _LABEL_FORBIDDEN & set(t):
+                    raise ParseError(f"bad point label {t!r}", line=lineno,
+                                     source=source)
             if len(tokens) != len(set(tokens)):
                 dup = next(t for t in tokens if tokens.count(t) > 1)
                 raise ParseError(f"duplicate point label {dup!r}", line=lineno,
@@ -78,7 +83,13 @@ def serialize_topology(space: FiniteSpace) -> str:
 
 
 def load_topology(path, *, max_points: int = MAX_POINTS) -> FiniteSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                         line=data.count(b"\n", 0, exc.start) + 1,
+                         source=str(path)) from None
     return parse_topology(text, source=str(path), max_points=max_points,
                           name=str(path))

@@ -6,9 +6,11 @@ Every `Law` pairs a stable id with an anchor quoting the statement it
 checks and a checker that exhaustively quantifies the statement over
 one analysed space.  Checkers return None on success or a `_Fail`
 carrying the first offending subsets/points in canonical mask order;
-`check_law` and `run_suite` turn a failure into a `Witness`, and
-`run_suite` aggregates a deterministic `LawReport` over a stream of
-spaces.
+`check_law` and `run_suite` turn a failure into a `Witness`.
+`run_suite` folds a stream of spaces into a deterministic `LawReport`,
+merging each space's outcomes in stream order as they arrive; pool
+workers send back only failures, and every witness holds the caller's
+own space.
 
 The checkers read one `SpaceContext` per space.  It holds the core's
 analysis, generalized families and axiom profile, and builds each
@@ -29,8 +31,10 @@ stale.
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
@@ -836,7 +840,7 @@ class LawReport:
 
 
 def _eval_space(space: FiniteSpace, law_ids):
-    """Worker body: (law id, witness or None) for each law that runs."""
+    """Worker body: (law id, `_Fail` or None) for each law that runs."""
     reg = registry()
     ctx = None
     out = []
@@ -846,12 +850,8 @@ def _eval_space(space: FiniteSpace, law_ids):
             continue
         if ctx is None:
             ctx = SpaceContext(space)
-        out.append((lid, _witness(law, space, law.check(ctx))))
-    return space, out
-
-
-def _star_eval(args):
-    return _eval_space(*args)
+        out.append((lid, law.check(ctx)))
+    return out
 
 
 def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
@@ -859,9 +859,11 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     """Evaluate the registry, or the laws named in `law_ids`, over a
     stream of spaces.
 
-    A named expected law that examines no space fails the report.  The
-    merged report is deterministic in the law registration order and
-    the stream order, independent of the worker count.
+    Outcomes are merged in stream order as they arrive, and each
+    `Witness` holds the caller's own space.  A named expected law that
+    examines no space fails the report.  The merged report is
+    deterministic in the law registration order and the stream order,
+    independent of the worker count.
     """
     reg = registry()
     named = law_ids is not None
@@ -877,27 +879,24 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     results = {lid: LawResult(lid, reg[lid].status, named=named)
                for lid in law_ids}
 
-    if workers > 1 and len(spaces) > 1:
-        chunk = max(1, len(spaces) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = pool.map(_star_eval,
-                                 [(s, law_ids) for s in spaces],
-                                 chunksize=chunk)
-            evaluated = list(evaluated)
-    else:
-        evaluated = [_eval_space(s, law_ids) for s in spaces]
-
-    for space, outcomes in evaluated:
-        for lid, witness in outcomes:
-            r = results[lid]
-            r.examined += 1
-            if reg[lid].dispute_space is not None and \
-                    space.name == reg[lid].dispute_space:
-                r.dispute_space_examined = True
-            if witness is None:
-                r.passed += 1
-            else:
-                r.witnesses.append(witness)
+    parallel = workers > 1 and len(spaces) > 1
+    with (ProcessPoolExecutor(max_workers=workers) if parallel
+          else nullcontext()) as pool:
+        evaluated = (pool.map(_eval_space, spaces, repeat(law_ids),
+                              chunksize=max(1, len(spaces) // (workers * 8)))
+                     if parallel else map(_eval_space, spaces, repeat(law_ids)))
+        for space, outcomes in zip(spaces, evaluated):
+            for lid, fail in outcomes:
+                law = reg[lid]
+                r = results[lid]
+                r.examined += 1
+                if law.dispute_space is not None and \
+                        space.name == law.dispute_space:
+                    r.dispute_space_examined = True
+                if fail is None:
+                    r.passed += 1
+                else:
+                    r.witnesses.append(_witness(law, space, fail))
 
     report = LawReport([results[lid] for lid in law_ids], len(spaces))
     report.wall_time = time.perf_counter() - started

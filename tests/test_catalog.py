@@ -26,10 +26,12 @@ def test_unknown_ids():
     for bad in ("nope", "discrete", "discrete:x", "khalimsky:1", "e2"):
         with pytest.raises(UnknownId):
             named_space(bad)
-        assert not is_named_id(bad)
-    assert is_named_id("e1") and is_named_id("khalimsky:-3:3")
-    # well-formed id with out-of-range parameters still counts as named
-    assert is_named_id("discrete:99")
+    for other in ("nope", "discrete", "e2", "dir/discrete:2"):
+        assert not is_named_id(other)
+    # a family prefix is reserved whatever its parameters
+    for sid in ("e1", "khalimsky:-3:3", "discrete:99", "discrete:x",
+                "khalimsky:1"):
+        assert is_named_id(sid)
 
 
 def test_window_structure():

@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 
+import semitop.catalog as catalog_mod
+import semitop.cli as cli_mod
 import semitop.laws as laws_mod
 from semitop.axioms import axiom_profile
-from semitop.catalog import enumerate_topologies
+from semitop.catalog import enumerate_topologies, named_space
 from semitop.cli import main
 from semitop.fileformat import load_topology
 from semitop.laws import Law, registry
@@ -72,8 +75,31 @@ def test_analyze_file_and_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 2 and "unknown point label" in err
 
-    code, _, err = run_cli(capsys, "analyze", "discrete:0")
-    assert code == 2
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"points: a\nopen: \xe9\n")
+    code, out, err = run_cli(capsys, "analyze", str(latin1))
+    assert code == 2 and out == ""
+    assert err == f"error: {latin1}:2: byte 0xe9 is not UTF-8\n"
+
+    # reserved ids with bad parameters report the id, not a missing file
+    for sid, fragment in (("discrete:0", "bad point count in 'discrete:0'"),
+                          ("khalimsky:1", "unknown space id 'khalimsky:1'")):
+        code, _, err = run_cli(capsys, "analyze", sid)
+        assert code == 2 and fragment in err
+        assert "No such file" not in err
+
+
+def test_named_space_resolved_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(sid, **kw):
+        calls.append(sid)
+        return named_space(sid, **kw)
+
+    monkeypatch.setattr(catalog_mod, "named_space", counting)
+    monkeypatch.setattr(cli_mod, "named_space", counting)
+    code, _, _ = run_cli(capsys, "analyze", "khalimsky:-3:3")
+    assert code == 0 and calls == ["khalimsky:-3:3"]
 
 
 def test_analyze_is_deterministic(capsys):
@@ -125,12 +151,17 @@ def test_laws_bad_inputs(capsys):
 
 
 def test_workers_must_be_positive(capsys):
+    cpus = os.cpu_count() or 1
     for argv in (("laws", "--max-points", "1"), ("claim", "prop-3.2a")):
         for bad in ("0", "-3"):
             code, out, err = run_cli(capsys, *argv, "--workers", bad)
             assert code == 2 and out == ""
             assert f"--workers must be at least 1, got {bad}" in err
             assert "Traceback" not in err
+        # rejected before any pool exists
+        code, out, err = run_cli(capsys, *argv, "--workers", str(cpus + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: --workers must be at most {cpus}, got {cpus + 1}\n"
 
 
 def test_laws_exit_one_on_expected_failure(capsys, monkeypatch):

@@ -38,6 +38,8 @@ def test_parse_empty_open_is_empty_set():
     ("points: a\nopen: z\n", 2, "unknown point label 'z'"),
     ("points: a\nclosed: a\n", 2, "unknown directive 'closed'"),
     ("# nothing\n", 1, "no points line"),
+    ("points: a,b c\n", 1, "bad point label 'a,b'"),
+    ("# labels\npoints: a: b\n", 2, "bad point label 'a:'"),
 ])
 def test_parse_errors(text, lineno, fragment):
     with pytest.raises(ParseError) as info:
@@ -83,3 +85,12 @@ def test_load_topology_error_carries_path(tmp_path):
     with pytest.raises(ParseError) as info:
         load_topology(path)
     assert str(path) in str(info.value)
+
+
+def test_load_topology_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("points: a b\nopen: \xe9\n".encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        load_topology(path)
+    assert info.value.line == 2
+    assert str(info.value) == f"{path}:2: byte 0xe9 is not UTF-8"

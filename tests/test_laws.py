@@ -171,6 +171,17 @@ def test_worker_pool_merges_identically(spaces3):
     assert seq.to_dict() == par.to_dict()
 
 
+def test_pool_witnesses_hold_the_callers_spaces(spaces3):
+    stream = _stream3(spaces3)
+    seq = run_suite(stream)
+    par = run_suite(stream, workers=2)
+    assert par.render_text() == seq.render_text()
+    assert par.to_dict() == seq.to_dict()
+    witnesses = [w for r in par.results for w in r.witnesses]
+    assert witnesses
+    assert all(any(w.space is s for s in stream) for w in witnesses)
+
+
 def test_law_id_filter(spaces3):
     report = run_suite(spaces3, ["prop-3.2a", "prop-3.8"])
     assert [r.law_id for r in report.results] == ["prop-3.2a", "prop-3.8"]
