@@ -14,7 +14,8 @@ from .generalized import (GeneralizedFamilies, derived_set,
                           is_g_lambda_s, is_g_v_s, is_sg_closed)
 from .laws import (Law, LawReport, LawScopeError, Witness, check_law,
                    register_laws, registry, run_suite)
-from .semi import SemiAnalysis, SetClass, semi_open_family, set_class
+from .semi import (OpennessGrades, SemiAnalysis, SetClass, openness_grades,
+                   semi_open_family, set_class)
 from .spaces import (MAX_POINTS, DuplicateLabel, EmptyCarrier, FiniteSpace,
                      MissingEmptyOrUniverse, NotClosedUnderIntersection,
                      NotClosedUnderUnion, SetFamily, SpaceError, TooManyPoints,

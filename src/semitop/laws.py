@@ -14,8 +14,16 @@ own space.
 
 The checkers read one `SpaceContext` per space.  It holds the core's
 analysis, generalized families and axiom profile, and builds each
-per-mask table (`kern`, `vs`, `grade`) and fixed-point family on first
-read, so a space pays only for the tables its applicable laws read.
+per-mask table (`kern`, `vs`), the openness grades (`grades`, five
+families) and the fixed-point families on first read, so a space pays
+only for the tables its applicable laws read.
+
+A quantifier over all masks is an operation on 2**n-bit families (see
+`lattice`) wherever the statement allows: a containment of families is
+one AND, "some member of F lies above B" is a test of bit B in the
+downward spread of F, and the first offender in canonical order is the
+lowest bit of the family of offenders.  The literal per-mask forms of
+these checkers live in the tests as reference oracles.
 
 A law whose statement quantifies over pairs of subsets is checked over
 all ordered pairs plus the full subset family (finite associativity
@@ -40,7 +48,8 @@ from typing import Callable, Iterable, NamedTuple
 
 from .axioms import axiom_profile
 from .generalized import derived_set, g_v_s_singletons, generalized_families
-from .semi import SemiAnalysis, set_class
+from .lattice import columns, everything, mirror, spread, sub, sup, transpose
+from .semi import OpennessGrades, SemiAnalysis, openness_grades, set_class
 from .spaces import FiniteSpace, SetFamily, submasks
 
 PAIR_CAP = 8      # laws quadratic in the subset count
@@ -50,7 +59,7 @@ SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
 #: operations the registry is expected to exercise, for coverage checks
 OPERATION_NAMES = (
     "semi_open_family", "semi_closure", "semi_kernel", "v_s",
-    "is_lambda_s_set", "is_v_s_set", "set_class",
+    "is_lambda_s_set", "is_v_s_set", "set_class", "openness_grades",
     "is_sg_closed", "is_g_lambda_s", "is_g_v_s", "generalized_families",
     "derived_set", "g_v_s_singletons",
     "is_t1", "is_r0", "is_semi_t1", "is_semi_r0", "is_semi_t_half",
@@ -120,24 +129,32 @@ class SpaceContext:
         self.sc = self.an.semi_closed
 
     @cached_property
+    def kern_cols(self) -> list:
+        """kern_cols[z]: the masks whose semi-kernel holds z.
+
+        The semi-kernel of B is the intersection of the semi-open
+        supersets of B, so z is outside it iff B lies under a semi-open
+        set that misses z.
+        """
+        n = self.space.n
+        lack = columns(n)[1]
+        return [everything(n) ^ spread(self.so.bits & lack[z], n, upward=False)
+                for z in range(n)]
+
+    @cached_property
     def kern(self) -> list:
-        """kern[m] is the semi-kernel of m: the union of its point kernels."""
-        pk = self.an.point_kernels
-        kern = [0] * len(self.masks)
-        for m in self.masks[1:]:
-            low = m & -m
-            kern[m] = kern[m ^ low] | pk[low.bit_length() - 1]
-        return kern
+        """kern[m] is the semi-kernel of m, read off `kern_cols`."""
+        return transpose(self.kern_cols, self.space.n)
 
     @cached_property
     def vs(self) -> list:
-        """vs[m] is `v_s(m)`."""
-        return [self.an.v_s(m) for m in self.masks]
+        """vs[m] is `v_s(m)`: the x with m in the core's up[x]."""
+        return transpose(self.an.up, self.space.n)
 
     @cached_property
-    def grade(self) -> list:
-        """grade[m] is `set_class(space, m)`."""
-        return [set_class(self.space, m) for m in self.masks]
+    def grades(self) -> OpennessGrades:
+        """The five openness grades of `set_class`, as families."""
+        return openness_grades(self.space)
 
     @cached_property
     def lam_sets(self) -> SetFamily:
@@ -149,6 +166,17 @@ class SpaceContext:
 
     def comp(self, m: int) -> int:
         return self.space.full ^ m
+
+
+def _lowest(bits: int) -> int:
+    """The first member of a non-empty family in canonical order."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _under_proper_sc(ctx) -> int:
+    """The masks inside some semi-closed set other than X."""
+    proper = ctx.sc.bits & ~(1 << ctx.space.full)
+    return spread(proper, ctx.space.n, upward=False)
 
 
 def _closed_under(fam: SetFamily, op, identity: int, what: str):
@@ -325,19 +353,18 @@ def _chk_r0_implies_semi_r0(ctx):
 
 
 def _chk_semi_t1_v_sets(ctx):
-    vs, grade = ctx.vs, ctx.grade
-    pre = all(vs[m] == m for m in ctx.masks if grade[m].preopen)
-    beta = all(vs[m] == m for m in ctx.masks if grade[m].beta_open)
+    fixed = ctx.vs_sets.bits
+    pre = ctx.grades.preopen.bits & ~fixed == 0
+    beta = ctx.grades.beta_open.bits & ~fixed == 0
     if not ctx.prof.semi_t1 == pre == beta:
         return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
 
 
 def _chk_semi_r0_v_sets(ctx):
-    vs = ctx.vs
-    so_fixed = all(vs[o] == o for o in ctx.so)
-    open_fixed = all(vs[o] == o for o in ctx.space.opens)
-    simply_fixed = all(vs[m] == m
-                       for m in ctx.masks if ctx.grade[m].simply_open)
+    fixed = ctx.vs_sets.bits
+    so_fixed = ctx.so.bits & ~fixed == 0
+    open_fixed = ctx.space.opens.bits & ~fixed == 0
+    simply_fixed = ctx.grades.simply_open.bits & ~fixed == 0
     if not ctx.prof.semi_r0 == so_fixed == open_fixed == simply_fixed:
         return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
 
@@ -359,46 +386,57 @@ def _chk_semi_r0_union(ctx):
 # -- checkers: openness grades ----------------------------------------
 
 def _chk_singleton_dichotomy(ctx):
+    g = ctx.grades
     for x in range(ctx.space.n):
-        c = set_class(ctx.space, 1 << x)
-        if not (c.preopen or c.nowhere_dense):
-            return _Fail((1 << x,), (x,), "singleton neither preopen nor nowhere dense")
+        bit = 1 << x
+        if bit not in g.preopen and bit not in g.nowhere_dense:
+            return _Fail((bit,), (x,), "singleton neither preopen nor nowhere dense")
 
 
 def _chk_semi_open_levine(ctx):
-    space = ctx.space
-    cl = {o: space.closure(o) for o in space.opens}
-    for m in ctx.masks:
-        witnessed = any(o & ~m == 0 and m & ~cl[o] == 0 for o in space.opens)
-        if witnessed != (m in ctx.so):
-            return _Fail((m,), (), "open-witness and interior/closure forms disagree")
+    space, n = ctx.space, ctx.space.n
+    witnessed = 0
+    for o in space.opens:
+        witnessed |= sup(o, n) & sub(space.closure(o), n)
+    diff = witnessed ^ ctx.so.bits
+    if diff:
+        return _Fail((_lowest(diff),), (), "open-witness and interior/closure forms disagree")
 
 
 def _chk_beta_open(ctx):
-    space = ctx.space
-    reg_closed = [r for r in ctx.masks
-                  if r == space.closure(space.interior(r))]
+    space, full = ctx.space, ctx.space.full
+    point_cl = [space.closure(1 << x) for x in range(space.n)]
+    cl = [0] * len(ctx.masks)
+    for m in ctx.masks[1:]:
+        low = m & -m
+        cl[m] = cl[m ^ low] | point_cl[low.bit_length() - 1]
+    reg_closed = {r for r in ctx.masks if cl[full ^ cl[full ^ r]] == r}
+    beta = ctx.grades.beta_open
     for m in ctx.masks:
-        cl_m = space.closure(m)
-        dense = any(m & ~r == 0 and r & ~cl_m == 0 for r in reg_closed)
-        if dense != ctx.grade[m].beta_open:
+        # m is dense in r when m <= r <= Cl(m); a closed r above m holds
+        # Cl(m), so Cl(m) is the only candidate r
+        if (cl[m] in reg_closed) != (m in beta):
             return _Fail((m,), (), "dense-in-regular-closed and closure-composite forms disagree")
 
 
 def _chk_simply_open(ctx):
-    grade = ctx.grade
-    for m in ctx.masks:
-        split = any(u & ~m == 0 and grade[m & ~u].nowhere_dense
-                    for u in ctx.space.opens)
-        if split != grade[m].simply_open:
-            return _Fail((m,), (), "open-plus-nowhere-dense and boundary forms disagree")
+    n, full = ctx.space.n, ctx.space.full
+    nwd = ctx.grades.nowhere_dense.bits
+    split = 0
+    for u in ctx.space.opens:
+        # the m = u | d with d nowhere dense and disjoint from u; then
+        # u | d == u + d, so shifting the d family by u lists them
+        split |= (nwd & sub(full ^ u, n)) << u
+    diff = split ^ ctx.grades.simply_open.bits
+    if diff:
+        return _Fail((_lowest(diff),), (), "open-plus-nowhere-dense and boundary forms disagree")
 
 
 def _chk_beta_containments(ctx):
-    for m in ctx.masks:
-        c = ctx.grade[m]
-        if (c.preopen or m in ctx.so) and not c.beta_open:
-            return _Fail((m,), (), "preopen or semi-open set that is not beta-open")
+    g = ctx.grades
+    bad = (g.preopen.bits | ctx.so.bits) & ~g.beta_open.bits
+    if bad:
+        return _Fail((_lowest(bad),), (), "preopen or semi-open set that is not beta-open")
 
 
 # -- checkers: generalized classes ------------------------------------
@@ -470,34 +508,35 @@ def _chk_4_9(ctx):
 
 
 def _chk_4_10(ctx):
-    sc = ctx.sc.members
-    so = ctx.so.members
-    kern = ctx.kern
-    for b in ctx.masks:
-        bc = ctx.comp(b)
-        kc = kern[bc]
-        by_complement = True
-        for f in sc:
-            if f & bc == bc and kc & ~f:
-                by_complement = False
-                break
-        vs_b = ctx.vs[b]
-        by_semi_open = True
-        for u in so:
-            if u & b == u and u & ~vs_b:
-                by_semi_open = False
-                break
-        if by_complement != by_semi_open:
-            return _Fail((b,), (), f"complement route {by_complement} vs semi-open route {by_semi_open}")
+    n = ctx.space.n
+    has, lack = columns(n)
+    # complement route fails at b when a semi-closed superset of B = b^c
+    # misses a point z of the semi-kernel of B
+    complement_fails = 0
+    for z, in_kern in enumerate(ctx.kern_cols):
+        complement_fails |= in_kern & spread(ctx.sc.bits & lack[z], n,
+                                             upward=False)
+    complement_fails = mirror(complement_fails, n)
+    # semi-open route fails at b when a semi-open subset of b holds a
+    # point x outside v_s(b), i.e. b is not in up[x]
+    semi_open_fails = 0
+    for x, up in enumerate(ctx.an.up):
+        semi_open_fails |= spread(ctx.so.bits & has[x], n, upward=True) & ~up
+    diff = complement_fails ^ semi_open_fails
+    if diff:
+        b = _lowest(diff)
+        by_complement = not complement_fails >> b & 1
+        return _Fail((b,), (), f"complement route {by_complement} vs semi-open route {not by_complement}")
 
 
 def _chk_4_11(ctx):
     full = ctx.space.full
+    under = _under_proper_sc(ctx)
     for b in ctx.fams.d_v:
         t = ctx.vs[b] | ctx.comp(b)
-        for f in ctx.sc:
-            if t & ~f == 0 and f != full:
-                return _Fail((b, f), (), "proper semi-closed set above dual-union of a generalized set")
+        if under >> t & 1:
+            f = next(f for f in ctx.sc if t & ~f == 0 and f != full)
+            return _Fail((b, f), (), "proper semi-closed set above dual-union of a generalized set")
 
 
 def _chk_4_12(ctx):
@@ -509,14 +548,14 @@ def _chk_4_12(ctx):
 
 
 def _chk_4_13(ctx):
-    full = ctx.space.full
+    vs, sc, d_v = ctx.vs, ctx.sc, ctx.fams.d_v
+    under = _under_proper_sc(ctx)
     for b in ctx.masks:
-        if ctx.vs[b] not in ctx.sc:
-            continue
-        t = ctx.vs[b] | ctx.comp(b)
-        if all(f == full for f in ctx.sc if t & ~f == 0):
-            if b not in ctx.fams.d_v:
-                return _Fail((b,), (), "hypotheses hold but the set is not dual-generalized")
+        # v_s(b) semi-closed and X the only semi-closed set above
+        # v_s(b) | b^c, yet b not g.V_s
+        if vs[b] in sc and not under >> (vs[b] | ctx.comp(b)) & 1 \
+                and b not in d_v:
+            return _Fail((b,), (), "hypotheses hold but the set is not dual-generalized")
 
 
 def _chk_5_2(ctx):
@@ -615,33 +654,35 @@ def register_laws() -> tuple:
         Law("thm-3-semi-t1-v-sets",
             "§3: semi-$T_1$ iff every preopen set is a $V_s$-set iff every $\\beta$-open set is a $V_s$-set",
             _chk_semi_t1_v_sets, max_points=FAMILY_CAP,
-            covers=("is_semi_t1", "set_class", "is_v_s_set")),
+            covers=("is_semi_t1", "openness_grades", "is_v_s_set")),
         Law("thm-3-semi-r0-v-sets",
             "§3: semi-$R_0$ iff every semi-open, every open and every simply-open set is a $V_s$-set",
             _chk_semi_r0_v_sets, max_points=FAMILY_CAP,
             note="simply-open also goes by the name locally semi-closed; only the simply-open form is implemented",
-            covers=("is_semi_r0", "set_class", "is_v_s_set")),
+            covers=("is_semi_r0", "openness_grades", "is_v_s_set")),
         Law("sec-2-semi-r0-union",
             "§2: semi-$R_0$ iff every semi-open set is a union of semi-closed sets",
             _chk_semi_r0_union, max_points=FAMILY_CAP,
             covers=("is_semi_r0", "semi_open_family")),
         Law("sec-3-singleton-dichotomy",
             "§3: every singleton is either locally dense (= preopen) or nowhere dense",
-            _chk_singleton_dichotomy, covers=("set_class",)),
+            _chk_singleton_dichotomy, covers=("openness_grades",)),
         Law("defn-semi-open-levine",
             "§2: $A$ is semi-open iff there exists $O \\in \\tau$ with $O \\subseteq A \\subseteq {\\rm Cl}(O)$",
             _chk_semi_open_levine, max_points=FAMILY_CAP,
             covers=("semi_open_family",)),
         Law("defn-beta-open",
             "§3: $\\beta$-open iff dense in some regular closed subspace",
-            _chk_beta_open, max_points=FAMILY_CAP, covers=("set_class",)),
+            _chk_beta_open, max_points=FAMILY_CAP,
+            covers=("openness_grades",)),
         Law("defn-simply-open",
             "§3: simply-open iff a union of an open set and a nowhere dense set",
-            _chk_simply_open, max_points=FAMILY_CAP, covers=("set_class",)),
+            _chk_simply_open, max_points=FAMILY_CAP,
+            covers=("openness_grades",)),
         Law("sec-3-beta-containments",
             "§3: every preopen set and every semi-open set is $\\beta$-open",
             _chk_beta_containments,
-            covers=("set_class", "semi_open_family")),
+            covers=("openness_grades", "semi_open_family")),
         Law("prop-4.5ab",
             "§4: Every $\\Lambda_s$-set is a $g.\\Lambda_s$-set; every $V_s$-set is a $g.V_s$-set",
             _chk_4_5ab, max_points=FAMILY_CAP,

@@ -23,9 +23,24 @@ read off them:
     v_s(B)          = {x : B in up[x]}      (B in up[x] needs x in B)
 
 Per-query tests read byte views of up/down, O(1) each at any n.
+
+The openness grades of `set_class` come as families too
+(`openness_grades`), from the columns of Cl and Int over all masks A:
+
+    in_int[x] = sup(U_x)                        x in Int A
+    in_cl[y]  = OR_{z in U_y} has[z]            y in Cl A
+    in_ic[x]  = AND_{y in U_x} in_cl[y]         x in Int Cl A
+
+    preopen       = AND_x (lack[x] | in_ic[x])
+    beta-open     = AND_x (lack[x] | OR_{y in U_x} in_ic[y])
+    nowhere dense = AND_x ~in_ic[x]
+    regular open  = AND_x ~(has[x] ^ in_ic[x])
+    simply open   = nowhere dense, with has[z] & ~in_int[z] (the part
+                    of A outside Int A) in place of has[z]
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import columns, everything, meets, mirror, saturated, spread, sup
 from .spaces import FiniteSpace, SetFamily, iter_points
@@ -139,4 +154,60 @@ def set_class(space: FiniteSpace, a: int) -> SetClass:
         nowhere_dense=int_cl == 0,
         regular_open=a == int_cl,
         simply_open=space.interior(space.closure(rest)) == 0,
+    )
+
+
+class OpennessGrades(NamedTuple):
+    """The `SetClass` grades of every mask, one family per field."""
+
+    preopen: SetFamily
+    beta_open: SetFamily
+    nowhere_dense: SetFamily
+    regular_open: SetFamily
+    simply_open: SetFamily
+
+
+def openness_grades(space: FiniteSpace) -> OpennessGrades:
+    """Grade every mask at once: the families of `set_class`'s fields."""
+    n = space.n
+    has, lack = columns(n)
+    ones = everything(n)
+    nbhd = space.min_nbhd
+
+    def in_int_cl(in_s):
+        """Per point x, the masks A with x in Int Cl S(A), where in_s[z]
+        holds the masks A with z in S(A)."""
+        in_cl = []
+        for u in nbhd:
+            col = 0
+            for z in iter_points(u):
+                col |= in_s[z]
+            in_cl.append(col)
+        out = []
+        for u in nbhd:
+            col = ones
+            for y in iter_points(u):
+                col &= in_cl[y]
+            out.append(col)
+        return out
+
+    in_ic = in_int_cl(has)
+    in_ic_rest = in_int_cl([has[z] & ~sup(u, n) for z, u in enumerate(nbhd)])
+    pre = beta = regular = ones
+    dense_somewhere = rest_dense_somewhere = 0
+    for x, u in enumerate(nbhd):
+        pre &= lack[x] | in_ic[x]
+        in_cic = 0
+        for y in iter_points(u):
+            in_cic |= in_ic[y]
+        beta &= lack[x] | in_cic
+        regular &= ones ^ has[x] ^ in_ic[x]
+        dense_somewhere |= in_ic[x]
+        rest_dense_somewhere |= in_ic_rest[x]
+    return OpennessGrades(
+        preopen=SetFamily.from_bits(pre),
+        beta_open=SetFamily.from_bits(beta),
+        nowhere_dense=SetFamily.from_bits(ones ^ dense_somewhere),
+        regular_open=SetFamily.from_bits(regular),
+        simply_open=SetFamily.from_bits(ones ^ rest_dense_somewhere),
     )

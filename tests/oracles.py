@@ -1,11 +1,15 @@
 """Slow independent reimplementations used to cross-check the package.
 
-Everything here quantifies literally over the relevant family; nothing
-reuses the cached kernels, the bit-sliced families, or the
-single-containment rewrites from the package.
+Everything here quantifies literally over the relevant family.  The
+operator oracles reuse none of the cached kernels, the bit-sliced
+families or the single-containment rewrites of the package; the law
+checker oracles at the end read the same `SpaceContext` entries as the
+checkers they mirror and differ from them only in quantifying mask by
+mask.
 """
 
-from semitop.semi import SemiAnalysis
+from semitop.laws import _Fail
+from semitop.semi import SemiAnalysis, set_class
 from semitop.spaces import FiniteSpace, space_from_masks
 
 _LETTERS = "abcdefghijklmnopqrst"
@@ -220,3 +224,128 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
                         pending.append(made)
             fam.add(cur)
     return space_from_masks(_LETTERS[:n], sorted(fam), name=name)
+
+
+# -- literal law checkers ---------------------------------------------
+#
+# The per-mask forms of the bit-sliced checkers in `semitop.laws`.  Each
+# reads the same `SpaceContext` entries as its checker, so a corrupted
+# entry reaches both, and scans masks, SC or SO in ascending order to
+# the first offender.  sec-3-singleton-dichotomy grades its singletons
+# with `set_class`.
+
+def semi_t1_v_sets_law_oracle(ctx):
+    fixed, g = ctx.vs_sets, ctx.grades
+    pre = all(m in fixed for m in ctx.masks if m in g.preopen)
+    beta = all(m in fixed for m in ctx.masks if m in g.beta_open)
+    if not ctx.prof.semi_t1 == pre == beta:
+        return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
+
+
+def semi_r0_v_sets_law_oracle(ctx):
+    fixed = ctx.vs_sets
+    so_fixed = all(o in fixed for o in ctx.so)
+    open_fixed = all(o in fixed for o in ctx.space.opens)
+    simply_fixed = all(m in fixed
+                       for m in ctx.masks if m in ctx.grades.simply_open)
+    if not ctx.prof.semi_r0 == so_fixed == open_fixed == simply_fixed:
+        return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
+
+
+def singleton_dichotomy_law_oracle(ctx):
+    for x in range(ctx.space.n):
+        c = set_class(ctx.space, 1 << x)
+        if not (c.preopen or c.nowhere_dense):
+            return _Fail((1 << x,), (x,), "singleton neither preopen nor nowhere dense")
+
+
+def semi_open_levine_law_oracle(ctx):
+    space = ctx.space
+    cl = {o: space.closure(o) for o in space.opens}
+    for m in ctx.masks:
+        witnessed = any(o & ~m == 0 and m & ~cl[o] == 0 for o in space.opens)
+        if witnessed != (m in ctx.so):
+            return _Fail((m,), (), "open-witness and interior/closure forms disagree")
+
+
+def beta_open_law_oracle(ctx):
+    space = ctx.space
+    reg_closed = [r for r in ctx.masks
+                  if r == space.closure(space.interior(r))]
+    for m in ctx.masks:
+        cl_m = space.closure(m)
+        dense = any(m & ~r == 0 and r & ~cl_m == 0 for r in reg_closed)
+        if dense != (m in ctx.grades.beta_open):
+            return _Fail((m,), (), "dense-in-regular-closed and closure-composite forms disagree")
+
+
+def simply_open_law_oracle(ctx):
+    g = ctx.grades
+    for m in ctx.masks:
+        split = any(u & ~m == 0 and (m & ~u) in g.nowhere_dense
+                    for u in ctx.space.opens)
+        if split != (m in g.simply_open):
+            return _Fail((m,), (), "open-plus-nowhere-dense and boundary forms disagree")
+
+
+def beta_containments_law_oracle(ctx):
+    g = ctx.grades
+    for m in ctx.masks:
+        if (m in g.preopen or m in ctx.so) and m not in g.beta_open:
+            return _Fail((m,), (), "preopen or semi-open set that is not beta-open")
+
+
+def prop_4_10_law_oracle(ctx):
+    sc = ctx.sc.members
+    so = ctx.so.members
+    kern = ctx.kern
+    for b in ctx.masks:
+        bc = ctx.comp(b)
+        kc = kern[bc]
+        by_complement = True
+        for f in sc:
+            if f & bc == bc and kc & ~f:
+                by_complement = False
+                break
+        vs_b = ctx.vs[b]
+        by_semi_open = True
+        for u in so:
+            if u & b == u and u & ~vs_b:
+                by_semi_open = False
+                break
+        if by_complement != by_semi_open:
+            return _Fail((b,), (), f"complement route {by_complement} vs semi-open route {by_semi_open}")
+
+
+def cor_4_11_law_oracle(ctx):
+    full = ctx.space.full
+    for b in ctx.fams.d_v:
+        t = ctx.vs[b] | ctx.comp(b)
+        for f in ctx.sc:
+            if t & ~f == 0 and f != full:
+                return _Fail((b, f), (), "proper semi-closed set above dual-union of a generalized set")
+
+
+def prop_4_13_law_oracle(ctx):
+    full = ctx.space.full
+    for b in ctx.masks:
+        if ctx.vs[b] not in ctx.sc:
+            continue
+        t = ctx.vs[b] | ctx.comp(b)
+        if all(f == full for f in ctx.sc if t & ~f == 0):
+            if b not in ctx.fams.d_v:
+                return _Fail((b,), (), "hypotheses hold but the set is not dual-generalized")
+
+
+LAW_ORACLES = {
+    "thm-3-semi-t1-v-sets": semi_t1_v_sets_law_oracle,
+    "thm-3-semi-r0-v-sets": semi_r0_v_sets_law_oracle,
+    "sec-3-singleton-dichotomy": singleton_dichotomy_law_oracle,
+    "defn-semi-open-levine": semi_open_levine_law_oracle,
+    "defn-beta-open": beta_open_law_oracle,
+    "defn-simply-open": simply_open_law_oracle,
+    "sec-3-beta-containments": beta_containments_law_oracle,
+    "prop-4.10-agreement": prop_4_10_law_oracle,
+    "cor-4.11": cor_4_11_law_oracle,
+    "prop-4.13": prop_4_13_law_oracle,
+}

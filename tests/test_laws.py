@@ -1,14 +1,17 @@
+import dataclasses
 import json
+import random
 from operator import or_
 
 import pytest
 
 import semitop.laws as laws_mod
+from oracles import LAW_ORACLES, random_space
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, PAIR_CAP, Law,
                           LawScopeError, SpaceContext, Witness, check_law,
                           register_laws, registry, run_suite)
-from semitop.semi import set_class
+from semitop.semi import openness_grades, set_class
 from semitop.spaces import SetFamily
 
 
@@ -79,6 +82,12 @@ def test_shared_context_reuse(e33):
         assert check_law(lid, e33, ctx) is None
 
 
+def _grades_match_set_class(ctx, m):
+    """The grade families hold m exactly where `set_class` says so."""
+    return tuple(m in fam for fam in ctx.grades) == \
+        dataclasses.astuple(set_class(ctx.space, m))
+
+
 def test_context_tables_match_per_call_operators():
     for n in range(1, 5):
         for space in enumerate_topologies(n):
@@ -87,17 +96,24 @@ def test_context_tables_match_per_call_operators():
             for m in ctx.masks:
                 assert ctx.kern[m] == an.semi_kernel(m)
                 assert ctx.vs[m] == an.v_s(m)
-                assert ctx.grade[m] == set_class(space, m)
+                assert _grades_match_set_class(ctx, m)
             assert ctx.lam_sets.members == tuple(
                 m for m in ctx.masks if an.semi_kernel(m) == m)
             assert ctx.vs_sets.members == tuple(
                 m for m in ctx.masks if an.v_s(m) == m)
+    wide = named_space("khalimsky:-7:7")
+    ctx = SpaceContext(wide)
+    masks = random.Random(7).sample(ctx.masks, 200)
+    for m in masks + [1 << x for x in range(wide.n)]:
+        assert _grades_match_set_class(ctx, m)
+        assert ctx.kern[m] == ctx.an.semi_kernel(m)
 
 
 def test_context_builds_only_the_tables_read():
     wide = named_space("khalimsky:-7:7")
     ctx = SpaceContext(wide)
-    assert not {"kern", "vs", "grade", "lam_sets", "vs_sets"} & set(vars(ctx))
+    assert not {"kern_cols", "kern", "vs", "grades", "lam_sets",
+                "vs_sets"} & set(vars(ctx))
     uncapped = [law for law in registry().values()
                 if law.max_points > FAMILY_CAP and law.applies(wide)]
     assert uncapped
@@ -108,20 +124,109 @@ def test_context_builds_only_the_tables_read():
 
 
 def test_registry_grades_each_mask_once(monkeypatch):
-    space = next(s for s in enumerate_topologies(4) if len(s.opens) > 4)
-    calls = []
+    """One `openness_grades` pass per space grades every mask; the
+    registry asks `set_class` about singletons only."""
+    calls, passes = [], []
 
     def counted(sp, m):
         calls.append(m)
         return set_class(sp, m)
 
+    def counted_grades(sp):
+        passes.append(sp)
+        return openness_grades(sp)
+
     monkeypatch.setattr(laws_mod, "set_class", counted)
+    monkeypatch.setattr(laws_mod, "openness_grades", counted_grades)
+    four = next(s for s in enumerate_topologies(4) if len(s.opens) > 4)
+    for space in (four, named_space("khalimsky:-3:3")):
+        calls.clear()
+        passes.clear()
+        ctx = SpaceContext(space)
+        for law in registry().values():
+            if law.applies(space):
+                check_law(law, space, ctx)
+        assert passes == [space]
+        assert len(calls) <= space.n
+        assert all(m and m & (m - 1) == 0 for m in calls)
+    assert calls   # the window's digital-line law grades odd singletons
+
+
+def test_law_checkers_match_literal_oracles():
+    """Every bit-sliced checker returns its literal form's `_Fail`."""
+    spaces = [s for n in range(1, 5) for s in enumerate_topologies(n)]
+    rng = random.Random(4242)
+    spaces += [random_space(rng, n) for n in range(6, 10) for _ in range(2)]
+    reg = registry()
+    for space in spaces:
+        ctx = SpaceContext(space)
+        for lid, oracle in LAW_ORACLES.items():
+            assert reg[lid].check(ctx) == oracle(ctx), (lid, space.describe())
+
+
+# the context entries each checker and its oracle both read
+_INPUTS = {
+    "thm-3-semi-t1-v-sets": ("vs_sets", "preopen", "beta_open"),
+    "thm-3-semi-r0-v-sets": ("vs_sets", "so", "simply_open"),
+    "defn-semi-open-levine": ("so",),
+    "defn-beta-open": ("beta_open",),
+    "defn-simply-open": ("nowhere_dense", "simply_open"),
+    "sec-3-beta-containments": ("so", "preopen", "beta_open"),
+    "prop-4.10-agreement": ("sc", "so"),
+    "cor-4.11": ("vs", "sc", "d_v"),
+    "prop-4.13": ("vs", "sc", "d_v"),
+}
+
+
+def _flip(fam, m):
+    return SetFamily.from_bits(fam.bits ^ 1 << m)
+
+
+def _corrupt(ctx, entry, rng):
+    """Flip one bit of one context entry, before any table reads it."""
+    m = rng.randrange(1 << ctx.space.n)
+    if entry == "vs":
+        ctx.vs[m] ^= 1 << rng.randrange(ctx.space.n)
+    elif entry in ("so", "sc", "vs_sets"):
+        setattr(ctx, entry, _flip(getattr(ctx, entry), m))
+    elif entry == "d_v":
+        ctx.fams = dataclasses.replace(ctx.fams, d_v=_flip(ctx.fams.d_v, m))
+    else:
+        grades = ctx.grades
+        ctx.grades = grades._replace(
+            **{entry: _flip(getattr(grades, entry), m)})
+
+
+def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
+    """With one flipped bit in an entry both forms read, the checker
+    fails where its literal form fails, at the same witness."""
+    rng = random.Random(11)
+    spaces = spaces3 + [random_space(rng, n) for n in (4, 5, 6) for _ in range(4)]
+    reg = registry()
+    failures = dict.fromkeys(_INPUTS, 0)
+    for space in spaces:
+        for lid, entries in _INPUTS.items():
+            for entry in entries:
+                for _ in range(3):
+                    ctx = SpaceContext(space)
+                    _corrupt(ctx, entry, rng)
+                    fail = reg[lid].check(ctx)
+                    assert fail == LAW_ORACLES[lid](ctx), (lid, entry)
+                    failures[lid] += fail is not None
+    assert all(failures.values()), failures
+
+
+def test_kernel_table_follows_the_semi_open_family():
+    """The kernel table is the intersection of the semi-open supersets,
+    so prop-3.2d sees a semi-open family that lost a union."""
+    space = named_space("discrete:3")
     ctx = SpaceContext(space)
-    for law in registry().values():
-        if law.applies(space):
-            check_law(law, space, ctx)
-    assert len(set(calls)) == 1 << space.n
-    assert len(calls) <= (1 << space.n) + space.n
+    ab = space.mask_of("ab")
+    ctx.so = _flip(ctx.so, ab)        # {a,b} = {a} | {b} leaves SO
+    assert ctx.kern[ab] == space.full
+    w = check_law("prop-3.2d", space, ctx)
+    assert w is not None and w.subsets == ("{a}", "{b}")
+    assert check_law("prop-3.2d", space) is None
 
 
 def test_closed_under_reports_the_first_escaping_pair():
