@@ -9,6 +9,7 @@ operations per point instead of a loop over all 2**n masks:
     sub(S)   AND of lack[x] over x outside S: the subsets of S
     spread   closure under adding (or removing) points, the subset-sum
              (zeta) transform, Knuth TAOCP 4A section 7.1.3
+    unions   the unions of the non-empty subfamilies of a family
     mirror   bit m -> bit full^m: the family of complements
     transpose  n families -> the per-mask table of which hold each mask
 """
@@ -98,6 +99,16 @@ def spread(bits: int, n: int, upward: bool) -> int:
         else:
             bits |= (bits >> (1 << i)) & lack[i]
     return bits
+
+
+def unions(bits: int, n: int) -> int:
+    """Every union of a non-empty subfamily of `bits`: the C whose every
+    point x lies in a member inside C (C above a member holding x)."""
+    has, lack = columns(n)
+    out = everything(n)
+    for x in range(n):
+        out &= lack[x] | spread(bits & has[x], n, upward=True)
+    return out & ~1 | bits & 1    # the empty union only if a member
 
 
 def mirror(bits: int, n: int) -> int:

@@ -8,6 +8,9 @@ checkers they mirror and differ from them only in quantifying mask by
 mask.
 """
 
+from functools import reduce
+from operator import and_, or_
+
 from semitop.laws import _Fail
 from semitop.semi import SemiAnalysis, set_class
 from semitop.spaces import FiniteSpace, space_from_masks
@@ -229,10 +232,16 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 # -- literal law checkers ---------------------------------------------
 #
 # The per-mask forms of the bit-sliced checkers in `semitop.laws`.  Each
-# reads the same `SpaceContext` entries as its checker, so a corrupted
+# reads the same `SpaceContext` entries as its checker, or a table built
+# from them (`kern` from `kern_cols`, `vs` from `an.up`), so a corrupted
 # entry reaches both, and scans masks, SC or SO in ascending order to
 # the first offender.  sec-3-singleton-dichotomy grades its singletons
-# with `set_class`.
+# with `set_class`.  prop-3.2b/d/i/j decide by the pair scan of their
+# statement (finite associativity extends pairs to any finite family),
+# then report the first nested pair a <= b where the operator is not
+# monotone, or else the first escaping union.  The closure laws test
+# each mask c: it is a union of members iff the members inside c cover
+# it, an intersection iff the members above c meet in it.
 
 def semi_t1_v_sets_law_oracle(ctx):
     fixed, g = ctx.vs_sets, ctx.grades
@@ -337,7 +346,103 @@ def prop_4_13_law_oracle(ctx):
                 return _Fail((b,), (), "hypotheses hold but the set is not dual-generalized")
 
 
+def _nested_pair(op, masks):
+    """The first (a, b) with a inside b and op(a) escaping op(b)."""
+    return next(((a, b) for a in masks for b in masks
+                 if a & ~b == 0 and op[a] & ~op[b]), None)
+
+
+def _is_union_of(c, members) -> bool:
+    """c is the union of a non-empty subfamily of `members`."""
+    inside = [b for b in members if b & ~c == 0]
+    return bool(inside) and reduce(or_, inside) == c
+
+
+def _first_escaping(fam, masks, full, what, dual=False):
+    """The first mask outside fam that is a union of its members (with
+    `dual`, an intersection: the members above it meet in it)."""
+    for c in masks:
+        if c in fam:
+            continue
+        if dual:
+            above = [b for b in fam if c & ~b == 0]
+            made = bool(above) and reduce(and_, above, full) == c
+        else:
+            made = _is_union_of(c, fam)
+        if made:
+            return _Fail((c,), (), f"{what} leaves the family")
+    return None
+
+
+def prop_3_2b_law_oracle(ctx):
+    kern = ctx.kern
+    for a in ctx.masks:
+        for b in ctx.masks:
+            if a & ~b == 0 and kern[a] & ~kern[b]:
+                return _Fail((a, b), (), "semi-kernel not monotone")
+
+
+def prop_3_2d_law_oracle(ctx):
+    kern, masks = ctx.kern, ctx.masks
+    if all(kern[a | b] == kern[a] | kern[b] for a in masks for b in masks):
+        return None
+    pair = _nested_pair(kern, masks)
+    if pair:
+        return _Fail(pair, (), "kernel of union differs from union of kernels")
+    missing = [[b for b in masks if not kern[b] >> z & 1]
+               for z in range(ctx.space.n)]
+    for c in masks:
+        for z, without_z in enumerate(missing):
+            if kern[c] >> z & 1 and _is_union_of(c, without_z):
+                return _Fail((c,), (z,), "kernel of a union holds a point outside the members' kernels")
+
+
+def prop_3_2i_law_oracle(ctx):
+    kern = ctx.kern
+    for a in ctx.masks:
+        for b in ctx.masks:
+            if kern[a & b] & ~(kern[a] & kern[b]):
+                return _Fail((a, b), (), "kernel of intersection escapes the kernels")
+
+
+def prop_3_2j_law_oracle(ctx):
+    vs, masks = ctx.vs, ctx.masks
+    if all((vs[a] | vs[b]) & ~vs[a | b] == 0 for a in masks for b in masks):
+        return None
+    return _Fail(_nested_pair(vs, masks), (), "dual of union misses a dual")
+
+
+def prop_3_7b_law_oracle(ctx):
+    masks, full = ctx.masks, ctx.space.full
+    return (_first_escaping(ctx.lam_sets, masks, full, "union of kernel-fixed sets")
+            or _first_escaping(ctx.vs_sets, masks, full, "union of dual-fixed sets"))
+
+
+def prop_3_7c_law_oracle(ctx):
+    masks, full = ctx.masks, ctx.space.full
+    return (_first_escaping(ctx.lam_sets, masks, full,
+                            "intersection of kernel-fixed sets", dual=True)
+            or _first_escaping(ctx.vs_sets, masks, full,
+                               "intersection of dual-fixed sets", dual=True))
+
+
+def prop_4_5cd_law_oracle(ctx):
+    masks, full = ctx.masks, ctx.space.full
+    return (_first_escaping(ctx.fams.d_lambda, masks, full,
+                            "union of generalized sets")
+            or _first_escaping(ctx.fams.d_v, masks, full,
+                               "intersection of dual-generalized sets",
+                               dual=True))
+
+
 LAW_ORACLES = {
+    "prop-3.2b": prop_3_2b_law_oracle,
+    "prop-3.2d": prop_3_2d_law_oracle,
+    "prop-3.2i": prop_3_2i_law_oracle,
+    "prop-3.2j": prop_3_2j_law_oracle,
+    "prop-3.7b": prop_3_7b_law_oracle,
+    "prop-3.7c": prop_3_7c_law_oracle,
+    "prop-4.5cd": prop_4_5cd_law_oracle,
     "thm-3-semi-t1-v-sets": semi_t1_v_sets_law_oracle,
     "thm-3-semi-r0-v-sets": semi_r0_v_sets_law_oracle,
     "sec-3-singleton-dichotomy": singleton_dichotomy_law_oracle,

@@ -1,16 +1,16 @@
 import dataclasses
 import json
 import random
-from operator import or_
 
 import pytest
 
 import semitop.laws as laws_mod
 from oracles import LAW_ORACLES, random_space
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
-from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, PAIR_CAP, Law,
-                          LawScopeError, SpaceContext, Witness, check_law,
-                          register_laws, registry, run_suite)
+from semitop.lattice import unions
+from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, Law, LawScopeError,
+                          SpaceContext, Witness, check_law, register_laws,
+                          registry, run_suite)
 from semitop.semi import openness_grades, set_class
 from semitop.spaces import SetFamily
 
@@ -30,7 +30,7 @@ def test_registry_integrity():
         if law.status == "disputed":
             assert law.dispute_space
         assert set(law.covers) <= set(OPERATION_NAMES)
-        assert law.max_points >= PAIR_CAP
+        assert law.max_points >= FAMILY_CAP
 
 
 def test_registry_coverage_meta():
@@ -63,9 +63,9 @@ def test_check_law_size_bound():
     with pytest.raises(LawScopeError):
         check_law("prop-3.2b", wide)
     assert check_law("prop-3.2a", wide) is None
-    assert check_law("prop-3.2b", named_space(f"discrete:{PAIR_CAP}")) is None
-    with pytest.raises(LawScopeError, match=f"bounded to {PAIR_CAP} points"):
-        check_law("prop-3.2b", named_space(f"discrete:{PAIR_CAP + 1}"))
+    assert check_law("prop-3.2b", named_space(f"discrete:{FAMILY_CAP}")) is None
+    with pytest.raises(LawScopeError, match=f"bounded to {FAMILY_CAP} points"):
+        check_law("prop-3.2b", named_space(f"discrete:{FAMILY_CAP + 1}"))
 
 
 def test_check_law_disputed_witness():
@@ -152,6 +152,11 @@ def test_registry_grades_each_mask_once(monkeypatch):
     assert calls   # the window's digital-line law grades odd singletons
 
 
+# oracles quadratic in the subset count, run on at most 8 points
+_QUADRATIC = {"prop-3.2b", "prop-3.2d", "prop-3.2i", "prop-3.2j",
+              "prop-3.7b", "prop-3.7c", "prop-4.5cd"}
+
+
 def test_law_checkers_match_literal_oracles():
     """Every bit-sliced checker returns its literal form's `_Fail`."""
     spaces = [s for n in range(1, 5) for s in enumerate_topologies(n)]
@@ -161,11 +166,21 @@ def test_law_checkers_match_literal_oracles():
     for space in spaces:
         ctx = SpaceContext(space)
         for lid, oracle in LAW_ORACLES.items():
+            if space.n > 8 and lid in _QUADRATIC:
+                continue
             assert reg[lid].check(ctx) == oracle(ctx), (lid, space.describe())
 
 
-# the context entries each checker and its oracle both read
+# the context entries each checker and its oracle both read, directly
+# or through a table built from them (kern from kern_cols, vs from up)
 _INPUTS = {
+    "prop-3.2b": ("kern_cols",),
+    "prop-3.2d": ("kern_cols", "so"),
+    "prop-3.2i": ("kern_cols",),
+    "prop-3.2j": ("up",),
+    "prop-3.7b": ("lam_sets", "vs_sets"),
+    "prop-3.7c": ("lam_sets", "vs_sets"),
+    "prop-4.5cd": ("d_lambda", "d_v"),
     "thm-3-semi-t1-v-sets": ("vs_sets", "preopen", "beta_open"),
     "thm-3-semi-r0-v-sets": ("vs_sets", "so", "simply_open"),
     "defn-semi-open-levine": ("so",),
@@ -187,10 +202,14 @@ def _corrupt(ctx, entry, rng):
     m = rng.randrange(1 << ctx.space.n)
     if entry == "vs":
         ctx.vs[m] ^= 1 << rng.randrange(ctx.space.n)
-    elif entry in ("so", "sc", "vs_sets"):
+    elif entry in ("kern_cols", "up"):
+        cols = ctx.kern_cols if entry == "kern_cols" else ctx.an.up
+        cols[rng.randrange(ctx.space.n)] ^= 1 << m
+    elif entry in ("so", "sc", "lam_sets", "vs_sets"):
         setattr(ctx, entry, _flip(getattr(ctx, entry), m))
-    elif entry == "d_v":
-        ctx.fams = dataclasses.replace(ctx.fams, d_v=_flip(ctx.fams.d_v, m))
+    elif entry in ("d_lambda", "d_v"):
+        ctx.fams = dataclasses.replace(
+            ctx.fams, **{entry: _flip(getattr(ctx.fams, entry), m)})
     else:
         grades = ctx.grades
         ctx.grades = grades._replace(
@@ -225,16 +244,59 @@ def test_kernel_table_follows_the_semi_open_family():
     ctx.so = _flip(ctx.so, ab)        # {a,b} = {a} | {b} leaves SO
     assert ctx.kern[ab] == space.full
     w = check_law("prop-3.2d", space, ctx)
-    assert w is not None and w.subsets == ("{a}", "{b}")
+    assert w is not None
+    assert (w.subsets, w.points) == (("{a,b}",), ("c",))
     assert check_law("prop-3.2d", space) is None
 
 
-def test_closed_under_reports_the_first_escaping_pair():
-    fam = SetFamily([0, 0b01, 0b10, 0b11, 0b100])
-    fail = laws_mod._closed_under(fam, or_, 0, "union of test sets")
-    assert fail.subsets == (0b01, 0b100)
+def test_kernel_union_witness_is_the_lowest_union():
+    """The kernels of bc and of ac each hold a point that no member's
+    kernel holds; prop-3.2d reports the lowest such union, then its
+    point."""
+    space = named_space("discrete:3")
+    ctx = SpaceContext(space)
+    has = [SetFamily([m for m in ctx.masks if m >> x & 1]).bits
+           for x in range(3)]
+    bc, ac = space.mask_of("bc"), space.mask_of("ac")
+    # K(bc) holds a although K(b), K(c) do not; K(ac) holds b likewise
+    ctx.kern_cols = [has[0] | 1 << bc, has[1] | 1 << ac, has[2]]
+    fail = registry()["prop-3.2d"].check(ctx)
+    assert fail == LAW_ORACLES["prop-3.2d"](ctx)
+    assert (fail.subsets, fail.points) == ((ac,), (1,))
+
+
+def test_kernel_laws_hold_for_any_semi_open_family(spaces3):
+    """prop-3.2a/b/c/i hold for the intersection-of-supersets kernel of
+    any family, as their notes say: a corrupted SO never fails them."""
+    rng = random.Random(5)
+    reg = registry()
+    kernel_laws = ("prop-3.2a", "prop-3.2b", "prop-3.2c", "prop-3.2i")
+    for lid in kernel_laws:
+        assert "any family" in reg[lid].note
+    for space in spaces3:
+        for _ in range(3):
+            ctx = SpaceContext(space)
+            _corrupt(ctx, "so", rng)
+            for lid in kernel_laws:
+                assert reg[lid].check(ctx) is None, (lid, space.describe())
+
+
+def test_unions_report_the_lowest_escaping_union():
+    two, three = (SpaceContext(named_space(f"discrete:{n}")) for n in (2, 3))
+    fam = SetFamily([0, 0b001, 0b010, 0b011, 0b100])
+    assert unions(fam.bits, 3) & ~fam.bits == \
+        SetFamily([0b101, 0b110, 0b111]).bits
+    fail = laws_mod._not_closed(three, fam, "union of test sets")
+    assert fail.subsets == (0b101,)
     assert fail.message == "union of test sets leaves the family"
-    assert laws_mod._closed_under(SetFamily([0, 1, 2, 3]), or_, 0, "x") is None
+    # the empty union is left out unless the empty set is a member
+    assert unions(SetFamily([0b01, 0b10]).bits, 2) == \
+        SetFamily([0b01, 0b10, 0b11]).bits
+    assert laws_mod._not_closed(two, SetFamily([0, 1, 2, 3]), "x") is None
+    # intersections: {b} = {a,b} & {b,c} escapes, X is not an empty meet
+    fail = laws_mod._not_closed(three, SetFamily([0b011, 0b110]), "y",
+                                dual=True)
+    assert fail.subsets == (0b010,)
 
 
 def test_expected_laws_hold_on_all_3_point_spaces(spaces3):
@@ -300,9 +362,9 @@ def test_examined_respects_caps(spaces3):
                                           "prop-3.2f"])
     by_id = {r.law_id: r for r in report.results}
     assert by_id["prop-3.2a"].examined == 30
-    assert by_id["prop-3.2b"].examined == 29   # PAIR_CAP skips the window
-    assert by_id["prop-3.2f"].examined == 29   # FAMILY_CAP skips it too
-    assert PAIR_CAP < FAMILY_CAP < wide.n
+    assert by_id["prop-3.2b"].examined == 29   # FAMILY_CAP skips the window
+    assert by_id["prop-3.2f"].examined == 29
+    assert FAMILY_CAP < wide.n
 
 
 def _with_fake_law(monkeypatch, law):
@@ -358,3 +420,6 @@ def test_machine_dict_shape(spaces3):
             assert isinstance(w["subsets"], list)
             for labels in w["subsets"]:
                 assert labels == sorted(labels)
+    doc = run_suite([named_space("discrete:2")],
+                    ["cor-4-cantor-bendixson"]).to_dict()
+    assert doc["laws"][0]["witnesses"][0]["subsets"] == [[], ["a", "b"]]
