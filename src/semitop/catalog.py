@@ -47,14 +47,22 @@ _FIXED = {
 _FAMILY_PREFIXES = ("discrete:", "indiscrete:", "khalimsky:")
 
 
+def _sized(family: str, n: int, max_points: int) -> tuple:
+    """The labels of `family:n`, refusing an oversized n before any
+    family of its 2**n subsets is built."""
+    if n > max_points:
+        raise TooManyPoints(f"{family}:{n} has {n} points, limit {max_points}")
+    return _letters(n)
+
+
 def discrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
-    names = _letters(n)
+    names = _sized("discrete", n, max_points)
     return space_from_masks(names, SetFamily.from_bits(everything(n)),
                             max_points=max_points, name=f"discrete:{n}")
 
 
 def indiscrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
-    names = _letters(n)
+    names = _sized("indiscrete", n, max_points)
     return space_from_masks(names, [0, (1 << n) - 1], max_points=max_points,
                             name=f"indiscrete:{n}")
 

@@ -12,20 +12,23 @@ merging each space's outcomes in stream order as they arrive; pool
 workers send back only failures, and every witness holds the caller's
 own space.
 
-The checkers read one `SpaceContext` per space.  It holds the core's
-analysis, generalized families and axiom profile, and builds each
-per-mask table (`kern`, `vs`), the openness grades (`grades`, five
-families) and the fixed-point families on first read, so a space pays
-only for the tables its applicable laws read.
+The checkers read one `SpaceContext` per space: the core's analysis,
+generalized families and axiom profile and, built on first read, the
+semi-kernel's per-point columns `kern_cols` and per-mask table `kern`,
+the fixed masks `fix_kern` / `fix_vs`, the openness grades and the
+fixed-point families.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
-`lattice`) wherever the statement allows: a containment of families is
-one AND, "some member of F lies above B" is a test of bit B in the
-downward spread of F, a statement about every family B_λ tests that a
-table's per-point columns are upward-closed (monotonicity) or that a
-family holds `lattice.unions` of itself, and the first offender in
-canonical order is the lowest bit of the family of offenders.  The
-literal per-mask and pair forms live in the tests as reference oracles.
+`lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
+the semi-kernel and of v_s, so a pointwise statement about them is a
+column identity; a containment of families is one AND; a statement
+about every family B_λ tests that columns are upward-closed or that a
+family holds `lattice.unions` of itself; and "the value at B lies in F"
+is `_preimage`.  A failure reports the lowest bit of the family of
+offenders.  Only the laws that compose the semi-kernel read `kern`:
+prop-3.2c, prop-4.9-sandwich and the single lookups of remark-3.3,
+prop-3.7a and example-4.6.  The literal per-mask and pair forms live in
+the tests as reference oracles.
 Laws run on spaces up to their `max_points`; an expected law that
 examines no space reports `not exercised`.
 
@@ -39,8 +42,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
+from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .axioms import axiom_profile
@@ -48,7 +52,7 @@ from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, mirror, spread, sub, sup,
                       transpose, unions)
 from .semi import OpennessGrades, SemiAnalysis, openness_grades, set_class
-from .spaces import FiniteSpace, SetFamily, submasks
+from .spaces import FiniteSpace, SetFamily, iter_points, submasks
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
 SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
@@ -146,9 +150,14 @@ class SpaceContext:
         return transpose(self.kern_cols, self.space.n)
 
     @cached_property
-    def vs(self) -> list:
-        """vs[m] is `v_s(m)`: the x with m in the core's up[x]."""
-        return transpose(self.an.up, self.space.n)
+    def fix_kern(self) -> int:
+        """The masks the kernel table fixes: m with K(m) == m."""
+        return _fixed(self.kern_cols, self.space.n)
+
+    @cached_property
+    def fix_vs(self) -> int:
+        """The masks v_s fixes, read off the core's up[x]."""
+        return _fixed(self.an.up, self.space.n)
 
     @cached_property
     def grades(self) -> OpennessGrades:
@@ -163,8 +172,11 @@ class SpaceContext:
     def vs_sets(self) -> SetFamily:
         return self.an.v_s_sets()
 
-    def comp(self, m: int) -> int:
-        return self.space.full ^ m
+
+def _fixed(cols, n: int) -> int:
+    """The masks m with z in m iff m in cols[z], for every point z."""
+    return reduce(and_, (~(h ^ c) for h, c in zip(columns(n)[0], cols)),
+                  everything(n))
 
 
 def _lowest(bits: int) -> int:
@@ -172,10 +184,37 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+def _first(bad: int, message: str):
+    """Fail at the lowest member of a family of offenders, if any."""
+    if bad:
+        return _Fail((_lowest(bad),), (), message)
+
+
 def _under_proper_sc(ctx) -> int:
     """The masks inside some semi-closed set other than X."""
     proper = ctx.sc.bits & ~(1 << ctx.space.full)
     return spread(proper, ctx.space.n, upward=False)
+
+
+def _preimage(cols, fam: int, cand: int, n: int) -> int:
+    """The b in `cand` whose image {z : b in cols[z]} is in `fam`: both
+    split point by point, a branch ending once either side is empty or
+    `fam` holds every image that agrees with it so far."""
+    has, lack = columns(n)
+    out, todo = 0, [(0, cand, fam)]
+    while todo:
+        z, c, f = todo.pop()
+        if c and f.bit_count() == 1 << (n - z):
+            out |= c
+        elif c and f:
+            todo += ((z + 1, c & cols[z], f & has[z]),
+                     (z + 1, c & ~cols[z], f & lack[z]))
+    return out
+
+
+def _dual_union_cols(ctx) -> list:
+    """Per point z, the masks b with z in v_s(b) | b^c."""
+    return [lack | up for lack, up in zip(columns(ctx.space.n)[1], ctx.an.up)]
 
 
 def _not_monotone(cols, n: int, message: str):
@@ -202,16 +241,15 @@ def _not_closed(ctx, fam: SetFamily, what: str, dual: bool = False):
     out = unions(bits, n) & ~bits
     if dual:
         out = mirror(out, n)
-    if out:
-        return _Fail((_lowest(out),), (), f"{what} leaves the family")
+    return _first(out, f"{what} leaves the family")
 
 
 # -- checkers: the semi-kernel and its dual ---------------------------
 
 def _chk_3_2a(ctx):
-    for b in ctx.masks:
-        if b & ~ctx.kern[b]:
-            return _Fail((b,), (), "subset escapes its semi-kernel")
+    has = columns(ctx.space.n)[0]
+    return _first(reduce(or_, (h & ~c for h, c in zip(has, ctx.kern_cols))),
+                  "subset escapes its semi-kernel")
 
 
 def _chk_3_2b(ctx):
@@ -247,27 +285,27 @@ def _chk_3_2d(ctx):
 
 
 def _chk_3_2e(ctx):
-    for a in ctx.so:
-        if ctx.kern[a] != a:
-            return _Fail((a,), (), "semi-open set moved by its semi-kernel")
+    return _first(ctx.so.bits & ~ctx.fix_kern,
+                  "semi-open set moved by its semi-kernel")
 
 
 def _chk_3_2f(ctx):
-    for b in ctx.masks:
-        if ctx.kern[ctx.comp(b)] != ctx.comp(ctx.vs[b]):
-            return _Fail((b,), (), "kernel of complement differs from complement of dual")
+    # z is in K(b^c) iff b^c is in kern_cols[z], i.e. b in its mirror;
+    # z is outside v_s(b) iff b is not in up[z]
+    n = ctx.space.n
+    bad = reduce(or_, (mirror(c, n) ^ ~up for c, up in zip(ctx.kern_cols, ctx.an.up)))
+    return _first(bad & everything(n),
+                  "kernel of complement differs from complement of dual")
 
 
 def _chk_3_2g(ctx):
-    for b in ctx.masks:
-        if ctx.vs[b] & ~b:
-            return _Fail((b,), (), "dual operator escapes its argument")
+    return _first(reduce(or_, map(and_, ctx.an.up, columns(ctx.space.n)[1])),
+                  "dual operator escapes its argument")
 
 
 def _chk_3_2h(ctx):
-    for f in ctx.sc:
-        if ctx.vs[f] != f:
-            return _Fail((f,), (), "semi-closed set moved by the dual operator")
+    return _first(ctx.sc.bits & ~ctx.fix_vs,
+                  "semi-closed set moved by the dual operator")
 
 
 def _chk_3_2i(ctx):
@@ -283,8 +321,7 @@ def _chk_3_2j(ctx):
 
 
 def _chk_3_3(ctx):
-    b1 = ctx.space.mask_of("b")
-    b2 = ctx.space.mask_of("c")
+    b1, b2 = ctx.space.mask_of("b"), ctx.space.mask_of("c")
     if ctx.kern[b1 & b2] == ctx.kern[b1] & ctx.kern[b2]:
         return _Fail((b1, b2), (), "documented strict pair is not strict here")
 
@@ -308,14 +345,13 @@ def _chk_3_7c(ctx):
 
 
 def _chk_3_7d(ctx):
-    for b in ctx.masks:
-        if (ctx.kern[b] == b) != (ctx.vs[ctx.comp(b)] == ctx.comp(b)):
-            return _Fail((b,), (), "kernel-fixed and dual-fixed complements disagree")
+    return _first(ctx.fix_kern ^ mirror(ctx.fix_vs, ctx.space.n),
+                  "kernel-fixed and dual-fixed complements disagree")
 
 
 def _chk_3_8(ctx):
-    every_lam = all(ctx.kern[m] == m for m in ctx.masks)
-    every_vs = all(ctx.vs[m] == m for m in ctx.masks)
+    every_lam, every_vs = (f == everything(ctx.space.n)
+                           for f in (ctx.fix_kern, ctx.fix_vs))
     if not ctx.prof.semi_t1 == every_lam == every_vs:
         return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
 
@@ -366,15 +402,9 @@ def _chk_semi_r0_v_sets(ctx):
 
 
 def _chk_semi_r0_union(ctx):
-    unions_ok = True
-    for o in ctx.so:
-        u = 0
-        for f in ctx.sc:
-            if f & o == f:
-                u |= f
-        if u != o:
-            unions_ok = False
-            break
+    # the empty set is the empty union; any other o is the union of the
+    # semi-closed sets inside it iff it is a union of semi-closed sets
+    unions_ok = ctx.so.bits & ~1 & ~unions(ctx.sc.bits, ctx.space.n) == 0
     if ctx.prof.semi_r0 != unions_ok:
         return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
 
@@ -394,25 +424,26 @@ def _chk_semi_open_levine(ctx):
     witnessed = 0
     for o in space.opens:
         witnessed |= sup(o, n) & sub(space.closure(o), n)
-    diff = witnessed ^ ctx.so.bits
-    if diff:
-        return _Fail((_lowest(diff),), (), "open-witness and interior/closure forms disagree")
+    return _first(witnessed ^ ctx.so.bits,
+                  "open-witness and interior/closure forms disagree")
 
 
 def _chk_beta_open(ctx):
-    space, full = ctx.space, ctx.space.full
-    point_cl = [space.closure(1 << x) for x in range(space.n)]
-    cl = [0] * len(ctx.masks)
-    for m in ctx.masks[1:]:
-        low = m & -m
-        cl[m] = cl[m ^ low] | point_cl[low.bit_length() - 1]
-    reg_closed = {r for r in ctx.masks if cl[full ^ cl[full ^ r]] == r}
-    beta = ctx.grades.beta_open
-    for m in ctx.masks:
-        # m is dense in r when m <= r <= Cl(m); a closed r above m holds
-        # Cl(m), so Cl(m) is the only candidate r
-        if (cl[m] in reg_closed) != (m in beta):
-            return _Fail((m,), (), "dense-in-regular-closed and closure-composite forms disagree")
+    n, ones = ctx.space.n, everything(ctx.space.n)
+
+    def cl_cols(cols):
+        # y is in Cl(S) iff its minimal neighbourhood meets S
+        return [reduce(or_, map(cols.__getitem__, iter_points(u)))
+                for u in ctx.space.min_nbhd]
+
+    in_cl = cl_cols(columns(n)[0])
+    # x is in Int(r) iff outside Cl(r^c); r is regular closed iff it is
+    # the fixed point Cl(Int(r)) = r
+    reg_closed = _fixed(cl_cols([ones ^ mirror(c, n) for c in in_cl]), n)
+    # m is dense in r when m <= r <= Cl(m); a closed r above m holds
+    # Cl(m), so Cl(m) is the only candidate r
+    return _first(_preimage(in_cl, reg_closed, ones, n) ^ ctx.grades.beta_open.bits,
+                  "dense-in-regular-closed and closure-composite forms disagree")
 
 
 def _chk_simply_open(ctx):
@@ -423,26 +454,24 @@ def _chk_simply_open(ctx):
         # the m = u | d with d nowhere dense and disjoint from u; then
         # u | d == u + d, so shifting the d family by u lists them
         split |= (nwd & sub(full ^ u, n)) << u
-    diff = split ^ ctx.grades.simply_open.bits
-    if diff:
-        return _Fail((_lowest(diff),), (), "open-plus-nowhere-dense and boundary forms disagree")
+    return _first(split ^ ctx.grades.simply_open.bits,
+                  "open-plus-nowhere-dense and boundary forms disagree")
 
 
 def _chk_beta_containments(ctx):
     g = ctx.grades
-    bad = (g.preopen.bits | ctx.so.bits) & ~g.beta_open.bits
-    if bad:
-        return _Fail((_lowest(bad),), (), "preopen or semi-open set that is not beta-open")
+    return _first((g.preopen.bits | ctx.so.bits) & ~g.beta_open.bits,
+                  "preopen or semi-open set that is not beta-open")
 
 
 # -- checkers: generalized classes ------------------------------------
 
 def _chk_4_5ab(ctx):
-    for m in ctx.masks:
-        if ctx.kern[m] == m and m not in ctx.fams.d_lambda:
-            return _Fail((m,), (), "kernel-fixed set missing from the generalized family")
-        if ctx.vs[m] == m and m not in ctx.fams.d_v:
-            return _Fail((m,), (), "dual-fixed set missing from the dual generalized family")
+    lam = ctx.fix_kern & ~ctx.fams.d_lambda.bits
+    dual = ctx.fix_vs & ~ctx.fams.d_v.bits
+    low = (lam | dual) & -(lam | dual)    # the first offender of either kind
+    return (_first(lam & low, "kernel-fixed set missing from the generalized family")
+            or _first(dual & low, "dual-fixed set missing from the dual generalized family"))
 
 
 def _chk_4_5cd(ctx):
@@ -451,8 +480,7 @@ def _chk_4_5cd(ctx):
 
 
 def _chk_4_6(ctx):
-    a = ctx.space.mask_of("ac")
-    b = ctx.space.mask_of("bc")
+    a, b = ctx.space.mask_of("ac"), ctx.space.mask_of("bc")
     c = a & b
     if a not in ctx.fams.d_lambda or b not in ctx.fams.d_lambda:
         return _Fail((a, b), (), "documented generalized sets are not generalized here")
@@ -463,18 +491,17 @@ def _chk_4_6(ctx):
 
 
 def _chk_4_7(ctx):
-    for o in ctx.so:
-        if o not in ctx.fams.d_lambda:
-            return _Fail((o,), (), "semi-open set outside the generalized family")
-    for f in ctx.sc:
-        if f not in ctx.fams.d_v:
-            return _Fail((f,), (), "semi-closed set outside the dual generalized family")
+    fams = ctx.fams
+    return (_first(ctx.so.bits & ~fams.d_lambda.bits,
+                   "semi-open set outside the generalized family")
+            or _first(ctx.sc.bits & ~fams.d_v.bits,
+                      "semi-closed set outside the dual generalized family"))
 
 
 def _chk_4_8(ctx):
     for x in range(ctx.space.n):
         bit = 1 << x
-        if bit not in ctx.so and ctx.comp(bit) not in ctx.fams.d_lambda:
+        if bit not in ctx.so and ctx.space.full ^ bit not in ctx.fams.d_lambda:
             return _Fail((bit,), (x,), "singleton neither semi-open nor complement-generalized")
         if bit not in ctx.so and bit not in ctx.fams.d_v:
             return _Fail((bit,), (x,), "singleton neither semi-open nor dual-generalized")
@@ -485,12 +512,10 @@ def _chk_cantor_bendixson(ctx):
     gvs = g_v_s_singletons(ctx.an)
     diff = der ^ gvs
     if diff:
-        x = (diff & -diff).bit_length() - 1
-        if gvs >> x & 1:
-            msg = "singleton is dual-generalized but the point is isolated"
-        else:
-            msg = "point is in the derived set but its singleton is not dual-generalized"
-        return _Fail((der, gvs), (x,), msg)
+        x = _lowest(diff)
+        return _Fail((der, gvs), (x,), "singleton is dual-generalized but the point is isolated"
+                     if gvs >> x & 1 else
+                     "point is in the derived set but its singleton is not dual-generalized")
 
 
 def _chk_4_9(ctx):
@@ -508,8 +533,7 @@ def _chk_4_10(ctx):
     # misses a point z of the semi-kernel of B
     complement_fails = 0
     for z, in_kern in enumerate(ctx.kern_cols):
-        complement_fails |= in_kern & spread(ctx.sc.bits & lack[z], n,
-                                             upward=False)
+        complement_fails |= in_kern & spread(ctx.sc.bits & lack[z], n, upward=False)
     complement_fails = mirror(complement_fails, n)
     # semi-open route fails at b when a semi-open subset of b holds a
     # point x outside v_s(b), i.e. b is not in up[x]
@@ -524,54 +548,53 @@ def _chk_4_10(ctx):
 
 
 def _chk_4_11(ctx):
-    full = ctx.space.full
-    under = _under_proper_sc(ctx)
-    for b in ctx.fams.d_v:
-        t = ctx.vs[b] | ctx.comp(b)
-        if under >> t & 1:
-            f = next(f for f in ctx.sc if t & ~f == 0 and f != full)
-            return _Fail((b, f), (), "proper semi-closed set above dual-union of a generalized set")
+    n, full = ctx.space.n, ctx.space.full
+    cols = _dual_union_cols(ctx)
+    bad = _preimage(cols, _under_proper_sc(ctx), ctx.fams.d_v.bits, n)
+    if bad:
+        b = _lowest(bad)
+        t = sum(1 << z for z, col in enumerate(cols) if col >> b & 1)
+        above = ctx.sc.bits & sup(t, n) & ~(1 << full)
+        return _Fail((b, _lowest(above)), (), "proper semi-closed set above dual-union of a generalized set")
 
 
 def _chk_4_12(ctx):
-    for b in ctx.fams.d_v:
-        closed_side = (ctx.vs[b] | ctx.comp(b)) in ctx.sc
-        fixed_side = ctx.vs[b] == b
-        if closed_side != fixed_side:
-            return _Fail((b,), (), f"semi-closed test {closed_side} vs dual-fixed test {fixed_side}")
+    d_v = ctx.fams.d_v.bits
+    closed = _preimage(_dual_union_cols(ctx), ctx.sc.bits, d_v, ctx.space.n)
+    bad = d_v & (closed ^ ctx.fix_vs)
+    if bad:
+        b = _lowest(bad)
+        closed_side, fixed_side = bool(closed >> b & 1), bool(ctx.fix_vs >> b & 1)
+        return _Fail((b,), (), f"semi-closed test {closed_side} vs dual-fixed test {fixed_side}")
 
 
 def _chk_4_13(ctx):
-    vs, sc, d_v = ctx.vs, ctx.sc, ctx.fams.d_v
-    under = _under_proper_sc(ctx)
-    for b in ctx.masks:
-        # v_s(b) semi-closed and X the only semi-closed set above
-        # v_s(b) | b^c, yet b not g.V_s
-        if vs[b] in sc and not under >> (vs[b] | ctx.comp(b)) & 1 \
-                and b not in d_v:
-            return _Fail((b,), (), "hypotheses hold but the set is not dual-generalized")
+    # v_s(b) semi-closed and X the only semi-closed set above
+    # v_s(b) | b^c, yet b not g.V_s
+    n = ctx.space.n
+    cand = everything(n) & ~ctx.fams.d_v.bits
+    # the semi-closed test on v_s(b) is the costlier split, so it runs
+    # on the sets the test on v_s(b) | b^c leaves
+    cand &= ~_preimage(_dual_union_cols(ctx), _under_proper_sc(ctx), cand, n)
+    return _first(_preimage(ctx.an.up, ctx.sc.bits, cand, n),
+                  "hypotheses hold but the set is not dual-generalized")
 
 
 def _chk_5_2(ctx):
-    for f in ctx.sc:
-        if f not in ctx.fams.sg_closed:
-            return _Fail((f,), (), "semi-closed set that is not sg-closed")
+    return _first(ctx.sc.bits & ~ctx.fams.sg_closed.bits,
+                  "semi-closed set that is not sg-closed")
 
 
 def _chk_5_3(ctx):
-    every_fixed = all(ctx.vs[b] == b for b in ctx.fams.d_v)
+    every_fixed = ctx.fams.d_v.bits & ~ctx.fix_vs == 0
     if ctx.prof.semi_t_half != every_fixed:
         return _Fail((), (), f"semi_t_half={ctx.prof.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
 
 
 # -- scopes -----------------------------------------------------------
 
-def _scope_e1(space):
-    return space.name == "e1"
-
-
-def _scope_e33(space):
-    return space.name == "e33"
+def _scope_named(name: str) -> Callable:
+    return lambda space: space.name == name
 
 
 def _scope_odd_window(space):
@@ -593,13 +616,11 @@ def register_laws() -> tuple:
         Law("prop-3.2c", "§3: $B^{\\Lambda_s\\Lambda_s}=B^{\\Lambda_s}$",
             _chk_3_2c, note=_ANY_FAMILY, covers=("semi_kernel",)),
         Law("prop-3.2d", "§3: $[\\bigcup B_\\lambda]^{\\Lambda_s}=\\bigcup B_\\lambda^{\\Lambda_s}$",
-            _chk_3_2d, max_points=FAMILY_CAP,
-            covers=("semi_kernel",)),
+            _chk_3_2d, max_points=FAMILY_CAP, covers=("semi_kernel",)),
         Law("prop-3.2e", "§3: If $A \\in SO(X,\\tau)$, then $A=A^{\\Lambda_s}$",
             _chk_3_2e, covers=("semi_kernel", "semi_open_family")),
         Law("prop-3.2f", "§3: $(B^c)^{\\Lambda_s}=(B^{V_s})^c$",
-            _chk_3_2f, max_points=FAMILY_CAP,
-            covers=("semi_kernel", "v_s")),
+            _chk_3_2f, max_points=FAMILY_CAP, covers=("semi_kernel", "v_s")),
         Law("prop-3.2g", "§3: $B^{V_s} \\subseteq B$",
             _chk_3_2g, max_points=FAMILY_CAP, covers=("v_s",)),
         Law("prop-3.2h", "§3: If $B \\in SC(X,\\tau)$, then $B=B^{V_s}$",
@@ -607,24 +628,19 @@ def register_laws() -> tuple:
         Law("prop-3.2i", "§3: $[\\bigcap B_\\lambda]^{\\Lambda_s} \\subseteq \\bigcap B_\\lambda^{\\Lambda_s}$",
             _chk_3_2i, max_points=FAMILY_CAP, note=_ANY_FAMILY, covers=("semi_kernel",)),
         Law("prop-3.2j", "§3: $[\\bigcup B_\\lambda]^{V_s} \\supseteq \\bigcup B_\\lambda^{V_s}$",
-            _chk_3_2j, max_points=FAMILY_CAP,
-            covers=("v_s",)),
+            _chk_3_2j, max_points=FAMILY_CAP, covers=("v_s",)),
         Law("remark-3.3-strictness",
             "§3: $(B_1 \\bigcap B_2)^{\\Lambda_s}=\\emptyset$ but $B_1^{\\Lambda_s} \\bigcap B_2^{\\Lambda_s}=\\{b,c\\}$",
-            _chk_3_3, scope=_scope_e1,
-            note="existence claim; the documented pair is B1={b}, B2={c}",
-            covers=("semi_kernel",)),
+            _chk_3_3, scope=_scope_named("e1"),
+            note="existence claim; the documented pair is B1={b}, B2={c}", covers=("semi_kernel",)),
         Law("prop-3.7a", "§3: The subsets $\\emptyset$ and $X$ are $\\Lambda_s$-sets and $V_s$-sets",
             _chk_3_7a, covers=("is_lambda_s_set", "is_v_s_set")),
         Law("prop-3.7b", "§3: Every union of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7b, max_points=FAMILY_CAP,
-            covers=("is_lambda_s_set", "is_v_s_set")),
+            _chk_3_7b, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set")),
         Law("prop-3.7c", "§3: Every intersection of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7c, max_points=FAMILY_CAP,
-            covers=("is_lambda_s_set", "is_v_s_set")),
+            _chk_3_7c, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set")),
         Law("prop-3.7d", "§3: $B$ is a $\\Lambda_s$-set if and only if $B^c$ is a $V_s$-set",
-            _chk_3_7d, max_points=FAMILY_CAP,
-            covers=("is_lambda_s_set", "is_v_s_set")),
+            _chk_3_7d, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set")),
         Law("prop-3.8", "§3: semi-$T_1$ iff every subset is a $\\Lambda_s$-set iff every subset is a $V_s$-set",
             _chk_3_8, max_points=FAMILY_CAP,
             covers=("is_semi_t1", "is_lambda_s_set", "is_v_s_set")),
@@ -632,11 +648,9 @@ def register_laws() -> tuple:
             "§2: a semi-$T_1$ space and a semi-$R_0$-space which is neither $T_1$ nor $R_0$",
             _chk_digital_line, scope=_scope_odd_window,
             note="odd-endpoint digital-line windows; even singletons closed, interior odd singletons regular open",
-            covers=("is_t1", "is_r0", "is_semi_t1", "is_semi_r0", "set_class",
-                    "axiom_profile")),
+            covers=("is_t1", "is_r0", "is_semi_t1", "is_semi_r0", "set_class", "axiom_profile")),
         Law("cor-3-semi-t1-semi-r0", "§3: Every semi-$T_1$-space is a semi-$R_0$-space",
-            _chk_semi_t1_implies_semi_r0,
-            covers=("is_semi_t1", "is_semi_r0")),
+            _chk_semi_t1_implies_semi_r0, covers=("is_semi_t1", "is_semi_r0")),
         Law("sec-2-r0-semi-r0", "§2: Every $R_0$-space is a semi-$R_0$-space",
             _chk_r0_implies_semi_r0, covers=("is_r0", "is_semi_r0")),
         Law("thm-3-semi-t1-v-sets",
@@ -650,27 +664,22 @@ def register_laws() -> tuple:
             covers=("is_semi_r0", "openness_grades", "is_v_s_set")),
         Law("sec-2-semi-r0-union",
             "§2: semi-$R_0$ iff every semi-open set is a union of semi-closed sets",
-            _chk_semi_r0_union, max_points=FAMILY_CAP,
-            covers=("is_semi_r0", "semi_open_family")),
+            _chk_semi_r0_union, max_points=FAMILY_CAP, covers=("is_semi_r0", "semi_open_family")),
         Law("sec-3-singleton-dichotomy",
             "§3: every singleton is either locally dense (= preopen) or nowhere dense",
             _chk_singleton_dichotomy, covers=("openness_grades",)),
         Law("defn-semi-open-levine",
             "§2: $A$ is semi-open iff there exists $O \\in \\tau$ with $O \\subseteq A \\subseteq {\\rm Cl}(O)$",
-            _chk_semi_open_levine, max_points=FAMILY_CAP,
-            covers=("semi_open_family",)),
+            _chk_semi_open_levine, max_points=FAMILY_CAP, covers=("semi_open_family",)),
         Law("defn-beta-open",
             "§3: $\\beta$-open iff dense in some regular closed subspace",
-            _chk_beta_open, max_points=FAMILY_CAP,
-            covers=("openness_grades",)),
+            _chk_beta_open, max_points=FAMILY_CAP, covers=("openness_grades",)),
         Law("defn-simply-open",
             "§3: simply-open iff a union of an open set and a nowhere dense set",
-            _chk_simply_open, max_points=FAMILY_CAP,
-            covers=("openness_grades",)),
+            _chk_simply_open, max_points=FAMILY_CAP, covers=("openness_grades",)),
         Law("sec-3-beta-containments",
             "§3: every preopen set and every semi-open set is $\\beta$-open",
-            _chk_beta_containments,
-            covers=("openness_grades", "semi_open_family")),
+            _chk_beta_containments, covers=("openness_grades", "semi_open_family")),
         Law("prop-4.5ab",
             "§4: Every $\\Lambda_s$-set is a $g.\\Lambda_s$-set; every $V_s$-set is a $g.V_s$-set",
             _chk_4_5ab, max_points=FAMILY_CAP,
@@ -678,26 +687,22 @@ def register_laws() -> tuple:
                     "is_g_v_s", "generalized_families")),
         Law("prop-4.5cd",
             "§4: unions of $g.\\Lambda_s$-sets are $g.\\Lambda_s$; intersections of $g.V_s$-sets are $g.V_s$",
-            _chk_4_5cd, max_points=FAMILY_CAP,
-            covers=("generalized_families",)),
+            _chk_4_5cd, max_points=FAMILY_CAP, covers=("generalized_families",)),
         Law("example-4.6-intersection",
             "§4: $A \\bigcap B=\\{c\\}$ is not a $g.\\Lambda_s$-set",
-            _chk_4_6, scope=_scope_e33,
+            _chk_4_6, scope=_scope_named("e33"),
             note="documented witnesses A={a,c}, B={b,c}; A is also not a $\\Lambda_s$-set",
-            covers=("is_g_lambda_s", "is_lambda_s_set",
-                    "generalized_families")),
+            covers=("is_g_lambda_s", "is_lambda_s_set", "generalized_families")),
         Law("remark-4.7",
             "§4: If $A \\in SO(X,\\tau)$ then $A$ is a $g.\\Lambda_s$-set; if $A \\in SC(X,\\tau)$ then $A$ is a $g.V_s$-set",
-            _chk_4_7, covers=("is_g_lambda_s", "is_g_v_s",
-                              "generalized_families")),
+            _chk_4_7, covers=("is_g_lambda_s", "is_g_v_s", "generalized_families")),
         Law("prop-4.8-dichotomy",
             "§4: $\\{x\\}$ is a semi-open set or $\\{x\\}^c$ is a $g.\\Lambda_s$-set",
             _chk_4_8, note="equivalently the singleton itself is a $g.V_s$-set",
             covers=("is_g_lambda_s", "is_g_v_s", "semi_open_family")),
         Law("cor-4-cantor-bendixson",
             "§4: the Cantor-Bendixson derivative $D(X)$ is the set of all points whose singleton is a $g.V_s$-set",
-            _chk_cantor_bendixson, status="disputed",
-            dispute_space="discrete:2",
+            _chk_cantor_bendixson, status="disputed", dispute_space="discrete:2",
             note="fails on discrete spaces: every singleton is semi-closed hence g.V_s, while the derivative is empty",
             covers=("derived_set", "g_v_s_singletons", "is_g_v_s")),
         Law("prop-4.9-sandwich",
@@ -706,24 +711,19 @@ def register_laws() -> tuple:
             covers=("is_g_lambda_s", "semi_kernel", "generalized_families")),
         Law("prop-4.10-agreement",
             "§4: $B$ is $g.V_s$ iff $U \\subseteq B^{V_s}$ whenever $U \\subseteq B$ and $U \\in SO(X,\\tau)$",
-            _chk_4_10, max_points=FAMILY_CAP,
-            covers=("is_g_v_s", "v_s", "semi_open_family")),
+            _chk_4_10, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "semi_open_family")),
         Law("cor-4.11",
             "§4: $B$ $g.V_s$ implies every semi-closed $F \\supseteq B^{V_s} \\bigcup B^c$ is $X$",
-            _chk_4_11, max_points=FAMILY_CAP,
-            covers=("is_g_v_s", "v_s", "generalized_families")),
+            _chk_4_11, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families")),
         Law("cor-4.12",
             "§4: for $g.V_s$ sets, $B^{V_s} \\bigcup B^c$ is semi-closed iff $B$ is a $V_s$-set",
-            _chk_4_12, max_points=FAMILY_CAP,
-            covers=("is_g_v_s", "v_s", "is_v_s_set")),
+            _chk_4_12, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "is_v_s_set")),
         Law("prop-4.13",
             "§4: if $B^{V_s}$ is semi-closed and $X=F$ for every semi-closed $F \\supseteq B^{V_s} \\bigcup B^c$, then $B$ is $g.V_s$",
-            _chk_4_13, max_points=FAMILY_CAP,
-            covers=("is_g_v_s", "v_s", "generalized_families")),
+            _chk_4_13, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families")),
         Law("remark-5.2-semi-closed-sg",
             "§5: Every semi-closed set is sg-closed",
-            _chk_5_2, covers=("is_sg_closed", "semi_closure",
-                              "generalized_families")),
+            _chk_5_2, covers=("is_sg_closed", "semi_closure", "generalized_families")),
         Law("thm-5.3",
             "§5: semi-$T_{1/2}$ iff every $g.V_s$-set is a $V_s$-set",
             _chk_5_3, max_points=FAMILY_CAP,

@@ -8,9 +8,10 @@ checkers they mirror and differ from them only in quantifying mask by
 mask.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, or_
 
+from semitop.lattice import transpose
 from semitop.laws import _Fail
 from semitop.semi import SemiAnalysis, set_class
 from semitop.spaces import FiniteSpace, space_from_masks
@@ -35,10 +36,16 @@ def closure_oracle(space: FiniteSpace, a: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=8)
+def _open_closures(space: FiniteSpace) -> tuple:
+    """(O, Cl(O)) for every open O, each closure taken literally once."""
+    return tuple((o, closure_oracle(space, o)) for o in space.opens)
+
+
 def semi_open_oracle(space: FiniteSpace, a: int) -> bool:
     """Open witness form: some open O with O inside a inside Cl(O)."""
-    for o in space.opens:
-        if o & a == o and a & ~closure_oracle(space, o) == 0:
+    for o, cl in _open_closures(space):
+        if o & a == o and a & ~cl == 0:
             return True
     return False
 
@@ -233,15 +240,113 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 #
 # The per-mask forms of the bit-sliced checkers in `semitop.laws`.  Each
 # reads the same `SpaceContext` entries as its checker, or a table built
-# from them (`kern` from `kern_cols`, `vs` from `an.up`), so a corrupted
-# entry reaches both, and scans masks, SC or SO in ascending order to
-# the first offender.  sec-3-singleton-dichotomy grades its singletons
+# from them (`kern` from `kern_cols`, the `v_s` table from `an.up`), so a
+# corrupted entry reaches both, and scans masks, SC, SO or a generalized
+# family in ascending order to the first offender.  sec-3-singleton-dichotomy grades its singletons
 # with `set_class`.  prop-3.2b/d/i/j decide by the pair scan of their
 # statement (finite associativity extends pairs to any finite family),
 # then report the first nested pair a <= b where the operator is not
 # monotone, or else the first escaping union.  The closure laws test
 # each mask c: it is a union of members iff the members inside c cover
 # it, an intersection iff the members above c meet in it.
+
+def _vs_table(ctx) -> list:
+    """vs[m] is v_s(m): the points x with m in the core's up[x]."""
+    return transpose(ctx.an.up, ctx.space.n)
+
+
+def prop_3_2a_law_oracle(ctx):
+    for b in ctx.masks:
+        if b & ~ctx.kern[b]:
+            return _Fail((b,), (), "subset escapes its semi-kernel")
+
+
+def prop_3_2e_law_oracle(ctx):
+    for a in ctx.so:
+        if ctx.kern[a] != a:
+            return _Fail((a,), (), "semi-open set moved by its semi-kernel")
+
+
+def prop_3_2f_law_oracle(ctx):
+    full, vs = ctx.space.full, _vs_table(ctx)
+    for b in ctx.masks:
+        if ctx.kern[full ^ b] != full ^ vs[b]:
+            return _Fail((b,), (), "kernel of complement differs from complement of dual")
+
+
+def prop_3_2g_law_oracle(ctx):
+    vs = _vs_table(ctx)
+    for b in ctx.masks:
+        if vs[b] & ~b:
+            return _Fail((b,), (), "dual operator escapes its argument")
+
+
+def prop_3_2h_law_oracle(ctx):
+    vs = _vs_table(ctx)
+    for f in ctx.sc:
+        if vs[f] != f:
+            return _Fail((f,), (), "semi-closed set moved by the dual operator")
+
+
+def prop_3_7d_law_oracle(ctx):
+    full, vs = ctx.space.full, _vs_table(ctx)
+    for b in ctx.masks:
+        if (ctx.kern[b] == b) != (vs[full ^ b] == full ^ b):
+            return _Fail((b,), (), "kernel-fixed and dual-fixed complements disagree")
+
+
+def prop_3_8_law_oracle(ctx):
+    vs = _vs_table(ctx)
+    every_lam = all(ctx.kern[m] == m for m in ctx.masks)
+    every_vs = all(vs[m] == m for m in ctx.masks)
+    if not ctx.prof.semi_t1 == every_lam == every_vs:
+        return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
+
+
+def semi_r0_union_law_oracle(ctx):
+    unions_ok = True
+    for o in ctx.so:
+        u = 0
+        for f in ctx.sc:
+            if f & o == f:
+                u |= f
+        if u != o:
+            unions_ok = False
+            break
+    if ctx.prof.semi_r0 != unions_ok:
+        return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
+
+
+def prop_4_5ab_law_oracle(ctx):
+    vs = _vs_table(ctx)
+    for m in ctx.masks:
+        if ctx.kern[m] == m and m not in ctx.fams.d_lambda:
+            return _Fail((m,), (), "kernel-fixed set missing from the generalized family")
+        if vs[m] == m and m not in ctx.fams.d_v:
+            return _Fail((m,), (), "dual-fixed set missing from the dual generalized family")
+
+
+def remark_4_7_law_oracle(ctx):
+    for o in ctx.so:
+        if o not in ctx.fams.d_lambda:
+            return _Fail((o,), (), "semi-open set outside the generalized family")
+    for f in ctx.sc:
+        if f not in ctx.fams.d_v:
+            return _Fail((f,), (), "semi-closed set outside the dual generalized family")
+
+
+def remark_5_2_law_oracle(ctx):
+    for f in ctx.sc:
+        if f not in ctx.fams.sg_closed:
+            return _Fail((f,), (), "semi-closed set that is not sg-closed")
+
+
+def thm_5_3_law_oracle(ctx):
+    vs = _vs_table(ctx)
+    every_fixed = all(vs[b] == b for b in ctx.fams.d_v)
+    if ctx.prof.semi_t_half != every_fixed:
+        return _Fail((), (), f"semi_t_half={ctx.prof.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
+
 
 def semi_t1_v_sets_law_oracle(ctx):
     fixed, g = ctx.vs_sets, ctx.grades
@@ -307,16 +412,16 @@ def beta_containments_law_oracle(ctx):
 def prop_4_10_law_oracle(ctx):
     sc = ctx.sc.members
     so = ctx.so.members
-    kern = ctx.kern
+    kern, vs = ctx.kern, _vs_table(ctx)
     for b in ctx.masks:
-        bc = ctx.comp(b)
+        bc = ctx.space.full ^ b
         kc = kern[bc]
         by_complement = True
         for f in sc:
             if f & bc == bc and kc & ~f:
                 by_complement = False
                 break
-        vs_b = ctx.vs[b]
+        vs_b = vs[b]
         by_semi_open = True
         for u in so:
             if u & b == u and u & ~vs_b:
@@ -327,20 +432,29 @@ def prop_4_10_law_oracle(ctx):
 
 
 def cor_4_11_law_oracle(ctx):
-    full = ctx.space.full
+    full, vs = ctx.space.full, _vs_table(ctx)
     for b in ctx.fams.d_v:
-        t = ctx.vs[b] | ctx.comp(b)
+        t = vs[b] | full ^ b
         for f in ctx.sc:
             if t & ~f == 0 and f != full:
                 return _Fail((b, f), (), "proper semi-closed set above dual-union of a generalized set")
 
 
+def cor_4_12_law_oracle(ctx):
+    full, vs = ctx.space.full, _vs_table(ctx)
+    for b in ctx.fams.d_v:
+        closed_side = (vs[b] | full ^ b) in ctx.sc
+        fixed_side = vs[b] == b
+        if closed_side != fixed_side:
+            return _Fail((b,), (), f"semi-closed test {closed_side} vs dual-fixed test {fixed_side}")
+
+
 def prop_4_13_law_oracle(ctx):
-    full = ctx.space.full
+    full, vs = ctx.space.full, _vs_table(ctx)
     for b in ctx.masks:
-        if ctx.vs[b] not in ctx.sc:
+        if vs[b] not in ctx.sc:
             continue
-        t = ctx.vs[b] | ctx.comp(b)
+        t = vs[b] | full ^ b
         if all(f == full for f in ctx.sc if t & ~f == 0):
             if b not in ctx.fams.d_v:
                 return _Fail((b,), (), "hypotheses hold but the set is not dual-generalized")
@@ -406,7 +520,7 @@ def prop_3_2i_law_oracle(ctx):
 
 
 def prop_3_2j_law_oracle(ctx):
-    vs, masks = ctx.vs, ctx.masks
+    vs, masks = _vs_table(ctx), ctx.masks
     if all((vs[a] | vs[b]) & ~vs[a | b] == 0 for a in masks for b in masks):
         return None
     return _Fail(_nested_pair(vs, masks), (), "dual of union misses a dual")
@@ -436,15 +550,24 @@ def prop_4_5cd_law_oracle(ctx):
 
 
 LAW_ORACLES = {
+    "prop-3.2a": prop_3_2a_law_oracle,
     "prop-3.2b": prop_3_2b_law_oracle,
     "prop-3.2d": prop_3_2d_law_oracle,
+    "prop-3.2e": prop_3_2e_law_oracle,
+    "prop-3.2f": prop_3_2f_law_oracle,
+    "prop-3.2g": prop_3_2g_law_oracle,
+    "prop-3.2h": prop_3_2h_law_oracle,
     "prop-3.2i": prop_3_2i_law_oracle,
     "prop-3.2j": prop_3_2j_law_oracle,
     "prop-3.7b": prop_3_7b_law_oracle,
     "prop-3.7c": prop_3_7c_law_oracle,
+    "prop-3.7d": prop_3_7d_law_oracle,
+    "prop-3.8": prop_3_8_law_oracle,
+    "prop-4.5ab": prop_4_5ab_law_oracle,
     "prop-4.5cd": prop_4_5cd_law_oracle,
     "thm-3-semi-t1-v-sets": semi_t1_v_sets_law_oracle,
     "thm-3-semi-r0-v-sets": semi_r0_v_sets_law_oracle,
+    "sec-2-semi-r0-union": semi_r0_union_law_oracle,
     "sec-3-singleton-dichotomy": singleton_dichotomy_law_oracle,
     "defn-semi-open-levine": semi_open_levine_law_oracle,
     "defn-beta-open": beta_open_law_oracle,
@@ -452,5 +575,9 @@ LAW_ORACLES = {
     "sec-3-beta-containments": beta_containments_law_oracle,
     "prop-4.10-agreement": prop_4_10_law_oracle,
     "cor-4.11": cor_4_11_law_oracle,
+    "cor-4.12": cor_4_12_law_oracle,
     "prop-4.13": prop_4_13_law_oracle,
+    "remark-4.7": remark_4_7_law_oracle,
+    "remark-5.2-semi-closed-sg": remark_5_2_law_oracle,
+    "thm-5.3": thm_5_3_law_oracle,
 }

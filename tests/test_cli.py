@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -87,6 +88,34 @@ def test_analyze_file_and_errors(capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", sid)
         assert code == 2 and fragment in err
         assert "No such file" not in err
+
+
+def test_oversized_named_space_reports_its_size(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a space past the point limit")
+
+    monkeypatch.setattr(catalog_mod, "space_from_masks", no_build)
+    for sid in ("discrete:21", "indiscrete:40"):
+        code, out, err = run_cli(capsys, "analyze", sid)
+        assert code == 2 and out == ""
+        assert err == f"error: {sid} has {sid.split(':')[1]} points, limit 20\n"
+
+
+_N4_SHA256 = {
+    "text": "1e97198863ce84d66befe57b2cb065d166534854f9464cca11f5712c5aac6efb",
+    "machine": "494576005efa7886e47119316520196a477d761ae57a6d6b435dd7e2d63b661f",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fmt", sorted(_N4_SHA256))
+def test_laws_n4_report_is_pinned(capsys, fmt, workers):
+    """The whole n <= 4 report, witnesses included, byte for byte: a
+    checker rewrite that moves any count or witness changes the hash."""
+    code, out, _ = run_cli(capsys, "laws", "--max-points", "4",
+                           "--format", fmt, "--workers", workers)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _N4_SHA256[fmt]
 
 
 def test_named_space_resolved_once(capsys, monkeypatch):

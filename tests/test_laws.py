@@ -95,8 +95,11 @@ def test_context_tables_match_per_call_operators():
             an = ctx.an
             for m in ctx.masks:
                 assert ctx.kern[m] == an.semi_kernel(m)
-                assert ctx.vs[m] == an.v_s(m)
                 assert _grades_match_set_class(ctx, m)
+            assert SetFamily.from_bits(ctx.fix_kern).members == tuple(
+                m for m in ctx.masks if an.semi_kernel(m) == m)
+            assert SetFamily.from_bits(ctx.fix_vs).members == tuple(
+                m for m in ctx.masks if an.v_s(m) == m)
             assert ctx.lam_sets.members == tuple(
                 m for m in ctx.masks if an.semi_kernel(m) == m)
             assert ctx.vs_sets.members == tuple(
@@ -112,15 +115,15 @@ def test_context_tables_match_per_call_operators():
 def test_context_builds_only_the_tables_read():
     wide = named_space("khalimsky:-7:7")
     ctx = SpaceContext(wide)
-    assert not {"kern_cols", "kern", "vs", "grades", "lam_sets",
-                "vs_sets"} & set(vars(ctx))
+    assert not {"kern_cols", "kern", "fix_kern", "fix_vs", "grades",
+                "lam_sets", "vs_sets"} & set(vars(ctx))
     uncapped = [law for law in registry().values()
                 if law.max_points > FAMILY_CAP and law.applies(wide)]
     assert uncapped
     for law in uncapped:
         witness = check_law(law, wide, ctx)
         assert witness is None or law.status == "disputed", law.id
-    assert "vs" not in vars(ctx)
+    assert not {"fix_vs", "lam_sets", "vs_sets"} & set(vars(ctx))
 
 
 def test_registry_grades_each_mask_once(monkeypatch):
@@ -172,24 +175,38 @@ def test_law_checkers_match_literal_oracles():
 
 
 # the context entries each checker and its oracle both read, directly
-# or through a table built from them (kern from kern_cols, vs from up)
+# or through a table built from them (kern from kern_cols, the v_s
+# table from up)
 _INPUTS = {
+    "prop-3.2a": ("kern_cols",),
     "prop-3.2b": ("kern_cols",),
     "prop-3.2d": ("kern_cols", "so"),
+    "prop-3.2e": ("kern_cols", "so"),
+    "prop-3.2f": ("kern_cols", "up"),
+    "prop-3.2g": ("up",),
+    "prop-3.2h": ("up", "sc"),
     "prop-3.2i": ("kern_cols",),
     "prop-3.2j": ("up",),
     "prop-3.7b": ("lam_sets", "vs_sets"),
     "prop-3.7c": ("lam_sets", "vs_sets"),
+    "prop-3.7d": ("kern_cols", "up"),
+    "prop-3.8": ("kern_cols", "up"),
+    "prop-4.5ab": ("kern_cols", "up", "d_lambda", "d_v"),
     "prop-4.5cd": ("d_lambda", "d_v"),
     "thm-3-semi-t1-v-sets": ("vs_sets", "preopen", "beta_open"),
     "thm-3-semi-r0-v-sets": ("vs_sets", "so", "simply_open"),
+    "sec-2-semi-r0-union": ("so", "sc"),
     "defn-semi-open-levine": ("so",),
     "defn-beta-open": ("beta_open",),
     "defn-simply-open": ("nowhere_dense", "simply_open"),
     "sec-3-beta-containments": ("so", "preopen", "beta_open"),
     "prop-4.10-agreement": ("sc", "so"),
-    "cor-4.11": ("vs", "sc", "d_v"),
-    "prop-4.13": ("vs", "sc", "d_v"),
+    "cor-4.11": ("up", "sc", "d_v"),
+    "cor-4.12": ("up", "sc", "d_v"),
+    "prop-4.13": ("up", "sc", "d_v"),
+    "remark-4.7": ("so", "sc", "d_lambda", "d_v"),
+    "remark-5.2-semi-closed-sg": ("sc", "sg_closed"),
+    "thm-5.3": ("d_v", "up"),
 }
 
 
@@ -200,14 +217,12 @@ def _flip(fam, m):
 def _corrupt(ctx, entry, rng):
     """Flip one bit of one context entry, before any table reads it."""
     m = rng.randrange(1 << ctx.space.n)
-    if entry == "vs":
-        ctx.vs[m] ^= 1 << rng.randrange(ctx.space.n)
-    elif entry in ("kern_cols", "up"):
+    if entry in ("kern_cols", "up"):
         cols = ctx.kern_cols if entry == "kern_cols" else ctx.an.up
         cols[rng.randrange(ctx.space.n)] ^= 1 << m
     elif entry in ("so", "sc", "lam_sets", "vs_sets"):
         setattr(ctx, entry, _flip(getattr(ctx, entry), m))
-    elif entry in ("d_lambda", "d_v"):
+    elif entry in ("d_lambda", "d_v", "sg_closed"):
         ctx.fams = dataclasses.replace(
             ctx.fams, **{entry: _flip(getattr(ctx.fams, entry), m)})
     else:
@@ -233,6 +248,18 @@ def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
                     assert fail == LAW_ORACLES[lid](ctx), (lid, entry)
                     failures[lid] += fail is not None
     assert all(failures.values()), failures
+
+
+def test_fixed_set_missing_from_both_families_fails_on_the_kernel_side(e33):
+    """When the lowest offender of prop-4.5ab is missing from both
+    generalized families, the kernel message wins, as in the per-mask
+    form: the empty set is fixed by both operators."""
+    ctx = SpaceContext(e33)
+    ctx.fams = dataclasses.replace(ctx.fams, d_lambda=_flip(ctx.fams.d_lambda, 0),
+                                   d_v=_flip(ctx.fams.d_v, 0))
+    fail = registry()["prop-4.5ab"].check(ctx)
+    assert fail == LAW_ORACLES["prop-4.5ab"](ctx)
+    assert fail.subsets == (0,) and fail.message.startswith("kernel-fixed")
 
 
 def test_kernel_table_follows_the_semi_open_family():
