@@ -118,6 +118,22 @@ def test_laws_n4_report_is_pinned(capsys, fmt, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == _N4_SHA256[fmt]
 
 
+_LARGE_ANALYZE_SHA256 = {
+    "khalimsky:-9:10": "21c28060d829a74820cf720c089f31d70395c1ce7c9c6daa32baea46e7cd83a9",
+    "discrete:18": "2f95337e9c6a2c2a1aa08162520b1cc1335aeac6f871da93a4386cd1f3ad71da",
+}
+
+
+@pytest.mark.parametrize("sid", sorted(_LARGE_ANALYZE_SHA256))
+def test_large_analyze_report_is_pinned(capsys, sid):
+    """The whole analyze report on the 18- and 20-point spaces, byte for
+    byte: a rewrite of the per-point spreads that moves any family, class
+    or witness changes the hash."""
+    code, out, _ = run_cli(capsys, "analyze", sid)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _LARGE_ANALYZE_SHA256[sid]
+
+
 def test_named_space_resolved_once(capsys, monkeypatch):
     calls = []
 
