@@ -24,10 +24,11 @@ the semi-kernel and of v_s, so a pointwise statement about them is a
 column identity; a containment of families is one AND; a statement
 about every family B_λ tests that columns are upward-closed or that a
 family holds `lattice.unions` of itself; and "the value at B lies in F"
-is `_preimage`.  A failure reports the lowest bit of the family of
-offenders.  Only the laws that compose the semi-kernel read `kern`:
-prop-3.2c, prop-4.9-sandwich and the single lookups of remark-3.3,
-prop-3.7a and example-4.6.  The literal per-mask and pair forms live in
+is `_preimage`; prop-4.9-sandwich splits its two families, the sets
+and the g.Λ_s members under them, point by point in the same way.  A
+failure reports the lowest bit of the family of offenders.  Only the
+laws that compose the semi-kernel read `kern`: prop-3.2c and the single
+lookups of remark-3.3, prop-3.7a and example-4.6.  The literal per-mask and pair forms live in
 the tests as reference oracles.
 Laws run on spaces up to their `max_points`; an expected law that
 examines no space reports `not exercised`.
@@ -49,10 +50,10 @@ from typing import Callable, Iterable, NamedTuple
 
 from .axioms import axiom_profile
 from .generalized import derived_set, g_v_s_singletons, generalized_families
-from .lattice import (columns, everything, mirror, spread, sub, sup,
+from .lattice import (columns, everything, mirror, spread, spreads, sub, sup,
                       transpose, unions)
 from .semi import OpennessGrades, SemiAnalysis, openness_grades, set_class
-from .spaces import FiniteSpace, SetFamily, iter_points, submasks
+from .spaces import FiniteSpace, SetFamily, iter_points
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
 SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
@@ -140,9 +141,8 @@ class SpaceContext:
         set that misses z.
         """
         n = self.space.n
-        lack = columns(n)[1]
-        return [everything(n) ^ spread(self.so.bits & lack[z], n, upward=False)
-                for z in range(n)]
+        ones = everything(n)
+        return [ones ^ under for under in spreads(self.so.bits, n, upward=False)]
 
     @cached_property
     def kern(self) -> list:
@@ -519,27 +519,43 @@ def _chk_cantor_bendixson(ctx):
 
 
 def _chk_4_9(ctx):
-    dl = ctx.fams.d_lambda
-    for a in dl:
-        for gap in submasks(ctx.kern[a] & ~a):
-            if (a | gap) not in dl:
-                return _Fail((a, a | gap), (), "set between a generalized set and its kernel escapes the family")
+    # C escapes when it is not g.Λ_s yet a <= C <= K(a) for a g.Λ_s
+    # member a.  Split the candidate C and the members a point by point:
+    # z in C keeps the a whose kernel holds z, z outside C the a that
+    # miss z; a branch ends once either side is empty, and a leaf holds
+    # one escaping C with every a that sandwiches it
+    n = ctx.space.n
+    has, lack = columns(n)
+    kern_cols, dl = ctx.kern_cols, ctx.fams.d_lambda.bits
+    found, todo = [], [(0, everything(n) & ~dl, dl)]
+    while todo:
+        z, c, a = todo.pop()
+        if not (c and a):
+            continue
+        if z == n:
+            found.append((_lowest(c), a))
+        else:
+            todo += ((z + 1, c & has[z], a & kern_cols[z]),
+                     (z + 1, c & lack[z], a & lack[z]))
+    if found:
+        c, a = min(found)
+        return _Fail((_lowest(a), c), (), "set between a generalized set and its kernel escapes the family")
 
 
 def _chk_4_10(ctx):
     n = ctx.space.n
-    has, lack = columns(n)
     # complement route fails at b when a semi-closed superset of B = b^c
     # misses a point z of the semi-kernel of B
     complement_fails = 0
-    for z, in_kern in enumerate(ctx.kern_cols):
-        complement_fails |= in_kern & spread(ctx.sc.bits & lack[z], n, upward=False)
+    for in_kern, under in zip(ctx.kern_cols,
+                              spreads(ctx.sc.bits, n, upward=False)):
+        complement_fails |= in_kern & under
     complement_fails = mirror(complement_fails, n)
     # semi-open route fails at b when a semi-open subset of b holds a
     # point x outside v_s(b), i.e. b is not in up[x]
     semi_open_fails = 0
-    for x, up in enumerate(ctx.an.up):
-        semi_open_fails |= spread(ctx.so.bits & has[x], n, upward=True) & ~up
+    for above, up in zip(spreads(ctx.so.bits, n, upward=True), ctx.an.up):
+        semi_open_fails |= above & ~up
     diff = complement_fails ^ semi_open_fails
     if diff:
         b = _lowest(diff)

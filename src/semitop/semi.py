@@ -13,8 +13,8 @@ y in U_x with U_y inside A:
     down[y] = subsets of the semi-closed sets avoiding y
 
 `up` and `down` are the subset-sum spreads of SC & has[x] and
-SC & lack[y].  The fixed-point families and the per-query operators
-read off them:
+SC & lack[y], all n of each from one `lattice.spreads` pass.  The
+fixed-point families and the per-query operators read off them:
 
     Lambda_s        = AND_x (lack[x] | sup(K_x))    (`lattice.saturated`)
     V_s             = AND_x (lack[x] | up[x])
@@ -22,7 +22,9 @@ read off them:
     semi_closure(B) = {y : B not in down[y]}
     v_s(B)          = {x : B in up[x]}      (B in up[x] needs x in B)
 
-Per-query tests read byte views of up/down, O(1) each at any n.
+Per-query tests read byte views of up/down, O(1) each at any n; each
+view is built on the first query that reads it, so a caller that only
+reads the families pays for none.
 
 The openness grades of `set_class` come as families too
 (`openness_grades`), from the columns of Cl and Int over all masks A:
@@ -40,9 +42,11 @@ The openness grades of `set_class` come as families too
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .lattice import columns, everything, meets, mirror, saturated, spread, sup
+from .lattice import (columns, everything, meets, mirror, saturated, spreads,
+                      sup)
 from .spaces import FiniteSpace, SetFamily, iter_points
 
 
@@ -52,7 +56,7 @@ class SemiAnalysis:
     def __init__(self, space: FiniteSpace):
         self.space = space
         n = space.n
-        has, lack = columns(n)
+        lack = columns(n)[1]
         # in_int[y]: the masks A with y in Int(A), i.e. U_y inside A
         in_int = [sup(u, n) for u in space.min_nbhd]
         so = everything(n)
@@ -65,11 +69,20 @@ class SemiAnalysis:
         self.semi_open = SetFamily.from_bits(so)
         self.semi_closed = SetFamily.from_bits(sc)
         self.point_kernels = tuple(meets(so, n))
-        self.up = [spread(sc & has[x], n, upward=True) for x in range(n)]
-        self.down = [spread(sc & lack[x], n, upward=False) for x in range(n)]
-        nbytes = ((1 << n) + 7) // 8
-        self._up_view = [b.to_bytes(nbytes, "little") for b in self.up]
-        self._down_view = [b.to_bytes(nbytes, "little") for b in self.down]
+        self.up = spreads(sc, n, upward=True)
+        self.down = spreads(sc, n, upward=False)
+
+    def _views(self, cols) -> list:
+        nbytes = ((1 << self.space.n) + 7) // 8
+        return [b.to_bytes(nbytes, "little") for b in cols]
+
+    @cached_property
+    def _up_view(self) -> list:
+        return self._views(self.up)
+
+    @cached_property
+    def _down_view(self) -> list:
+        return self._views(self.down)
 
     # -- per-query operators ------------------------------------------
 

@@ -14,7 +14,7 @@ from operator import and_, or_
 from semitop.lattice import transpose
 from semitop.laws import _Fail
 from semitop.semi import SemiAnalysis, set_class
-from semitop.spaces import FiniteSpace, space_from_masks
+from semitop.spaces import FiniteSpace, space_from_masks, submasks
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -142,6 +142,15 @@ def semi_t_half_witness_oracle(an: SemiAnalysis):
     return None
 
 
+def union_closure_oracle(members) -> tuple:
+    """The unions of the non-empty subfamilies of `members`, ascending:
+    pairwise unions added until none is new."""
+    closed = set(members)
+    while new := {a | b for a in closed for b in closed} - closed:
+        closed |= new
+    return tuple(sorted(closed))
+
+
 def naive_is_topology(masks, n: int) -> bool:
     """Axioms checked directly on a candidate family."""
     fam = set(masks)
@@ -249,6 +258,9 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 # monotone, or else the first escaping union.  The closure laws test
 # each mask c: it is a union of members iff the members inside c cover
 # it, an intersection iff the members above c meet in it.
+# prop-4.9-sandwich walks the sets between each g.Λ_s member and its
+# kernel, then reports the lowest escaping set and the lowest member
+# under it.
 
 def _vs_table(ctx) -> list:
     """vs[m] is v_s(m): the points x with m in the core's up[x]."""
@@ -407,6 +419,20 @@ def beta_containments_law_oracle(ctx):
     for m in ctx.masks:
         if (m in g.preopen or m in ctx.so) and m not in g.beta_open:
             return _Fail((m,), (), "preopen or semi-open set that is not beta-open")
+
+
+def prop_4_9_law_oracle(ctx):
+    kern, dl = ctx.kern, ctx.fams.d_lambda
+    found = []
+    for a in dl:
+        if a & ~kern[a]:
+            continue    # no C with a <= C <= K(a)
+        for gap in submasks(kern[a] & ~a):
+            if (a | gap) not in dl:
+                found.append((a | gap, a))
+    if found:
+        c, a = min(found)
+        return _Fail((a, c), (), "set between a generalized set and its kernel escapes the family")
 
 
 def prop_4_10_law_oracle(ctx):
@@ -573,6 +599,7 @@ LAW_ORACLES = {
     "defn-beta-open": beta_open_law_oracle,
     "defn-simply-open": simply_open_law_oracle,
     "sec-3-beta-containments": beta_containments_law_oracle,
+    "prop-4.9-sandwich": prop_4_9_law_oracle,
     "prop-4.10-agreement": prop_4_10_law_oracle,
     "cor-4.11": cor_4_11_law_oracle,
     "cor-4.12": cor_4_12_law_oracle,

@@ -1,0 +1,40 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import union_closure_oracle
+from semitop.lattice import (columns, decode, encode, everything, spread,
+                             spreads, unions)
+
+
+@st.composite
+def _families(draw):
+    """(n, family) with n in 1..9: empty, full, sparse or dense."""
+    n = draw(st.integers(1, 9))
+    size = 1 << n
+    bits = draw(st.one_of(
+        st.just(0), st.just(everything(n)),
+        st.lists(st.integers(0, size - 1), max_size=6).map(encode),
+        st.integers(0, everything(n))))
+    return n, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families(), st.booleans())
+def test_spreads_match_one_spread_per_point(case, upward):
+    n, bits = case
+    has, lack = columns(n)
+    cols = has if upward else lack
+    assert spreads(bits, n, upward) == [spread(bits & cols[x], n, upward)
+                                        for x in range(n)]
+
+
+def test_unions_match_union_closure_oracle():
+    """Every family on n <= 3 points and a seeded sample on 4."""
+    cases = [(n, bits) for n in (1, 2, 3) for bits in range(everything(n) + 1)]
+    rng = random.Random(44)
+    cases += [(4, rng.getrandbits(16) & rng.getrandbits(16))
+              for _ in range(300)]
+    for n, bits in cases:
+        assert decode(unions(bits, n)) == union_closure_oracle(decode(bits))

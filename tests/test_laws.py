@@ -200,6 +200,7 @@ _INPUTS = {
     "defn-beta-open": ("beta_open",),
     "defn-simply-open": ("nowhere_dense", "simply_open"),
     "sec-3-beta-containments": ("so", "preopen", "beta_open"),
+    "prop-4.9-sandwich": ("kern_cols", "d_lambda"),
     "prop-4.10-agreement": ("sc", "so"),
     "cor-4.11": ("up", "sc", "d_v"),
     "cor-4.12": ("up", "sc", "d_v"),

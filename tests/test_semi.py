@@ -9,8 +9,8 @@ from oracles import (g_lambda_oracle, g_v_oracle, r0_witness_oracle,
                      semi_open_oracle, semi_r0_witness_oracle,
                      semi_t1_witness_oracle, semi_t_half_witness_oracle,
                      sg_closed_oracle, t1_witness_oracle, v_s_oracle)
-from semitop.axioms import (r0_witness, semi_r0_witness, semi_t1_witness,
-                            semi_t_half_witness, t1_witness)
+from semitop.axioms import (axiom_profile, r0_witness, semi_r0_witness,
+                            semi_t1_witness, semi_t_half_witness, t1_witness)
 from semitop.catalog import enumerate_topologies, khalimsky_window, named_space
 from semitop.generalized import generalized_families
 from semitop.semi import SemiAnalysis, semi_open_family, set_class
@@ -194,6 +194,22 @@ def test_check_mask_enforced(e33_an):
         e33_an.semi_kernel(1 << 5)
     with pytest.raises(ValueError):
         e33_an.v_s(-2)
+
+
+def test_byte_views_are_built_on_first_query():
+    """The analyze pipeline never asks v_s, so it never builds up's byte
+    view; semi_closure builds the down view on its first call."""
+    space = named_space("khalimsky:-7:7")
+    an = SemiAnalysis(space)
+    assert not {"_up_view", "_down_view"} & set(vars(an))
+    fams = generalized_families(an)
+    axiom_profile(space, an, fams)
+    an.lambda_s_sets()
+    an.v_s_sets()
+    assert "_up_view" not in vars(an)
+    assert "_down_view" in vars(an)
+    assert an.v_s(space.full) == space.full
+    assert "_up_view" in vars(an)
 
 
 def test_semi_t1_like_space_has_all_fixed_points():
