@@ -96,10 +96,11 @@ def meets(bits: int, n: int) -> list:
 
 def _steps(bits: int, points, lack, upward: bool) -> int:
     """One spread step along each direction in `points`."""
-    for i in points:
-        if upward:
+    if upward:
+        for i in points:
             bits |= (bits & lack[i]) << (1 << i)
-        else:
+    else:
+        for i in points:
             bits |= (bits >> (1 << i)) & lack[i]
     return bits
 
@@ -129,10 +130,13 @@ def spreads(bits: int, n: int, upward: bool) -> list:
         fam, lo, hi = todo.pop()
         if hi - lo == 1:
             out[lo] = fam & cols[lo]
-            continue
-        mid = (lo + hi) // 2
-        todo += ((_steps(fam, range(mid, hi), lack, upward), lo, mid),
-                 (_steps(fam, range(lo, mid), lack, upward), mid, hi))
+        elif hi - lo == 2:    # most leaves come in pairs: no pushes
+            out[lo] = _steps(fam, (hi - 1,), lack, upward) & cols[lo]
+            out[lo + 1] = _steps(fam, (lo,), lack, upward) & cols[lo + 1]
+        else:
+            mid = (lo + hi) // 2
+            todo += ((_steps(fam, range(mid, hi), lack, upward), lo, mid),
+                     (_steps(fam, range(lo, mid), lack, upward), mid, hi))
     return out
 
 

@@ -263,6 +263,18 @@ def test_fixed_set_missing_from_both_families_fails_on_the_kernel_side(e33):
     assert fail.subsets == (0,) and fail.message.startswith("kernel-fixed")
 
 
+def test_sandwich_reports_the_lowest_escaping_set_then_its_lowest_member():
+    """On indiscrete:3 every non-empty set has kernel X.  With g.Λ_s cut
+    to {∅, {a}, {b}}, {a,b}, {a,c}, {b,c} and X all escape; {a,b} is the
+    lowest, and {a} the lowest member under it."""
+    ctx = SpaceContext(named_space("indiscrete:3"))
+    ctx.fams = dataclasses.replace(ctx.fams,
+                                   d_lambda=SetFamily([0, 0b001, 0b010]))
+    fail = registry()["prop-4.9-sandwich"].check(ctx)
+    assert fail == LAW_ORACLES["prop-4.9-sandwich"](ctx)
+    assert fail.subsets == (0b001, 0b011)
+
+
 def test_kernel_table_follows_the_semi_open_family():
     """The kernel table is the intersection of the semi-open supersets,
     so prop-3.2d sees a semi-open family that lost a union."""
