@@ -28,8 +28,8 @@ is `_preimage`; prop-4.9-sandwich splits its two families, the sets
 and the g.Λ_s members under them, point by point in the same way.  A
 failure reports the lowest bit of the family of offenders.  Only the
 laws that compose the semi-kernel read `kern`: prop-3.2c and the single
-lookups of remark-3.3, prop-3.7a and example-4.6.  The literal per-mask and pair forms live in
-the tests as reference oracles.
+lookups of remark-3.3, prop-3.7a and example-4.6.  The literal per-mask
+and pair forms live in the tests as reference oracles.
 Laws run on spaces up to their `max_points`; an expected law that
 examines no space reports `not exercised`.
 
