@@ -12,11 +12,23 @@ merging each space's outcomes in stream order as they arrive; pool
 workers send back only failures, and every witness holds the caller's
 own space.
 
-The checkers read one `SpaceContext` per space: the core's analysis,
-generalized families and axiom profile and, built on first read, the
-semi-kernel's per-point columns `kern_cols` and per-mask table `kern`,
-the fixed masks `fix_kern` / `fix_vs`, the openness grades and the
-fixed-point families.
+The checkers read one `SpaceContext` per space, each part built on
+first read: the core's analysis, generalized families and axiom
+profile, the semi-kernel's per-point columns `kern_cols` and per-mask
+table `kern`, the fixed masks `fix_kern` / `fix_vs`, the openness
+grades and the fixed-point families.
+
+28 laws are declared `semi_only`: their outcome depends on n and the
+semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
+cor-3-semi-t1-semi-r0, sec-2-semi-r0-union, 4.5ab, 4.5cd, remark-4.7,
+4.8-4.10, cor-4.11, cor-4.12, 4.13, remark-5.2 and thm-5.3).  Distinct
+topologies often share SO (a topology and its alpha-topology always
+do), so `run_suite` decides these laws once per distinct (n, SO) in a
+call and keeps a small index-based record per family: their failures,
+and the V_s-sets, the semi-T1 / semi-R0 verdicts and the g.V_s
+singletons that the other laws read.  A later space with that family
+builds no analysis; it computes only its SO and what its topology laws
+read, and still counts as examined for every law that runs on it.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
@@ -44,15 +56,15 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import repeat
 from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
-from .axioms import axiom_profile
+from .axioms import axiom_profile, is_r0, is_t1
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, mirror, spread, spreads, sub, sup,
                       transpose, unions)
-from .semi import OpennessGrades, SemiAnalysis, openness_grades, set_class
+from .semi import (OpennessGrades, SemiAnalysis, openness_grades,
+                   semi_open_bits, set_class)
 from .spaces import FiniteSpace, SetFamily, iter_points
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
@@ -107,6 +119,9 @@ class Law:
     note: str = ""
     dispute_space: str | None = None
     covers: tuple = ()
+    # the outcome depends on n and SO alone, so `run_suite` decides the
+    # law once per semi-open family
+    semi_only: bool = False
 
     def applies(self, space: FiniteSpace) -> bool:
         return self.scope is None or self.scope(space)
@@ -117,20 +132,38 @@ class LawScopeError(Exception):
 
 
 class SpaceContext:
-    """Everything the checkers need about one space, each part built once.
-
-    The analysis, generalized families and axiom profile are built up
-    front; every table below is built on first read.
-    """
+    """Everything the checkers need about one space, each part built on
+    first read and then kept: the core's analysis, generalized families
+    and axiom profile, and the tables below."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
-        self.an = SemiAnalysis(space)
-        self.fams = generalized_families(self.an)
-        self.prof = axiom_profile(space, self.an, self.fams)
         self.masks = range(1 << space.n)
-        self.so = self.an.semi_open
-        self.sc = self.an.semi_closed
+
+    @cached_property
+    def an(self) -> SemiAnalysis:
+        return SemiAnalysis(self.space)
+
+    @cached_property
+    def fams(self):
+        return generalized_families(self.an)
+
+    @cached_property
+    def prof(self):
+        return axiom_profile(self.space, self.an, self.fams)
+
+    @cached_property
+    def so(self) -> SetFamily:
+        return self.an.semi_open
+
+    @cached_property
+    def sc(self) -> SetFamily:
+        return self.an.semi_closed
+
+    @cached_property
+    def gvs(self) -> int:
+        """The mask of the points whose singleton is g.V_s."""
+        return g_v_s_singletons(self.an)
 
     @cached_property
     def kern_cols(self) -> list:
@@ -509,7 +542,7 @@ def _chk_4_8(ctx):
 
 def _chk_cantor_bendixson(ctx):
     der = derived_set(ctx.space)
-    gvs = g_v_s_singletons(ctx.an)
+    gvs = ctx.gvs
     diff = der ^ gvs
     if diff:
         x = _lowest(diff)
@@ -626,47 +659,63 @@ def _scope_odd_window(space):
 def register_laws() -> tuple:
     laws = [
         Law("prop-3.2a", "§3: $B \\subseteq B^{\\Lambda_s}$",
-            _chk_3_2a, note=_ANY_FAMILY, covers=("semi_kernel",)),
+            _chk_3_2a, note=_ANY_FAMILY, covers=("semi_kernel",),
+            semi_only=True),
         Law("prop-3.2b", "§3: If $A \\subseteq B$, then $A^{\\Lambda_s} \\subseteq B^{\\Lambda_s}$",
-            _chk_3_2b, max_points=FAMILY_CAP, note=_ANY_FAMILY, covers=("semi_kernel",)),
+            _chk_3_2b, max_points=FAMILY_CAP, note=_ANY_FAMILY, covers=("semi_kernel",),
+            semi_only=True),
         Law("prop-3.2c", "§3: $B^{\\Lambda_s\\Lambda_s}=B^{\\Lambda_s}$",
-            _chk_3_2c, note=_ANY_FAMILY, covers=("semi_kernel",)),
+            _chk_3_2c, note=_ANY_FAMILY, covers=("semi_kernel",),
+            semi_only=True),
         Law("prop-3.2d", "§3: $[\\bigcup B_\\lambda]^{\\Lambda_s}=\\bigcup B_\\lambda^{\\Lambda_s}$",
-            _chk_3_2d, max_points=FAMILY_CAP, covers=("semi_kernel",)),
+            _chk_3_2d, max_points=FAMILY_CAP, covers=("semi_kernel",),
+            semi_only=True),
         Law("prop-3.2e", "§3: If $A \\in SO(X,\\tau)$, then $A=A^{\\Lambda_s}$",
-            _chk_3_2e, covers=("semi_kernel", "semi_open_family")),
+            _chk_3_2e, covers=("semi_kernel", "semi_open_family"),
+            semi_only=True),
         Law("prop-3.2f", "§3: $(B^c)^{\\Lambda_s}=(B^{V_s})^c$",
-            _chk_3_2f, max_points=FAMILY_CAP, covers=("semi_kernel", "v_s")),
+            _chk_3_2f, max_points=FAMILY_CAP, covers=("semi_kernel", "v_s"),
+            semi_only=True),
         Law("prop-3.2g", "§3: $B^{V_s} \\subseteq B$",
-            _chk_3_2g, max_points=FAMILY_CAP, covers=("v_s",)),
+            _chk_3_2g, max_points=FAMILY_CAP, covers=("v_s",),
+            semi_only=True),
         Law("prop-3.2h", "§3: If $B \\in SC(X,\\tau)$, then $B=B^{V_s}$",
-            _chk_3_2h, max_points=FAMILY_CAP, covers=("v_s",)),
+            _chk_3_2h, max_points=FAMILY_CAP, covers=("v_s",),
+            semi_only=True),
         Law("prop-3.2i", "§3: $[\\bigcap B_\\lambda]^{\\Lambda_s} \\subseteq \\bigcap B_\\lambda^{\\Lambda_s}$",
-            _chk_3_2i, max_points=FAMILY_CAP, note=_ANY_FAMILY, covers=("semi_kernel",)),
+            _chk_3_2i, max_points=FAMILY_CAP, note=_ANY_FAMILY, covers=("semi_kernel",),
+            semi_only=True),
         Law("prop-3.2j", "§3: $[\\bigcup B_\\lambda]^{V_s} \\supseteq \\bigcup B_\\lambda^{V_s}$",
-            _chk_3_2j, max_points=FAMILY_CAP, covers=("v_s",)),
+            _chk_3_2j, max_points=FAMILY_CAP, covers=("v_s",),
+            semi_only=True),
         Law("remark-3.3-strictness",
             "§3: $(B_1 \\bigcap B_2)^{\\Lambda_s}=\\emptyset$ but $B_1^{\\Lambda_s} \\bigcap B_2^{\\Lambda_s}=\\{b,c\\}$",
             _chk_3_3, scope=_scope_named("e1"),
             note="existence claim; the documented pair is B1={b}, B2={c}", covers=("semi_kernel",)),
         Law("prop-3.7a", "§3: The subsets $\\emptyset$ and $X$ are $\\Lambda_s$-sets and $V_s$-sets",
-            _chk_3_7a, covers=("is_lambda_s_set", "is_v_s_set")),
+            _chk_3_7a, covers=("is_lambda_s_set", "is_v_s_set"),
+            semi_only=True),
         Law("prop-3.7b", "§3: Every union of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7b, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set")),
+            _chk_3_7b, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set"),
+            semi_only=True),
         Law("prop-3.7c", "§3: Every intersection of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7c, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set")),
+            _chk_3_7c, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set"),
+            semi_only=True),
         Law("prop-3.7d", "§3: $B$ is a $\\Lambda_s$-set if and only if $B^c$ is a $V_s$-set",
-            _chk_3_7d, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set")),
+            _chk_3_7d, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set"),
+            semi_only=True),
         Law("prop-3.8", "§3: semi-$T_1$ iff every subset is a $\\Lambda_s$-set iff every subset is a $V_s$-set",
             _chk_3_8, max_points=FAMILY_CAP,
-            covers=("is_semi_t1", "is_lambda_s_set", "is_v_s_set")),
+            covers=("is_semi_t1", "is_lambda_s_set", "is_v_s_set"),
+            semi_only=True),
         Law("example-2-digital-line",
             "§2: a semi-$T_1$ space and a semi-$R_0$-space which is neither $T_1$ nor $R_0$",
             _chk_digital_line, scope=_scope_odd_window,
             note="odd-endpoint digital-line windows; even singletons closed, interior odd singletons regular open",
             covers=("is_t1", "is_r0", "is_semi_t1", "is_semi_r0", "set_class", "axiom_profile")),
         Law("cor-3-semi-t1-semi-r0", "§3: Every semi-$T_1$-space is a semi-$R_0$-space",
-            _chk_semi_t1_implies_semi_r0, covers=("is_semi_t1", "is_semi_r0")),
+            _chk_semi_t1_implies_semi_r0, covers=("is_semi_t1", "is_semi_r0"),
+            semi_only=True),
         Law("sec-2-r0-semi-r0", "§2: Every $R_0$-space is a semi-$R_0$-space",
             _chk_r0_implies_semi_r0, covers=("is_r0", "is_semi_r0")),
         Law("thm-3-semi-t1-v-sets",
@@ -680,7 +729,8 @@ def register_laws() -> tuple:
             covers=("is_semi_r0", "openness_grades", "is_v_s_set")),
         Law("sec-2-semi-r0-union",
             "§2: semi-$R_0$ iff every semi-open set is a union of semi-closed sets",
-            _chk_semi_r0_union, max_points=FAMILY_CAP, covers=("is_semi_r0", "semi_open_family")),
+            _chk_semi_r0_union, max_points=FAMILY_CAP, covers=("is_semi_r0", "semi_open_family"),
+            semi_only=True),
         Law("sec-3-singleton-dichotomy",
             "§3: every singleton is either locally dense (= preopen) or nowhere dense",
             _chk_singleton_dichotomy, covers=("openness_grades",)),
@@ -700,10 +750,12 @@ def register_laws() -> tuple:
             "§4: Every $\\Lambda_s$-set is a $g.\\Lambda_s$-set; every $V_s$-set is a $g.V_s$-set",
             _chk_4_5ab, max_points=FAMILY_CAP,
             covers=("is_lambda_s_set", "is_v_s_set", "is_g_lambda_s",
-                    "is_g_v_s", "generalized_families")),
+                    "is_g_v_s", "generalized_families"),
+            semi_only=True),
         Law("prop-4.5cd",
             "§4: unions of $g.\\Lambda_s$-sets are $g.\\Lambda_s$; intersections of $g.V_s$-sets are $g.V_s$",
-            _chk_4_5cd, max_points=FAMILY_CAP, covers=("generalized_families",)),
+            _chk_4_5cd, max_points=FAMILY_CAP, covers=("generalized_families",),
+            semi_only=True),
         Law("example-4.6-intersection",
             "§4: $A \\bigcap B=\\{c\\}$ is not a $g.\\Lambda_s$-set",
             _chk_4_6, scope=_scope_named("e33"),
@@ -711,11 +763,13 @@ def register_laws() -> tuple:
             covers=("is_g_lambda_s", "is_lambda_s_set", "generalized_families")),
         Law("remark-4.7",
             "§4: If $A \\in SO(X,\\tau)$ then $A$ is a $g.\\Lambda_s$-set; if $A \\in SC(X,\\tau)$ then $A$ is a $g.V_s$-set",
-            _chk_4_7, covers=("is_g_lambda_s", "is_g_v_s", "generalized_families")),
+            _chk_4_7, covers=("is_g_lambda_s", "is_g_v_s", "generalized_families"),
+            semi_only=True),
         Law("prop-4.8-dichotomy",
             "§4: $\\{x\\}$ is a semi-open set or $\\{x\\}^c$ is a $g.\\Lambda_s$-set",
             _chk_4_8, note="equivalently the singleton itself is a $g.V_s$-set",
-            covers=("is_g_lambda_s", "is_g_v_s", "semi_open_family")),
+            covers=("is_g_lambda_s", "is_g_v_s", "semi_open_family"),
+            semi_only=True),
         Law("cor-4-cantor-bendixson",
             "§4: the Cantor-Bendixson derivative $D(X)$ is the set of all points whose singleton is a $g.V_s$-set",
             _chk_cantor_bendixson, status="disputed", dispute_space="discrete:2",
@@ -724,27 +778,34 @@ def register_laws() -> tuple:
         Law("prop-4.9-sandwich",
             "§4: if $B$ is $g.\\Lambda_s$ and $B \\subseteq C \\subseteq B^{\\Lambda_s}$ then $C$ is $g.\\Lambda_s$",
             _chk_4_9, max_points=FAMILY_CAP,
-            covers=("is_g_lambda_s", "semi_kernel", "generalized_families")),
+            covers=("is_g_lambda_s", "semi_kernel", "generalized_families"),
+            semi_only=True),
         Law("prop-4.10-agreement",
             "§4: $B$ is $g.V_s$ iff $U \\subseteq B^{V_s}$ whenever $U \\subseteq B$ and $U \\in SO(X,\\tau)$",
-            _chk_4_10, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "semi_open_family")),
+            _chk_4_10, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "semi_open_family"),
+            semi_only=True),
         Law("cor-4.11",
             "§4: $B$ $g.V_s$ implies every semi-closed $F \\supseteq B^{V_s} \\bigcup B^c$ is $X$",
-            _chk_4_11, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families")),
+            _chk_4_11, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families"),
+            semi_only=True),
         Law("cor-4.12",
             "§4: for $g.V_s$ sets, $B^{V_s} \\bigcup B^c$ is semi-closed iff $B$ is a $V_s$-set",
-            _chk_4_12, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "is_v_s_set")),
+            _chk_4_12, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "is_v_s_set"),
+            semi_only=True),
         Law("prop-4.13",
             "§4: if $B^{V_s}$ is semi-closed and $X=F$ for every semi-closed $F \\supseteq B^{V_s} \\bigcup B^c$, then $B$ is $g.V_s$",
-            _chk_4_13, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families")),
+            _chk_4_13, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families"),
+            semi_only=True),
         Law("remark-5.2-semi-closed-sg",
             "§5: Every semi-closed set is sg-closed",
-            _chk_5_2, covers=("is_sg_closed", "semi_closure", "generalized_families")),
+            _chk_5_2, covers=("is_sg_closed", "semi_closure", "generalized_families"),
+            semi_only=True),
         Law("thm-5.3",
             "§5: semi-$T_{1/2}$ iff every $g.V_s$-set is a $V_s$-set",
             _chk_5_3, max_points=FAMILY_CAP,
             covers=("is_semi_t_half", "is_sg_closed", "semi_closure",
-                    "is_g_v_s", "is_v_s_set", "generalized_families")),
+                    "is_g_v_s", "is_v_s_set", "generalized_families"),
+            semi_only=True),
     ]
     ids = [law.id for law in laws]
     assert len(ids) == len(set(ids))
@@ -881,19 +942,101 @@ class LawReport:
         return "\n".join(lines) + "\n"
 
 
-def _eval_space(space: FiniteSpace, law_ids):
-    """Worker body: (law id, `_Fail` or None) for each law that runs."""
-    reg = registry()
-    ctx = None
-    out = []
-    for lid in law_ids:
-        law = reg[lid]
-        if _refusal(law, space) is not None:
-            continue
-        if ctx is None:
-            ctx = SpaceContext(space)
-        out.append((lid, law.check(ctx)))
-    return out
+class _Record(NamedTuple):
+    """What one semi-open family settled in a call: the failures of its
+    semi-only laws, and the values derived from SO that the other laws
+    read.  Index-based, so it serves every space with that family."""
+
+    fails: dict          # law id -> `_Fail`, for the laws that failed
+    vs_bits: int
+    semi_t1: bool
+    semi_r0: bool
+    gvs: int
+
+
+class _SeenVerdicts:
+    """The axiom verdicts of a space whose family has a `_Record`: the
+    semi ones from the record, T1 and R0 from the topology on first
+    read."""
+
+    def __init__(self, space: FiniteSpace, rec: _Record):
+        self.space = space
+        self.semi_t1, self.semi_r0 = rec.semi_t1, rec.semi_r0
+
+    @cached_property
+    def t1(self) -> bool:
+        return is_t1(self.space)
+
+    @cached_property
+    def r0(self) -> bool:
+        return is_r0(self.space)
+
+
+class _Evaluator:
+    """Decides the laws of one `run_suite` call, space by space: (law
+    id, `_Fail` or None) for each law that runs.
+
+    The runnable laws are listed once per (n, scope verdicts), through
+    `_refusal`, and the semi-only laws are decided once per (n, SO).  A
+    space whose family already has a `_Record` takes its outcomes from
+    it, and its context starts from the record, so the other laws read
+    only its topology: no analysis, families or profile are built.
+    """
+
+    def __init__(self, law_ids):
+        reg = registry()
+        self.laws = [reg[lid] for lid in law_ids]
+        self.scopes = list(dict.fromkeys(
+            law.scope for law in self.laws if law.scope is not None))
+        self.runnable = {}
+        self.records = {}
+
+    def _runnable(self, space: FiniteSpace) -> tuple:
+        key = (space.n, tuple(scope(space) for scope in self.scopes))
+        split = self.runnable.get(key)
+        if split is None:
+            runs = [law for law in self.laws if _refusal(law, space) is None]
+            split = self.runnable[key] = (
+                [law for law in runs if law.semi_only],
+                [law for law in runs if not law.semi_only])
+        return split
+
+    def __call__(self, space: FiniteSpace) -> list:
+        semi, rest = self._runnable(space)
+        if not (semi or rest):
+            return []
+        key = (space.n, semi_open_bits(space))
+        ctx = SpaceContext(space)
+        rec = self.records.get(key)
+        if rec is None:
+            fails = {}
+            for law in semi:
+                fail = law.check(ctx)
+                if fail is not None:
+                    fails[law.id] = fail
+            rec = self.records[key] = _Record(
+                fails, ctx.vs_sets.bits, ctx.prof.semi_t1, ctx.prof.semi_r0,
+                ctx.gvs)
+        else:
+            ctx.so = SetFamily.from_bits(key[1])
+            ctx.vs_sets = SetFamily.from_bits(rec.vs_bits)
+            ctx.gvs = rec.gvs
+            ctx.prof = _SeenVerdicts(space, rec)
+        out = [(law.id, rec.fails.get(law.id)) for law in semi]
+        out += [(law.id, law.check(ctx)) for law in rest]
+        return out
+
+
+_WORKER = None   # a pool worker's evaluator, for the pool's lifetime
+
+
+def _start_worker(law_ids) -> None:
+    global _WORKER
+    _WORKER = _Evaluator(law_ids)
+
+
+def _eval_in_worker(space: FiniteSpace) -> list:
+    return _WORKER(space)
 
 
 def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
@@ -901,6 +1044,10 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     """Evaluate the registry, or the laws named in `law_ids`, over a
     stream of spaces.
 
+    The semi-only laws are decided once per distinct (n, semi-open
+    family) in the call (in each pool worker, once per family it
+    meets); every space they run on still counts as examined, and a
+    failure yields a witness on each such space, in its own labels.
     Outcomes are merged in stream order as they arrive, and each
     `Witness` holds the caller's own space.  A named expected law that
     examines no space fails the report.  The merged report is
@@ -922,11 +1069,12 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                for lid in law_ids}
 
     parallel = workers > 1 and len(spaces) > 1
-    with (ProcessPoolExecutor(max_workers=workers) if parallel
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                              initargs=(law_ids,)) if parallel
           else nullcontext()) as pool:
-        evaluated = (pool.map(_eval_space, spaces, repeat(law_ids),
+        evaluated = (pool.map(_eval_in_worker, spaces,
                               chunksize=max(1, len(spaces) // (workers * 8)))
-                     if parallel else map(_eval_space, spaces, repeat(law_ids)))
+                     if parallel else map(_Evaluator(law_ids), spaces))
         for space, outcomes in zip(spaces, evaluated):
             for lid, fail in outcomes:
                 law = reg[lid]

@@ -56,15 +56,7 @@ class SemiAnalysis:
     def __init__(self, space: FiniteSpace):
         self.space = space
         n = space.n
-        lack = columns(n)[1]
-        # in_int[y]: the masks A with y in Int(A), i.e. U_y inside A
-        in_int = [sup(u, n) for u in space.min_nbhd]
-        so = everything(n)
-        for x, u in enumerate(space.min_nbhd):
-            in_cl_int = 0
-            for y in iter_points(u):
-                in_cl_int |= in_int[y]
-            so &= lack[x] | in_cl_int
+        so = semi_open_bits(space)
         sc = mirror(so, n)
         self.semi_open = SetFamily.from_bits(so)
         self.semi_closed = SetFamily.from_bits(sc)
@@ -136,8 +128,24 @@ class SemiAnalysis:
         return SetFamily.from_bits(out)
 
 
+def semi_open_bits(space: FiniteSpace) -> int:
+    """SO as one family: the only part of `SemiAnalysis` that reads the
+    topology; everything else there follows from SO and n."""
+    n = space.n
+    lack = columns(n)[1]
+    # in_int[y]: the masks A with y in Int(A), i.e. U_y inside A
+    in_int = [sup(u, n) for u in space.min_nbhd]
+    so = everything(n)
+    for x, u in enumerate(space.min_nbhd):
+        in_cl_int = 0
+        for y in iter_points(u):
+            in_cl_int |= in_int[y]
+        so &= lack[x] | in_cl_int
+    return so
+
+
 def semi_open_family(space: FiniteSpace) -> SetFamily:
-    return SemiAnalysis(space).semi_open
+    return SetFamily.from_bits(semi_open_bits(space))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,22 +1,32 @@
 import dataclasses
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import semitop.laws as laws_mod
+import semitop.semi as semi_mod
 from oracles import LAW_ORACLES, random_space
+from semitop.axioms import is_semi_r0, is_semi_t1, is_semi_t_half
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.lattice import unions
 from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
-from semitop.semi import openness_grades, set_class
+from semitop.semi import openness_grades, semi_open_bits, set_class
 from semitop.spaces import SetFamily
 
 
 def _stream3(spaces3):
     return spaces3 + [entry.space for entry in catalog_entries()]
+
+
+@pytest.fixture(scope="module")
+def stream4():
+    """Every topology on 1..4 points (389), then the catalog."""
+    return [s for n in range(1, 5) for s in enumerate_topologies(n)] + \
+        [entry.space for entry in catalog_entries()]
 
 
 def test_registry_integrity():
@@ -31,6 +41,8 @@ def test_registry_integrity():
             assert law.dispute_space
         assert set(law.covers) <= set(OPERATION_NAMES)
         assert law.max_points >= FAMILY_CAP
+        # a scope reads the space's name, which SO does not determine
+        assert law.scope is None or not law.semi_only
 
 
 def test_registry_coverage_meta():
@@ -387,6 +399,120 @@ def test_pool_witnesses_hold_the_callers_spaces(spaces3):
     witnesses = [w for r in par.results for w in r.witnesses]
     assert witnesses
     assert all(any(w.space is s for s in stream) for w in witnesses)
+
+
+class _Carrier:
+    """A space cut down to its carrier: n, full, check_mask and
+    complement.  Reading any part of the topology raises."""
+
+    def __init__(self, space):
+        self.n, self.full = space.n, space.full
+        self.check_mask, self.complement = space.check_mask, space.complement
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a semi-only law read space.{name}")
+
+
+def _semi_only_context(space, monkeypatch):
+    """A context built from SO and the carrier alone: its analysis gets
+    SO handed in, its grades raise (they read the topology), and its
+    profile holds only the three semi verdicts, so t1 and r0 raise."""
+    so = semi_open_bits(space)
+    ctx = SpaceContext(_Carrier(space))
+    with monkeypatch.context() as m:
+        m.setattr(semi_mod, "semi_open_bits", lambda _: so)
+        an = ctx.an
+    ctx.prof = SimpleNamespace(semi_t1=is_semi_t1(an), semi_r0=is_semi_r0(an),
+                               semi_t_half=is_semi_t_half(an, ctx.fams))
+    return ctx
+
+
+def test_semi_only_laws_read_only_the_semi_open_family(stream4, monkeypatch):
+    """Every law declared semi-only gives the same `_Fail` on the full
+    context and on one that knows nothing of the space but n and SO."""
+    semi = [law for law in registry().values() if law.semi_only]
+    assert semi
+    for space in stream4:
+        full, guarded = SpaceContext(space), _semi_only_context(space, monkeypatch)
+        for law in semi:
+            if laws_mod._refusal(law, space) is None:
+                assert law.check(full) == law.check(guarded), \
+                    (law.id, space.describe())
+
+
+def _outcomes(report, stream):
+    """Per law: examined, passed, and each witness keyed by the index of
+    its space in the stream."""
+    where = {id(space): i for i, space in enumerate(stream)}
+    return {r.law_id: (r.examined, r.passed,
+                       [(where[id(w.space)], w.subset_masks, w.points, w.message)
+                        for w in r.witnesses])
+            for r in report.results}
+
+
+def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
+    """The suite's per-family outcomes equal `check_law` on a fresh
+    context for each space, at 1 and 2 workers; a law patched to fail
+    between two calls fails in the second, so no outcome outlives a
+    call."""
+    direct = {}
+    contexts = [SpaceContext(space) for space in stream4]
+    for lid, law in registry().items():
+        examined, witnesses = 0, []
+        for i, (space, ctx) in enumerate(zip(stream4, contexts)):
+            if laws_mod._refusal(law, space) is not None:
+                continue
+            examined += 1
+            w = check_law(law, space, ctx)
+            if w is not None:
+                witnesses.append((i, w.subset_masks, w.points, w.message))
+        direct[lid] = (examined, examined - len(witnesses), witnesses)
+    assert any(witnesses for _, _, witnesses in direct.values())
+
+    lid = "prop-3.2e"
+    law = registry()[lid]
+    assert law.semi_only
+    for workers in (1, 2):
+        assert _outcomes(run_suite(stream4, workers=workers), stream4) == direct
+        with monkeypatch.context() as m:
+            m.setattr(laws_mod, "_REGISTRY", dict(registry()))
+            held = run_suite(stream4, [lid], workers=workers).results[0]
+            assert held.passed == held.examined == direct[lid][0]
+            laws_mod._REGISTRY[lid] = dataclasses.replace(
+                law, check=lambda ctx: laws_mod._Fail((0,), (), "forced failure"))
+            failed = run_suite(stream4, [lid], workers=workers).results[0]
+            assert failed.passed == 0
+            assert len(failed.witnesses) == failed.examined == direct[lid][0]
+
+
+def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
+    """Over the 4-point spaces the suite builds one analysis, family
+    set and profile per distinct SO, and asks `_refusal` about each law
+    once: the scope verdicts and n are the same on every space."""
+    families = {semi_open_bits(space) for space in spaces4}
+    assert len(families) < len(spaces4)
+    built = dict.fromkeys(("SemiAnalysis", "generalized_families",
+                           "axiom_profile"), 0)
+
+    def counted(name):
+        real = getattr(laws_mod, name)
+
+        def call(*args):
+            built[name] += 1
+            return real(*args)
+        return call
+
+    for name in built:
+        monkeypatch.setattr(laws_mod, name, counted(name))
+    refusals = []
+    refusal = laws_mod._refusal
+    monkeypatch.setattr(laws_mod, "_refusal",
+                        lambda law, space: refusals.append(law) or refusal(law, space))
+    report = run_suite(spaces4)
+    assert set(built.values()) == {len(families)}
+    assert len(refusals) == len(registry())
+    assert all(r.examined == len(spaces4) for r in report.results
+               if registry()[r.law_id].scope is None)
 
 
 def test_law_id_filter(spaces3):
