@@ -14,17 +14,17 @@ operations per point instead of a loop over all 2**n masks:
              at most n*ceil(log2 n) steps, not n spreads of n steps each
     unions   the unions of the non-empty subfamilies of a family
     mirror   bit m -> bit full^m: the family of complements
-    transpose  n families -> the per-mask table of which hold each mask
+
+An operator f on masks is held as its n columns, col[z] the masks m
+with z in f(m); the tables of values f(m), one per mask, are never
+built.
 """
 
-import sys
 from functools import cache
 from typing import Iterator
 
 # bit-reversal of every byte, for `mirror`
 _REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
-# ASCII '0'/'1' -> 0 / bit k, for `transpose`
-_BIT_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << k))) for k in range(8)]
 
 
 @cache
@@ -156,31 +156,6 @@ def mirror(bits: int, n: int) -> int:
     nbytes = (width + 7) // 8
     raw = bits.to_bytes(nbytes, "little")[::-1].translate(_REVERSED)
     return int.from_bytes(raw, "little") >> (nbytes * 8 - width)
-
-
-def transpose(fams, n: int) -> list:
-    """table[m]: the bitmask of the indices i with mask m in fams[i].
-
-    A bit-matrix transpose, eight families to a byte plane: each
-    family's binary digits become one byte per mask (0 or bit k), the
-    planes are ORed as integers and interleaved into 8/16/32-bit
-    entries.
-    """
-    size = 1 << n
-    planes = []
-    for base in range(0, len(fams), 8):
-        acc = 0
-        for k, fam in enumerate(fams[base:base + 8]):
-            digits = format(fam, f"0{size}b").encode()   # mask size-1 first
-            acc |= int.from_bytes(digits.translate(_BIT_BYTE[k]), "big")
-        planes.append(acc.to_bytes(size, "little"))
-    if len(planes) == 1:
-        return list(planes[0])
-    width = 2 if len(planes) == 2 else 4
-    buf = bytearray(size * width)
-    for k, plane in enumerate(planes):
-        buf[k if sys.byteorder == "little" else width - 1 - k::width] = plane
-    return memoryview(buf).cast("H" if width == 2 else "I").tolist()
 
 
 def encode(masks) -> int:

@@ -14,9 +14,9 @@ own space.
 
 The checkers read one `SpaceContext` per space, each part built on
 first read: the core's analysis, generalized families and axiom
-profile, the semi-kernel's per-point columns `kern_cols` and per-mask
-table `kern`, the fixed masks `fix_kern` / `fix_vs`, the openness
-grades and the fixed-point families.
+profile, the semi-kernel's per-point columns `kern_cols`, the fixed
+masks `fix_kern` / `fix_vs` (the Λ_s-sets and the V_s-sets) and the
+openness grades.
 
 28 laws are declared `semi_only`: their outcome depends on n and the
 semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
@@ -37,11 +37,12 @@ column identity; a containment of families is one AND; a statement
 about every family B_λ tests that columns are upward-closed or that a
 family holds `lattice.unions` of itself; and "the value at B lies in F"
 is `_preimage`; prop-4.9-sandwich splits its two families, the sets
-and the g.Λ_s members under them, point by point in the same way.  A
-failure reports the lowest bit of the family of offenders.  Only the
-laws that compose the semi-kernel read `kern`: prop-3.2c and the single
-lookups of remark-3.3, prop-3.7a and example-4.6.  The literal per-mask
-and pair forms live in the tests as reference oracles.
+and the g.Λ_s members under them, point by point in the same way.
+prop-3.2c, the kernel of a kernel, is the column identity "K(B) is the
+least kernel-fixed set above B".  A failure reports the lowest bit of
+the family of offenders.  The few single kernel values of remark-3.3
+and example-4.6 are read off `kern_cols` one mask at a time.  The
+literal per-mask and pair forms live in the tests as reference oracles.
 Laws run on spaces up to their `max_points`; an expected law that
 examines no space reports `not exercised`.
 
@@ -62,15 +63,15 @@ from typing import Callable, Iterable, NamedTuple
 from .axioms import axiom_profile, is_r0, is_t1
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, mirror, spread, spreads, sub, sup,
-                      transpose, unions)
-from .semi import (OpennessGrades, SemiAnalysis, openness_grades,
-                   semi_open_bits, set_class)
-from .spaces import FiniteSpace, SetFamily, iter_points
+                      unions)
+from .semi import (OpennessGrades, SemiAnalysis, closure_columns,
+                   openness_grades, semi_open_bits, set_class)
+from .spaces import FiniteSpace, SetFamily
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
 SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
 
-_ANY_FAMILY = "holds for the intersection-of-supersets kernel of any family, so it checks the kernel table, not SO"
+_ANY_FAMILY = "holds for the intersection-of-supersets kernel of any family, so it checks that kern_cols is that kernel, not SO"
 
 #: operations the registry is expected to exercise, for coverage checks
 OPERATION_NAMES = (
@@ -134,11 +135,12 @@ class LawScopeError(Exception):
 class SpaceContext:
     """Everything the checkers need about one space, each part built on
     first read and then kept: the core's analysis, generalized families
-    and axiom profile, and the tables below."""
+    and axiom profile, and the tables below.  The semi-kernel has one
+    form, its columns `kern_cols`, and each operator one fixed-set
+    family, `fix_kern` (the Λ_s-sets) and `fix_vs` (the V_s-sets)."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
-        self.masks = range(1 << space.n)
 
     @cached_property
     def an(self) -> SemiAnalysis:
@@ -178,13 +180,8 @@ class SpaceContext:
         return [ones ^ under for under in spreads(self.so.bits, n, upward=False)]
 
     @cached_property
-    def kern(self) -> list:
-        """kern[m] is the semi-kernel of m, read off `kern_cols`."""
-        return transpose(self.kern_cols, self.space.n)
-
-    @cached_property
     def fix_kern(self) -> int:
-        """The masks the kernel table fixes: m with K(m) == m."""
+        """The masks the semi-kernel fixes, read off `kern_cols`."""
         return _fixed(self.kern_cols, self.space.n)
 
     @cached_property
@@ -197,19 +194,16 @@ class SpaceContext:
         """The five openness grades of `set_class`, as families."""
         return openness_grades(self.space)
 
-    @cached_property
-    def lam_sets(self) -> SetFamily:
-        return self.an.lambda_s_sets()
-
-    @cached_property
-    def vs_sets(self) -> SetFamily:
-        return self.an.v_s_sets()
-
 
 def _fixed(cols, n: int) -> int:
     """The masks m with z in m iff m in cols[z], for every point z."""
     return reduce(and_, (~(h ^ c) for h, c in zip(columns(n)[0], cols)),
                   everything(n))
+
+
+def _value(cols, m: int) -> int:
+    """The image of mask m under the operator with columns `cols`."""
+    return sum(1 << z for z, col in enumerate(cols) if col >> m & 1)
 
 
 def _lowest(bits: int) -> int:
@@ -266,11 +260,11 @@ def _not_monotone(cols, n: int, message: str):
         return _Fail((a, b), (), message)
 
 
-def _not_closed(ctx, fam: SetFamily, what: str, dual: bool = False):
+def _not_closed(ctx, fam: int, what: str, dual: bool = False):
     """Fail at the lowest union (`dual`: intersection, via complements)
-    of members of `fam` that is not a member."""
+    of members of the family `fam` that is not a member."""
     n = ctx.space.n
-    bits = mirror(fam.bits, n) if dual else fam.bits
+    bits = mirror(fam, n) if dual else fam
     out = unions(bits, n) & ~bits
     if dual:
         out = mirror(out, n)
@@ -290,10 +284,15 @@ def _chk_3_2b(ctx):
 
 
 def _chk_3_2c(ctx):
-    kern = ctx.kern
-    for b in ctx.masks:
-        if kern[kern[b]] != kern[b]:
-            return _Fail((b,), (), "semi-kernel not idempotent")
+    # K is extensive and monotone, so K(b) lies in every fixed set above
+    # b: K is idempotent iff K(b) is itself fixed, the least fixed set
+    # above b, i.e. z is in K(b) iff b is under no fixed set missing z
+    n = ctx.space.n
+    ones = everything(n)
+    unders = spreads(ctx.fix_kern, n, upward=False)
+    return _first(reduce(or_, (col ^ ones ^ under for col, under
+                               in zip(ctx.kern_cols, unders))),
+                  "semi-kernel not idempotent")
 
 
 def _chk_3_2d(ctx):
@@ -355,26 +354,27 @@ def _chk_3_2j(ctx):
 
 def _chk_3_3(ctx):
     b1, b2 = ctx.space.mask_of("b"), ctx.space.mask_of("c")
-    if ctx.kern[b1 & b2] == ctx.kern[b1] & ctx.kern[b2]:
+    kern = ctx.kern_cols
+    if _value(kern, b1 & b2) == _value(kern, b1) & _value(kern, b2):
         return _Fail((b1, b2), (), "documented strict pair is not strict here")
 
 
 def _chk_3_7a(ctx):
-    full = ctx.space.full
-    if ctx.kern[0] != 0 or ctx.kern[full] != full:
+    ends = 1 | 1 << ctx.space.full
+    if ctx.fix_kern & ends != ends:
         return _Fail((), (), "empty set or carrier moved by the semi-kernel")
-    if ctx.an.v_s(0) != 0 or ctx.an.v_s(full) != full:
+    if ctx.fix_vs & ends != ends:
         return _Fail((), (), "empty set or carrier moved by the dual")
 
 
 def _chk_3_7b(ctx):
-    return (_not_closed(ctx, ctx.lam_sets, "union of kernel-fixed sets")
-            or _not_closed(ctx, ctx.vs_sets, "union of dual-fixed sets"))
+    return (_not_closed(ctx, ctx.fix_kern, "union of kernel-fixed sets")
+            or _not_closed(ctx, ctx.fix_vs, "union of dual-fixed sets"))
 
 
 def _chk_3_7c(ctx):
-    return (_not_closed(ctx, ctx.lam_sets, "intersection of kernel-fixed sets", dual=True)
-            or _not_closed(ctx, ctx.vs_sets, "intersection of dual-fixed sets", dual=True))
+    return (_not_closed(ctx, ctx.fix_kern, "intersection of kernel-fixed sets", dual=True)
+            or _not_closed(ctx, ctx.fix_vs, "intersection of dual-fixed sets", dual=True))
 
 
 def _chk_3_7d(ctx):
@@ -418,7 +418,7 @@ def _chk_r0_implies_semi_r0(ctx):
 
 
 def _chk_semi_t1_v_sets(ctx):
-    fixed = ctx.vs_sets.bits
+    fixed = ctx.fix_vs
     pre = ctx.grades.preopen.bits & ~fixed == 0
     beta = ctx.grades.beta_open.bits & ~fixed == 0
     if not ctx.prof.semi_t1 == pre == beta:
@@ -426,7 +426,7 @@ def _chk_semi_t1_v_sets(ctx):
 
 
 def _chk_semi_r0_v_sets(ctx):
-    fixed = ctx.vs_sets.bits
+    fixed = ctx.fix_vs
     so_fixed = ctx.so.bits & ~fixed == 0
     open_fixed = ctx.space.opens.bits & ~fixed == 0
     simply_fixed = ctx.grades.simply_open.bits & ~fixed == 0
@@ -462,17 +462,11 @@ def _chk_semi_open_levine(ctx):
 
 
 def _chk_beta_open(ctx):
-    n, ones = ctx.space.n, everything(ctx.space.n)
-
-    def cl_cols(cols):
-        # y is in Cl(S) iff its minimal neighbourhood meets S
-        return [reduce(or_, map(cols.__getitem__, iter_points(u)))
-                for u in ctx.space.min_nbhd]
-
-    in_cl = cl_cols(columns(n)[0])
+    space, n, ones = ctx.space, ctx.space.n, everything(ctx.space.n)
+    in_cl = closure_columns(space, columns(n)[0])
     # x is in Int(r) iff outside Cl(r^c); r is regular closed iff it is
     # the fixed point Cl(Int(r)) = r
-    reg_closed = _fixed(cl_cols([ones ^ mirror(c, n) for c in in_cl]), n)
+    reg_closed = _fixed(closure_columns(space, [ones ^ mirror(c, n) for c in in_cl]), n)
     # m is dense in r when m <= r <= Cl(m); a closed r above m holds
     # Cl(m), so Cl(m) is the only candidate r
     return _first(_preimage(in_cl, reg_closed, ones, n) ^ ctx.grades.beta_open.bits,
@@ -508,8 +502,8 @@ def _chk_4_5ab(ctx):
 
 
 def _chk_4_5cd(ctx):
-    return (_not_closed(ctx, ctx.fams.d_lambda, "union of generalized sets")
-            or _not_closed(ctx, ctx.fams.d_v, "intersection of dual-generalized sets", dual=True))
+    return (_not_closed(ctx, ctx.fams.d_lambda.bits, "union of generalized sets")
+            or _not_closed(ctx, ctx.fams.d_v.bits, "intersection of dual-generalized sets", dual=True))
 
 
 def _chk_4_6(ctx):
@@ -519,7 +513,7 @@ def _chk_4_6(ctx):
         return _Fail((a, b), (), "documented generalized sets are not generalized here")
     if c in ctx.fams.d_lambda:
         return _Fail((c,), (), "documented intersection failure does not fail")
-    if ctx.kern[a] == a:
+    if _value(ctx.kern_cols, a) == a:
         return _Fail((a,), (), "documented non-kernel-fixed set is kernel-fixed")
 
 
@@ -602,7 +596,7 @@ def _chk_4_11(ctx):
     bad = _preimage(cols, _under_proper_sc(ctx), ctx.fams.d_v.bits, n)
     if bad:
         b = _lowest(bad)
-        t = sum(1 << z for z, col in enumerate(cols) if col >> b & 1)
+        t = _value(cols, b)
         above = ctx.sc.bits & sup(t, n) & ~(1 << full)
         return _Fail((b, _lowest(above)), (), "proper semi-closed set above dual-union of a generalized set")
 
@@ -696,10 +690,14 @@ def register_laws() -> tuple:
             _chk_3_7a, covers=("is_lambda_s_set", "is_v_s_set"),
             semi_only=True),
         Law("prop-3.7b", "§3: Every union of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7b, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set"),
+            _chk_3_7b, max_points=FAMILY_CAP,
+            note="the V_s half holds for any family: v_s is monotone and deflationary, so its fixed sets are the unions of semi-closed sets",
+            covers=("is_lambda_s_set", "is_v_s_set"),
             semi_only=True),
         Law("prop-3.7c", "§3: Every intersection of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7c, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set"),
+            _chk_3_7c, max_points=FAMILY_CAP,
+            note="the Λ_s half holds for any family: the kernel-fixed sets are the intersections of semi-open sets, and an intersection of such intersections is one",
+            covers=("is_lambda_s_set", "is_v_s_set"),
             semi_only=True),
         Law("prop-3.7d", "§3: $B$ is a $\\Lambda_s$-set if and only if $B^c$ is a $V_s$-set",
             _chk_3_7d, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set"),
@@ -1015,11 +1013,11 @@ class _Evaluator:
                 if fail is not None:
                     fails[law.id] = fail
             rec = self.records[key] = _Record(
-                fails, ctx.vs_sets.bits, ctx.prof.semi_t1, ctx.prof.semi_r0,
+                fails, ctx.fix_vs, ctx.prof.semi_t1, ctx.prof.semi_r0,
                 ctx.gvs)
         else:
             ctx.so = SetFamily.from_bits(key[1])
-            ctx.vs_sets = SetFamily.from_bits(rec.vs_bits)
+            ctx.fix_vs = rec.vs_bits
             ctx.gvs = rec.gvs
             ctx.prof = _SeenVerdicts(space, rec)
         out = [(law.id, rec.fails.get(law.id)) for law in semi]
@@ -1041,8 +1039,9 @@ def _eval_in_worker(space: FiniteSpace) -> list:
 
 def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
               workers: int = 1) -> LawReport:
-    """Evaluate the registry, or the laws named in `law_ids`, over a
-    stream of spaces.
+    """Evaluate the registry, or the laws named in `law_ids` (each once,
+    in first-seen order; an empty list is an error), over a stream of
+    spaces.
 
     The semi-only laws are decided once per distinct (n, semi-open
     family) in the call (in each pool worker, once per family it
@@ -1059,7 +1058,9 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     if law_ids is None:
         law_ids = list(reg)
     else:
-        law_ids = list(law_ids)
+        law_ids = list(dict.fromkeys(law_ids))   # first-seen order
+        if not law_ids:
+            raise ValueError("empty law id list: name at least one law, or pass None for all")
         for lid in law_ids:
             if lid not in reg:
                 raise KeyError(f"unknown law id {lid!r}")

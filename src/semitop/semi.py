@@ -188,6 +188,18 @@ class OpennessGrades(NamedTuple):
     simply_open: SetFamily
 
 
+def closure_columns(space: FiniteSpace, in_s) -> list:
+    """Per point y, the masks A with y in Cl S(A), where in_s[z] holds
+    the masks A with z in S(A): y is in Cl S(A) iff U_y meets S(A)."""
+    out = []
+    for u in space.min_nbhd:
+        col = 0
+        for z in iter_points(u):
+            col |= in_s[z]
+        out.append(col)
+    return out
+
+
 def openness_grades(space: FiniteSpace) -> OpennessGrades:
     """Grade every mask at once: the families of `set_class`'s fields."""
     n = space.n
@@ -198,12 +210,7 @@ def openness_grades(space: FiniteSpace) -> OpennessGrades:
     def in_int_cl(in_s):
         """Per point x, the masks A with x in Int Cl S(A), where in_s[z]
         holds the masks A with z in S(A)."""
-        in_cl = []
-        for u in nbhd:
-            col = 0
-            for z in iter_points(u):
-                col |= in_s[z]
-            in_cl.append(col)
+        in_cl = closure_columns(space, in_s)
         out = []
         for u in nbhd:
             col = ones

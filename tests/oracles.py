@@ -11,7 +11,6 @@ mask.
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from semitop.lattice import transpose
 from semitop.laws import _Fail
 from semitop.semi import SemiAnalysis, set_class
 from semitop.spaces import FiniteSpace, space_from_masks, submasks
@@ -248,47 +247,73 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 # -- literal law checkers ---------------------------------------------
 #
 # The per-mask forms of the bit-sliced checkers in `semitop.laws`.  Each
-# reads the same `SpaceContext` entries as its checker, or a table built
-# from them (`kern` from `kern_cols`, the `v_s` table from `an.up`), so a
-# corrupted entry reaches both, and scans masks, SC, SO or a generalized
-# family in ascending order to the first offender.  sec-3-singleton-dichotomy grades its singletons
-# with `set_class`.  prop-3.2b/d/i/j decide by the pair scan of their
-# statement (finite associativity extends pairs to any finite family),
-# then report the first nested pair a <= b where the operator is not
-# monotone, or else the first escaping union.  The closure laws test
-# each mask c: it is a union of members iff the members inside c cover
-# it, an intersection iff the members above c meet in it.
-# prop-4.9-sandwich walks the sets between each g.Λ_s member and its
-# kernel, then reports the lowest escaping set and the lowest member
+# reads the same `SpaceContext` entries as its checker, or a per-mask
+# table of operator values built from them by a plain loop (the kernel
+# table from `kern_cols`, the `v_s` table from `an.up`), so a corrupted
+# entry reaches both, and scans masks, SC, SO or a generalized family in
+# ascending order to the first offender.  sec-3-singleton-dichotomy
+# grades its singletons with `set_class`.  prop-3.2b/d/i/j decide by the
+# pair scan of their statement (finite associativity extends pairs to
+# any finite family), then report the first nested pair a <= b where the
+# operator is not monotone, or else the first escaping union.  The
+# closure laws test each mask c: it is a union of members iff the
+# members inside c cover it, an intersection iff the members above c
+# meet in it.  prop-3.2c composes the kernel table with itself at every
+# mask.  prop-4.9-sandwich walks the sets between each g.Λ_s member and
+# its kernel, then reports the lowest escaping set and the lowest member
 # under it.
+
+def _masks(ctx) -> range:
+    return range(1 << ctx.space.n)
+
+
+def _table(cols, n: int) -> list:
+    """table[m]: the points z with mask m in cols[z]."""
+    return [sum(1 << z for z, col in enumerate(cols) if col >> m & 1)
+            for m in range(1 << n)]
+
+
+def _kern_table(ctx) -> list:
+    """kern[m] is the semi-kernel of m, read off `kern_cols`."""
+    return _table(ctx.kern_cols, ctx.space.n)
+
 
 def _vs_table(ctx) -> list:
     """vs[m] is v_s(m): the points x with m in the core's up[x]."""
-    return transpose(ctx.an.up, ctx.space.n)
+    return _table(ctx.an.up, ctx.space.n)
 
 
 def prop_3_2a_law_oracle(ctx):
-    for b in ctx.masks:
-        if b & ~ctx.kern[b]:
+    kern = _kern_table(ctx)
+    for b in _masks(ctx):
+        if b & ~kern[b]:
             return _Fail((b,), (), "subset escapes its semi-kernel")
 
 
+def prop_3_2c_law_oracle(ctx):
+    kern = _kern_table(ctx)
+    for b in _masks(ctx):
+        if kern[kern[b]] != kern[b]:
+            return _Fail((b,), (), "semi-kernel not idempotent")
+
+
 def prop_3_2e_law_oracle(ctx):
+    kern = _kern_table(ctx)
     for a in ctx.so:
-        if ctx.kern[a] != a:
+        if kern[a] != a:
             return _Fail((a,), (), "semi-open set moved by its semi-kernel")
 
 
 def prop_3_2f_law_oracle(ctx):
-    full, vs = ctx.space.full, _vs_table(ctx)
-    for b in ctx.masks:
-        if ctx.kern[full ^ b] != full ^ vs[b]:
+    full, kern, vs = ctx.space.full, _kern_table(ctx), _vs_table(ctx)
+    for b in _masks(ctx):
+        if kern[full ^ b] != full ^ vs[b]:
             return _Fail((b,), (), "kernel of complement differs from complement of dual")
 
 
 def prop_3_2g_law_oracle(ctx):
     vs = _vs_table(ctx)
-    for b in ctx.masks:
+    for b in _masks(ctx):
         if vs[b] & ~b:
             return _Fail((b,), (), "dual operator escapes its argument")
 
@@ -301,16 +326,16 @@ def prop_3_2h_law_oracle(ctx):
 
 
 def prop_3_7d_law_oracle(ctx):
-    full, vs = ctx.space.full, _vs_table(ctx)
-    for b in ctx.masks:
-        if (ctx.kern[b] == b) != (vs[full ^ b] == full ^ b):
+    full, kern, vs = ctx.space.full, _kern_table(ctx), _vs_table(ctx)
+    for b in _masks(ctx):
+        if (kern[b] == b) != (vs[full ^ b] == full ^ b):
             return _Fail((b,), (), "kernel-fixed and dual-fixed complements disagree")
 
 
 def prop_3_8_law_oracle(ctx):
-    vs = _vs_table(ctx)
-    every_lam = all(ctx.kern[m] == m for m in ctx.masks)
-    every_vs = all(vs[m] == m for m in ctx.masks)
+    kern, vs = _kern_table(ctx), _vs_table(ctx)
+    every_lam = all(kern[m] == m for m in _masks(ctx))
+    every_vs = all(vs[m] == m for m in _masks(ctx))
     if not ctx.prof.semi_t1 == every_lam == every_vs:
         return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
 
@@ -330,9 +355,9 @@ def semi_r0_union_law_oracle(ctx):
 
 
 def prop_4_5ab_law_oracle(ctx):
-    vs = _vs_table(ctx)
-    for m in ctx.masks:
-        if ctx.kern[m] == m and m not in ctx.fams.d_lambda:
+    kern, vs = _kern_table(ctx), _vs_table(ctx)
+    for m in _masks(ctx):
+        if kern[m] == m and m not in ctx.fams.d_lambda:
             return _Fail((m,), (), "kernel-fixed set missing from the generalized family")
         if vs[m] == m and m not in ctx.fams.d_v:
             return _Fail((m,), (), "dual-fixed set missing from the dual generalized family")
@@ -360,20 +385,25 @@ def thm_5_3_law_oracle(ctx):
         return _Fail((), (), f"semi_t_half={ctx.prof.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
 
 
+def _vs_fixed(ctx) -> set:
+    vs = _vs_table(ctx)
+    return {m for m in _masks(ctx) if vs[m] == m}
+
+
 def semi_t1_v_sets_law_oracle(ctx):
-    fixed, g = ctx.vs_sets, ctx.grades
-    pre = all(m in fixed for m in ctx.masks if m in g.preopen)
-    beta = all(m in fixed for m in ctx.masks if m in g.beta_open)
+    fixed, g = _vs_fixed(ctx), ctx.grades
+    pre = all(m in fixed for m in _masks(ctx) if m in g.preopen)
+    beta = all(m in fixed for m in _masks(ctx) if m in g.beta_open)
     if not ctx.prof.semi_t1 == pre == beta:
         return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
 
 
 def semi_r0_v_sets_law_oracle(ctx):
-    fixed = ctx.vs_sets
+    fixed = _vs_fixed(ctx)
     so_fixed = all(o in fixed for o in ctx.so)
     open_fixed = all(o in fixed for o in ctx.space.opens)
     simply_fixed = all(m in fixed
-                       for m in ctx.masks if m in ctx.grades.simply_open)
+                       for m in _masks(ctx) if m in ctx.grades.simply_open)
     if not ctx.prof.semi_r0 == so_fixed == open_fixed == simply_fixed:
         return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
 
@@ -388,7 +418,7 @@ def singleton_dichotomy_law_oracle(ctx):
 def semi_open_levine_law_oracle(ctx):
     space = ctx.space
     cl = {o: space.closure(o) for o in space.opens}
-    for m in ctx.masks:
+    for m in _masks(ctx):
         witnessed = any(o & ~m == 0 and m & ~cl[o] == 0 for o in space.opens)
         if witnessed != (m in ctx.so):
             return _Fail((m,), (), "open-witness and interior/closure forms disagree")
@@ -396,9 +426,9 @@ def semi_open_levine_law_oracle(ctx):
 
 def beta_open_law_oracle(ctx):
     space = ctx.space
-    reg_closed = [r for r in ctx.masks
+    reg_closed = [r for r in _masks(ctx)
                   if r == space.closure(space.interior(r))]
-    for m in ctx.masks:
+    for m in _masks(ctx):
         cl_m = space.closure(m)
         dense = any(m & ~r == 0 and r & ~cl_m == 0 for r in reg_closed)
         if dense != (m in ctx.grades.beta_open):
@@ -407,7 +437,7 @@ def beta_open_law_oracle(ctx):
 
 def simply_open_law_oracle(ctx):
     g = ctx.grades
-    for m in ctx.masks:
+    for m in _masks(ctx):
         split = any(u & ~m == 0 and (m & ~u) in g.nowhere_dense
                     for u in ctx.space.opens)
         if split != (m in g.simply_open):
@@ -416,13 +446,13 @@ def simply_open_law_oracle(ctx):
 
 def beta_containments_law_oracle(ctx):
     g = ctx.grades
-    for m in ctx.masks:
+    for m in _masks(ctx):
         if (m in g.preopen or m in ctx.so) and m not in g.beta_open:
             return _Fail((m,), (), "preopen or semi-open set that is not beta-open")
 
 
 def prop_4_9_law_oracle(ctx):
-    kern, dl = ctx.kern, ctx.fams.d_lambda
+    kern, dl = _kern_table(ctx), ctx.fams.d_lambda
     found = []
     for a in dl:
         if a & ~kern[a]:
@@ -438,8 +468,8 @@ def prop_4_9_law_oracle(ctx):
 def prop_4_10_law_oracle(ctx):
     sc = ctx.sc.members
     so = ctx.so.members
-    kern, vs = ctx.kern, _vs_table(ctx)
-    for b in ctx.masks:
+    kern, vs = _kern_table(ctx), _vs_table(ctx)
+    for b in _masks(ctx):
         bc = ctx.space.full ^ b
         kc = kern[bc]
         by_complement = True
@@ -477,7 +507,7 @@ def cor_4_12_law_oracle(ctx):
 
 def prop_4_13_law_oracle(ctx):
     full, vs = ctx.space.full, _vs_table(ctx)
-    for b in ctx.masks:
+    for b in _masks(ctx):
         if vs[b] not in ctx.sc:
             continue
         t = vs[b] | full ^ b
@@ -515,15 +545,15 @@ def _first_escaping(fam, masks, full, what, dual=False):
 
 
 def prop_3_2b_law_oracle(ctx):
-    kern = ctx.kern
-    for a in ctx.masks:
-        for b in ctx.masks:
+    kern, masks = _kern_table(ctx), _masks(ctx)
+    for a in masks:
+        for b in masks:
             if a & ~b == 0 and kern[a] & ~kern[b]:
                 return _Fail((a, b), (), "semi-kernel not monotone")
 
 
 def prop_3_2d_law_oracle(ctx):
-    kern, masks = ctx.kern, ctx.masks
+    kern, masks = _kern_table(ctx), _masks(ctx)
     if all(kern[a | b] == kern[a] | kern[b] for a in masks for b in masks):
         return None
     pair = _nested_pair(kern, masks)
@@ -538,36 +568,41 @@ def prop_3_2d_law_oracle(ctx):
 
 
 def prop_3_2i_law_oracle(ctx):
-    kern = ctx.kern
-    for a in ctx.masks:
-        for b in ctx.masks:
+    kern, masks = _kern_table(ctx), _masks(ctx)
+    for a in masks:
+        for b in masks:
             if kern[a & b] & ~(kern[a] & kern[b]):
                 return _Fail((a, b), (), "kernel of intersection escapes the kernels")
 
 
 def prop_3_2j_law_oracle(ctx):
-    vs, masks = _vs_table(ctx), ctx.masks
+    vs, masks = _vs_table(ctx), _masks(ctx)
     if all((vs[a] | vs[b]) & ~vs[a | b] == 0 for a in masks for b in masks):
         return None
     return _Fail(_nested_pair(vs, masks), (), "dual of union misses a dual")
 
 
+def _kern_fixed(ctx) -> set:
+    kern = _kern_table(ctx)
+    return {m for m in _masks(ctx) if kern[m] == m}
+
+
 def prop_3_7b_law_oracle(ctx):
-    masks, full = ctx.masks, ctx.space.full
-    return (_first_escaping(ctx.lam_sets, masks, full, "union of kernel-fixed sets")
-            or _first_escaping(ctx.vs_sets, masks, full, "union of dual-fixed sets"))
+    masks, full = _masks(ctx), ctx.space.full
+    return (_first_escaping(_kern_fixed(ctx), masks, full, "union of kernel-fixed sets")
+            or _first_escaping(_vs_fixed(ctx), masks, full, "union of dual-fixed sets"))
 
 
 def prop_3_7c_law_oracle(ctx):
-    masks, full = ctx.masks, ctx.space.full
-    return (_first_escaping(ctx.lam_sets, masks, full,
+    masks, full = _masks(ctx), ctx.space.full
+    return (_first_escaping(_kern_fixed(ctx), masks, full,
                             "intersection of kernel-fixed sets", dual=True)
-            or _first_escaping(ctx.vs_sets, masks, full,
+            or _first_escaping(_vs_fixed(ctx), masks, full,
                                "intersection of dual-fixed sets", dual=True))
 
 
 def prop_4_5cd_law_oracle(ctx):
-    masks, full = ctx.masks, ctx.space.full
+    masks, full = _masks(ctx), ctx.space.full
     return (_first_escaping(ctx.fams.d_lambda, masks, full,
                             "union of generalized sets")
             or _first_escaping(ctx.fams.d_v, masks, full,
@@ -578,6 +613,7 @@ def prop_4_5cd_law_oracle(ctx):
 LAW_ORACLES = {
     "prop-3.2a": prop_3_2a_law_oracle,
     "prop-3.2b": prop_3_2b_law_oracle,
+    "prop-3.2c": prop_3_2c_law_oracle,
     "prop-3.2d": prop_3_2d_law_oracle,
     "prop-3.2e": prop_3_2e_law_oracle,
     "prop-3.2f": prop_3_2f_law_oracle,

@@ -4,13 +4,15 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import LAW_ORACLES, random_space
 from semitop.axioms import is_semi_r0, is_semi_t1, is_semi_t_half
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
-from semitop.lattice import unions
+from semitop.lattice import columns, encode, spread, unions
 from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
@@ -105,37 +107,41 @@ def test_context_tables_match_per_call_operators():
         for space in enumerate_topologies(n):
             ctx = SpaceContext(space)
             an = ctx.an
-            for m in ctx.masks:
-                assert ctx.kern[m] == an.semi_kernel(m)
+            masks = range(1 << n)
+            for m in masks:
+                assert laws_mod._value(ctx.kern_cols, m) == an.semi_kernel(m)
                 assert _grades_match_set_class(ctx, m)
+            assert SetFamily.from_bits(ctx.fix_kern) == an.lambda_s_sets()
             assert SetFamily.from_bits(ctx.fix_kern).members == tuple(
-                m for m in ctx.masks if an.semi_kernel(m) == m)
+                m for m in masks if an.semi_kernel(m) == m)
+            assert SetFamily.from_bits(ctx.fix_vs) == an.v_s_sets()
             assert SetFamily.from_bits(ctx.fix_vs).members == tuple(
-                m for m in ctx.masks if an.v_s(m) == m)
-            assert ctx.lam_sets.members == tuple(
-                m for m in ctx.masks if an.semi_kernel(m) == m)
-            assert ctx.vs_sets.members == tuple(
-                m for m in ctx.masks if an.v_s(m) == m)
+                m for m in masks if an.v_s(m) == m)
     wide = named_space("khalimsky:-7:7")
     ctx = SpaceContext(wide)
-    masks = random.Random(7).sample(ctx.masks, 200)
+    masks = random.Random(7).sample(range(1 << wide.n), 200)
     for m in masks + [1 << x for x in range(wide.n)]:
         assert _grades_match_set_class(ctx, m)
-        assert ctx.kern[m] == ctx.an.semi_kernel(m)
+        assert laws_mod._value(ctx.kern_cols, m) == ctx.an.semi_kernel(m)
 
 
-def test_context_builds_only_the_tables_read():
+def test_context_builds_only_the_tables_read(monkeypatch):
+    """The uncapped laws on a 15-point window build the columns, the two
+    fixed-set families and the grades; they never build the core's byte
+    view of `up` or its fixed-point families."""
+    for name in ("lambda_s_sets", "v_s_sets"):
+        monkeypatch.setattr(semi_mod.SemiAnalysis, name, None)
     wide = named_space("khalimsky:-7:7")
     ctx = SpaceContext(wide)
-    assert not {"kern_cols", "kern", "fix_kern", "fix_vs", "grades",
-                "lam_sets", "vs_sets"} & set(vars(ctx))
+    assert not {"kern_cols", "fix_kern", "fix_vs", "grades"} & set(vars(ctx))
     uncapped = [law for law in registry().values()
                 if law.max_points > FAMILY_CAP and law.applies(wide)]
     assert uncapped
     for law in uncapped:
         witness = check_law(law, wide, ctx)
         assert witness is None or law.status == "disputed", law.id
-    assert not {"fix_vs", "lam_sets", "vs_sets"} & set(vars(ctx))
+    assert {"kern_cols", "fix_kern", "fix_vs", "grades"} <= set(vars(ctx))
+    assert "_up_view" not in vars(ctx.an)
 
 
 def test_registry_grades_each_mask_once(monkeypatch):
@@ -167,6 +173,27 @@ def test_registry_grades_each_mask_once(monkeypatch):
     assert calls   # the window's digital-line law grades odd singletons
 
 
+@st.composite
+def _closure_operators(draw):
+    """(n, columns) of a random extensive monotone operator on n points:
+    column z is has[z] plus a few masks, spread upward."""
+    n = draw(st.integers(1, 6))
+    has = columns(n)[0]
+    extra = st.lists(st.integers(0, (1 << n) - 1), max_size=3).map(encode)
+    return n, [spread(has[z] | draw(extra), n, upward=True) for z in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closure_operators())
+def test_idempotence_identity_matches_the_per_mask_loop(case):
+    """prop-3.2c's column identity gives the per-mask loop's `_Fail` on
+    any extensive monotone operator, idempotent or not."""
+    n, cols = case
+    ctx = SpaceContext(named_space(f"discrete:{n}"))
+    ctx.kern_cols = cols
+    assert registry()["prop-3.2c"].check(ctx) == LAW_ORACLES["prop-3.2c"](ctx)
+
+
 # oracles quadratic in the subset count, run on at most 8 points
 _QUADRATIC = {"prop-3.2b", "prop-3.2d", "prop-3.2i", "prop-3.2j",
               "prop-3.7b", "prop-3.7c", "prop-4.5cd"}
@@ -187,8 +214,12 @@ def test_law_checkers_match_literal_oracles():
 
 
 # the context entries each checker and its oracle both read, directly
-# or through a table built from them (kern from kern_cols, the v_s
-# table from up)
+# or through what is built from them (the kernel table and fix_kern
+# from kern_cols, the v_s table and fix_vs from up).  prop-3.2c is not
+# here: its identity is idempotence only for an extensive monotone
+# kernel, which a flipped bit seldom leaves, so
+# `test_idempotence_identity_matches_the_per_mask_loop` draws such
+# kernels instead
 _INPUTS = {
     "prop-3.2a": ("kern_cols",),
     "prop-3.2b": ("kern_cols",),
@@ -199,14 +230,14 @@ _INPUTS = {
     "prop-3.2h": ("up", "sc"),
     "prop-3.2i": ("kern_cols",),
     "prop-3.2j": ("up",),
-    "prop-3.7b": ("lam_sets", "vs_sets"),
-    "prop-3.7c": ("lam_sets", "vs_sets"),
+    "prop-3.7b": ("kern_cols", "up"),
+    "prop-3.7c": ("kern_cols", "up"),
     "prop-3.7d": ("kern_cols", "up"),
     "prop-3.8": ("kern_cols", "up"),
     "prop-4.5ab": ("kern_cols", "up", "d_lambda", "d_v"),
     "prop-4.5cd": ("d_lambda", "d_v"),
-    "thm-3-semi-t1-v-sets": ("vs_sets", "preopen", "beta_open"),
-    "thm-3-semi-r0-v-sets": ("vs_sets", "so", "simply_open"),
+    "thm-3-semi-t1-v-sets": ("up", "preopen", "beta_open"),
+    "thm-3-semi-r0-v-sets": ("up", "so", "simply_open"),
     "sec-2-semi-r0-union": ("so", "sc"),
     "defn-semi-open-levine": ("so",),
     "defn-beta-open": ("beta_open",),
@@ -233,7 +264,7 @@ def _corrupt(ctx, entry, rng):
     if entry in ("kern_cols", "up"):
         cols = ctx.kern_cols if entry == "kern_cols" else ctx.an.up
         cols[rng.randrange(ctx.space.n)] ^= 1 << m
-    elif entry in ("so", "sc", "lam_sets", "vs_sets"):
+    elif entry in ("so", "sc"):
         setattr(ctx, entry, _flip(getattr(ctx, entry), m))
     elif entry in ("d_lambda", "d_v", "sg_closed"):
         ctx.fams = dataclasses.replace(
@@ -294,7 +325,7 @@ def test_kernel_table_follows_the_semi_open_family():
     ctx = SpaceContext(space)
     ab = space.mask_of("ab")
     ctx.so = _flip(ctx.so, ab)        # {a,b} = {a} | {b} leaves SO
-    assert ctx.kern[ab] == space.full
+    assert laws_mod._value(ctx.kern_cols, ab) == space.full
     w = check_law("prop-3.2d", space, ctx)
     assert w is not None
     assert (w.subsets, w.points) == (("{a,b}",), ("c",))
@@ -307,7 +338,7 @@ def test_kernel_union_witness_is_the_lowest_union():
     point."""
     space = named_space("discrete:3")
     ctx = SpaceContext(space)
-    has = [SetFamily([m for m in ctx.masks if m >> x & 1]).bits
+    has = [SetFamily([m for m in range(8) if m >> x & 1]).bits
            for x in range(3)]
     bc, ac = space.mask_of("bc"), space.mask_of("ac")
     # K(bc) holds a although K(b), K(c) do not; K(ac) holds b likewise
@@ -317,20 +348,47 @@ def test_kernel_union_witness_is_the_lowest_union():
     assert (fail.subsets, fail.points) == ((ac,), (1,))
 
 
-def test_kernel_laws_hold_for_any_semi_open_family(spaces3):
-    """prop-3.2a/b/c/i hold for the intersection-of-supersets kernel of
-    any family, as their notes say: a corrupted SO never fails them."""
+def _without(space, lost, monkeypatch) -> SpaceContext:
+    """A context whose core sees SO without the masks in `lost`: the
+    analysis, `up` and `kern_cols` all follow the corrupted family."""
+    so = semi_open_bits(space) & ~lost
+    ctx = SpaceContext(space)
+    with monkeypatch.context() as m:
+        m.setattr(semi_mod, "semi_open_bits", lambda _: so)
+        ctx.an
+    return ctx
+
+
+def test_kernel_laws_hold_for_any_semi_open_family(spaces3, monkeypatch):
+    """prop-3.2a/b/c/i, the V_s half of prop-3.7b and the Λ_s half of
+    prop-3.7c hold for the operators of any family, as their notes say:
+    a corrupted SO, seen by the whole core, never fails them."""
     rng = random.Random(5)
     reg = registry()
     kernel_laws = ("prop-3.2a", "prop-3.2b", "prop-3.2c", "prop-3.2i")
-    for lid in kernel_laws:
+    for lid in kernel_laws + ("prop-3.7b", "prop-3.7c"):
         assert "any family" in reg[lid].note
     for space in spaces3:
         for _ in range(3):
-            ctx = SpaceContext(space)
-            _corrupt(ctx, "so", rng)
+            ctx = _without(space, 1 << rng.randrange(1 << space.n), monkeypatch)
             for lid in kernel_laws:
                 assert reg[lid].check(ctx) is None, (lid, space.describe())
+            assert laws_mod._not_closed(ctx, ctx.fix_vs, "") is None
+            assert laws_mod._not_closed(ctx, ctx.fix_kern, "", dual=True) is None
+            messages = {getattr(reg[lid].check(ctx), "message", None)
+                        for lid in ("prop-3.7b", "prop-3.7c")}
+            assert not messages & {"union of dual-fixed sets leaves the family",
+                                   "intersection of kernel-fixed sets leaves the family"}
+
+
+def test_kernel_fixed_sets_follow_the_semi_open_family(monkeypatch):
+    """discrete:3 without {a,b}: {a} and {b} are still kernel-fixed but
+    their union is not, so prop-3.7b fails on its Λ_s half."""
+    space = named_space("discrete:3")
+    ab = space.mask_of("ab")
+    ctx = _without(space, 1 << ab, monkeypatch)
+    w = check_law("prop-3.7b", space, ctx)
+    assert (w.subsets, w.message) == (("{a,b}",), "union of kernel-fixed sets leaves the family")
 
 
 def test_unions_report_the_lowest_escaping_union():
@@ -338,15 +396,15 @@ def test_unions_report_the_lowest_escaping_union():
     fam = SetFamily([0, 0b001, 0b010, 0b011, 0b100])
     assert unions(fam.bits, 3) & ~fam.bits == \
         SetFamily([0b101, 0b110, 0b111]).bits
-    fail = laws_mod._not_closed(three, fam, "union of test sets")
+    fail = laws_mod._not_closed(three, fam.bits, "union of test sets")
     assert fail.subsets == (0b101,)
     assert fail.message == "union of test sets leaves the family"
     # the empty union is left out unless the empty set is a member
     assert unions(SetFamily([0b01, 0b10]).bits, 2) == \
         SetFamily([0b01, 0b10, 0b11]).bits
-    assert laws_mod._not_closed(two, SetFamily([0, 1, 2, 3]), "x") is None
+    assert laws_mod._not_closed(two, SetFamily([0, 1, 2, 3]).bits, "x") is None
     # intersections: {b} = {a,b} & {b,c} escapes, X is not an empty meet
-    fail = laws_mod._not_closed(three, SetFamily([0b011, 0b110]), "y",
+    fail = laws_mod._not_closed(three, SetFamily([0b011, 0b110]).bits, "y",
                                 dual=True)
     assert fail.subsets == (0b010,)
 
@@ -520,6 +578,19 @@ def test_law_id_filter(spaces3):
     assert [r.law_id for r in report.results] == ["prop-3.2a", "prop-3.8"]
     with pytest.raises(KeyError):
         run_suite(spaces3, ["no-such-law"])
+
+
+def test_repeated_law_ids_run_once(spaces3):
+    report = run_suite(spaces3, ["prop-3.8", "prop-3.2a", "prop-3.8"])
+    assert [r.law_id for r in report.results] == ["prop-3.8", "prop-3.2a"]
+    assert all(r.examined == len(spaces3) for r in report.results)
+    assert report.render_text() == \
+        run_suite(spaces3, ["prop-3.8", "prop-3.2a"]).render_text()
+
+
+def test_empty_law_id_list_is_rejected(spaces3):
+    with pytest.raises(ValueError, match="empty law id list"):
+        run_suite(spaces3, [])
 
 
 def test_examined_respects_caps(spaces3):
