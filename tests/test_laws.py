@@ -348,10 +348,11 @@ def test_kernel_union_witness_is_the_lowest_union():
     assert (fail.subsets, fail.points) == ((ac,), (1,))
 
 
-def _without(space, lost, monkeypatch) -> SpaceContext:
-    """A context whose core sees SO without the masks in `lost`: the
-    analysis, `up` and `kern_cols` all follow the corrupted family."""
-    so = semi_open_bits(space) & ~lost
+def _toggled(space, flip, monkeypatch) -> SpaceContext:
+    """A context whose core sees SO with the masks in `flip` toggled, so
+    members leave it and non-members join it: the analysis, `up` and
+    `kern_cols` all follow the corrupted family."""
+    so = semi_open_bits(space) ^ flip
     ctx = SpaceContext(space)
     with monkeypatch.context() as m:
         m.setattr(semi_mod, "semi_open_bits", lambda _: so)
@@ -362,19 +363,17 @@ def _without(space, lost, monkeypatch) -> SpaceContext:
 def test_kernel_laws_hold_for_any_semi_open_family(spaces3, monkeypatch):
     """prop-3.2a/b/c/i, the V_s half of prop-3.7b and the Λ_s half of
     prop-3.7c hold for the operators of any family, as their notes say:
-    a corrupted SO, seen by the whole core, never fails them."""
-    rng = random.Random(5)
+    SO with any one mask toggled, seen by the whole core, never fails
+    them."""
     reg = registry()
     kernel_laws = ("prop-3.2a", "prop-3.2b", "prop-3.2c", "prop-3.2i")
     for lid in kernel_laws + ("prop-3.7b", "prop-3.7c"):
         assert "any family" in reg[lid].note
     for space in spaces3:
-        for _ in range(3):
-            ctx = _without(space, 1 << rng.randrange(1 << space.n), monkeypatch)
+        for m in range(1 << space.n):
+            ctx = _toggled(space, 1 << m, monkeypatch)
             for lid in kernel_laws:
-                assert reg[lid].check(ctx) is None, (lid, space.describe())
-            assert laws_mod._not_closed(ctx, ctx.fix_vs, "") is None
-            assert laws_mod._not_closed(ctx, ctx.fix_kern, "", dual=True) is None
+                assert reg[lid].check(ctx) is None, (lid, space.describe(), m)
             messages = {getattr(reg[lid].check(ctx), "message", None)
                         for lid in ("prop-3.7b", "prop-3.7c")}
             assert not messages & {"union of dual-fixed sets leaves the family",
@@ -386,7 +385,7 @@ def test_kernel_fixed_sets_follow_the_semi_open_family(monkeypatch):
     their union is not, so prop-3.7b fails on its Λ_s half."""
     space = named_space("discrete:3")
     ab = space.mask_of("ab")
-    ctx = _without(space, 1 << ab, monkeypatch)
+    ctx = _toggled(space, 1 << ab, monkeypatch)
     w = check_law("prop-3.7b", space, ctx)
     assert (w.subsets, w.message) == (("{a,b}",), "union of kernel-fixed sets leaves the family")
 
