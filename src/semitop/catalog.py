@@ -14,6 +14,10 @@ from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
 
 _LETTERS = "abcdefghijklmnopqrst"
 
+#: `enumerate_topologies` lists the labeled topologies on up to this
+#: many points
+ENUMERATION_LIMIT = 5
+
 
 class UnknownId(SpaceError):
     pass
@@ -47,27 +51,26 @@ _FIXED = {
 _FAMILY_PREFIXES = ("discrete:", "indiscrete:", "khalimsky:")
 
 
-def _sized(family: str, n: int, max_points: int) -> tuple:
+def _sized(family: str, n: int) -> tuple:
     """The labels of `family:n`, refusing an oversized n before any
     family of its 2**n subsets is built."""
-    if n > max_points:
-        raise TooManyPoints(f"{family}:{n} has {n} points, limit {max_points}")
+    if n > MAX_POINTS:
+        raise TooManyPoints(f"{family}:{n} has {n} points, limit {MAX_POINTS}")
     return _letters(n)
 
 
-def discrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
-    names = _sized("discrete", n, max_points)
+def discrete_space(n: int) -> FiniteSpace:
+    names = _sized("discrete", n)
     return space_from_masks(names, SetFamily.from_bits(everything(n)),
-                            max_points=max_points, name=f"discrete:{n}")
+                            name=f"discrete:{n}")
 
 
-def indiscrete_space(n: int, *, max_points: int = MAX_POINTS) -> FiniteSpace:
-    names = _sized("indiscrete", n, max_points)
-    return space_from_masks(names, [0, (1 << n) - 1], max_points=max_points,
-                            name=f"indiscrete:{n}")
+def indiscrete_space(n: int) -> FiniteSpace:
+    names = _sized("indiscrete", n)
+    return space_from_masks(names, [0, (1 << n) - 1], name=f"indiscrete:{n}")
 
 
-def named_space(sid: str, *, max_points: int = MAX_POINTS) -> FiniteSpace:
+def named_space(sid: str) -> FiniteSpace:
     """Resolve a reserved space id."""
     if sid in _FIXED:
         names, opens = _FIXED[sid]
@@ -79,10 +82,10 @@ def named_space(sid: str, *, max_points: int = MAX_POINTS) -> FiniteSpace:
             if n < 1:
                 raise UnknownId(f"bad point count in {sid!r}")
             maker = discrete_space if parts[0] == "discrete" else indiscrete_space
-            return maker(n, max_points=max_points)
+            return maker(n)
         if len(parts) == 3 and parts[0] == "khalimsky":
             lo, hi = int(parts[1]), int(parts[2])
-            return khalimsky_window(lo, hi, max_points=max_points).space
+            return khalimsky_window(lo, hi).space
     except ValueError:
         raise UnknownId(f"unknown space id {sid!r}") from None
     raise UnknownId(f"unknown space id {sid!r}")
@@ -112,8 +115,7 @@ class Window:
         return out
 
 
-def khalimsky_window(lo: int, hi: int, *,
-                     max_points: int = MAX_POINTS) -> Window:
+def khalimsky_window(lo: int, hi: int) -> Window:
     """Digital-line window [lo, hi].
 
     On the full line each odd point is open on its own and each even
@@ -125,8 +127,8 @@ def khalimsky_window(lo: int, hi: int, *,
     if lo > hi:
         raise EmptyWindow(f"window [{lo},{hi}] has no points")
     w = hi - lo + 1
-    if w > max_points:
-        raise TooManyPoints(f"window [{lo},{hi}] has {w} points, limit {max_points}")
+    if w > MAX_POINTS:
+        raise TooManyPoints(f"window [{lo},{hi}] has {w} points, limit {MAX_POINTS}")
     names = tuple(str(i) for i in range(lo, hi + 1))
     mins = []
     for i in range(lo, hi + 1):
@@ -136,8 +138,7 @@ def khalimsky_window(lo: int, hi: int, *,
             cell = [j for j in (i - 1, i, i + 1) if lo <= j <= hi]
         mins.append(sum(1 << (j - lo) for j in cell))
     opens = SetFamily.from_bits(saturated(mins, w))
-    space = space_from_masks(names, opens, max_points=max_points,
-                             name=f"khalimsky:{lo}:{hi}")
+    space = space_from_masks(names, opens, name=f"khalimsky:{lo}:{hi}")
     return Window(space, lo, hi, boundary_warning=(lo % 2 == 0 or hi % 2 == 0))
 
 
@@ -187,8 +188,8 @@ def enumerate_topologies(n: int):
     The tests hold the table generator to a naive family filter for
     n <= 4.
     """
-    if not 1 <= n <= 5:
-        raise TooManyPoints("enumeration supports 1 <= n <= 5")
+    if not 1 <= n <= ENUMERATION_LIMIT:
+        raise TooManyPoints(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
     names = _letters(n)
     for i, fam in enumerate(_table_families(n)):
         yield space_from_masks(names, fam, name=f"enum:{n}:{i}")

@@ -18,8 +18,9 @@ import sys
 from pathlib import Path
 
 from .axioms import AXIOM_KEYS, axiom_profile
-from .catalog import (catalog_entries, enumerate_topologies, is_named_id,
-                      khalimsky_window, named_space)
+from .catalog import (ENUMERATION_LIMIT, catalog_entries,
+                      enumerate_topologies, is_named_id, khalimsky_window,
+                      named_space)
 from .fileformat import ParseError, load_topology, serialize_topology
 from .generalized import generalized_families
 from .laws import registry, run_suite
@@ -116,8 +117,8 @@ def _emit_report(report, fmt: str) -> int:
 
 
 def cmd_laws(args) -> int:
-    if not 1 <= args.max_points <= 5:
-        raise SpaceError("--max-points must be between 1 and 5")
+    if not 1 <= args.max_points <= ENUMERATION_LIMIT:
+        raise SpaceError(f"--max-points must be between 1 and {ENUMERATION_LIMIT}")
     _check_workers(args.workers)
     if args.laws:
         _check_law_ids(args.laws)
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra topology files to append to the stream")
         sp.add_argument("--max-points", type=int, default=4,
                         help="enumerate all topologies up to this size "
-                             "(default 4, limit 5)")
+                             f"(default 4, limit {ENUMERATION_LIMIT})")
         sp.add_argument("--space", action="append", dest="spaces",
                         metavar="SPACE",
                         help="run on this space instead of the default "

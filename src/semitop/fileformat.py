@@ -14,7 +14,7 @@ like any other member.  Parse errors, a file that is not UTF-8
 included, carry the offending line number and token.
 """
 
-from .spaces import _LABEL_FORBIDDEN, MAX_POINTS, FiniteSpace, build_space
+from .spaces import _LABEL_FORBIDDEN, FiniteSpace, build_space
 
 
 class ParseError(Exception):
@@ -27,7 +27,6 @@ class ParseError(Exception):
 
 
 def parse_topology(text: str, *, source: str = "<string>",
-                   max_points: int = MAX_POINTS,
                    name: str | None = None) -> FiniteSpace:
     names = None
     opens = []
@@ -71,7 +70,7 @@ def parse_topology(text: str, *, source: str = "<string>",
                              source=source)
     if names is None:
         raise ParseError("no points line", line=1, source=source)
-    return build_space(names, opens, max_points=max_points, name=name)
+    return build_space(names, opens, name=name)
 
 
 def serialize_topology(space: FiniteSpace) -> str:
@@ -82,7 +81,7 @@ def serialize_topology(space: FiniteSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_topology(path, *, max_points: int = MAX_POINTS) -> FiniteSpace:
+def load_topology(path) -> FiniteSpace:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -91,5 +90,4 @@ def load_topology(path, *, max_points: int = MAX_POINTS) -> FiniteSpace:
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
                          line=data.count(b"\n", 0, exc.start) + 1,
                          source=str(path)) from None
-    return parse_topology(text, source=str(path), max_points=max_points,
-                          name=str(path))
+    return parse_topology(text, source=str(path), name=str(path))

@@ -13,10 +13,10 @@ workers send back only failures, and every witness holds the caller's
 own space.
 
 The checkers read one `SpaceContext` per space, each part built on
-first read: the core's analysis, generalized families and axiom
-profile, the semi-kernel's per-point columns `kern_cols`, the fixed
-masks `fix_kern` / `fix_vs` (the Λ_s-sets and the V_s-sets) and the
-openness grades.
+first read: the core's analysis and generalized families, the five
+axiom verdicts `t1` ... `semi_t_half`, the semi-kernel's per-point
+columns `kern_cols`, the fixed masks `fix_kern` / `fix_vs` (the
+Λ_s-sets and the V_s-sets) and the openness grades.
 
 28 laws are declared `semi_only`: their outcome depends on n and the
 semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
@@ -24,11 +24,13 @@ cor-3-semi-t1-semi-r0, sec-2-semi-r0-union, 4.5ab, 4.5cd, remark-4.7,
 4.8-4.10, cor-4.11, cor-4.12, 4.13, remark-5.2 and thm-5.3).  Distinct
 topologies often share SO (a topology and its alpha-topology always
 do), so `run_suite` decides these laws once per distinct (n, SO) in a
-call and keeps a small index-based record per family: their failures,
-and the V_s-sets, the semi-T1 / semi-R0 verdicts and the g.V_s
-singletons that the other laws read.  A later space with that family
-builds no analysis; it computes only its SO and what its topology laws
-read, and still counts as examined for every law that runs on it.
+call.  Per family it keeps their failures and the context parts that
+depend on n and SO alone and that the other laws read
+(`_FAMILY_PARTS`: SO, the V_s-sets, the g.V_s singletons and the
+semi-T1 / semi-R0 verdicts).  A later space with that family starts its
+context with those parts and builds no analysis; it computes only its
+SO and what its topology laws read, and still counts as examined for
+every law that runs on it.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
@@ -60,7 +62,8 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
-from .axioms import axiom_profile, is_r0, is_t1
+from .axioms import (axiom_profile, is_r0, is_semi_r0, is_semi_t1,
+                     is_semi_t_half, is_t1)
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, mirror, spread, spreads, sub, sup,
                       unions)
@@ -134,10 +137,11 @@ class LawScopeError(Exception):
 
 class SpaceContext:
     """Everything the checkers need about one space, each part built on
-    first read and then kept: the core's analysis, generalized families
-    and axiom profile, and the tables below.  The semi-kernel has one
-    form, its columns `kern_cols`, and each operator one fixed-set
-    family, `fix_kern` (the Λ_s-sets) and `fix_vs` (the V_s-sets)."""
+    first read and then kept: the core's analysis and generalized
+    families, the five axiom verdicts, and the tables below.  The
+    semi-kernel has one form, its columns `kern_cols`, and each operator
+    one fixed-set family, `fix_kern` (the Λ_s-sets) and `fix_vs` (the
+    V_s-sets)."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -151,8 +155,24 @@ class SpaceContext:
         return generalized_families(self.an)
 
     @cached_property
-    def prof(self):
-        return axiom_profile(self.space, self.an, self.fams)
+    def t1(self) -> bool:
+        return is_t1(self.space)
+
+    @cached_property
+    def r0(self) -> bool:
+        return is_r0(self.space)
+
+    @cached_property
+    def semi_t1(self) -> bool:
+        return is_semi_t1(self.an)
+
+    @cached_property
+    def semi_r0(self) -> bool:
+        return is_semi_r0(self.an)
+
+    @cached_property
+    def semi_t_half(self) -> bool:
+        return is_semi_t_half(self.an, self.fams)
 
     @cached_property
     def so(self) -> SetFamily:
@@ -385,14 +405,14 @@ def _chk_3_7d(ctx):
 def _chk_3_8(ctx):
     every_lam, every_vs = (f == everything(ctx.space.n)
                            for f in (ctx.fix_kern, ctx.fix_vs))
-    if not ctx.prof.semi_t1 == every_lam == every_vs:
-        return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
+    if not ctx.semi_t1 == every_lam == every_vs:
+        return _Fail((), (), f"semi_t1={ctx.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
 
 
 # -- checkers: separation axioms --------------------------------------
 
 def _chk_digital_line(ctx):
-    prof = ctx.prof
+    prof = axiom_profile(ctx.space, ctx.an, ctx.fams)
     if prof.t1 or prof.r0 or not prof.semi_t1 or not prof.semi_r0:
         return _Fail((), (), f"expected t1=false r0=false semi_t1=true semi_r0=true, got {prof.t1}/{prof.r0}/{prof.semi_t1}/{prof.semi_r0}")
     space = ctx.space
@@ -408,12 +428,12 @@ def _chk_digital_line(ctx):
 
 
 def _chk_semi_t1_implies_semi_r0(ctx):
-    if ctx.prof.semi_t1 and not ctx.prof.semi_r0:
+    if ctx.semi_t1 and not ctx.semi_r0:
         return _Fail((), (), "semi_t1 space that is not semi_r0")
 
 
 def _chk_r0_implies_semi_r0(ctx):
-    if ctx.prof.r0 and not ctx.prof.semi_r0:
+    if ctx.r0 and not ctx.semi_r0:
         return _Fail((), (), "r0 space that is not semi_r0")
 
 
@@ -421,8 +441,8 @@ def _chk_semi_t1_v_sets(ctx):
     fixed = ctx.fix_vs
     pre = ctx.grades.preopen.bits & ~fixed == 0
     beta = ctx.grades.beta_open.bits & ~fixed == 0
-    if not ctx.prof.semi_t1 == pre == beta:
-        return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
+    if not ctx.semi_t1 == pre == beta:
+        return _Fail((), (), f"semi_t1={ctx.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
 
 
 def _chk_semi_r0_v_sets(ctx):
@@ -430,16 +450,16 @@ def _chk_semi_r0_v_sets(ctx):
     so_fixed = ctx.so.bits & ~fixed == 0
     open_fixed = ctx.space.opens.bits & ~fixed == 0
     simply_fixed = ctx.grades.simply_open.bits & ~fixed == 0
-    if not ctx.prof.semi_r0 == so_fixed == open_fixed == simply_fixed:
-        return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
+    if not ctx.semi_r0 == so_fixed == open_fixed == simply_fixed:
+        return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
 
 
 def _chk_semi_r0_union(ctx):
     # the empty set is the empty union; any other o is the union of the
     # semi-closed sets inside it iff it is a union of semi-closed sets
     unions_ok = ctx.so.bits & ~1 & ~unions(ctx.sc.bits, ctx.space.n) == 0
-    if ctx.prof.semi_r0 != unions_ok:
-        return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
+    if ctx.semi_r0 != unions_ok:
+        return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
 
 
 # -- checkers: openness grades ----------------------------------------
@@ -630,8 +650,8 @@ def _chk_5_2(ctx):
 
 def _chk_5_3(ctx):
     every_fixed = ctx.fams.d_v.bits & ~ctx.fix_vs == 0
-    if ctx.prof.semi_t_half != every_fixed:
-        return _Fail((), (), f"semi_t_half={ctx.prof.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
+    if ctx.semi_t_half != every_fixed:
+        return _Fail((), (), f"semi_t_half={ctx.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
 
 
 # -- scopes -----------------------------------------------------------
@@ -940,34 +960,9 @@ class LawReport:
         return "\n".join(lines) + "\n"
 
 
-class _Record(NamedTuple):
-    """What one semi-open family settled in a call: the failures of its
-    semi-only laws, and the values derived from SO that the other laws
-    read.  Index-based, so it serves every space with that family."""
-
-    fails: dict          # law id -> `_Fail`, for the laws that failed
-    vs_bits: int
-    semi_t1: bool
-    semi_r0: bool
-    gvs: int
-
-
-class _SeenVerdicts:
-    """The axiom verdicts of a space whose family has a `_Record`: the
-    semi ones from the record, T1 and R0 from the topology on first
-    read."""
-
-    def __init__(self, space: FiniteSpace, rec: _Record):
-        self.space = space
-        self.semi_t1, self.semi_r0 = rec.semi_t1, rec.semi_r0
-
-    @cached_property
-    def t1(self) -> bool:
-        return is_t1(self.space)
-
-    @cached_property
-    def r0(self) -> bool:
-        return is_r0(self.space)
+#: the context parts that depend on n and SO alone and that the
+#: topology laws read: `_Evaluator` keeps them once per family
+_FAMILY_PARTS = ("so", "fix_vs", "gvs", "semi_t1", "semi_r0")
 
 
 class _Evaluator:
@@ -975,10 +970,12 @@ class _Evaluator:
     id, `_Fail` or None) for each law that runs.
 
     The runnable laws are listed once per (n, scope verdicts), through
-    `_refusal`, and the semi-only laws are decided once per (n, SO).  A
-    space whose family already has a `_Record` takes its outcomes from
-    it, and its context starts from the record, so the other laws read
-    only its topology: no analysis, families or profile are built.
+    `_refusal`, and the semi-only laws are decided once per (n, SO).
+    Each family keeps their failures and the values of its
+    `_FAMILY_PARTS`.  A later space with that family takes its outcomes
+    from there, and its context starts with those parts already read,
+    so the other laws read only its topology: no analysis or families
+    are built.
     """
 
     def __init__(self, law_ids):
@@ -987,7 +984,7 @@ class _Evaluator:
         self.scopes = list(dict.fromkeys(
             law.scope for law in self.laws if law.scope is not None))
         self.runnable = {}
-        self.records = {}
+        self.families = {}
 
     def _runnable(self, space: FiniteSpace) -> tuple:
         key = (space.n, tuple(scope(space) for scope in self.scopes))
@@ -1005,22 +1002,21 @@ class _Evaluator:
             return []
         key = (space.n, semi_open_bits(space))
         ctx = SpaceContext(space)
-        rec = self.records.get(key)
-        if rec is None:
+        seen = self.families.get(key)
+        if seen is None:
             fails = {}
             for law in semi:
                 fail = law.check(ctx)
                 if fail is not None:
                     fails[law.id] = fail
-            rec = self.records[key] = _Record(
-                fails, ctx.fix_vs, ctx.prof.semi_t1, ctx.prof.semi_r0,
-                ctx.gvs)
+            self.families[key] = (
+                fails, tuple(getattr(ctx, part) for part in _FAMILY_PARTS))
         else:
-            ctx.so = SetFamily.from_bits(key[1])
-            ctx.fix_vs = rec.vs_bits
-            ctx.gvs = rec.gvs
-            ctx.prof = _SeenVerdicts(space, rec)
-        out = [(law.id, rec.fails.get(law.id)) for law in semi]
+            # the parts are cached_properties, which an instance
+            # attribute of the same name shadows
+            fails, values = seen
+            vars(ctx).update(zip(_FAMILY_PARTS, values))
+        out = [(law.id, fails.get(law.id)) for law in semi]
         out += [(law.id, law.check(ctx)) for law in rest]
         return out
 

@@ -225,11 +225,11 @@ class FiniteSpace:
         return f"points={{{pts}}} opens={self.render_family(self.opens)}"
 
 
-def _validate_names(names: tuple, max_points: int) -> None:
+def _validate_names(names: tuple) -> None:
     if len(names) == 0:
         raise EmptyCarrier("a space needs at least one point")
-    if len(names) > max_points:
-        raise TooManyPoints(f"{len(names)} points exceeds the limit of {max_points}")
+    if len(names) > MAX_POINTS:
+        raise TooManyPoints(f"{len(names)} points exceeds the limit of {MAX_POINTS}")
     seen = set()
     for lab in names:
         if not isinstance(lab, str) or not lab or _LABEL_FORBIDDEN & set(lab):
@@ -250,7 +250,6 @@ def _pairwise_witness(fam: SetFamily):
 
 
 def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
-                     max_points: int = MAX_POINTS,
                      name: str | None = None) -> FiniteSpace:
     """Validate a topology given as subset masks and build the space.
 
@@ -261,7 +260,7 @@ def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
     quadratic pair scan runs only to locate a witness.
     """
     names = tuple(names)
-    _validate_names(names, max_points)
+    _validate_names(names)
     n = len(names)
     full = (1 << n) - 1
     if isinstance(masks, SetFamily):
@@ -292,11 +291,10 @@ def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
 
 
 def build_space(names: Iterable[str], opens: Iterable[Iterable[str]], *,
-                max_points: int = MAX_POINTS,
                 name: str | None = None) -> FiniteSpace:
     """Build a space from point labels and opens given as label lists."""
     names = tuple(names)
-    _validate_names(names, max_points)
+    _validate_names(names)
     pos = {lab: i for i, lab in enumerate(names)}
     masks = []
     for subset in opens:
@@ -306,4 +304,4 @@ def build_space(names: Iterable[str], opens: Iterable[Iterable[str]], *,
                 raise UnknownLabel(f"unknown point label {lab!r} in an open set")
             m |= 1 << pos[lab]
         masks.append(m)
-    return space_from_masks(names, masks, max_points=max_points, name=name)
+    return space_from_masks(names, masks, name=name)

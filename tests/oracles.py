@@ -336,8 +336,8 @@ def prop_3_8_law_oracle(ctx):
     kern, vs = _kern_table(ctx), _vs_table(ctx)
     every_lam = all(kern[m] == m for m in _masks(ctx))
     every_vs = all(vs[m] == m for m in _masks(ctx))
-    if not ctx.prof.semi_t1 == every_lam == every_vs:
-        return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
+    if not ctx.semi_t1 == every_lam == every_vs:
+        return _Fail((), (), f"semi_t1={ctx.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
 
 
 def semi_r0_union_law_oracle(ctx):
@@ -350,8 +350,8 @@ def semi_r0_union_law_oracle(ctx):
         if u != o:
             unions_ok = False
             break
-    if ctx.prof.semi_r0 != unions_ok:
-        return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
+    if ctx.semi_r0 != unions_ok:
+        return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
 
 
 def prop_4_5ab_law_oracle(ctx):
@@ -381,8 +381,8 @@ def remark_5_2_law_oracle(ctx):
 def thm_5_3_law_oracle(ctx):
     vs = _vs_table(ctx)
     every_fixed = all(vs[b] == b for b in ctx.fams.d_v)
-    if ctx.prof.semi_t_half != every_fixed:
-        return _Fail((), (), f"semi_t_half={ctx.prof.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
+    if ctx.semi_t_half != every_fixed:
+        return _Fail((), (), f"semi_t_half={ctx.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
 
 
 def _vs_fixed(ctx) -> set:
@@ -394,8 +394,8 @@ def semi_t1_v_sets_law_oracle(ctx):
     fixed, g = _vs_fixed(ctx), ctx.grades
     pre = all(m in fixed for m in _masks(ctx) if m in g.preopen)
     beta = all(m in fixed for m in _masks(ctx) if m in g.beta_open)
-    if not ctx.prof.semi_t1 == pre == beta:
-        return _Fail((), (), f"semi_t1={ctx.prof.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
+    if not ctx.semi_t1 == pre == beta:
+        return _Fail((), (), f"semi_t1={ctx.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
 
 
 def semi_r0_v_sets_law_oracle(ctx):
@@ -404,8 +404,8 @@ def semi_r0_v_sets_law_oracle(ctx):
     open_fixed = all(o in fixed for o in ctx.space.opens)
     simply_fixed = all(m in fixed
                        for m in _masks(ctx) if m in ctx.grades.simply_open)
-    if not ctx.prof.semi_r0 == so_fixed == open_fixed == simply_fixed:
-        return _Fail((), (), f"semi_r0={ctx.prof.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
+    if not ctx.semi_r0 == so_fixed == open_fixed == simply_fixed:
+        return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
 
 
 def singleton_dichotomy_law_oracle(ctx):

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import LAW_ORACLES, random_space
-from semitop.axioms import is_semi_r0, is_semi_t1, is_semi_t_half
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.lattice import columns, encode, spread, unions
 from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, Law, LawScopeError,
@@ -472,25 +470,27 @@ class _Carrier:
 
 def _semi_only_context(space, monkeypatch):
     """A context built from SO and the carrier alone: its analysis gets
-    SO handed in, its grades raise (they read the topology), and its
-    profile holds only the three semi verdicts, so t1 and r0 raise."""
+    SO handed in, and its grades, t1 and r0 raise (they read the
+    topology)."""
     so = semi_open_bits(space)
     ctx = SpaceContext(_Carrier(space))
     with monkeypatch.context() as m:
         m.setattr(semi_mod, "semi_open_bits", lambda _: so)
-        an = ctx.an
-    ctx.prof = SimpleNamespace(semi_t1=is_semi_t1(an), semi_r0=is_semi_r0(an),
-                               semi_t_half=is_semi_t_half(an, ctx.fams))
+        ctx.an
     return ctx
 
 
 def test_semi_only_laws_read_only_the_semi_open_family(stream4, monkeypatch):
     """Every law declared semi-only gives the same `_Fail` on the full
-    context and on one that knows nothing of the space but n and SO."""
+    context and on one that knows nothing of the space but n and SO, and
+    so does every context part the suite keeps once per family."""
     semi = [law for law in registry().values() if law.semi_only]
     assert semi
     for space in stream4:
         full, guarded = SpaceContext(space), _semi_only_context(space, monkeypatch)
+        for part in laws_mod._FAMILY_PARTS:
+            assert getattr(full, part) == getattr(guarded, part), \
+                (part, space.describe())
         for law in semi:
             if laws_mod._refusal(law, space) is None:
                 assert law.check(full) == law.check(guarded), \
@@ -543,9 +543,10 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
 
 
 def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
-    """Over the 4-point spaces the suite builds one analysis, family
-    set and profile per distinct SO, and asks `_refusal` about each law
-    once: the scope verdicts and n are the same on every space."""
+    """Over the 4-point spaces the suite builds one analysis and family
+    set per distinct SO and no axiom profile, and asks `_refusal` about
+    each law once: the scope verdicts and n are the same on every
+    space."""
     families = {semi_open_bits(space) for space in spaces4}
     assert len(families) < len(spaces4)
     built = dict.fromkeys(("SemiAnalysis", "generalized_families",
@@ -566,7 +567,9 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     monkeypatch.setattr(laws_mod, "_refusal",
                         lambda law, space: refusals.append(law) or refusal(law, space))
     report = run_suite(spaces4)
-    assert set(built.values()) == {len(families)}
+    assert built == {"SemiAnalysis": len(families),
+                     "generalized_families": len(families),
+                     "axiom_profile": 0}
     assert len(refusals) == len(registry())
     assert all(r.examined == len(spaces4) for r in report.results
                if registry()[r.law_id].scope is None)
