@@ -98,13 +98,16 @@ def _check_law_ids(law_ids) -> None:
             raise SpaceError(f"unknown law id {lid!r}; see `semitop claim --list`")
 
 
-def _check_workers(workers: int) -> None:
+def _check_stream_flags(args) -> None:
+    """Reject a bad --max-points or --workers before any output."""
+    if not 1 <= args.max_points <= ENUMERATION_LIMIT:
+        raise SpaceError(f"--max-points must be between 1 and {ENUMERATION_LIMIT}")
     # a fork pool starts every worker up front, so cap them at the CPUs
-    if workers < 1:
-        raise SpaceError(f"--workers must be at least 1, got {workers}")
+    if args.workers < 1:
+        raise SpaceError(f"--workers must be at least 1, got {args.workers}")
     cpus = os.cpu_count() or 1
-    if workers > cpus:
-        raise SpaceError(f"--workers must be at most {cpus}, got {workers}")
+    if args.workers > cpus:
+        raise SpaceError(f"--workers must be at most {cpus}, got {args.workers}")
 
 
 def _emit_report(report, fmt: str) -> int:
@@ -117,9 +120,7 @@ def _emit_report(report, fmt: str) -> int:
 
 
 def cmd_laws(args) -> int:
-    if not 1 <= args.max_points <= ENUMERATION_LIMIT:
-        raise SpaceError(f"--max-points must be between 1 and {ENUMERATION_LIMIT}")
-    _check_workers(args.workers)
+    _check_stream_flags(args)
     if args.laws:
         _check_law_ids(args.laws)
     spaces = _space_stream(args)
@@ -178,7 +179,7 @@ def cmd_claim(args) -> int:
         raise SpaceError("claim needs a law id (or --list)")
     if args.id not in reg:
         raise SpaceError(f"unknown law id {args.id!r}; see `semitop claim --list`")
-    _check_workers(args.workers)
+    _check_stream_flags(args)
     law = reg[args.id]
     print(f"law: {law.id}")
     print(f"status: {law.status}")

@@ -14,6 +14,8 @@ operations per point instead of a loop over all 2**n masks:
              at most n*ceil(log2 n) steps, not n spreads of n steps each
     unions   the unions of the non-empty subfamilies of a family
     mirror   bit m -> bit full^m: the family of complements
+    within   {A : A inside f(A)}, from the columns of f (below)
+    fixed    {A : f(A) = A}, the fixed sets of f
 
 An operator f on masks is held as its n columns, col[z] the masks m
 with z in f(m); the tables of values f(m), one per mask, are never
@@ -75,13 +77,30 @@ def sub(s: int, n: int) -> int:
     return out
 
 
+def within(cols, n: int) -> int:
+    """The masks A with A in cols[x] for every point x in A.
+
+    `cols` is read once, in point order; callers pass it lazily (a
+    generator) where each column is built for this fold alone, so only
+    one 2**n-bit column is alive at a time.
+    """
+    out = everything(n)
+    for lack, col in zip(columns(n)[1], cols):
+        out &= lack | col
+    return out
+
+
+def fixed(cols, n: int) -> int:
+    """The masks m with z in m iff m in cols[z], for every point z."""
+    out = everything(n)
+    for has, col in zip(columns(n)[0], cols):
+        out &= ~(has ^ col)
+    return out
+
+
 def saturated(hulls, n: int) -> int:
     """The masks A with hulls[x] inside A for every x in A."""
-    lack = columns(n)[1]
-    out = everything(n)
-    for x, hull in enumerate(hulls):
-        out &= lack[x] | sup(hull, n)
-    return out
+    return within((sup(hull, n) for hull in hulls), n)
 
 
 def meets(bits: int, n: int) -> list:
@@ -143,10 +162,7 @@ def spreads(bits: int, n: int, upward: bool) -> list:
 def unions(bits: int, n: int) -> int:
     """Every union of a non-empty subfamily of `bits`: the C whose every
     point x lies in a member inside C (C above a member holding x)."""
-    lack = columns(n)[1]
-    out = everything(n)
-    for x, up in enumerate(spreads(bits, n, upward=True)):
-        out &= lack[x] | up
+    out = within(spreads(bits, n, upward=True), n)
     return out & ~1 | bits & 1    # the empty union only if a member
 
 

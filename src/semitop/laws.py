@@ -65,10 +65,11 @@ from typing import Callable, Iterable, NamedTuple
 from .axioms import (axiom_profile, is_r0, is_semi_r0, is_semi_t1,
                      is_semi_t_half, is_t1)
 from .generalized import derived_set, g_v_s_singletons, generalized_families
-from .lattice import (columns, everything, mirror, spread, spreads, sub, sup,
-                      unions)
+from .lattice import (columns, everything, fixed, mirror, spread, spreads,
+                      sub, sup, unions, within)
 from .semi import (OpennessGrades, SemiAnalysis, closure_columns,
-                   openness_grades, semi_open_bits, set_class)
+                   interior_columns, openness_grades, semi_open_bits,
+                   set_class)
 from .spaces import FiniteSpace, SetFamily
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
@@ -202,23 +203,17 @@ class SpaceContext:
     @cached_property
     def fix_kern(self) -> int:
         """The masks the semi-kernel fixes, read off `kern_cols`."""
-        return _fixed(self.kern_cols, self.space.n)
+        return fixed(self.kern_cols, self.space.n)
 
     @cached_property
     def fix_vs(self) -> int:
         """The masks v_s fixes, read off the core's up[x]."""
-        return _fixed(self.an.up, self.space.n)
+        return fixed(self.an.up, self.space.n)
 
     @cached_property
     def grades(self) -> OpennessGrades:
         """The five openness grades of `set_class`, as families."""
         return openness_grades(self.space)
-
-
-def _fixed(cols, n: int) -> int:
-    """The masks m with z in m iff m in cols[z], for every point z."""
-    return reduce(and_, (~(h ^ c) for h, c in zip(columns(n)[0], cols)),
-                  everything(n))
 
 
 def _value(cols, m: int) -> int:
@@ -294,8 +289,8 @@ def _not_closed(ctx, fam: int, what: str, dual: bool = False):
 # -- checkers: the semi-kernel and its dual ---------------------------
 
 def _chk_3_2a(ctx):
-    has = columns(ctx.space.n)[0]
-    return _first(reduce(or_, (h & ~c for h, c in zip(has, ctx.kern_cols))),
+    n = ctx.space.n
+    return _first(everything(n) ^ within(ctx.kern_cols, n),
                   "subset escapes its semi-kernel")
 
 
@@ -483,10 +478,10 @@ def _chk_semi_open_levine(ctx):
 
 def _chk_beta_open(ctx):
     space, n, ones = ctx.space, ctx.space.n, everything(ctx.space.n)
-    in_cl = closure_columns(space, columns(n)[0])
-    # x is in Int(r) iff outside Cl(r^c); r is regular closed iff it is
-    # the fixed point Cl(Int(r)) = r
-    reg_closed = _fixed(closure_columns(space, [ones ^ mirror(c, n) for c in in_cl]), n)
+    has = columns(n)[0]
+    in_cl = list(closure_columns(space, has))
+    # r is regular closed iff it is the fixed point Cl(Int(r)) = r
+    reg_closed = fixed(closure_columns(space, list(interior_columns(space, has))), n)
     # m is dense in r when m <= r <= Cl(m); a closed r above m holds
     # Cl(m), so Cl(m) is the only candidate r
     return _first(_preimage(in_cl, reg_closed, ones, n) ^ ctx.grades.beta_open.bits,

@@ -1,23 +1,30 @@
 """Semi-open set machinery for one finite space, on one bit-sliced core.
 
-Every family is a 2**n-bit integer over the subset lattice (see
-`lattice`: has[x] marks the masks containing x, lack[x] the others,
-sup(S) the supersets of S).  With U_x the minimal neighbourhood of x,
-A is semi-open iff A is inside Cl(Int(A)), i.e. every x in A has some
-y in U_x with U_y inside A:
+Every family is a 2**n-bit integer over the subset lattice and every
+operator f on masks is held as its n columns, col[z] the masks A with
+z in f(A) (see `lattice`; has[x] marks the masks containing x, so
+`has` is the identity's columns).  With U_x the minimal neighbourhood
+of x, Int and Cl of an operator are column maps:
 
-    SO  = AND_x (lack[x] | OR_{y in U_x} sup(U_y))
+    x in Int S(A)  iff  U_x inside S(A)         (`interior_columns`)
+    y in Cl S(A)   iff  U_y meets S(A)          (`closure_columns`)
+
+Each family of the space then folds composites of them with
+`lattice.within` (A inside f(A)) or `lattice.fixed` (f(A) = A):
+
+    SO  = within(Cl Int)                        A inside Cl(Int(A))
     SC  = SO mirrored (bit m -> bit full^m)
-    K_x = {z : SO & has[x] & lack[z] == 0}        point semi-kernels
+    K_x = {z : SO & has[x] & lack[z] == 0}      point semi-kernels
     up[x]   = supersets of the semi-closed sets containing x
     down[y] = subsets of the semi-closed sets avoiding y
 
 `up` and `down` are the subset-sum spreads of SC & has[x] and
-SC & lack[y], all n of each from one `lattice.spreads` pass.  The
-fixed-point families and the per-query operators read off them:
+SC & lack[y], all n of each from one `lattice.spreads` pass; `up` is
+the columns of v_s.  The fixed-point families and the per-query
+operators read off them:
 
-    Lambda_s        = AND_x (lack[x] | sup(K_x))    (`lattice.saturated`)
-    V_s             = AND_x (lack[x] | up[x])
+    Lambda_s        = within(sup(K_x))          (`lattice.saturated`)
+    V_s             = within(up)
     semi_kernel(B)  = union of K_x over x in B
     semi_closure(B) = {y : B not in down[y]}
     v_s(B)          = {x : B in up[x]}      (B in up[x] needs x in B)
@@ -27,26 +34,22 @@ view is built on the first query that reads it, so a caller that only
 reads the families pays for none.
 
 The openness grades of `set_class` come as families too
-(`openness_grades`), from the columns of Cl and Int over all masks A:
+(`openness_grades`):
 
-    in_int[x] = sup(U_x)                        x in Int A
-    in_cl[y]  = OR_{z in U_y} has[z]            y in Cl A
-    in_ic[x]  = AND_{y in U_x} in_cl[y]         x in Int Cl A
-
-    preopen       = AND_x (lack[x] | in_ic[x])
-    beta-open     = AND_x (lack[x] | OR_{y in U_x} in_ic[y])
-    nowhere dense = AND_x ~in_ic[x]
-    regular open  = AND_x ~(has[x] ^ in_ic[x])
-    simply open   = nowhere dense, with has[z] & ~in_int[z] (the part
-                    of A outside Int A) in place of has[z]
+    preopen       = within(Int Cl)
+    beta-open     = within(Cl Int Cl)
+    regular open  = fixed(Int Cl)
+    nowhere dense = the A in no column of Int Cl
+    simply open   = the A in no column of Int Cl R, R(A) = A minus Int A
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
-from .lattice import (columns, everything, meets, mirror, saturated, spreads,
-                      sup)
+from .lattice import (columns, everything, fixed, meets, mirror, saturated,
+                      spreads, within)
 from .spaces import FiniteSpace, SetFamily, iter_points
 
 
@@ -120,28 +123,41 @@ class SemiAnalysis:
 
     def v_s_sets(self) -> SetFamily:
         """All subsets equal to the union of their semi-closed subsets."""
-        n = self.space.n
-        lack = columns(n)[1]
-        out = everything(n)
-        for x, up in enumerate(self.up):
-            out &= lack[x] | up
-        return SetFamily.from_bits(out)
+        return SetFamily.from_bits(within(self.up, self.space.n))
+
+
+def interior_columns(space: FiniteSpace, in_s):
+    """Per point x, lazily, the masks A with x in Int S(A), where in_s[y]
+    holds the masks A with y in S(A): x is in Int S(A) iff every y in
+    U_x is in S(A)."""
+    ones = everything(space.n)
+    for u in space.min_nbhd:
+        col = ones
+        while u:
+            low = u & -u
+            col &= in_s[low.bit_length() - 1]
+            u ^= low
+        yield col
+
+
+def closure_columns(space: FiniteSpace, in_s):
+    """Per point y, lazily, the masks A with y in Cl S(A), where in_s[z]
+    holds the masks A with z in S(A): y is in Cl S(A) iff U_y meets
+    S(A)."""
+    for u in space.min_nbhd:
+        col = 0
+        while u:
+            low = u & -u
+            col |= in_s[low.bit_length() - 1]
+            u ^= low
+        yield col
 
 
 def semi_open_bits(space: FiniteSpace) -> int:
     """SO as one family: the only part of `SemiAnalysis` that reads the
     topology; everything else there follows from SO and n."""
-    n = space.n
-    lack = columns(n)[1]
-    # in_int[y]: the masks A with y in Int(A), i.e. U_y inside A
-    in_int = [sup(u, n) for u in space.min_nbhd]
-    so = everything(n)
-    for x, u in enumerate(space.min_nbhd):
-        in_cl_int = 0
-        for y in iter_points(u):
-            in_cl_int |= in_int[y]
-        so &= lack[x] | in_cl_int
-    return so
+    in_int = list(interior_columns(space, columns(space.n)[0]))
+    return within(closure_columns(space, in_int), space.n)
 
 
 def semi_open_family(space: FiniteSpace) -> SetFamily:
@@ -188,54 +204,23 @@ class OpennessGrades(NamedTuple):
     simply_open: SetFamily
 
 
-def closure_columns(space: FiniteSpace, in_s) -> list:
-    """Per point y, the masks A with y in Cl S(A), where in_s[z] holds
-    the masks A with z in S(A): y is in Cl S(A) iff U_y meets S(A)."""
-    out = []
-    for u in space.min_nbhd:
-        col = 0
-        for z in iter_points(u):
-            col |= in_s[z]
-        out.append(col)
-    return out
-
-
 def openness_grades(space: FiniteSpace) -> OpennessGrades:
     """Grade every mask at once: the families of `set_class`'s fields."""
     n = space.n
-    has, lack = columns(n)
+    has = columns(n)[0]
     ones = everything(n)
-    nbhd = space.min_nbhd
 
-    def in_int_cl(in_s):
-        """Per point x, the masks A with x in Int Cl S(A), where in_s[z]
-        holds the masks A with z in S(A)."""
-        in_cl = closure_columns(space, in_s)
-        out = []
-        for u in nbhd:
-            col = ones
-            for y in iter_points(u):
-                col &= in_cl[y]
-            out.append(col)
-        return out
+    def int_cl(in_s):
+        """Per point x, lazily, the masks A with x in Int Cl S(A)."""
+        return interior_columns(space, list(closure_columns(space, in_s)))
 
-    in_ic = in_int_cl(has)
-    in_ic_rest = in_int_cl([has[z] & ~sup(u, n) for z, u in enumerate(nbhd)])
-    pre = beta = regular = ones
-    dense_somewhere = rest_dense_somewhere = 0
-    for x, u in enumerate(nbhd):
-        pre &= lack[x] | in_ic[x]
-        in_cic = 0
-        for y in iter_points(u):
-            in_cic |= in_ic[y]
-        beta &= lack[x] | in_cic
-        regular &= ones ^ has[x] ^ in_ic[x]
-        dense_somewhere |= in_ic[x]
-        rest_dense_somewhere |= in_ic_rest[x]
+    in_ic = list(int_cl(has))
+    # the columns of R(A) = A minus Int A
+    rest = [h & ~i for h, i in zip(has, interior_columns(space, has))]
     return OpennessGrades(
-        preopen=SetFamily.from_bits(pre),
-        beta_open=SetFamily.from_bits(beta),
-        nowhere_dense=SetFamily.from_bits(ones ^ dense_somewhere),
-        regular_open=SetFamily.from_bits(regular),
-        simply_open=SetFamily.from_bits(ones ^ rest_dense_somewhere),
+        preopen=SetFamily.from_bits(within(in_ic, n)),
+        beta_open=SetFamily.from_bits(within(closure_columns(space, in_ic), n)),
+        nowhere_dense=SetFamily.from_bits(ones ^ reduce(or_, in_ic, 0)),
+        regular_open=SetFamily.from_bits(fixed(in_ic, n)),
+        simply_open=SetFamily.from_bits(ones ^ reduce(or_, int_cl(rest), 0)),
     )

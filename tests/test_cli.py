@@ -191,8 +191,12 @@ def test_laws_with_file(capsys, tmp_path):
 def test_laws_bad_inputs(capsys):
     code, _, err = run_cli(capsys, "laws", "--law", "no-such-law")
     assert code == 2 and "unknown law id" in err
-    code, _, err = run_cli(capsys, "laws", "--max-points", "6")
-    assert code == 2 and "--max-points" in err
+    # the stream flags are checked before any output, by both subcommands
+    for argv in (("laws",), ("claim", "prop-3.2a")):
+        for bad in ("0", "6"):
+            code, out, err = run_cli(capsys, *argv, "--max-points", bad)
+            assert code == 2 and out == "", (argv, bad)
+            assert "--max-points" in err
 
 
 def test_workers_must_be_positive(capsys):

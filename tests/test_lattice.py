@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import union_closure_oracle
-from semitop.lattice import (columns, decode, encode, everything, spread,
-                             spreads, unions)
+from semitop.lattice import (columns, decode, encode, everything, fixed,
+                             spread, spreads, unions, within)
 
 
 @st.composite
@@ -28,6 +28,29 @@ def test_spreads_match_one_spread_per_point(case, upward):
     cols = has if upward else lack
     assert spreads(bits, n, upward) == [spread(bits & cols[x], n, upward)
                                         for x in range(n)]
+
+
+@st.composite
+def _operators(draw):
+    """(n, cols): n in 1..6 and n random columns, one per point."""
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.integers(0, everything(n)),
+                            min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operators())
+def test_within_and_fixed_match_per_mask_definitions(case):
+    """f(m) = {z : m in cols[z]}: `within` holds the m inside f(m) and
+    `fixed` the m with f(m) = m; `within` reads a generator too."""
+    n, cols = case
+    values = [sum(1 << z for z, col in enumerate(cols) if col >> m & 1)
+              for m in range(1 << n)]
+    assert decode(within(cols, n)) == tuple(
+        m for m, v in enumerate(values) if m & ~v == 0)
+    assert within(iter(cols), n) == within(cols, n)
+    assert decode(fixed(cols, n)) == tuple(
+        m for m, v in enumerate(values) if m == v)
 
 
 def test_unions_match_union_closure_oracle():

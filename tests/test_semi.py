@@ -13,7 +13,9 @@ from semitop.axioms import (axiom_profile, r0_witness, semi_r0_witness,
                             semi_t1_witness, semi_t_half_witness, t1_witness)
 from semitop.catalog import enumerate_topologies, khalimsky_window, named_space
 from semitop.generalized import generalized_families
-from semitop.semi import SemiAnalysis, semi_open_family, set_class
+from semitop.lattice import columns
+from semitop.semi import (SemiAnalysis, closure_columns, interior_columns,
+                          semi_open_family, set_class)
 from semitop.spaces import space_from_masks
 
 
@@ -187,6 +189,22 @@ def test_set_class_matches_literal_formulas(spaces4):
                 and space.interior(space.closure(a & ~u)) == 0
                 for u in space.opens)
             assert c.simply_open == witnessed
+
+
+def test_interior_and_closure_columns_match_operators():
+    """Every topology on n <= 4 points and every mask m: m is in column x
+    of Int (Cl) iff x is in the interior (closure) of m."""
+    for n in range(1, 5):
+        has = columns(n)[0]
+        for space in enumerate_topologies(n):
+            for build, op in ((interior_columns, space.interior),
+                              (closure_columns, space.closure)):
+                cols = list(build(space, has))
+                assert len(cols) == n
+                for m in range(1 << n):
+                    value = op(m)
+                    for x, col in enumerate(cols):
+                        assert (col >> m & 1) == (value >> x & 1), (space, m, x)
 
 
 def test_check_mask_enforced(e33_an):
