@@ -33,10 +33,12 @@ _PRINT_CAP = 8
 
 
 def resolve_space(spec: str) -> FiniteSpace:
-    """A reserved id is never read as a file, even with bad parameters."""
+    """A reserved id is never read as a file, even with bad parameters.
+    A file keeps `spec` as its name, unnormalised (`Path("./e1")` would
+    print as the reserved `e1`)."""
     if is_named_id(spec):
         return named_space(spec)
-    return load_topology(Path(spec))
+    return load_topology(spec)
 
 
 def _axiom_lines(prof) -> list:
@@ -86,8 +88,8 @@ def _space_stream(args) -> list:
         for n in range(1, args.max_points + 1):
             spaces.extend(enumerate_topologies(n))
         spaces.extend(entry.space for entry in catalog_entries())
-    for path in args.files:
-        spaces.append(load_topology(Path(path)))
+    for spec in args.files:
+        spaces.append(resolve_space(spec))
     return spaces
 
 
@@ -211,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def stream_flags(sp):
         sp.add_argument("files", nargs="*", metavar="FILE",
-                        help="extra topology files to append to the stream")
+                        help="extra spaces to append to the stream "
+                             "(topology file or named id, as --space)")
         sp.add_argument("--max-points", type=int, default=4,
                         help="enumerate all topologies up to this size "
                              f"(default 4, limit {ENUMERATION_LIMIT})")

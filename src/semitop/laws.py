@@ -74,19 +74,9 @@ from .spaces import FiniteSpace, SetFamily
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
 SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
+WITNESS_CAP = 5   # witnesses per law in the text report
 
 _ANY_FAMILY = "holds for the intersection-of-supersets kernel of any family, so it checks that kern_cols is that kernel, not SO"
-
-#: operations the registry is expected to exercise, for coverage checks
-OPERATION_NAMES = (
-    "semi_open_family", "semi_closure", "semi_kernel", "v_s",
-    "is_lambda_s_set", "is_v_s_set", "set_class", "openness_grades",
-    "is_sg_closed", "is_g_lambda_s", "is_g_v_s", "generalized_families",
-    "derived_set", "g_v_s_singletons",
-    "is_t1", "is_r0", "is_semi_t1", "is_semi_r0", "is_semi_t_half",
-    "axiom_profile",
-)
-
 
 class _Fail(NamedTuple):
     subsets: tuple = ()
@@ -123,7 +113,6 @@ class Law:
     scope: Callable | None = None     # None: every space
     note: str = ""
     dispute_space: str | None = None
-    covers: tuple = ()
     # the outcome depends on n and SO alone, so `run_suite` decides the
     # law once per semi-open family
     semi_only: bool = False
@@ -195,6 +184,11 @@ class SpaceContext:
         The semi-kernel of B is the intersection of the semi-open
         supersets of B, so z is outside it iff B lies under a semi-open
         set that misses z.
+
+        Built from SO on purpose, not taken from the core: the `in_k`
+        columns of `generalized_families` are the kernel U_{x in B} K_x,
+        which preserves unions whatever SO is, so prop-3.2d and the
+        Λ_s half of prop-3.7b would pass vacuously on them.
         """
         n = self.space.n
         ones = everything(n)
@@ -656,11 +650,16 @@ def _scope_named(name: str) -> Callable:
 
 
 def _scope_odd_window(space):
+    # a space read through the API keeps whatever name it was given, so a
+    # name shaped like a window id need not carry integer bounds
     name = space.name or ""
     if not name.startswith("khalimsky:"):
         return False
-    _, lo, hi = name.split(":")
-    return int(lo) % 2 == 1 and int(hi) % 2 == 1
+    try:
+        lo, hi = map(int, name.split(":")[1:])
+    except ValueError:
+        return False
+    return lo % 2 == 1 and hi % 2 == 1
 
 
 # -- registry ---------------------------------------------------------
@@ -668,157 +667,118 @@ def _scope_odd_window(space):
 def register_laws() -> tuple:
     laws = [
         Law("prop-3.2a", "§3: $B \\subseteq B^{\\Lambda_s}$",
-            _chk_3_2a, note=_ANY_FAMILY, covers=("semi_kernel",),
-            semi_only=True),
+            _chk_3_2a, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2b", "§3: If $A \\subseteq B$, then $A^{\\Lambda_s} \\subseteq B^{\\Lambda_s}$",
-            _chk_3_2b, max_points=FAMILY_CAP, note=_ANY_FAMILY, covers=("semi_kernel",),
-            semi_only=True),
+            _chk_3_2b, max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2c", "§3: $B^{\\Lambda_s\\Lambda_s}=B^{\\Lambda_s}$",
-            _chk_3_2c, note=_ANY_FAMILY, covers=("semi_kernel",),
-            semi_only=True),
+            _chk_3_2c, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2d", "§3: $[\\bigcup B_\\lambda]^{\\Lambda_s}=\\bigcup B_\\lambda^{\\Lambda_s}$",
-            _chk_3_2d, max_points=FAMILY_CAP, covers=("semi_kernel",),
-            semi_only=True),
+            _chk_3_2d, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2e", "§3: If $A \\in SO(X,\\tau)$, then $A=A^{\\Lambda_s}$",
-            _chk_3_2e, covers=("semi_kernel", "semi_open_family"),
-            semi_only=True),
+            _chk_3_2e, semi_only=True),
         Law("prop-3.2f", "§3: $(B^c)^{\\Lambda_s}=(B^{V_s})^c$",
-            _chk_3_2f, max_points=FAMILY_CAP, covers=("semi_kernel", "v_s"),
-            semi_only=True),
+            _chk_3_2f, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2g", "§3: $B^{V_s} \\subseteq B$",
-            _chk_3_2g, max_points=FAMILY_CAP, covers=("v_s",),
-            semi_only=True),
+            _chk_3_2g, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2h", "§3: If $B \\in SC(X,\\tau)$, then $B=B^{V_s}$",
-            _chk_3_2h, max_points=FAMILY_CAP, covers=("v_s",),
-            semi_only=True),
+            _chk_3_2h, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2i", "§3: $[\\bigcap B_\\lambda]^{\\Lambda_s} \\subseteq \\bigcap B_\\lambda^{\\Lambda_s}$",
-            _chk_3_2i, max_points=FAMILY_CAP, note=_ANY_FAMILY, covers=("semi_kernel",),
-            semi_only=True),
+            _chk_3_2i, max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2j", "§3: $[\\bigcup B_\\lambda]^{V_s} \\supseteq \\bigcup B_\\lambda^{V_s}$",
-            _chk_3_2j, max_points=FAMILY_CAP, covers=("v_s",),
-            semi_only=True),
+            _chk_3_2j, max_points=FAMILY_CAP, semi_only=True),
         Law("remark-3.3-strictness",
             "§3: $(B_1 \\bigcap B_2)^{\\Lambda_s}=\\emptyset$ but $B_1^{\\Lambda_s} \\bigcap B_2^{\\Lambda_s}=\\{b,c\\}$",
             _chk_3_3, scope=_scope_named("e1"),
-            note="existence claim; the documented pair is B1={b}, B2={c}", covers=("semi_kernel",)),
+            note="existence claim; the documented pair is B1={b}, B2={c}"),
         Law("prop-3.7a", "§3: The subsets $\\emptyset$ and $X$ are $\\Lambda_s$-sets and $V_s$-sets",
-            _chk_3_7a, covers=("is_lambda_s_set", "is_v_s_set"),
-            semi_only=True),
+            _chk_3_7a, semi_only=True),
         Law("prop-3.7b", "§3: Every union of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
             _chk_3_7b, max_points=FAMILY_CAP,
             note="the V_s half holds for any family: v_s is monotone and deflationary, so its fixed sets are the unions of semi-closed sets",
-            covers=("is_lambda_s_set", "is_v_s_set"),
             semi_only=True),
         Law("prop-3.7c", "§3: Every intersection of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
             _chk_3_7c, max_points=FAMILY_CAP,
             note="the Λ_s half holds for any family: the kernel-fixed sets are the intersections of semi-open sets, and an intersection of such intersections is one",
-            covers=("is_lambda_s_set", "is_v_s_set"),
             semi_only=True),
         Law("prop-3.7d", "§3: $B$ is a $\\Lambda_s$-set if and only if $B^c$ is a $V_s$-set",
-            _chk_3_7d, max_points=FAMILY_CAP, covers=("is_lambda_s_set", "is_v_s_set"),
-            semi_only=True),
+            _chk_3_7d, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.8", "§3: semi-$T_1$ iff every subset is a $\\Lambda_s$-set iff every subset is a $V_s$-set",
-            _chk_3_8, max_points=FAMILY_CAP,
-            covers=("is_semi_t1", "is_lambda_s_set", "is_v_s_set"),
-            semi_only=True),
+            _chk_3_8, max_points=FAMILY_CAP, semi_only=True),
         Law("example-2-digital-line",
             "§2: a semi-$T_1$ space and a semi-$R_0$-space which is neither $T_1$ nor $R_0$",
             _chk_digital_line, scope=_scope_odd_window,
-            note="odd-endpoint digital-line windows; even singletons closed, interior odd singletons regular open",
-            covers=("is_t1", "is_r0", "is_semi_t1", "is_semi_r0", "set_class", "axiom_profile")),
+            note="odd-endpoint digital-line windows; even singletons closed, interior odd singletons regular open"),
         Law("cor-3-semi-t1-semi-r0", "§3: Every semi-$T_1$-space is a semi-$R_0$-space",
-            _chk_semi_t1_implies_semi_r0, covers=("is_semi_t1", "is_semi_r0"),
-            semi_only=True),
+            _chk_semi_t1_implies_semi_r0, semi_only=True),
         Law("sec-2-r0-semi-r0", "§2: Every $R_0$-space is a semi-$R_0$-space",
-            _chk_r0_implies_semi_r0, covers=("is_r0", "is_semi_r0")),
+            _chk_r0_implies_semi_r0),
         Law("thm-3-semi-t1-v-sets",
             "§3: semi-$T_1$ iff every preopen set is a $V_s$-set iff every $\\beta$-open set is a $V_s$-set",
-            _chk_semi_t1_v_sets, max_points=FAMILY_CAP,
-            covers=("is_semi_t1", "openness_grades", "is_v_s_set")),
+            _chk_semi_t1_v_sets, max_points=FAMILY_CAP),
         Law("thm-3-semi-r0-v-sets",
             "§3: semi-$R_0$ iff every semi-open, every open and every simply-open set is a $V_s$-set",
             _chk_semi_r0_v_sets, max_points=FAMILY_CAP,
-            note="simply-open also goes by the name locally semi-closed; only the simply-open form is implemented",
-            covers=("is_semi_r0", "openness_grades", "is_v_s_set")),
+            note="simply-open also goes by the name locally semi-closed; only the simply-open form is implemented"),
         Law("sec-2-semi-r0-union",
             "§2: semi-$R_0$ iff every semi-open set is a union of semi-closed sets",
-            _chk_semi_r0_union, max_points=FAMILY_CAP, covers=("is_semi_r0", "semi_open_family"),
-            semi_only=True),
+            _chk_semi_r0_union, max_points=FAMILY_CAP, semi_only=True),
         Law("sec-3-singleton-dichotomy",
             "§3: every singleton is either locally dense (= preopen) or nowhere dense",
-            _chk_singleton_dichotomy, covers=("openness_grades",)),
+            _chk_singleton_dichotomy),
         Law("defn-semi-open-levine",
             "§2: $A$ is semi-open iff there exists $O \\in \\tau$ with $O \\subseteq A \\subseteq {\\rm Cl}(O)$",
-            _chk_semi_open_levine, max_points=FAMILY_CAP, covers=("semi_open_family",)),
+            _chk_semi_open_levine, max_points=FAMILY_CAP),
         Law("defn-beta-open",
             "§3: $\\beta$-open iff dense in some regular closed subspace",
-            _chk_beta_open, max_points=FAMILY_CAP, covers=("openness_grades",)),
+            _chk_beta_open, max_points=FAMILY_CAP),
         Law("defn-simply-open",
             "§3: simply-open iff a union of an open set and a nowhere dense set",
-            _chk_simply_open, max_points=FAMILY_CAP, covers=("openness_grades",)),
+            _chk_simply_open, max_points=FAMILY_CAP),
         Law("sec-3-beta-containments",
             "§3: every preopen set and every semi-open set is $\\beta$-open",
-            _chk_beta_containments, covers=("openness_grades", "semi_open_family")),
+            _chk_beta_containments),
         Law("prop-4.5ab",
             "§4: Every $\\Lambda_s$-set is a $g.\\Lambda_s$-set; every $V_s$-set is a $g.V_s$-set",
-            _chk_4_5ab, max_points=FAMILY_CAP,
-            covers=("is_lambda_s_set", "is_v_s_set", "is_g_lambda_s",
-                    "is_g_v_s", "generalized_families"),
-            semi_only=True),
+            _chk_4_5ab, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-4.5cd",
             "§4: unions of $g.\\Lambda_s$-sets are $g.\\Lambda_s$; intersections of $g.V_s$-sets are $g.V_s$",
-            _chk_4_5cd, max_points=FAMILY_CAP, covers=("generalized_families",),
-            semi_only=True),
+            _chk_4_5cd, max_points=FAMILY_CAP, semi_only=True),
         Law("example-4.6-intersection",
             "§4: $A \\bigcap B=\\{c\\}$ is not a $g.\\Lambda_s$-set",
             _chk_4_6, scope=_scope_named("e33"),
-            note="documented witnesses A={a,c}, B={b,c}; A is also not a $\\Lambda_s$-set",
-            covers=("is_g_lambda_s", "is_lambda_s_set", "generalized_families")),
+            note="documented witnesses A={a,c}, B={b,c}; A is also not a $\\Lambda_s$-set"),
         Law("remark-4.7",
             "§4: If $A \\in SO(X,\\tau)$ then $A$ is a $g.\\Lambda_s$-set; if $A \\in SC(X,\\tau)$ then $A$ is a $g.V_s$-set",
-            _chk_4_7, covers=("is_g_lambda_s", "is_g_v_s", "generalized_families"),
-            semi_only=True),
+            _chk_4_7, semi_only=True),
         Law("prop-4.8-dichotomy",
             "§4: $\\{x\\}$ is a semi-open set or $\\{x\\}^c$ is a $g.\\Lambda_s$-set",
             _chk_4_8, note="equivalently the singleton itself is a $g.V_s$-set",
-            covers=("is_g_lambda_s", "is_g_v_s", "semi_open_family"),
             semi_only=True),
         Law("cor-4-cantor-bendixson",
             "§4: the Cantor-Bendixson derivative $D(X)$ is the set of all points whose singleton is a $g.V_s$-set",
             _chk_cantor_bendixson, status="disputed", dispute_space="discrete:2",
-            note="fails on discrete spaces: every singleton is semi-closed hence g.V_s, while the derivative is empty",
-            covers=("derived_set", "g_v_s_singletons", "is_g_v_s")),
+            note="fails on discrete spaces: every singleton is semi-closed hence g.V_s, while the derivative is empty"),
         Law("prop-4.9-sandwich",
             "§4: if $B$ is $g.\\Lambda_s$ and $B \\subseteq C \\subseteq B^{\\Lambda_s}$ then $C$ is $g.\\Lambda_s$",
-            _chk_4_9, max_points=FAMILY_CAP,
-            covers=("is_g_lambda_s", "semi_kernel", "generalized_families"),
-            semi_only=True),
+            _chk_4_9, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-4.10-agreement",
             "§4: $B$ is $g.V_s$ iff $U \\subseteq B^{V_s}$ whenever $U \\subseteq B$ and $U \\in SO(X,\\tau)$",
-            _chk_4_10, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "semi_open_family"),
-            semi_only=True),
+            _chk_4_10, max_points=FAMILY_CAP, semi_only=True),
         Law("cor-4.11",
             "§4: $B$ $g.V_s$ implies every semi-closed $F \\supseteq B^{V_s} \\bigcup B^c$ is $X$",
-            _chk_4_11, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families"),
-            semi_only=True),
+            _chk_4_11, max_points=FAMILY_CAP, semi_only=True),
         Law("cor-4.12",
             "§4: for $g.V_s$ sets, $B^{V_s} \\bigcup B^c$ is semi-closed iff $B$ is a $V_s$-set",
-            _chk_4_12, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "is_v_s_set"),
-            semi_only=True),
+            _chk_4_12, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-4.13",
             "§4: if $B^{V_s}$ is semi-closed and $X=F$ for every semi-closed $F \\supseteq B^{V_s} \\bigcup B^c$, then $B$ is $g.V_s$",
-            _chk_4_13, max_points=FAMILY_CAP, covers=("is_g_v_s", "v_s", "generalized_families"),
-            semi_only=True),
+            _chk_4_13, max_points=FAMILY_CAP, semi_only=True),
         Law("remark-5.2-semi-closed-sg",
             "§5: Every semi-closed set is sg-closed",
-            _chk_5_2, covers=("is_sg_closed", "semi_closure", "generalized_families"),
-            semi_only=True),
+            _chk_5_2, semi_only=True),
         Law("thm-5.3",
             "§5: semi-$T_{1/2}$ iff every $g.V_s$-set is a $V_s$-set",
-            _chk_5_3, max_points=FAMILY_CAP,
-            covers=("is_semi_t_half", "is_sg_closed", "semi_closure",
-                    "is_g_v_s", "is_v_s_set", "generalized_families"),
-            semi_only=True),
+            _chk_5_3, max_points=FAMILY_CAP, semi_only=True),
     ]
     ids = [law.id for law in laws]
     assert len(ids) == len(set(ids))
@@ -936,7 +896,7 @@ class LawReport:
             "exit_code": self.exit_code(),
         }
 
-    def render_text(self, witness_cap: int = 5) -> str:
+    def render_text(self) -> str:
         lines = [f"claim suite over {self.spaces_total} spaces"]
         width = max(len(r.law_id) for r in self.results) + 2
         for r in self.results:
@@ -946,9 +906,9 @@ class LawReport:
         if shown:
             lines.append("witnesses:")
             for r in shown:
-                for w in r.witnesses[:witness_cap]:
+                for w in r.witnesses[:WITNESS_CAP]:
                     lines.append("  " + w.render())
-                extra = len(r.witnesses) - witness_cap
+                extra = len(r.witnesses) - WITNESS_CAP
                 if extra > 0:
                     lines.append(f"  {r.law_id}: ... and {extra} more")
         lines.append(f"exit-code: {self.exit_code()}")

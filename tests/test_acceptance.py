@@ -1,6 +1,6 @@
 """End-to-end acceptance checks.
 
-Each test covers one numbered criterion and prints a single
+Each test checks one numbered criterion and prints a single
 `[ACCEPT n] PASS` line (visible with -s) after its assertions hold.
 """
 

@@ -10,8 +10,9 @@ import semitop.laws as laws_mod
 from semitop.axioms import axiom_profile
 from semitop.catalog import enumerate_topologies, named_space
 from semitop.cli import main
-from semitop.fileformat import load_topology
-from semitop.laws import Law, registry
+from semitop.fileformat import (load_topology, parse_topology,
+                                serialize_topology)
+from semitop.laws import Law, registry, run_suite
 
 E33_EXPECTED = """\
 space: e33
@@ -186,6 +187,70 @@ def test_laws_with_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "laws", "--max-points", "1", str(path))
     assert code == 0
     assert "claim suite over 12 spaces" in out
+
+
+def _examined(out: str) -> dict:
+    """Law id -> examined count, from a machine report."""
+    return {rec["id"]: rec["examined"] for rec in json.loads(out)["laws"]}
+
+
+# the discrete topology on the points 1, 2, 3: T1, so example-2-digital-line
+# fails on it wherever it runs
+_DISCRETE_123 = serialize_topology(named_space("discrete:3")).translate(
+    str.maketrans("abc", "123"))
+
+
+def test_file_named_like_a_reserved_id_keeps_its_path(capsys, tmp_path,
+                                                      monkeypatch):
+    """A path to a file named like a reserved id names the space by the
+    argument text, so no law scoped to that id runs on the file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e1").write_text(serialize_topology(named_space("e1")),
+                                 encoding="utf-8")
+    (tmp_path / "khalimsky:1:3").write_text(_DISCRETE_123, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", "./e1")
+    assert code == 0 and out.startswith("space: ./e1\n")
+    # a positional file joins the default stream, whose catalog holds e1
+    # and odd windows
+    _, out, _ = run_cli(capsys, "laws", "--format", "machine",
+                        "--max-points", "1")
+    default = _examined(out)
+    for spec, law_id in (("./e1", "remark-3.3-strictness"),
+                         ("./khalimsky:1:3", "example-2-digital-line")):
+        for route, expected in ((("--space", spec), 0),
+                                ((spec,), default[law_id])):
+            code, out, _ = run_cli(capsys, "laws", "--format", "machine",
+                                   "--max-points", "1", *route)
+            assert code == 0, route
+            assert _examined(out)[law_id] == expected, route
+
+
+def test_positional_reserved_id_is_never_read_as_a_file(capsys, tmp_path,
+                                                        monkeypatch):
+    """Positional spaces resolve as --space does: a reserved id names the
+    catalog space or is a bad id, even when a file of that name exists."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("e1", "khalimsky:x:y"):
+        (tmp_path / name).write_text(_DISCRETE_123, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "laws", "--format", "machine",
+                           "--max-points", "1", "--law",
+                           "remark-3.3-strictness", "e1")
+    assert code == 0
+    rec = json.loads(out)["laws"][0]
+    assert (rec["examined"], rec["passed"]) == (2, 2)   # catalog e1, then e1
+    code, out, err = run_cli(capsys, "laws", "--max-points", "1",
+                             "khalimsky:x:y")
+    assert code == 2 and out == ""
+    assert err == "error: unknown space id 'khalimsky:x:y'\n"
+
+
+def test_window_scope_skips_a_name_without_integer_bounds():
+    """A space built through the API keeps whatever name it is given; a
+    name shaped like a window id with other bounds is outside the scope."""
+    for name in ("khalimsky:x:y", "khalimsky:1:3:5", "khalimsky:1"):
+        space = parse_topology(_DISCRETE_123, name=name)
+        report = run_suite([space], ["example-2-digital-line"])
+        assert report.results[0].examined == 0, name
 
 
 def test_laws_bad_inputs(capsys):

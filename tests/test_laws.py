@@ -11,7 +11,7 @@ import semitop.semi as semi_mod
 from oracles import LAW_ORACLES, random_space
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.lattice import columns, encode, spread, unions
-from semitop.laws import (FAMILY_CAP, OPERATION_NAMES, Law, LawScopeError,
+from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
 from semitop.semi import openness_grades, semi_open_bits, set_class
@@ -39,17 +39,9 @@ def test_registry_integrity():
         assert law.status in ("expected", "disputed")
         if law.status == "disputed":
             assert law.dispute_space
-        assert set(law.covers) <= set(OPERATION_NAMES)
         assert law.max_points >= FAMILY_CAP
         # a scope reads the space's name, which SO does not determine
         assert law.scope is None or not law.semi_only
-
-
-def test_registry_coverage_meta():
-    covered = set()
-    for law in register_laws():
-        covered |= set(law.covers)
-    assert covered == set(OPERATION_NAMES)
 
 
 def test_known_anchors():
@@ -642,8 +634,8 @@ def test_unexercised_dispute_is_not_fatal(monkeypatch, e1):
 
 def test_render_text_caps_witnesses(spaces3):
     report = run_suite(spaces3, ["cor-4-cantor-bendixson"])
-    text = report.render_text(witness_cap=5)
-    assert text.count("cor-4-cantor-bendixson @") == 5
+    text = report.render_text()
+    assert text.count("cor-4-cantor-bendixson @") == WITNESS_CAP
     assert "more" in text
     assert text.endswith("exit-code: 0\n")
 

@@ -154,6 +154,20 @@ def test_core_matches_oracles_khalimsky():
     assert semi_t_half_witness(an, fams) == first
 
 
+def test_fixed_set_predicates_match_families_and_oracles(spaces3, spaces4):
+    """is_lambda_s_set / is_v_s_set on every mask of every topology with
+    n <= 4, against the fixed-set families and the literal operators."""
+    small = [s for n in (1, 2) for s in enumerate_topologies(n)]
+    for space in small + spaces3 + spaces4:
+        an = SemiAnalysis(space)
+        lam, vs = an.lambda_s_sets(), an.v_s_sets()
+        for b in range(1 << space.n):
+            kern_fixed = semi_kernel_oracle(an, b) == b
+            vs_fixed = v_s_oracle(an, b) == b
+            assert an.is_lambda_s_set(b) == (b in lam) == kern_fixed
+            assert an.is_v_s_set(b) == (b in vs) == vs_fixed
+
+
 def test_semi_open_family_helper(e1):
     assert semi_open_family(e1).members == (0b000, 0b001, 0b110, 0b111)
 
