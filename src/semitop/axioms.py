@@ -3,8 +3,22 @@
 Each axiom is decided by its own definition; the textbook equivalences
 between them are left to the law registry.  Every `*_witness` helper
 returns the first counterexample in canonical order (ascending point
-index, then ascending subset mask) or None, and the `is_*` predicate is
-just "no witness".
+index, then ascending subset mask) or None, scanning the opens (or the
+semi-open sets) for one that a closure escapes; `axiom_profile` renders
+it.
+
+For T1, semi-T1 and semi-T½ the `is_*` predicate is just "no witness".
+R0 and semi-R0 are decided on the points instead, with no scan of a
+family.  Both say: every (semi-)open set holding x holds the
+(semi-)closure of {x}.  A set lies in each of those sets iff it lies in
+their intersection, U_x (the point semi-kernel K_x), so the axiom is
+the n containments
+
+    R0       Cl{x}  inside U_x,   Cl{x}  = {y : x in U_y}
+    semi-R0  sCl{x} inside K_x,   sCl{x} = {y : {x} not in down[y]}
+
+and the scan finds a witness iff one of them fails.  For R0 this says
+that the specialization preorder of `min_nbhd` is symmetric.
 """
 
 from dataclasses import dataclass, field
@@ -64,7 +78,10 @@ def r0_witness(space: FiniteSpace):
 
 
 def is_r0(space: FiniteSpace) -> bool:
-    return r0_witness(space) is None
+    """Cl{x} inside U_x for every x: y in U_x whenever x in U_y."""
+    nbhd = space.min_nbhd
+    return all(nbhd[x] >> y & 1 for y, u in enumerate(nbhd)
+               for x in iter_points(u))
 
 
 def semi_t1_witness(an: SemiAnalysis):
@@ -86,7 +103,11 @@ def semi_r0_witness(an: SemiAnalysis):
 
 
 def is_semi_r0(an: SemiAnalysis) -> bool:
-    return semi_r0_witness(an) is None
+    """sCl{x} inside K_x for every x: y is in sCl{x} iff the mask {x}
+    is not in down[y]."""
+    return all(kern >> y & 1 or down >> (1 << x) & 1
+               for x, kern in enumerate(an.point_kernels)
+               for y, down in enumerate(an.down))
 
 
 def semi_t_half_witness(an: SemiAnalysis, fams: GeneralizedFamilies):

@@ -77,13 +77,9 @@ def generalized_families(an: SemiAnalysis) -> GeneralizedFamilies:
 
 
 def derived_set(space: FiniteSpace) -> int:
-    """Points that stay in the closure of the rest of the space."""
-    out = 0
-    for x in range(space.n):
-        bit = 1 << x
-        if space.closure(space.full ^ bit) & bit:
-            out |= bit
-    return out
+    """Points that stay in the closure of the rest of the space: x is in
+    Cl(X minus {x}) iff U_x meets X minus {x}, i.e. U_x is not {x}."""
+    return sum(1 << x for x, u in enumerate(space.min_nbhd) if u != 1 << x)
 
 
 def g_v_s_singletons(an: SemiAnalysis) -> int:

@@ -71,9 +71,11 @@ def sub(s: int, n: int) -> int:
     """The masks that are subsets of `s`."""
     lack = columns(n)[1]
     out = everything(n)
-    for x in range(n):
-        if not s >> x & 1:
-            out &= lack[x]
+    rest = s ^ (1 << n) - 1    # walk only the points outside s
+    while rest:
+        low = rest & -rest
+        out &= lack[low.bit_length() - 1]
+        rest ^= low
     return out
 
 

@@ -16,7 +16,10 @@ The checkers read one `SpaceContext` per space, each part built on
 first read: the core's analysis and generalized families, the five
 axiom verdicts `t1` ... `semi_t_half`, the semi-kernel's per-point
 columns `kern_cols`, the fixed masks `fix_kern` / `fix_vs` (the
-Λ_s-sets and the V_s-sets) and the openness grades.
+Λ_s-sets and the V_s-sets), the identity's Int and Cl columns
+`in_int` / `in_cl`, and the openness grades, composed on those
+columns.  The R0 and semi-R0 verdicts read the neighbourhoods U_x and
+K_x (see `axioms`), not the families.
 
 28 laws are declared `semi_only`: their outcome depends on n and the
 semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
@@ -38,8 +41,13 @@ the semi-kernel and of v_s, so a pointwise statement about them is a
 column identity; a containment of families is one AND; a statement
 about every family B_λ tests that columns are upward-closed or that a
 family holds `lattice.unions` of itself; and "the value at B lies in F"
-is `_preimage`; prop-4.9-sandwich splits its two families, the sets
-and the g.Λ_s members under them, point by point in the same way.
+is `_preimage`.  Three laws read "a <= C <= F(a) for some member a"
+and split the candidates C and the members a point by point
+(`_sandwiches`): prop-4.9-sandwich with F the kernel,
+defn-semi-open-levine with the masks A, the opens O and F = Cl, and
+defn-beta-open with the regular closed r, the masks m and F = Cl.  The
+definition laws keep their quantifier over the opens and over the
+regular closed sets; neither is reduced to O = Int A or r = Cl(m).
 prop-3.2c, the kernel of a kernel, is the column identity "K(B) is the
 least kernel-fixed set above B".  A failure reports the lowest bit of
 the family of offenders.  The few single kernel values of remark-3.3
@@ -58,17 +66,18 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .axioms import (axiom_profile, is_r0, is_semi_r0, is_semi_t1,
                      is_semi_t_half, is_t1)
+from .catalog import named_space
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, fixed, mirror, spread, spreads,
                       sub, sup, unions, within)
 from .semi import (OpennessGrades, SemiAnalysis, closure_columns,
-                   interior_columns, openness_grades, semi_open_bits,
+                   grades_from_columns, interior_columns, semi_open_bits,
                    set_class)
 from .spaces import FiniteSpace, SetFamily
 
@@ -125,59 +134,85 @@ class LawScopeError(Exception):
     """Law asked about a space outside its scope or size bound."""
 
 
+class _part:
+    """A `SpaceContext` part: built by `build` on first read and stored
+    in the instance dict, which shadows this non-data descriptor from
+    then on, so an assigned value shadows it too.
+
+    `functools.cached_property` does the same, but on CPython 3.11 it
+    takes a lock on every first read, about 4 % of the time of
+    `laws --max-points 5`, where each space builds a fresh context.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        ctx.__dict__[self.name] = value = self.build(ctx)
+        return value
+
+
 class SpaceContext:
     """Everything the checkers need about one space, each part built on
     first read and then kept: the core's analysis and generalized
     families, the five axiom verdicts, and the tables below.  The
     semi-kernel has one form, its columns `kern_cols`, and each operator
     one fixed-set family, `fix_kern` (the Λ_s-sets) and `fix_vs` (the
-    V_s-sets)."""
+    V_s-sets).  The identity's Int and Cl columns, `in_int` and `in_cl`,
+    are built once and read by the openness grades and the two
+    definition laws."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
 
-    @cached_property
+    @_part
     def an(self) -> SemiAnalysis:
         return SemiAnalysis(self.space)
 
-    @cached_property
+    @_part
     def fams(self):
         return generalized_families(self.an)
 
-    @cached_property
+    @_part
     def t1(self) -> bool:
         return is_t1(self.space)
 
-    @cached_property
+    @_part
     def r0(self) -> bool:
         return is_r0(self.space)
 
-    @cached_property
+    @_part
     def semi_t1(self) -> bool:
         return is_semi_t1(self.an)
 
-    @cached_property
+    @_part
     def semi_r0(self) -> bool:
         return is_semi_r0(self.an)
 
-    @cached_property
+    @_part
     def semi_t_half(self) -> bool:
         return is_semi_t_half(self.an, self.fams)
 
-    @cached_property
+    @_part
     def so(self) -> SetFamily:
         return self.an.semi_open
 
-    @cached_property
+    @_part
     def sc(self) -> SetFamily:
         return self.an.semi_closed
 
-    @cached_property
+    @_part
     def gvs(self) -> int:
         """The mask of the points whose singleton is g.V_s."""
         return g_v_s_singletons(self.an)
 
-    @cached_property
+    @_part
     def kern_cols(self) -> list:
         """kern_cols[z]: the masks whose semi-kernel holds z.
 
@@ -194,20 +229,30 @@ class SpaceContext:
         ones = everything(n)
         return [ones ^ under for under in spreads(self.so.bits, n, upward=False)]
 
-    @cached_property
+    @_part
     def fix_kern(self) -> int:
         """The masks the semi-kernel fixes, read off `kern_cols`."""
         return fixed(self.kern_cols, self.space.n)
 
-    @cached_property
+    @_part
     def fix_vs(self) -> int:
         """The masks v_s fixes, read off the core's up[x]."""
         return fixed(self.an.up, self.space.n)
 
-    @cached_property
+    @_part
+    def in_int(self) -> list:
+        """in_int[x]: the masks A with x in Int A."""
+        return list(interior_columns(self.space, columns(self.space.n)[0]))
+
+    @_part
+    def in_cl(self) -> list:
+        """in_cl[y]: the masks A with y in Cl A."""
+        return list(closure_columns(self.space, columns(self.space.n)[0]))
+
+    @_part
     def grades(self) -> OpennessGrades:
         """The five openness grades of `set_class`, as families."""
-        return openness_grades(self.space)
+        return grades_from_columns(self.space, self.in_int, self.in_cl)
 
 
 def _value(cols, m: int) -> int:
@@ -246,6 +291,27 @@ def _preimage(cols, fam: int, cand: int, n: int) -> int:
             todo += ((z + 1, c & cols[z], f & has[z]),
                      (z + 1, c & ~cols[z], f & lack[z]))
     return out
+
+
+def _sandwiches(cols, cand: int, fam: int, n: int):
+    """The C in `cand` with a member a of `fam` such that a <= C <= F(a),
+    where a is in cols[z] iff z is in F(a).  Both are split point by
+    point: z in C keeps the a with z in F(a), z outside C the a that miss
+    z, and a branch ends once either side is empty.  Yields each leaf:
+    (one C as a family, every a that sandwiches it)."""
+    has, lack = columns(n)
+    todo = [(0, cand, fam)]
+    while todo:
+        z, c, a = todo.pop()
+        if z == n:
+            yield c, a
+            continue
+        a1 = a & cols[z]
+        if a1 and (c1 := c & has[z]):
+            todo.append((z + 1, c1, a1))
+        a0 = a & lack[z]
+        if a0 and (c0 := c & lack[z]):
+            todo.append((z + 1, c0, a0))
 
 
 def _dual_union_cols(ctx) -> list:
@@ -461,24 +527,33 @@ def _chk_singleton_dichotomy(ctx):
             return _Fail((bit,), (x,), "singleton neither preopen nor nowhere dense")
 
 
+def _levine_sets(ctx) -> int:
+    """The A with an open O such that O <= A <= Cl(O)."""
+    n = ctx.space.n
+    out = 0
+    for a, _ in _sandwiches(ctx.in_cl, everything(n), ctx.space.opens.bits, n):
+        out |= a
+    return out
+
+
 def _chk_semi_open_levine(ctx):
-    space, n = ctx.space, ctx.space.n
-    witnessed = 0
-    for o in space.opens:
-        witnessed |= sup(o, n) & sub(space.closure(o), n)
-    return _first(witnessed ^ ctx.so.bits,
+    return _first(_levine_sets(ctx) ^ ctx.so.bits,
                   "open-witness and interior/closure forms disagree")
 
 
+def _dense_in_regular_closed(ctx) -> int:
+    """The m with a regular closed r, Cl(Int(r)) = r, such that m is
+    dense in r: m <= r <= Cl(m)."""
+    n = ctx.space.n
+    reg_closed = fixed(closure_columns(ctx.space, ctx.in_int), n)
+    out = 0
+    for _, ms in _sandwiches(ctx.in_cl, reg_closed, everything(n), n):
+        out |= ms
+    return out
+
+
 def _chk_beta_open(ctx):
-    space, n, ones = ctx.space, ctx.space.n, everything(ctx.space.n)
-    has = columns(n)[0]
-    in_cl = list(closure_columns(space, has))
-    # r is regular closed iff it is the fixed point Cl(Int(r)) = r
-    reg_closed = fixed(closure_columns(space, list(interior_columns(space, has))), n)
-    # m is dense in r when m <= r <= Cl(m); a closed r above m holds
-    # Cl(m), so Cl(m) is the only candidate r
-    return _first(_preimage(in_cl, reg_closed, ones, n) ^ ctx.grades.beta_open.bits,
+    return _first(_dense_in_regular_closed(ctx) ^ ctx.grades.beta_open.bits,
                   "dense-in-regular-closed and closure-composite forms disagree")
 
 
@@ -556,23 +631,10 @@ def _chk_cantor_bendixson(ctx):
 
 def _chk_4_9(ctx):
     # C escapes when it is not g.Λ_s yet a <= C <= K(a) for a g.Λ_s
-    # member a.  Split the candidate C and the members a point by point:
-    # z in C keeps the a whose kernel holds z, z outside C the a that
-    # miss z; a branch ends once either side is empty, and a leaf holds
-    # one escaping C with every a that sandwiches it
-    n = ctx.space.n
-    has, lack = columns(n)
-    kern_cols, dl = ctx.kern_cols, ctx.fams.d_lambda.bits
-    found, todo = [], [(0, everything(n) & ~dl, dl)]
-    while todo:
-        z, c, a = todo.pop()
-        if not (c and a):
-            continue
-        if z == n:
-            found.append((_lowest(c), a))
-        else:
-            todo += ((z + 1, c & has[z], a & kern_cols[z]),
-                     (z + 1, c & lack[z], a & lack[z]))
+    # member a
+    n, dl = ctx.space.n, ctx.fams.d_lambda.bits
+    found = [(_lowest(c), a) for c, a
+             in _sandwiches(ctx.kern_cols, everything(n) & ~dl, dl, n)]
     if found:
         c, a = min(found)
         return _Fail((_lowest(a), c), (), "set between a generalized set and its kernel escapes the family")
@@ -646,7 +708,10 @@ def _chk_5_3(ctx):
 # -- scopes -----------------------------------------------------------
 
 def _scope_named(name: str) -> Callable:
-    return lambda space: space.name == name
+    # the catalog space itself: a space read through the API keeps
+    # whatever name it was given, so the name alone may sit on another
+    # topology or other labels (equality ignores the name)
+    return lambda space: space.name == name and space == named_space(name)
 
 
 def _scope_odd_window(space):

@@ -34,7 +34,8 @@ view is built on the first query that reads it, so a caller that only
 reads the families pays for none.
 
 The openness grades of `set_class` come as families too
-(`openness_grades`):
+(`openness_grades`), composed on the identity's Int and Cl columns
+(`grades_from_columns` takes them from a caller that keeps them):
 
     preopen       = within(Int Cl)
     beta-open     = within(Cl Int Cl)
@@ -206,21 +207,24 @@ class OpennessGrades(NamedTuple):
 
 def openness_grades(space: FiniteSpace) -> OpennessGrades:
     """Grade every mask at once: the families of `set_class`'s fields."""
+    has = columns(space.n)[0]
+    return grades_from_columns(space, interior_columns(space, has),
+                               list(closure_columns(space, has)))
+
+
+def grades_from_columns(space: FiniteSpace, in_int, in_cl: list) -> OpennessGrades:
+    """`openness_grades` from the identity's Int columns (read once, in
+    point order) and its Cl columns, for a caller that keeps them."""
     n = space.n
-    has = columns(n)[0]
     ones = everything(n)
-
-    def int_cl(in_s):
-        """Per point x, lazily, the masks A with x in Int Cl S(A)."""
-        return interior_columns(space, list(closure_columns(space, in_s)))
-
-    in_ic = list(int_cl(has))
-    # the columns of R(A) = A minus Int A
-    rest = [h & ~i for h, i in zip(has, interior_columns(space, has))]
+    in_ic = list(interior_columns(space, in_cl))
+    # the columns of R(A) = A minus Int A, then of Int Cl R
+    rest = [h & ~i for h, i in zip(columns(n)[0], in_int)]
+    in_icr = interior_columns(space, list(closure_columns(space, rest)))
     return OpennessGrades(
         preopen=SetFamily.from_bits(within(in_ic, n)),
         beta_open=SetFamily.from_bits(within(closure_columns(space, in_ic), n)),
         nowhere_dense=SetFamily.from_bits(ones ^ reduce(or_, in_ic, 0)),
         regular_open=SetFamily.from_bits(fixed(in_ic, n)),
-        simply_open=SetFamily.from_bits(ones ^ reduce(or_, int_cl(rest), 0)),
+        simply_open=SetFamily.from_bits(ones ^ reduce(or_, in_icr, 0)),
     )

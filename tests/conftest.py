@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracles import random_space
 from semitop.catalog import enumerate_topologies, named_space
 from semitop.semi import SemiAnalysis
 
@@ -47,3 +49,12 @@ def spaces3():
 @pytest.fixture(scope="session")
 def spaces4():
     return list(enumerate_topologies(4))
+
+
+@pytest.fixture(scope="session")
+def upto4_and_random():
+    """Every topology on 1..4 points, then three seeded random ones on
+    each of 6..9 points."""
+    rng = random.Random(1506)
+    return [s for n in range(1, 5) for s in enumerate_topologies(n)] + \
+        [random_space(rng, n) for n in range(6, 10) for _ in range(3)]

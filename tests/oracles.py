@@ -11,6 +11,7 @@ mask.
 from functools import lru_cache, reduce
 from operator import and_, or_
 
+from semitop.lattice import encode
 from semitop.laws import _Fail
 from semitop.semi import SemiAnalysis, set_class
 from semitop.spaces import FiniteSpace, space_from_masks, submasks
@@ -141,6 +142,35 @@ def semi_t_half_witness_oracle(an: SemiAnalysis):
     return None
 
 
+def derived_set_oracle(space: FiniteSpace) -> int:
+    """The x with x in Cl(X minus {x}), each closure taken literally."""
+    return sum(1 << x for x in range(space.n)
+               if closure_oracle(space, space.full ^ 1 << x) >> x & 1)
+
+
+def levine_sets_oracle(space: FiniteSpace) -> int:
+    """The union over the opens O of the interval [O, Cl(O)], as a
+    bitset of masks."""
+    out = set()
+    for o, cl in _open_closures(space):
+        out.update(o | gap for gap in submasks(cl & ~o))
+    return encode(out)
+
+
+def dense_in_regular_closed_oracle(space: FiniteSpace) -> int:
+    """The masks m dense in some regular closed r (r = Cl(Int(r))):
+    m <= r <= Cl(m), as a bitset of masks."""
+    masks = range(1 << space.n)
+    reg_closed = [r for r in masks
+                  if closure_oracle(space, interior_oracle(space, r)) == r]
+    out = set()
+    for m in masks:
+        cl = closure_oracle(space, m)
+        if any(m & ~r == 0 and r & ~cl == 0 for r in reg_closed):
+            out.add(m)
+    return encode(out)
+
+
 def union_closure_oracle(members) -> tuple:
     """The unions of the non-empty subfamilies of `members`, ascending:
     pairwise unions added until none is new."""
@@ -249,7 +279,8 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 # The per-mask forms of the bit-sliced checkers in `semitop.laws`.  Each
 # reads the same `SpaceContext` entries as its checker, or a per-mask
 # table of operator values built from them by a plain loop (the kernel
-# table from `kern_cols`, the `v_s` table from `an.up`), so a corrupted
+# table from `kern_cols`, the `v_s` table from `an.up`, the Cl and Int
+# tables from `in_cl` and `in_int`), so a corrupted
 # entry reaches both, and scans masks, SC, SO or a generalized family in
 # ascending order to the first offender.  sec-3-singleton-dichotomy
 # grades its singletons with `set_class`.  prop-3.2b/d/i/j decide by the
@@ -261,7 +292,8 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 # meet in it.  prop-3.2c composes the kernel table with itself at every
 # mask.  prop-4.9-sandwich walks the sets between each g.Λ_s member and
 # its kernel, then reports the lowest escaping set and the lowest member
-# under it.
+# under it.  defn-semi-open-levine and defn-beta-open try every open O
+# and every regular closed r for each mask, as their statements read.
 
 def _masks(ctx) -> range:
     return range(1 << ctx.space.n)
@@ -416,21 +448,20 @@ def singleton_dichotomy_law_oracle(ctx):
 
 
 def semi_open_levine_law_oracle(ctx):
-    space = ctx.space
-    cl = {o: space.closure(o) for o in space.opens}
+    opens, cl = ctx.space.opens, _table(ctx.in_cl, ctx.space.n)
     for m in _masks(ctx):
-        witnessed = any(o & ~m == 0 and m & ~cl[o] == 0 for o in space.opens)
+        witnessed = any(o & ~m == 0 and m & ~cl[o] == 0 for o in opens)
         if witnessed != (m in ctx.so):
             return _Fail((m,), (), "open-witness and interior/closure forms disagree")
 
 
 def beta_open_law_oracle(ctx):
-    space = ctx.space
-    reg_closed = [r for r in _masks(ctx)
-                  if r == space.closure(space.interior(r))]
+    space, n = ctx.space, ctx.space.n
+    cl, interior = _table(ctx.in_cl, n), _table(ctx.in_int, n)
+    # the checker takes Cl of the Int columns through the topology
+    reg_closed = [r for r in _masks(ctx) if r == space.closure(interior[r])]
     for m in _masks(ctx):
-        cl_m = space.closure(m)
-        dense = any(m & ~r == 0 and r & ~cl_m == 0 for r in reg_closed)
+        dense = any(m & ~r == 0 and r & ~cl[m] == 0 for r in reg_closed)
         if dense != (m in ctx.grades.beta_open):
             return _Fail((m,), (), "dense-in-regular-closed and closure-composite forms disagree")
 

@@ -1,8 +1,10 @@
 import random
 
-from oracles import random_space, semi_closure_oracle
+from oracles import (r0_witness_oracle, random_space, semi_closure_oracle,
+                     semi_r0_witness_oracle)
 from semitop.axioms import (AXIOM_KEYS, axiom_profile, is_r0, is_semi_r0,
-                            is_semi_t1, is_semi_t_half, is_t1)
+                            is_semi_t1, is_semi_t_half, is_t1, r0_witness,
+                            semi_r0_witness)
 from semitop.catalog import named_space
 from semitop.generalized import generalized_families
 from semitop.semi import SemiAnalysis
@@ -78,6 +80,22 @@ def test_semi_axioms_literal_definitions(spaces3):
             semi_closure_oracle(an, 1 << x) & ~o == 0
             for o in an.semi_open for x in range(space.n) if o >> x & 1)
         assert is_semi_r0(an) == expect_r0
+
+
+def test_neighbourhood_forms_match_the_witness_scans(upto4_and_random):
+    """is_r0 reads U_x and is_semi_r0 reads K_x and down; each agrees
+    with its family scan and with the literal oracle, and both verdicts
+    occur."""
+    seen = set()
+    for space in upto4_and_random:
+        an = SemiAnalysis(space)
+        r0, semi_r0 = is_r0(space), is_semi_r0(an)
+        assert r0 == (r0_witness(space) is None) == \
+            (r0_witness_oracle(space) is None), space.describe()
+        assert semi_r0 == (semi_r0_witness(an) is None) == \
+            (semi_r0_witness_oracle(an) is None), space.describe()
+        seen.add((r0, semi_r0))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_semi_t_half_literal_definition(spaces3):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +224,31 @@ def test_file_named_like_a_reserved_id_keeps_its_path(capsys, tmp_path,
                                    "--max-points", "1", *route)
             assert code == 0, route
             assert _examined(out)[law_id] == expected, route
+
+
+def test_reserved_name_from_the_api_needs_the_catalog_space(capsys, tmp_path,
+                                                            monkeypatch):
+    """`load_topology(Path("./e1"))` names its space e1, as the path
+    prints.  The e1- and e33-scoped laws run only on the catalog space
+    itself (equality ignores the name): a look-alike with other labels,
+    or with the same labels and other opens, is outside their scope, so
+    the documented labels are never looked up on it."""
+    monkeypatch.chdir(tmp_path)
+    for name, like in (("e1", "discrete:2"), ("e33", "discrete:3")):
+        (tmp_path / name).write_text(serialize_topology(named_space(like)),
+                                     encoding="utf-8")
+    looks = [load_topology(Path(f"./{name}")) for name in ("e1", "e33")]
+    assert [space.name for space in looks] == ["e1", "e33"]
+    ids = ["remark-3.3-strictness", "example-4.6-intersection"]
+    report = run_suite(looks)
+    examined = {r.law_id: r.examined for r in report.results}
+    assert [examined[lid] for lid in ids] == [0, 0]
+    assert report.exit_code() == 0
+    # the default stream still examines each law once, on its catalog space
+    code, out, _ = run_cli(capsys, "laws", "--format", "machine",
+                           "--max-points", "1", "--law", ids[0], "--law", ids[1])
+    assert code == 0
+    assert _examined(out) == dict.fromkeys(ids, 1)
 
 
 def test_positional_reserved_id_is_never_read_as_a_file(capsys, tmp_path,

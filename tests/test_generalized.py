@@ -3,7 +3,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import g_lambda_oracle, g_v_oracle, random_space, sg_closed_oracle
+from oracles import (derived_set_oracle, g_lambda_oracle, g_v_oracle,
+                     random_space, sg_closed_oracle)
 from semitop.catalog import named_space
 from semitop.generalized import (derived_set, g_v_s_singletons,
                                  generalized_families, is_g_lambda_s, is_g_v_s,
@@ -75,3 +76,9 @@ def test_g_v_s_singletons_values(sierpinski):
     assert derived_set(disc) == 0
     assert g_v_s_singletons(SemiAnalysis(sierpinski)) == \
         sierpinski.mask_of("b")
+
+
+def test_derived_set_matches_literal_closures(upto4_and_random):
+    """derived_set reads U_x; the oracle takes Cl(X minus {x}) literally."""
+    for space in upto4_and_random:
+        assert derived_set(space) == derived_set_oracle(space), space.describe()

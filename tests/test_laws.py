@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
-from oracles import LAW_ORACLES, random_space
+from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
+                     levine_sets_oracle, random_space)
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.lattice import columns, encode, spread, unions
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
-from semitop.semi import openness_grades, semi_open_bits, set_class
+from semitop.semi import (grades_from_columns, openness_grades, semi_open_bits,
+                          set_class)
 from semitop.spaces import SetFamily
 
 
@@ -101,6 +103,7 @@ def test_context_tables_match_per_call_operators():
             for m in masks:
                 assert laws_mod._value(ctx.kern_cols, m) == an.semi_kernel(m)
                 assert _grades_match_set_class(ctx, m)
+            assert ctx.grades == openness_grades(space)
             assert SetFamily.from_bits(ctx.fix_kern) == an.lambda_s_sets()
             assert SetFamily.from_bits(ctx.fix_kern).members == tuple(
                 m for m in masks if an.semi_kernel(m) == m)
@@ -135,20 +138,21 @@ def test_context_builds_only_the_tables_read(monkeypatch):
 
 
 def test_registry_grades_each_mask_once(monkeypatch):
-    """One `openness_grades` pass per space grades every mask; the
-    registry asks `set_class` about singletons only."""
+    """One grades pass per space, on the context's Int and Cl columns,
+    grades every mask; the registry asks `set_class` about singletons
+    only."""
     calls, passes = [], []
 
     def counted(sp, m):
         calls.append(m)
         return set_class(sp, m)
 
-    def counted_grades(sp):
+    def counted_grades(sp, in_int, in_cl):
         passes.append(sp)
-        return openness_grades(sp)
+        return grades_from_columns(sp, in_int, in_cl)
 
     monkeypatch.setattr(laws_mod, "set_class", counted)
-    monkeypatch.setattr(laws_mod, "openness_grades", counted_grades)
+    monkeypatch.setattr(laws_mod, "grades_from_columns", counted_grades)
     four = next(s for s in enumerate_topologies(4) if len(s.opens) > 4)
     for space in (four, named_space("khalimsky:-3:3")):
         calls.clear()
@@ -229,8 +233,8 @@ _INPUTS = {
     "thm-3-semi-t1-v-sets": ("up", "preopen", "beta_open"),
     "thm-3-semi-r0-v-sets": ("up", "so", "simply_open"),
     "sec-2-semi-r0-union": ("so", "sc"),
-    "defn-semi-open-levine": ("so",),
-    "defn-beta-open": ("beta_open",),
+    "defn-semi-open-levine": ("so", "in_cl"),
+    "defn-beta-open": ("beta_open", "in_cl", "in_int"),
     "defn-simply-open": ("nowhere_dense", "simply_open"),
     "sec-3-beta-containments": ("so", "preopen", "beta_open"),
     "prop-4.9-sandwich": ("kern_cols", "d_lambda"),
@@ -251,8 +255,8 @@ def _flip(fam, m):
 def _corrupt(ctx, entry, rng):
     """Flip one bit of one context entry, before any table reads it."""
     m = rng.randrange(1 << ctx.space.n)
-    if entry in ("kern_cols", "up"):
-        cols = ctx.kern_cols if entry == "kern_cols" else ctx.an.up
+    if entry in ("kern_cols", "up", "in_cl", "in_int"):
+        cols = ctx.an.up if entry == "up" else getattr(ctx, entry)
         cols[rng.randrange(ctx.space.n)] ^= 1 << m
     elif entry in ("so", "sc"):
         setattr(ctx, entry, _flip(getattr(ctx, entry), m))
@@ -282,6 +286,18 @@ def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
                     assert fail == LAW_ORACLES[lid](ctx), (lid, entry)
                     failures[lid] += fail is not None
     assert all(failures.values()), failures
+
+
+def test_definition_splits_match_literal_families(upto4_and_random):
+    """The point splits of the two definition laws give the families
+    their statements name: the Levine split is the union over the opens
+    O of [O, Cl(O)], the beta-open split the masks dense in some regular
+    closed set."""
+    for space in upto4_and_random:
+        ctx = SpaceContext(space)
+        assert laws_mod._levine_sets(ctx) == levine_sets_oracle(space)
+        assert laws_mod._dense_in_regular_closed(ctx) == \
+            dense_in_regular_closed_oracle(space)
 
 
 def test_fixed_set_missing_from_both_families_fails_on_the_kernel_side(e33):
