@@ -8,7 +8,7 @@ Named ids are reserved words, never file paths: the fixed fixtures
 
 from dataclasses import dataclass
 
-from .lattice import decode, everything, saturated
+from .lattice import everything, mirror, saturated
 from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
                      TooManyPoints, space_from_masks)
 
@@ -145,23 +145,22 @@ def khalimsky_window(lo: int, hi: int) -> Window:
 # -- enumeration ------------------------------------------------------
 
 def _table_families(n: int) -> list:
-    """Topologies via minimal-neighbourhood tables.
+    """Topologies via minimal-neighbourhood tables, as family bitsets.
 
     A table m assigns each point x a mask with x in m[x] such that
     y in m[x] implies m[y] subset-of m[x]; tables correspond one-to-one
     with topologies (opens = the m-saturated sets).  Depth-first search
-    with early pruning of incompatible pairs.
+    with early pruning of incompatible pairs.  Every family holds the
+    carrier, so its opens tuple is the lower one iff it holds the lowest
+    mask where the two differ: the higher `mirror`, masks reversed.
     """
     candidates = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
     table = [0] * n
     families = []
 
-    def emit():
-        families.append(decode(saturated(table, n)))
-
     def place(x):
         if x == n:
-            emit()
+            families.append(saturated(table, n))
             return
         for m in candidates[x]:
             ok = True
@@ -178,7 +177,7 @@ def _table_families(n: int) -> list:
         table[x] = 0
 
     place(0)
-    families.sort()
+    families.sort(key=lambda bits: mirror(bits, n), reverse=True)
     return families
 
 
@@ -191,8 +190,9 @@ def enumerate_topologies(n: int):
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise TooManyPoints(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
     names = _letters(n)
-    for i, fam in enumerate(_table_families(n)):
-        yield space_from_masks(names, fam, name=f"enum:{n}:{i}")
+    for i, bits in enumerate(_table_families(n)):
+        yield space_from_masks(names, SetFamily.from_bits(bits),
+                               name=f"enum:{n}:{i}")
 
 
 def catalog_entries() -> list:

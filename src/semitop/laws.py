@@ -12,14 +12,11 @@ merging each space's outcomes in stream order as they arrive; pool
 workers send back only failures, and every witness holds the caller's
 own space.
 
-The checkers read one `SpaceContext` per space, each part built on
-first read: the core's analysis and generalized families, the five
-axiom verdicts `t1` ... `semi_t_half`, the semi-kernel's per-point
-columns `kern_cols`, the fixed masks `fix_kern` / `fix_vs` (the
-Λ_s-sets and the V_s-sets), the identity's Int and Cl columns
-`in_int` / `in_cl`, and the openness grades, composed on those
-columns.  The R0 and semi-R0 verdicts read the neighbourhoods U_x and
-K_x (see `axioms`), not the families.
+The checkers read one `SpaceContext` per space and nothing else of the
+core: its parts are built on first read from families and columns.
+The per-query operators and witness renderers `axiom_profile`,
+`set_class` and `g_v_s_singletons` serve `analyze`, `khalimsky` and API
+users.
 
 28 laws are declared `semi_only`: their outcome depends on n and the
 semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
@@ -70,16 +67,14 @@ from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
-from .axioms import (axiom_profile, is_r0, is_semi_r0, is_semi_t1,
-                     is_semi_t_half, is_t1)
+from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
 from .catalog import named_space
-from .generalized import derived_set, g_v_s_singletons, generalized_families
+from .generalized import derived_set, generalized_families
 from .lattice import (columns, everything, fixed, mirror, spread, spreads,
                       sub, sup, unions, within)
 from .semi import (OpennessGrades, SemiAnalysis, closure_columns,
-                   grades_from_columns, interior_columns, semi_open_bits,
-                   set_class)
-from .spaces import FiniteSpace, SetFamily
+                   grades_from_columns, interior_columns, semi_open_bits)
+from .spaces import FiniteSpace, SetFamily, lazy
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
 SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
@@ -134,85 +129,66 @@ class LawScopeError(Exception):
     """Law asked about a space outside its scope or size bound."""
 
 
-class _part:
-    """A `SpaceContext` part: built by `build` on first read and stored
-    in the instance dict, which shadows this non-data descriptor from
-    then on, so an assigned value shadows it too.
-
-    `functools.cached_property` does the same, but on CPython 3.11 it
-    takes a lock on every first read, about 4 % of the time of
-    `laws --max-points 5`, where each space builds a fresh context.
-    """
-
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        ctx.__dict__[self.name] = value = self.build(ctx)
-        return value
-
-
 class SpaceContext:
-    """Everything the checkers need about one space, each part built on
-    first read and then kept: the core's analysis and generalized
-    families, the five axiom verdicts, and the tables below.  The
-    semi-kernel has one form, its columns `kern_cols`, and each operator
-    one fixed-set family, `fix_kern` (the Λ_s-sets) and `fix_vs` (the
-    V_s-sets).  The identity's Int and Cl columns, `in_int` and `in_cl`,
-    are built once and read by the openness grades and the two
-    definition laws."""
+    """The law layer's only way into the core: everything the checkers
+    need about one space, each part built on first read from families
+    and columns, then kept, and read by some law.  The parts are the
+    core's analysis and generalized families, the five axiom verdicts
+    (R0 and semi-R0 decided on the neighbourhoods U_x and K_x, see
+    `axioms`) and the tables below.  The semi-kernel has one form, its
+    columns `kern_cols`, and each operator one fixed-set family,
+    `fix_kern` (the Λ_s-sets) and `fix_vs` (the V_s-sets).  The
+    identity's Int and Cl columns, `in_int` and `in_cl`, are built once
+    and read by the openness grades and the two definition laws.
+    `axiom_profile`, `set_class` and `g_v_s_singletons` serve `analyze`,
+    `khalimsky` and API users, not the checkers."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
 
-    @_part
+    @lazy
     def an(self) -> SemiAnalysis:
         return SemiAnalysis(self.space)
 
-    @_part
+    @lazy
     def fams(self):
         return generalized_families(self.an)
 
-    @_part
+    @lazy
     def t1(self) -> bool:
         return is_t1(self.space)
 
-    @_part
+    @lazy
     def r0(self) -> bool:
         return is_r0(self.space)
 
-    @_part
+    @lazy
     def semi_t1(self) -> bool:
         return is_semi_t1(self.an)
 
-    @_part
+    @lazy
     def semi_r0(self) -> bool:
         return is_semi_r0(self.an)
 
-    @_part
+    @lazy
     def semi_t_half(self) -> bool:
         return is_semi_t_half(self.an, self.fams)
 
-    @_part
+    @lazy
     def so(self) -> SetFamily:
         return self.an.semi_open
 
-    @_part
+    @lazy
     def sc(self) -> SetFamily:
         return self.an.semi_closed
 
-    @_part
+    @lazy
     def gvs(self) -> int:
         """The mask of the points whose singleton is g.V_s."""
-        return g_v_s_singletons(self.an)
+        d_v = self.fams.d_v.bits
+        return sum(1 << x for x in range(self.space.n) if d_v >> (1 << x) & 1)
 
-    @_part
+    @lazy
     def kern_cols(self) -> list:
         """kern_cols[z]: the masks whose semi-kernel holds z.
 
@@ -229,27 +205,27 @@ class SpaceContext:
         ones = everything(n)
         return [ones ^ under for under in spreads(self.so.bits, n, upward=False)]
 
-    @_part
+    @lazy
     def fix_kern(self) -> int:
         """The masks the semi-kernel fixes, read off `kern_cols`."""
         return fixed(self.kern_cols, self.space.n)
 
-    @_part
+    @lazy
     def fix_vs(self) -> int:
         """The masks v_s fixes, read off the core's up[x]."""
         return fixed(self.an.up, self.space.n)
 
-    @_part
+    @lazy
     def in_int(self) -> list:
         """in_int[x]: the masks A with x in Int A."""
         return list(interior_columns(self.space, columns(self.space.n)[0]))
 
-    @_part
+    @lazy
     def in_cl(self) -> list:
         """in_cl[y]: the masks A with y in Cl A."""
         return list(closure_columns(self.space, columns(self.space.n)[0]))
 
-    @_part
+    @lazy
     def grades(self) -> OpennessGrades:
         """The five openness grades of `set_class`, as families."""
         return grades_from_columns(self.space, self.in_int, self.in_cl)
@@ -467,18 +443,18 @@ def _chk_3_8(ctx):
 # -- checkers: separation axioms --------------------------------------
 
 def _chk_digital_line(ctx):
-    prof = axiom_profile(ctx.space, ctx.an, ctx.fams)
-    if prof.t1 or prof.r0 or not prof.semi_t1 or not prof.semi_r0:
-        return _Fail((), (), f"expected t1=false r0=false semi_t1=true semi_r0=true, got {prof.t1}/{prof.r0}/{prof.semi_t1}/{prof.semi_r0}")
+    t1, r0, semi_t1, semi_r0 = ctx.t1, ctx.r0, ctx.semi_t1, ctx.semi_r0
+    if t1 or r0 or not semi_t1 or not semi_r0:
+        return _Fail((), (), f"expected t1=false r0=false semi_t1=true semi_r0=true, got {t1}/{r0}/{semi_t1}/{semi_r0}")
     space = ctx.space
     ints = [int(lab) for lab in space.names]
     for x, value in enumerate(ints):
         bit = 1 << x
         if value % 2 == 0:
-            if space.closure(bit) != bit:
+            if space.full ^ bit not in space.opens:
                 return _Fail((bit,), (x,), "even singleton is not closed")
         elif min(ints) < value < max(ints):
-            if not set_class(space, bit).regular_open:
+            if bit not in ctx.grades.regular_open:
                 return _Fail((bit,), (x,), "interior odd singleton is not regular open")
 
 
@@ -614,8 +590,6 @@ def _chk_4_8(ctx):
         bit = 1 << x
         if bit not in ctx.so and ctx.space.full ^ bit not in ctx.fams.d_lambda:
             return _Fail((bit,), (x,), "singleton neither semi-open nor complement-generalized")
-        if bit not in ctx.so and bit not in ctx.fams.d_v:
-            return _Fail((bit,), (x,), "singleton neither semi-open nor dual-generalized")
 
 
 def _chk_cantor_bendixson(ctx):
@@ -817,12 +791,12 @@ def register_laws() -> tuple:
             _chk_4_7, semi_only=True),
         Law("prop-4.8-dichotomy",
             "§4: $\\{x\\}$ is a semi-open set or $\\{x\\}^c$ is a $g.\\Lambda_s$-set",
-            _chk_4_8, note="equivalently the singleton itself is a $g.V_s$-set",
+            _chk_4_8, note="equivalently the singleton itself is a $g.V_s$-set; the half of cor-4-cantor-bendixson that holds: a point of D(X) has a singleton that is not open, hence not semi-open, so its singleton is g.V_s",
             semi_only=True),
         Law("cor-4-cantor-bendixson",
             "§4: the Cantor-Bendixson derivative $D(X)$ is the set of all points whose singleton is a $g.V_s$-set",
             _chk_cantor_bendixson, status="disputed", dispute_space="discrete:2",
-            note="fails on discrete spaces: every singleton is semi-closed hence g.V_s, while the derivative is empty"),
+            note="fails exactly at an isolated point x with X∖{x} semi-open: for an isolated x, X∖{x} is semi-closed, so {x} is g.V_s iff X∖{x} is a Λ_s-set iff it is semi-open (its only supersets are itself and X); every point of a discrete space is such a point"),
         Law("prop-4.9-sandwich",
             "§4: if $B$ is $g.\\Lambda_s$ and $B \\subseteq C \\subseteq B^{\\Lambda_s}$ then $C$ is $g.\\Lambda_s$",
             _chk_4_9, max_points=FAMILY_CAP, semi_only=True),
@@ -1032,8 +1006,6 @@ class _Evaluator:
             self.families[key] = (
                 fails, tuple(getattr(ctx, part) for part in _FAMILY_PARTS))
         else:
-            # the parts are cached_properties, which an instance
-            # attribute of the same name shadows
             fails, values = seen
             vars(ctx).update(zip(_FAMILY_PARTS, values))
         out = [(law.id, fails.get(law.id)) for law in semi]

@@ -45,13 +45,13 @@ The openness grades of `set_class` come as families too
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
 from .lattice import (columns, everything, fixed, meets, mirror, saturated,
                       spreads, within)
-from .spaces import FiniteSpace, SetFamily, iter_points
+from .spaces import FiniteSpace, SetFamily, iter_points, lazy
 
 
 class SemiAnalysis:
@@ -72,11 +72,11 @@ class SemiAnalysis:
         nbytes = ((1 << self.space.n) + 7) // 8
         return [b.to_bytes(nbytes, "little") for b in cols]
 
-    @cached_property
+    @lazy
     def _up_view(self) -> list:
         return self._views(self.up)
 
-    @cached_property
+    @lazy
     def _down_view(self) -> list:
         return self._views(self.down)
 

@@ -13,7 +13,7 @@ from operator import and_, or_
 
 from semitop.lattice import encode
 from semitop.laws import _Fail
-from semitop.semi import SemiAnalysis, set_class
+from semitop.semi import SemiAnalysis
 from semitop.spaces import FiniteSpace, space_from_masks, submasks
 
 _LETTERS = "abcdefghijklmnopqrst"
@@ -282,8 +282,9 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 # table from `kern_cols`, the `v_s` table from `an.up`, the Cl and Int
 # tables from `in_cl` and `in_int`), so a corrupted
 # entry reaches both, and scans masks, SC, SO or a generalized family in
-# ascending order to the first offender.  sec-3-singleton-dichotomy
-# grades its singletons with `set_class`.  prop-3.2b/d/i/j decide by the
+# ascending order to the first offender.  The verdict laws read the
+# context's axiom verdicts, and example-2-digital-line takes the closure
+# of each even singleton literally.  prop-3.2b/d/i/j decide by the
 # pair scan of their statement (finite associativity extends pairs to
 # any finite family), then report the first nested pair a <= b where the
 # operator is not monotone, or else the first escaping union.  The
@@ -364,6 +365,14 @@ def prop_3_7d_law_oracle(ctx):
             return _Fail((b,), (), "kernel-fixed and dual-fixed complements disagree")
 
 
+def prop_3_7a_law_oracle(ctx):
+    full, kern, vs = ctx.space.full, _kern_table(ctx), _vs_table(ctx)
+    if kern[0] != 0 or kern[full] != full:
+        return _Fail((), (), "empty set or carrier moved by the semi-kernel")
+    if vs[0] != 0 or vs[full] != full:
+        return _Fail((), (), "empty set or carrier moved by the dual")
+
+
 def prop_3_8_law_oracle(ctx):
     kern, vs = _kern_table(ctx), _vs_table(ctx)
     every_lam = all(kern[m] == m for m in _masks(ctx))
@@ -440,10 +449,35 @@ def semi_r0_v_sets_law_oracle(ctx):
         return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
 
 
+def semi_t1_semi_r0_law_oracle(ctx):
+    if ctx.semi_t1 and not ctx.semi_r0:
+        return _Fail((), (), "semi_t1 space that is not semi_r0")
+
+
+def r0_semi_r0_law_oracle(ctx):
+    if ctx.r0 and not ctx.semi_r0:
+        return _Fail((), (), "r0 space that is not semi_r0")
+
+
+def digital_line_law_oracle(ctx):
+    verdicts = (ctx.t1, ctx.r0, ctx.semi_t1, ctx.semi_r0)
+    if verdicts != (False, False, True, True):
+        return _Fail((), (), "expected t1=false r0=false semi_t1=true semi_r0=true, got {}/{}/{}/{}".format(*verdicts))
+    space = ctx.space
+    ints = [int(lab) for lab in space.names]
+    for x, value in enumerate(ints):
+        single = 1 << x
+        if value % 2 == 0 and closure_oracle(space, single) != single:
+            return _Fail((single,), (x,), "even singleton is not closed")
+        if value % 2 and min(ints) < value < max(ints) and \
+                single not in ctx.grades.regular_open:
+            return _Fail((single,), (x,), "interior odd singleton is not regular open")
+
+
 def singleton_dichotomy_law_oracle(ctx):
+    g = ctx.grades
     for x in range(ctx.space.n):
-        c = set_class(ctx.space, 1 << x)
-        if not (c.preopen or c.nowhere_dense):
+        if 1 << x not in g.preopen and 1 << x not in g.nowhere_dense:
             return _Fail((1 << x,), (x,), "singleton neither preopen nor nowhere dense")
 
 
@@ -480,6 +514,15 @@ def beta_containments_law_oracle(ctx):
     for m in _masks(ctx):
         if (m in g.preopen or m in ctx.so) and m not in g.beta_open:
             return _Fail((m,), (), "preopen or semi-open set that is not beta-open")
+
+
+def prop_4_8_law_oracle(ctx):
+    """{x} is semi-open or {x}^c is g.Λ_s, as the registry quotes it."""
+    full = ctx.space.full
+    for x in range(ctx.space.n):
+        single = 1 << x
+        if single not in ctx.so and full ^ single not in ctx.fams.d_lambda:
+            return _Fail((single,), (x,), "singleton neither semi-open nor complement-generalized")
 
 
 def prop_4_9_law_oracle(ctx):
@@ -652,12 +695,16 @@ LAW_ORACLES = {
     "prop-3.2h": prop_3_2h_law_oracle,
     "prop-3.2i": prop_3_2i_law_oracle,
     "prop-3.2j": prop_3_2j_law_oracle,
+    "prop-3.7a": prop_3_7a_law_oracle,
     "prop-3.7b": prop_3_7b_law_oracle,
     "prop-3.7c": prop_3_7c_law_oracle,
     "prop-3.7d": prop_3_7d_law_oracle,
     "prop-3.8": prop_3_8_law_oracle,
     "prop-4.5ab": prop_4_5ab_law_oracle,
     "prop-4.5cd": prop_4_5cd_law_oracle,
+    "example-2-digital-line": digital_line_law_oracle,
+    "cor-3-semi-t1-semi-r0": semi_t1_semi_r0_law_oracle,
+    "sec-2-r0-semi-r0": r0_semi_r0_law_oracle,
     "thm-3-semi-t1-v-sets": semi_t1_v_sets_law_oracle,
     "thm-3-semi-r0-v-sets": semi_r0_v_sets_law_oracle,
     "sec-2-semi-r0-union": semi_r0_union_law_oracle,
@@ -672,6 +719,7 @@ LAW_ORACLES = {
     "cor-4.12": cor_4_12_law_oracle,
     "prop-4.13": prop_4_13_law_oracle,
     "remark-4.7": remark_4_7_law_oracle,
+    "prop-4.8-dichotomy": prop_4_8_law_oracle,
     "remark-5.2-semi-closed-sg": remark_5_2_law_oracle,
     "thm-5.3": thm_5_3_law_oracle,
 }

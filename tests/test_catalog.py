@@ -108,6 +108,17 @@ def test_enumeration_is_deterministic_and_valid():
         assert space.name == f"enum:3:{first.index(members)}"
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_enumeration_order_is_the_opens_tuple_order(n):
+    """The generator sorts family bitsets, not decoded tuples: the order
+    and the `enum:n:i` names still follow the ascending opens tuples."""
+    spaces = list(enumerate_topologies(n))
+    members = [space.opens.members for space in spaces]
+    assert all(a < b for a, b in zip(members, members[1:]))
+    assert [space.name for space in spaces] == \
+        [f"enum:{n}:{i}" for i in range(len(spaces))]
+
+
 def test_catalog_entries():
     entries = catalog_entries()
     ids = [entry.id for entry in entries]

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semitop.axioms as axioms_mod
+import semitop.generalized as generalized_mod
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
-                     levine_sets_oracle, random_space)
+                     levine_sets_oracle, random_space, semi_open_oracle)
+from semitop.axioms import AXIOM_KEYS
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.lattice import columns, encode, spread, unions
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
@@ -17,7 +20,7 @@ from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           registry, run_suite)
 from semitop.semi import (grades_from_columns, openness_grades, semi_open_bits,
                           set_class)
-from semitop.spaces import SetFamily
+from semitop.spaces import SetFamily, lazy
 
 
 def _stream3(spaces3):
@@ -139,32 +142,27 @@ def test_context_builds_only_the_tables_read(monkeypatch):
 
 def test_registry_grades_each_mask_once(monkeypatch):
     """One grades pass per space, on the context's Int and Cl columns,
-    grades every mask; the registry asks `set_class` about singletons
-    only."""
-    calls, passes = [], []
-
-    def counted(sp, m):
-        calls.append(m)
-        return set_class(sp, m)
+    grades every mask, the digital-line law's singletons included.  On
+    the window, where every unnamed law runs, the laws read every
+    context part."""
+    passes = []
 
     def counted_grades(sp, in_int, in_cl):
         passes.append(sp)
         return grades_from_columns(sp, in_int, in_cl)
 
-    monkeypatch.setattr(laws_mod, "set_class", counted)
     monkeypatch.setattr(laws_mod, "grades_from_columns", counted_grades)
     four = next(s for s in enumerate_topologies(4) if len(s.opens) > 4)
     for space in (four, named_space("khalimsky:-3:3")):
-        calls.clear()
         passes.clear()
         ctx = SpaceContext(space)
         for law in registry().values():
             if law.applies(space):
                 check_law(law, space, ctx)
         assert passes == [space]
-        assert len(calls) <= space.n
-        assert all(m and m & (m - 1) == 0 for m in calls)
-    assert calls   # the window's digital-line law grades odd singletons
+    parts = {name for name, attr in vars(SpaceContext).items()
+             if isinstance(attr, lazy)}
+    assert parts and parts <= set(vars(ctx))
 
 
 @st.composite
@@ -192,17 +190,25 @@ def test_idempotence_identity_matches_the_per_mask_loop(case):
 _QUADRATIC = {"prop-3.2b", "prop-3.2d", "prop-3.2i", "prop-3.2j",
               "prop-3.7b", "prop-3.7c", "prop-4.5cd"}
 
+# the odd-endpoint digital-line windows on at most 7 points, where
+# example-2-digital-line runs
+_WINDOWS = [named_space(f"khalimsky:{lo}:{hi}")
+            for lo, hi in ((-1, 1), (-3, 1), (-1, 3), (-3, 3))]
+
 
 def test_law_checkers_match_literal_oracles():
-    """Every bit-sliced checker returns its literal form's `_Fail`."""
+    """Every bit-sliced checker returns its literal form's `_Fail` on
+    the spaces it applies to, and the grades its singletons read are
+    `set_class`'s."""
     spaces = [s for n in range(1, 5) for s in enumerate_topologies(n)]
     rng = random.Random(4242)
     spaces += [random_space(rng, n) for n in range(6, 10) for _ in range(2)]
     reg = registry()
-    for space in spaces:
+    for space in spaces + _WINDOWS:
         ctx = SpaceContext(space)
+        assert all(_grades_match_set_class(ctx, 1 << x) for x in range(space.n))
         for lid, oracle in LAW_ORACLES.items():
-            if space.n > 8 and lid in _QUADRATIC:
+            if space.n > 8 and lid in _QUADRATIC or not reg[lid].applies(space):
                 continue
             assert reg[lid].check(ctx) == oracle(ctx), (lid, space.describe())
 
@@ -224,15 +230,20 @@ _INPUTS = {
     "prop-3.2h": ("up", "sc"),
     "prop-3.2i": ("kern_cols",),
     "prop-3.2j": ("up",),
+    "prop-3.7a": ("kern_cols", "up"),
     "prop-3.7b": ("kern_cols", "up"),
     "prop-3.7c": ("kern_cols", "up"),
     "prop-3.7d": ("kern_cols", "up"),
-    "prop-3.8": ("kern_cols", "up"),
+    "prop-3.8": ("kern_cols", "up", "semi_t1"),
     "prop-4.5ab": ("kern_cols", "up", "d_lambda", "d_v"),
     "prop-4.5cd": ("d_lambda", "d_v"),
-    "thm-3-semi-t1-v-sets": ("up", "preopen", "beta_open"),
-    "thm-3-semi-r0-v-sets": ("up", "so", "simply_open"),
-    "sec-2-semi-r0-union": ("so", "sc"),
+    "example-2-digital-line": ("t1", "r0", "semi_t1", "semi_r0", "regular_open"),
+    "cor-3-semi-t1-semi-r0": ("semi_t1", "semi_r0"),
+    "sec-2-r0-semi-r0": ("r0", "semi_r0"),
+    "thm-3-semi-t1-v-sets": ("up", "preopen", "beta_open", "semi_t1"),
+    "thm-3-semi-r0-v-sets": ("up", "so", "simply_open", "semi_r0"),
+    "sec-2-semi-r0-union": ("so", "sc", "semi_r0"),
+    "sec-3-singleton-dichotomy": ("preopen", "nowhere_dense"),
     "defn-semi-open-levine": ("so", "in_cl"),
     "defn-beta-open": ("beta_open", "in_cl", "in_int"),
     "defn-simply-open": ("nowhere_dense", "simply_open"),
@@ -243,8 +254,9 @@ _INPUTS = {
     "cor-4.12": ("up", "sc", "d_v"),
     "prop-4.13": ("up", "sc", "d_v"),
     "remark-4.7": ("so", "sc", "d_lambda", "d_v"),
+    "prop-4.8-dichotomy": ("so", "d_lambda"),
     "remark-5.2-semi-closed-sg": ("sc", "sg_closed"),
-    "thm-5.3": ("d_v", "up"),
+    "thm-5.3": ("d_v", "up", "semi_t_half"),
 }
 
 
@@ -253,9 +265,12 @@ def _flip(fam, m):
 
 
 def _corrupt(ctx, entry, rng):
-    """Flip one bit of one context entry, before any table reads it."""
+    """Flip one bit of one context entry, or one axiom verdict, before
+    any table reads it."""
     m = rng.randrange(1 << ctx.space.n)
-    if entry in ("kern_cols", "up", "in_cl", "in_int"):
+    if entry in AXIOM_KEYS:
+        setattr(ctx, entry, not getattr(ctx, entry))
+    elif entry in ("kern_cols", "up", "in_cl", "in_int"):
         cols = ctx.an.up if entry == "up" else getattr(ctx, entry)
         cols[rng.randrange(ctx.space.n)] ^= 1 << m
     elif entry in ("so", "sc"):
@@ -276,8 +291,10 @@ def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
     spaces = spaces3 + [random_space(rng, n) for n in (4, 5, 6) for _ in range(4)]
     reg = registry()
     failures = dict.fromkeys(_INPUTS, 0)
-    for space in spaces:
+    for space in spaces + _WINDOWS:
         for lid, entries in _INPUTS.items():
+            if not reg[lid].applies(space):
+                continue
             for entry in entries:
                 for _ in range(3):
                     ctx = SpaceContext(space)
@@ -286,6 +303,79 @@ def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
                     assert fail == LAW_ORACLES[lid](ctx), (lid, entry)
                     failures[lid] += fail is not None
     assert all(failures.values()), failures
+
+
+def _identity_kernel(space) -> SpaceContext:
+    """A context whose semi-kernel is the identity, K(B) = B."""
+    ctx = SpaceContext(space)
+    ctx.kern_cols = list(columns(space.n)[0])
+    return ctx
+
+
+def _non_idempotent_kernel() -> SpaceContext:
+    """discrete:3 with the extensive, monotone kernel K(a) = {a,b},
+    K(b) = {b,c}, K(c) = {c}, K(B) the union over B: K(K(a)) = X."""
+    ctx = SpaceContext(named_space("discrete:3"))
+    has = columns(3)[0]
+    ctx.kern_cols = [has[0], has[0] | has[1], has[1] | has[2]]
+    return ctx
+
+
+def test_documented_examples_fail_on_the_identity_kernel(e1, e33):
+    """remark-3.3 and example-4.6 read single kernel values off
+    `kern_cols`: under the identity kernel the documented pair is not
+    strict and the documented set is kernel-fixed."""
+    reg = registry()
+    b, c = e1.mask_of("b"), e1.mask_of("c")
+    assert reg["remark-3.3-strictness"].check(_identity_kernel(e1)) == \
+        laws_mod._Fail((b, c), (), "documented strict pair is not strict here")
+    ac = e33.mask_of("ac")
+    assert reg["example-4.6-intersection"].check(_identity_kernel(e33)) == \
+        laws_mod._Fail((ac,), (), "documented non-kernel-fixed set is kernel-fixed")
+
+
+def test_every_checker_can_fail(spaces3, e1, e33):
+    """Every registered law's checker returns a `_Fail` on some input of
+    the test corpus, so a checker that always passes is caught: a plain
+    context (the disputed law), one with an entry of `_INPUTS`
+    corrupted, the identity kernel on the documented examples, or a
+    non-idempotent kernel (prop-3.2c)."""
+    reg = registry()
+    rng = random.Random(5)
+    spaces = spaces3 + _WINDOWS + [e1, e33]
+
+    def inputs(lid):
+        for space in spaces:
+            yield SpaceContext(space)
+            for entry in _INPUTS.get(lid, ()):
+                for _ in range(3):
+                    ctx = SpaceContext(space)
+                    _corrupt(ctx, entry, rng)
+                    yield ctx
+        yield from (_identity_kernel(e1), _identity_kernel(e33),
+                    _non_idempotent_kernel())
+
+    can_fail = {lid for lid, law in reg.items()
+                if any(law.check(ctx) is not None for ctx in inputs(lid)
+                       if law.applies(ctx.space))}
+    assert can_fail == set(reg)
+
+
+def test_disputed_corollary_fails_exactly_at_isolated_points():
+    """cor-4-cantor-bendixson fails on a labeled space with n <= 5 iff
+    some isolated point x has X minus {x} semi-open, and its witness
+    point is such a point (the law's note)."""
+    spaces = [s for n in range(1, 6) for s in enumerate_topologies(n)]
+    result, = run_suite(spaces, ["cor-4-cantor-bendixson"]).results
+    witnessed = {id(w.space): w.points for w in result.witnesses}
+    assert witnessed
+    for space in spaces:
+        culprits = {space.names[x] for x in range(space.n)
+                    if 1 << x in space.opens
+                    and semi_open_oracle(space, space.full ^ 1 << x)}
+        points = witnessed.get(id(space), ())
+        assert bool(points) == bool(culprits), space.describe()
+        assert set(points) <= culprits, space.describe()
 
 
 def test_definition_splits_match_literal_families(upto4_and_random):
@@ -552,13 +642,11 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
 
 def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     """Over the 4-point spaces the suite builds one analysis and family
-    set per distinct SO and no axiom profile, and asks `_refusal` about
-    each law once: the scope verdicts and n are the same on every
-    space."""
+    set per distinct SO, and asks `_refusal` about each law once: the
+    scope verdicts and n are the same on every space."""
     families = {semi_open_bits(space) for space in spaces4}
     assert len(families) < len(spaces4)
-    built = dict.fromkeys(("SemiAnalysis", "generalized_families",
-                           "axiom_profile"), 0)
+    built = dict.fromkeys(("SemiAnalysis", "generalized_families"), 0)
 
     def counted(name):
         real = getattr(laws_mod, name)
@@ -576,11 +664,32 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
                         lambda law, space: refusals.append(law) or refusal(law, space))
     report = run_suite(spaces4)
     assert built == {"SemiAnalysis": len(families),
-                     "generalized_families": len(families),
-                     "axiom_profile": 0}
+                     "generalized_families": len(families)}
     assert len(refusals) == len(registry())
     assert all(r.examined == len(spaces4) for r in report.results
                if registry()[r.law_id].scope is None)
+
+
+def test_suite_takes_no_per_query_route(stream4, monkeypatch):
+    """The law layer reaches the core only through `SpaceContext` parts:
+    over the n <= 4 stream the suite builds no axiom profile, grades no
+    single mask through `set_class`, asks `g_v_s_singletons` nothing and
+    builds no byte view of a `SemiAnalysis`."""
+    for name in ("axiom_profile", "set_class", "g_v_s_singletons"):
+        assert not hasattr(laws_mod, name)
+    calls = []
+
+    def refused(name):
+        return lambda *args: calls.append(name)
+
+    monkeypatch.setattr(axioms_mod, "axiom_profile", refused("axiom_profile"))
+    monkeypatch.setattr(semi_mod, "set_class", refused("set_class"))
+    monkeypatch.setattr(generalized_mod, "g_v_s_singletons",
+                        refused("g_v_s_singletons"))
+    monkeypatch.setattr(semi_mod.SemiAnalysis, "_views", refused("byte view"))
+    report = run_suite(stream4)
+    assert report.exit_code() == 0
+    assert calls == []
 
 
 def test_law_id_filter(spaces3):
