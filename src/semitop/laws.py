@@ -24,13 +24,13 @@ cor-3-semi-t1-semi-r0, sec-2-semi-r0-union, 4.5ab, 4.5cd, remark-4.7,
 4.8-4.10, cor-4.11, cor-4.12, 4.13, remark-5.2 and thm-5.3).  Distinct
 topologies often share SO (a topology and its alpha-topology always
 do), so `run_suite` decides these laws once per distinct (n, SO) in a
-call.  Per family it keeps their failures and the context parts that
-depend on n and SO alone and that the other laws read
-(`_FAMILY_PARTS`: SO, the V_s-sets, the g.V_s singletons and the
+call.  Each space's context builds its SO once, first, as the memo
+key.  Per family the suite keeps the failures of these laws
+and the context parts that depend on n and SO alone and that the other
+laws read (`_FAMILY_PARTS`: the V_s-sets, the g.V_s singletons and the
 semi-T1 / semi-R0 verdicts).  A later space with that family starts its
-context with those parts and builds no analysis; it computes only its
-SO and what its topology laws read, and still counts as examined for
-every law that runs on it.
+context with those parts; it computes only what its topology laws
+read, and still counts as examined for every law that runs on it.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
@@ -73,8 +73,8 @@ from .generalized import derived_set, generalized_families
 from .lattice import (columns, everything, fixed, mirror, spread, spreads,
                       sub, sup, unions, within)
 from .semi import (OpennessGrades, SemiAnalysis, closure_columns,
-                   grades_from_columns, interior_columns, semi_open_bits)
-from .spaces import FiniteSpace, SetFamily, lazy
+                   grades_from_columns, interior_columns)
+from .spaces import FiniteSpace, SpaceError, lazy
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
 SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
@@ -129,30 +129,23 @@ class LawScopeError(Exception):
     """Law asked about a space outside its scope or size bound."""
 
 
-class SpaceContext:
-    """The law layer's only way into the core: everything the checkers
-    need about one space, each part built on first read from families
-    and columns, then kept, and read by some law.  The parts are the
-    core's analysis and generalized families, the five axiom verdicts
-    (R0 and semi-R0 decided on the neighbourhoods U_x and K_x, see
-    `axioms`) and the tables below.  The semi-kernel has one form, its
-    columns `kern_cols`, and each operator one fixed-set family,
-    `fix_kern` (the Λ_s-sets) and `fix_vs` (the V_s-sets).  The
-    identity's Int and Cl columns, `in_int` and `in_cl`, are built once
-    and read by the openness grades and the two definition laws.
-    `axiom_profile`, `set_class` and `g_v_s_singletons` serve `analyze`,
-    `khalimsky` and API users, not the checkers."""
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-
-    @lazy
-    def an(self) -> SemiAnalysis:
-        return SemiAnalysis(self.space)
+class SpaceContext(SemiAnalysis):
+    """The law layer's only way into the core: the space's lazy
+    `SemiAnalysis` plus the other parts the checkers read, each built on
+    first read from families and columns, then kept.  Those are the
+    generalized families, the five axiom verdicts (R0 and semi-R0
+    decided on the neighbourhoods U_x and K_x, see `axioms`) and the
+    tables below.  The semi-kernel has one form, its columns
+    `kern_cols`, and each operator one fixed-set family, `fix_kern`
+    (the Λ_s-sets) and `fix_vs` (the V_s-sets).  The identity's Int and
+    Cl columns, `in_int` and `in_cl`, are built once and read by the
+    openness grades and the two definition laws.  `axiom_profile`,
+    `set_class` and `g_v_s_singletons` serve `analyze`, `khalimsky` and
+    API users, not the checkers."""
 
     @lazy
     def fams(self):
-        return generalized_families(self.an)
+        return generalized_families(self)
 
     @lazy
     def t1(self) -> bool:
@@ -164,23 +157,15 @@ class SpaceContext:
 
     @lazy
     def semi_t1(self) -> bool:
-        return is_semi_t1(self.an)
+        return is_semi_t1(self)
 
     @lazy
     def semi_r0(self) -> bool:
-        return is_semi_r0(self.an)
+        return is_semi_r0(self)
 
     @lazy
     def semi_t_half(self) -> bool:
-        return is_semi_t_half(self.an, self.fams)
-
-    @lazy
-    def so(self) -> SetFamily:
-        return self.an.semi_open
-
-    @lazy
-    def sc(self) -> SetFamily:
-        return self.an.semi_closed
+        return is_semi_t_half(self, self.fams)
 
     @lazy
     def gvs(self) -> int:
@@ -203,7 +188,7 @@ class SpaceContext:
         """
         n = self.space.n
         ones = everything(n)
-        return [ones ^ under for under in spreads(self.so.bits, n, upward=False)]
+        return [ones ^ under for under in spreads(self.semi_open.bits, n, upward=False)]
 
     @lazy
     def fix_kern(self) -> int:
@@ -213,7 +198,7 @@ class SpaceContext:
     @lazy
     def fix_vs(self) -> int:
         """The masks v_s fixes, read off the core's up[x]."""
-        return fixed(self.an.up, self.space.n)
+        return fixed(self.up, self.space.n)
 
     @lazy
     def in_int(self) -> list:
@@ -249,7 +234,7 @@ def _first(bad: int, message: str):
 
 def _under_proper_sc(ctx) -> int:
     """The masks inside some semi-closed set other than X."""
-    proper = ctx.sc.bits & ~(1 << ctx.space.full)
+    proper = ctx.semi_closed.bits & ~(1 << ctx.space.full)
     return spread(proper, ctx.space.n, upward=False)
 
 
@@ -292,7 +277,7 @@ def _sandwiches(cols, cand: int, fam: int, n: int):
 
 def _dual_union_cols(ctx) -> list:
     """Per point z, the masks b with z in v_s(b) | b^c."""
-    return [lack | up for lack, up in zip(columns(ctx.space.n)[1], ctx.an.up)]
+    return [lack | up for lack, up in zip(columns(ctx.space.n)[1], ctx.up)]
 
 
 def _not_monotone(cols, n: int, message: str):
@@ -368,7 +353,7 @@ def _chk_3_2d(ctx):
 
 
 def _chk_3_2e(ctx):
-    return _first(ctx.so.bits & ~ctx.fix_kern,
+    return _first(ctx.semi_open.bits & ~ctx.fix_kern,
                   "semi-open set moved by its semi-kernel")
 
 
@@ -376,18 +361,18 @@ def _chk_3_2f(ctx):
     # z is in K(b^c) iff b^c is in kern_cols[z], i.e. b in its mirror;
     # z is outside v_s(b) iff b is not in up[z]
     n = ctx.space.n
-    bad = reduce(or_, (mirror(c, n) ^ ~up for c, up in zip(ctx.kern_cols, ctx.an.up)))
+    bad = reduce(or_, (mirror(c, n) ^ ~up for c, up in zip(ctx.kern_cols, ctx.up)))
     return _first(bad & everything(n),
                   "kernel of complement differs from complement of dual")
 
 
 def _chk_3_2g(ctx):
-    return _first(reduce(or_, map(and_, ctx.an.up, columns(ctx.space.n)[1])),
+    return _first(reduce(or_, map(and_, ctx.up, columns(ctx.space.n)[1])),
                   "dual operator escapes its argument")
 
 
 def _chk_3_2h(ctx):
-    return _first(ctx.sc.bits & ~ctx.fix_vs,
+    return _first(ctx.semi_closed.bits & ~ctx.fix_vs,
                   "semi-closed set moved by the dual operator")
 
 
@@ -400,7 +385,7 @@ def _chk_3_2i(ctx):
 def _chk_3_2j(ctx):
     # v_s(B_1 | B_2 | ...) holds every v_s(B_i) iff v_s is monotone;
     # its columns are the core's up[x]
-    return _not_monotone(ctx.an.up, ctx.space.n, "dual of union misses a dual")
+    return _not_monotone(ctx.up, ctx.space.n, "dual of union misses a dual")
 
 
 def _chk_3_3(ctx):
@@ -478,7 +463,7 @@ def _chk_semi_t1_v_sets(ctx):
 
 def _chk_semi_r0_v_sets(ctx):
     fixed = ctx.fix_vs
-    so_fixed = ctx.so.bits & ~fixed == 0
+    so_fixed = ctx.semi_open.bits & ~fixed == 0
     open_fixed = ctx.space.opens.bits & ~fixed == 0
     simply_fixed = ctx.grades.simply_open.bits & ~fixed == 0
     if not ctx.semi_r0 == so_fixed == open_fixed == simply_fixed:
@@ -488,7 +473,7 @@ def _chk_semi_r0_v_sets(ctx):
 def _chk_semi_r0_union(ctx):
     # the empty set is the empty union; any other o is the union of the
     # semi-closed sets inside it iff it is a union of semi-closed sets
-    unions_ok = ctx.so.bits & ~1 & ~unions(ctx.sc.bits, ctx.space.n) == 0
+    unions_ok = ctx.semi_open.bits & ~1 & ~unions(ctx.semi_closed.bits, ctx.space.n) == 0
     if ctx.semi_r0 != unions_ok:
         return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
 
@@ -513,7 +498,7 @@ def _levine_sets(ctx) -> int:
 
 
 def _chk_semi_open_levine(ctx):
-    return _first(_levine_sets(ctx) ^ ctx.so.bits,
+    return _first(_levine_sets(ctx) ^ ctx.semi_open.bits,
                   "open-witness and interior/closure forms disagree")
 
 
@@ -547,7 +532,7 @@ def _chk_simply_open(ctx):
 
 def _chk_beta_containments(ctx):
     g = ctx.grades
-    return _first((g.preopen.bits | ctx.so.bits) & ~g.beta_open.bits,
+    return _first((g.preopen.bits | ctx.semi_open.bits) & ~g.beta_open.bits,
                   "preopen or semi-open set that is not beta-open")
 
 
@@ -579,16 +564,16 @@ def _chk_4_6(ctx):
 
 def _chk_4_7(ctx):
     fams = ctx.fams
-    return (_first(ctx.so.bits & ~fams.d_lambda.bits,
+    return (_first(ctx.semi_open.bits & ~fams.d_lambda.bits,
                    "semi-open set outside the generalized family")
-            or _first(ctx.sc.bits & ~fams.d_v.bits,
+            or _first(ctx.semi_closed.bits & ~fams.d_v.bits,
                       "semi-closed set outside the dual generalized family"))
 
 
 def _chk_4_8(ctx):
     for x in range(ctx.space.n):
         bit = 1 << x
-        if bit not in ctx.so and ctx.space.full ^ bit not in ctx.fams.d_lambda:
+        if bit not in ctx.semi_open and ctx.space.full ^ bit not in ctx.fams.d_lambda:
             return _Fail((bit,), (x,), "singleton neither semi-open nor complement-generalized")
 
 
@@ -620,13 +605,13 @@ def _chk_4_10(ctx):
     # misses a point z of the semi-kernel of B
     complement_fails = 0
     for in_kern, under in zip(ctx.kern_cols,
-                              spreads(ctx.sc.bits, n, upward=False)):
+                              spreads(ctx.semi_closed.bits, n, upward=False)):
         complement_fails |= in_kern & under
     complement_fails = mirror(complement_fails, n)
     # semi-open route fails at b when a semi-open subset of b holds a
     # point x outside v_s(b), i.e. b is not in up[x]
     semi_open_fails = 0
-    for above, up in zip(spreads(ctx.so.bits, n, upward=True), ctx.an.up):
+    for above, up in zip(spreads(ctx.semi_open.bits, n, upward=True), ctx.up):
         semi_open_fails |= above & ~up
     diff = complement_fails ^ semi_open_fails
     if diff:
@@ -642,13 +627,13 @@ def _chk_4_11(ctx):
     if bad:
         b = _lowest(bad)
         t = _value(cols, b)
-        above = ctx.sc.bits & sup(t, n) & ~(1 << full)
+        above = ctx.semi_closed.bits & sup(t, n) & ~(1 << full)
         return _Fail((b, _lowest(above)), (), "proper semi-closed set above dual-union of a generalized set")
 
 
 def _chk_4_12(ctx):
     d_v = ctx.fams.d_v.bits
-    closed = _preimage(_dual_union_cols(ctx), ctx.sc.bits, d_v, ctx.space.n)
+    closed = _preimage(_dual_union_cols(ctx), ctx.semi_closed.bits, d_v, ctx.space.n)
     bad = d_v & (closed ^ ctx.fix_vs)
     if bad:
         b = _lowest(bad)
@@ -664,12 +649,12 @@ def _chk_4_13(ctx):
     # the semi-closed test on v_s(b) is the costlier split, so it runs
     # on the sets the test on v_s(b) | b^c leaves
     cand &= ~_preimage(_dual_union_cols(ctx), _under_proper_sc(ctx), cand, n)
-    return _first(_preimage(ctx.an.up, ctx.sc.bits, cand, n),
+    return _first(_preimage(ctx.up, ctx.semi_closed.bits, cand, n),
                   "hypotheses hold but the set is not dual-generalized")
 
 
 def _chk_5_2(ctx):
-    return _first(ctx.sc.bits & ~ctx.fams.sg_closed.bits,
+    return _first(ctx.semi_closed.bits & ~ctx.fams.sg_closed.bits,
                   "semi-closed set that is not sg-closed")
 
 
@@ -681,24 +666,23 @@ def _chk_5_3(ctx):
 
 # -- scopes -----------------------------------------------------------
 
+def _is_catalog_space(space: FiniteSpace, name: str) -> bool:
+    """Whether the space is the catalog space `name`, by name and value:
+    a space read through the API keeps whatever name it was given."""
+    try:
+        return space.name == name and space == named_space(name)
+    except SpaceError:
+        return False
+
+
 def _scope_named(name: str) -> Callable:
-    # the catalog space itself: a space read through the API keeps
-    # whatever name it was given, so the name alone may sit on another
-    # topology or other labels (equality ignores the name)
-    return lambda space: space.name == name and space == named_space(name)
+    return lambda space: _is_catalog_space(space, name)
 
 
 def _scope_odd_window(space):
-    # a space read through the API keeps whatever name it was given, so a
-    # name shaped like a window id need not carry integer bounds
     name = space.name or ""
-    if not name.startswith("khalimsky:"):
-        return False
-    try:
-        lo, hi = map(int, name.split(":")[1:])
-    except ValueError:
-        return False
-    return lo % 2 == 1 and hi % 2 == 1
+    return (name.startswith("khalimsky:") and _is_catalog_space(space, name)
+            and all(int(bound) % 2 for bound in name.split(":")[1:]))
 
 
 # -- registry ---------------------------------------------------------
@@ -956,7 +940,7 @@ class LawReport:
 
 #: the context parts that depend on n and SO alone and that the
 #: topology laws read: `_Evaluator` keeps them once per family
-_FAMILY_PARTS = ("so", "fix_vs", "gvs", "semi_t1", "semi_r0")
+_FAMILY_PARTS = ("fix_vs", "gvs", "semi_t1", "semi_r0")
 
 
 class _Evaluator:
@@ -968,8 +952,8 @@ class _Evaluator:
     Each family keeps their failures and the values of its
     `_FAMILY_PARTS`.  A later space with that family takes its outcomes
     from there, and its context starts with those parts already read,
-    so the other laws read only its topology: no analysis or families
-    are built.
+    so the other unscoped laws read only its SO (the key) and its
+    topology: no spreads or families are built for them.
     """
 
     def __init__(self, law_ids):
@@ -994,8 +978,8 @@ class _Evaluator:
         semi, rest = self._runnable(space)
         if not (semi or rest):
             return []
-        key = (space.n, semi_open_bits(space))
         ctx = SpaceContext(space)
+        key = (space.n, ctx.semi_open.bits)
         seen = self.families.get(key)
         if seen is None:
             fails = {}
@@ -1070,7 +1054,7 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                 r = results[lid]
                 r.examined += 1
                 if law.dispute_space is not None and \
-                        space.name == law.dispute_space:
+                        _is_catalog_space(space, law.dispute_space):
                     r.dispute_space_examined = True
                 if fail is None:
                     r.passed += 1

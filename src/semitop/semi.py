@@ -29,9 +29,9 @@ operators read off them:
     semi_closure(B) = {y : B not in down[y]}
     v_s(B)          = {x : B in up[x]}      (B in up[x] needs x in B)
 
-Per-query tests read byte views of up/down, O(1) each at any n; each
-view is built on the first query that reads it, so a caller that only
-reads the families pays for none.
+Every part of `SemiAnalysis` is built on its first read.  Per-query
+tests read byte views of up/down, O(1) each at any n, so a caller that
+only reads the families builds no view.
 
 The openness grades of `set_class` come as families too
 (`openness_grades`), composed on the identity's Int and Cl columns
@@ -55,18 +55,32 @@ from .spaces import FiniteSpace, SetFamily, iter_points, lazy
 
 
 class SemiAnalysis:
-    """Semi-open structure of a fixed space."""
+    """Semi-open structure of a fixed space, each part built on first
+    read.  Only `semi_open` reads the topology; the rest follow from it
+    and n, so a `semi_open` assigned before any read replaces SO."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
-        n = space.n
-        so = semi_open_bits(space)
-        sc = mirror(so, n)
-        self.semi_open = SetFamily.from_bits(so)
-        self.semi_closed = SetFamily.from_bits(sc)
-        self.point_kernels = tuple(meets(so, n))
-        self.up = spreads(sc, n, upward=True)
-        self.down = spreads(sc, n, upward=False)
+
+    @lazy
+    def semi_open(self) -> SetFamily:
+        return SetFamily.from_bits(semi_open_bits(self.space))
+
+    @lazy
+    def semi_closed(self) -> SetFamily:
+        return SetFamily.from_bits(mirror(self.semi_open.bits, self.space.n))
+
+    @lazy
+    def point_kernels(self) -> tuple:
+        return tuple(meets(self.semi_open.bits, self.space.n))
+
+    @lazy
+    def up(self) -> list:
+        return spreads(self.semi_closed.bits, self.space.n, upward=True)
+
+    @lazy
+    def down(self) -> list:
+        return spreads(self.semi_closed.bits, self.space.n, upward=False)
 
     def _views(self, cols) -> list:
         nbytes = ((1 << self.space.n) + 7) // 8

@@ -313,7 +313,7 @@ def _kern_table(ctx) -> list:
 
 def _vs_table(ctx) -> list:
     """vs[m] is v_s(m): the points x with m in the core's up[x]."""
-    return _table(ctx.an.up, ctx.space.n)
+    return _table(ctx.up, ctx.space.n)
 
 
 def prop_3_2a_law_oracle(ctx):
@@ -332,7 +332,7 @@ def prop_3_2c_law_oracle(ctx):
 
 def prop_3_2e_law_oracle(ctx):
     kern = _kern_table(ctx)
-    for a in ctx.so:
+    for a in ctx.semi_open:
         if kern[a] != a:
             return _Fail((a,), (), "semi-open set moved by its semi-kernel")
 
@@ -353,7 +353,7 @@ def prop_3_2g_law_oracle(ctx):
 
 def prop_3_2h_law_oracle(ctx):
     vs = _vs_table(ctx)
-    for f in ctx.sc:
+    for f in ctx.semi_closed:
         if vs[f] != f:
             return _Fail((f,), (), "semi-closed set moved by the dual operator")
 
@@ -383,9 +383,9 @@ def prop_3_8_law_oracle(ctx):
 
 def semi_r0_union_law_oracle(ctx):
     unions_ok = True
-    for o in ctx.so:
+    for o in ctx.semi_open:
         u = 0
-        for f in ctx.sc:
+        for f in ctx.semi_closed:
             if f & o == f:
                 u |= f
         if u != o:
@@ -405,16 +405,16 @@ def prop_4_5ab_law_oracle(ctx):
 
 
 def remark_4_7_law_oracle(ctx):
-    for o in ctx.so:
+    for o in ctx.semi_open:
         if o not in ctx.fams.d_lambda:
             return _Fail((o,), (), "semi-open set outside the generalized family")
-    for f in ctx.sc:
+    for f in ctx.semi_closed:
         if f not in ctx.fams.d_v:
             return _Fail((f,), (), "semi-closed set outside the dual generalized family")
 
 
 def remark_5_2_law_oracle(ctx):
-    for f in ctx.sc:
+    for f in ctx.semi_closed:
         if f not in ctx.fams.sg_closed:
             return _Fail((f,), (), "semi-closed set that is not sg-closed")
 
@@ -441,7 +441,7 @@ def semi_t1_v_sets_law_oracle(ctx):
 
 def semi_r0_v_sets_law_oracle(ctx):
     fixed = _vs_fixed(ctx)
-    so_fixed = all(o in fixed for o in ctx.so)
+    so_fixed = all(o in fixed for o in ctx.semi_open)
     open_fixed = all(o in fixed for o in ctx.space.opens)
     simply_fixed = all(m in fixed
                        for m in _masks(ctx) if m in ctx.grades.simply_open)
@@ -485,7 +485,7 @@ def semi_open_levine_law_oracle(ctx):
     opens, cl = ctx.space.opens, _table(ctx.in_cl, ctx.space.n)
     for m in _masks(ctx):
         witnessed = any(o & ~m == 0 and m & ~cl[o] == 0 for o in opens)
-        if witnessed != (m in ctx.so):
+        if witnessed != (m in ctx.semi_open):
             return _Fail((m,), (), "open-witness and interior/closure forms disagree")
 
 
@@ -512,7 +512,7 @@ def simply_open_law_oracle(ctx):
 def beta_containments_law_oracle(ctx):
     g = ctx.grades
     for m in _masks(ctx):
-        if (m in g.preopen or m in ctx.so) and m not in g.beta_open:
+        if (m in g.preopen or m in ctx.semi_open) and m not in g.beta_open:
             return _Fail((m,), (), "preopen or semi-open set that is not beta-open")
 
 
@@ -521,7 +521,7 @@ def prop_4_8_law_oracle(ctx):
     full = ctx.space.full
     for x in range(ctx.space.n):
         single = 1 << x
-        if single not in ctx.so and full ^ single not in ctx.fams.d_lambda:
+        if single not in ctx.semi_open and full ^ single not in ctx.fams.d_lambda:
             return _Fail((single,), (x,), "singleton neither semi-open nor complement-generalized")
 
 
@@ -540,8 +540,8 @@ def prop_4_9_law_oracle(ctx):
 
 
 def prop_4_10_law_oracle(ctx):
-    sc = ctx.sc.members
-    so = ctx.so.members
+    sc = ctx.semi_closed.members
+    so = ctx.semi_open.members
     kern, vs = _kern_table(ctx), _vs_table(ctx)
     for b in _masks(ctx):
         bc = ctx.space.full ^ b
@@ -565,7 +565,7 @@ def cor_4_11_law_oracle(ctx):
     full, vs = ctx.space.full, _vs_table(ctx)
     for b in ctx.fams.d_v:
         t = vs[b] | full ^ b
-        for f in ctx.sc:
+        for f in ctx.semi_closed:
             if t & ~f == 0 and f != full:
                 return _Fail((b, f), (), "proper semi-closed set above dual-union of a generalized set")
 
@@ -573,7 +573,7 @@ def cor_4_11_law_oracle(ctx):
 def cor_4_12_law_oracle(ctx):
     full, vs = ctx.space.full, _vs_table(ctx)
     for b in ctx.fams.d_v:
-        closed_side = (vs[b] | full ^ b) in ctx.sc
+        closed_side = (vs[b] | full ^ b) in ctx.semi_closed
         fixed_side = vs[b] == b
         if closed_side != fixed_side:
             return _Fail((b,), (), f"semi-closed test {closed_side} vs dual-fixed test {fixed_side}")
@@ -582,10 +582,10 @@ def cor_4_12_law_oracle(ctx):
 def prop_4_13_law_oracle(ctx):
     full, vs = ctx.space.full, _vs_table(ctx)
     for b in _masks(ctx):
-        if vs[b] not in ctx.sc:
+        if vs[b] not in ctx.semi_closed:
             continue
         t = vs[b] | full ^ b
-        if all(f == full for f in ctx.sc if t & ~f == 0):
+        if all(f == full for f in ctx.semi_closed if t & ~f == 0):
             if b not in ctx.fams.d_v:
                 return _Fail((b,), (), "hypotheses hold but the set is not dual-generalized")
 

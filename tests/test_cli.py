@@ -14,6 +14,7 @@ from semitop.cli import main
 from semitop.fileformat import (load_topology, parse_topology,
                                 serialize_topology)
 from semitop.laws import Law, registry, run_suite
+from semitop.spaces import build_space
 
 E33_EXPECTED = """\
 space: e33
@@ -249,6 +250,12 @@ def test_reserved_name_from_the_api_needs_the_catalog_space(capsys, tmp_path,
                            "--max-points", "1", "--law", ids[0], "--law", ids[1])
     assert code == 0
     assert _examined(out) == dict.fromkeys(ids, 1)
+    # so does the dispute flag: two indiscrete points named discrete:2
+    # leave the disputed corollary not exercised, not stale
+    fake = build_space(["a", "b"], [[], ["a", "b"]], name="discrete:2")
+    report = run_suite([fake], ["cor-4-cantor-bendixson"])
+    assert report.results[0].verdict() == "disputed: not exercised"
+    assert report.exit_code() == 0
 
 
 def test_positional_reserved_id_is_never_read_as_a_file(capsys, tmp_path,
@@ -272,11 +279,20 @@ def test_positional_reserved_id_is_never_read_as_a_file(capsys, tmp_path,
 
 def test_window_scope_skips_a_name_without_integer_bounds():
     """A space built through the API keeps whatever name it is given; a
-    name shaped like a window id with other bounds is outside the scope."""
-    for name in ("khalimsky:x:y", "khalimsky:1:3:5", "khalimsky:1"):
-        space = parse_topology(_DISCRETE_123, name=name)
+    name shaped like a window id is outside the scope unless the space
+    is that odd window: other bounds, no window at all (lo > hi), or an
+    odd window's name on other labels or opens."""
+    names = ("khalimsky:x:y", "khalimsky:1:3:5", "khalimsky:1",
+             "khalimsky:-1:1", "khalimsky:1:-1")
+    spaces = [parse_topology(_DISCRETE_123, name=name) for name in names]
+    spaces += [build_space(["a", "b", "c"], [[], ["a"], ["a", "b", "c"]],
+                           name=name) for name in names[-2:]]
+    for space in spaces:
         report = run_suite([space], ["example-2-digital-line"])
-        assert report.results[0].examined == 0, name
+        assert report.results[0].examined == 0, space.describe()
+    window = parse_topology(serialize_topology(named_space("khalimsky:-1:1")),
+                            name="khalimsky:-1:1")
+    assert run_suite([window], ["example-2-digital-line"]).results[0].passed == 1
 
 
 def test_laws_bad_inputs(capsys):

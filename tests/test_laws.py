@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
                      levine_sets_oracle, random_space, semi_open_oracle)
 from semitop.axioms import AXIOM_KEYS
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
-from semitop.lattice import columns, encode, spread, unions
+from semitop.generalized import generalized_families
+from semitop.lattice import columns, encode, meets, spread, unions
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
@@ -101,24 +103,23 @@ def test_context_tables_match_per_call_operators():
     for n in range(1, 5):
         for space in enumerate_topologies(n):
             ctx = SpaceContext(space)
-            an = ctx.an
             masks = range(1 << n)
             for m in masks:
-                assert laws_mod._value(ctx.kern_cols, m) == an.semi_kernel(m)
+                assert laws_mod._value(ctx.kern_cols, m) == ctx.semi_kernel(m)
                 assert _grades_match_set_class(ctx, m)
             assert ctx.grades == openness_grades(space)
-            assert SetFamily.from_bits(ctx.fix_kern) == an.lambda_s_sets()
+            assert SetFamily.from_bits(ctx.fix_kern) == ctx.lambda_s_sets()
             assert SetFamily.from_bits(ctx.fix_kern).members == tuple(
-                m for m in masks if an.semi_kernel(m) == m)
-            assert SetFamily.from_bits(ctx.fix_vs) == an.v_s_sets()
+                m for m in masks if ctx.semi_kernel(m) == m)
+            assert SetFamily.from_bits(ctx.fix_vs) == ctx.v_s_sets()
             assert SetFamily.from_bits(ctx.fix_vs).members == tuple(
-                m for m in masks if an.v_s(m) == m)
+                m for m in masks if ctx.v_s(m) == m)
     wide = named_space("khalimsky:-7:7")
     ctx = SpaceContext(wide)
     masks = random.Random(7).sample(range(1 << wide.n), 200)
     for m in masks + [1 << x for x in range(wide.n)]:
         assert _grades_match_set_class(ctx, m)
-        assert laws_mod._value(ctx.kern_cols, m) == ctx.an.semi_kernel(m)
+        assert laws_mod._value(ctx.kern_cols, m) == ctx.semi_kernel(m)
 
 
 def test_context_builds_only_the_tables_read(monkeypatch):
@@ -137,14 +138,14 @@ def test_context_builds_only_the_tables_read(monkeypatch):
         witness = check_law(law, wide, ctx)
         assert witness is None or law.status == "disputed", law.id
     assert {"kern_cols", "fix_kern", "fix_vs", "grades"} <= set(vars(ctx))
-    assert "_up_view" not in vars(ctx.an)
+    assert "_up_view" not in vars(ctx)
 
 
 def test_registry_grades_each_mask_once(monkeypatch):
     """One grades pass per space, on the context's Int and Cl columns,
     grades every mask, the digital-line law's singletons included.  On
     the window, where every unnamed law runs, the laws read every
-    context part."""
+    context part, the analysis's own included, but no byte view."""
     passes = []
 
     def counted_grades(sp, in_int, in_cl):
@@ -160,8 +161,9 @@ def test_registry_grades_each_mask_once(monkeypatch):
             if law.applies(space):
                 check_law(law, space, ctx)
         assert passes == [space]
-    parts = {name for name, attr in vars(SpaceContext).items()
-             if isinstance(attr, lazy)}
+    parts = {name for cls in SpaceContext.__mro__
+             for name, attr in vars(cls).items()
+             if isinstance(attr, lazy) and not name.endswith("_view")}
     assert parts and parts <= set(vars(ctx))
 
 
@@ -223,11 +225,11 @@ def test_law_checkers_match_literal_oracles():
 _INPUTS = {
     "prop-3.2a": ("kern_cols",),
     "prop-3.2b": ("kern_cols",),
-    "prop-3.2d": ("kern_cols", "so"),
-    "prop-3.2e": ("kern_cols", "so"),
+    "prop-3.2d": ("kern_cols", "semi_open"),
+    "prop-3.2e": ("kern_cols", "semi_open"),
     "prop-3.2f": ("kern_cols", "up"),
     "prop-3.2g": ("up",),
-    "prop-3.2h": ("up", "sc"),
+    "prop-3.2h": ("up", "semi_closed"),
     "prop-3.2i": ("kern_cols",),
     "prop-3.2j": ("up",),
     "prop-3.7a": ("kern_cols", "up"),
@@ -241,21 +243,21 @@ _INPUTS = {
     "cor-3-semi-t1-semi-r0": ("semi_t1", "semi_r0"),
     "sec-2-r0-semi-r0": ("r0", "semi_r0"),
     "thm-3-semi-t1-v-sets": ("up", "preopen", "beta_open", "semi_t1"),
-    "thm-3-semi-r0-v-sets": ("up", "so", "simply_open", "semi_r0"),
-    "sec-2-semi-r0-union": ("so", "sc", "semi_r0"),
+    "thm-3-semi-r0-v-sets": ("up", "semi_open", "simply_open", "semi_r0"),
+    "sec-2-semi-r0-union": ("semi_open", "semi_closed", "semi_r0"),
     "sec-3-singleton-dichotomy": ("preopen", "nowhere_dense"),
-    "defn-semi-open-levine": ("so", "in_cl"),
+    "defn-semi-open-levine": ("semi_open", "in_cl"),
     "defn-beta-open": ("beta_open", "in_cl", "in_int"),
     "defn-simply-open": ("nowhere_dense", "simply_open"),
-    "sec-3-beta-containments": ("so", "preopen", "beta_open"),
+    "sec-3-beta-containments": ("semi_open", "preopen", "beta_open"),
     "prop-4.9-sandwich": ("kern_cols", "d_lambda"),
-    "prop-4.10-agreement": ("sc", "so"),
-    "cor-4.11": ("up", "sc", "d_v"),
-    "cor-4.12": ("up", "sc", "d_v"),
-    "prop-4.13": ("up", "sc", "d_v"),
-    "remark-4.7": ("so", "sc", "d_lambda", "d_v"),
-    "prop-4.8-dichotomy": ("so", "d_lambda"),
-    "remark-5.2-semi-closed-sg": ("sc", "sg_closed"),
+    "prop-4.10-agreement": ("semi_closed", "semi_open"),
+    "cor-4.11": ("up", "semi_closed", "d_v"),
+    "cor-4.12": ("up", "semi_closed", "d_v"),
+    "prop-4.13": ("up", "semi_closed", "d_v"),
+    "remark-4.7": ("semi_open", "semi_closed", "d_lambda", "d_v"),
+    "prop-4.8-dichotomy": ("semi_open", "d_lambda"),
+    "remark-5.2-semi-closed-sg": ("semi_closed", "sg_closed"),
     "thm-5.3": ("d_v", "up", "semi_t_half"),
 }
 
@@ -271,9 +273,12 @@ def _corrupt(ctx, entry, rng):
     if entry in AXIOM_KEYS:
         setattr(ctx, entry, not getattr(ctx, entry))
     elif entry in ("kern_cols", "up", "in_cl", "in_int"):
-        cols = ctx.an.up if entry == "up" else getattr(ctx, entry)
-        cols[rng.randrange(ctx.space.n)] ^= 1 << m
-    elif entry in ("so", "sc"):
+        getattr(ctx, entry)[rng.randrange(ctx.space.n)] ^= 1 << m
+    elif entry in ("semi_open", "semi_closed"):
+        # the analysis's other parts follow SO on first read: build them
+        # first, so that the flip reaches none of them
+        for part in ("semi_closed", "up", "down", "point_kernels"):
+            getattr(ctx, part)
         setattr(ctx, entry, _flip(getattr(ctx, entry), m))
     elif entry in ("d_lambda", "d_v", "sg_closed"):
         ctx.fams = dataclasses.replace(
@@ -420,7 +425,7 @@ def test_kernel_table_follows_the_semi_open_family():
     space = named_space("discrete:3")
     ctx = SpaceContext(space)
     ab = space.mask_of("ab")
-    ctx.so = _flip(ctx.so, ab)        # {a,b} = {a} | {b} leaves SO
+    ctx.semi_open = _flip(ctx.semi_open, ab)   # {a,b} = {a} | {b} leaves SO
     assert laws_mod._value(ctx.kern_cols, ab) == space.full
     w = check_law("prop-3.2d", space, ctx)
     assert w is not None
@@ -444,19 +449,16 @@ def test_kernel_union_witness_is_the_lowest_union():
     assert (fail.subsets, fail.points) == ((ac,), (1,))
 
 
-def _toggled(space, flip, monkeypatch) -> SpaceContext:
-    """A context whose core sees SO with the masks in `flip` toggled, so
-    members leave it and non-members join it: the analysis, `up` and
+def _toggled(space, flip) -> SpaceContext:
+    """A context whose SO has the masks in `flip` toggled, so members
+    leave it and non-members join it: SC, the kernels, `up` and
     `kern_cols` all follow the corrupted family."""
-    so = semi_open_bits(space) ^ flip
     ctx = SpaceContext(space)
-    with monkeypatch.context() as m:
-        m.setattr(semi_mod, "semi_open_bits", lambda _: so)
-        ctx.an
+    ctx.semi_open = SetFamily.from_bits(semi_open_bits(space) ^ flip)
     return ctx
 
 
-def test_kernel_laws_hold_for_any_semi_open_family(spaces3, monkeypatch):
+def test_kernel_laws_hold_for_any_semi_open_family(spaces3):
     """prop-3.2a/b/c/i, the V_s half of prop-3.7b and the Λ_s half of
     prop-3.7c hold for the operators of any family, as their notes say:
     SO with any one mask toggled, seen by the whole core, never fails
@@ -467,7 +469,7 @@ def test_kernel_laws_hold_for_any_semi_open_family(spaces3, monkeypatch):
         assert "any family" in reg[lid].note
     for space in spaces3:
         for m in range(1 << space.n):
-            ctx = _toggled(space, 1 << m, monkeypatch)
+            ctx = _toggled(space, 1 << m)
             for lid in kernel_laws:
                 assert reg[lid].check(ctx) is None, (lid, space.describe(), m)
             messages = {getattr(reg[lid].check(ctx), "message", None)
@@ -476,12 +478,12 @@ def test_kernel_laws_hold_for_any_semi_open_family(spaces3, monkeypatch):
                                    "intersection of kernel-fixed sets leaves the family"}
 
 
-def test_kernel_fixed_sets_follow_the_semi_open_family(monkeypatch):
+def test_kernel_fixed_sets_follow_the_semi_open_family():
     """discrete:3 without {a,b}: {a} and {b} are still kernel-fixed but
     their union is not, so prop-3.7b fails on its Λ_s half."""
     space = named_space("discrete:3")
     ab = space.mask_of("ab")
-    ctx = _toggled(space, 1 << ab, monkeypatch)
+    ctx = _toggled(space, 1 << ab)
     w = check_law("prop-3.7b", space, ctx)
     assert (w.subsets, w.message) == (("{a,b}",), "union of kernel-fixed sets leaves the family")
 
@@ -566,26 +568,22 @@ class _Carrier:
         raise AssertionError(f"a semi-only law read space.{name}")
 
 
-def _semi_only_context(space, monkeypatch):
-    """A context built from SO and the carrier alone: its analysis gets
-    SO handed in, and its grades, t1 and r0 raise (they read the
-    topology)."""
-    so = semi_open_bits(space)
+def _semi_only_context(space):
+    """A context built from SO and the carrier alone: SO is handed in,
+    and its grades, t1 and r0 raise (they read the topology)."""
     ctx = SpaceContext(_Carrier(space))
-    with monkeypatch.context() as m:
-        m.setattr(semi_mod, "semi_open_bits", lambda _: so)
-        ctx.an
+    ctx.semi_open = SetFamily.from_bits(semi_open_bits(space))
     return ctx
 
 
-def test_semi_only_laws_read_only_the_semi_open_family(stream4, monkeypatch):
+def test_semi_only_laws_read_only_the_semi_open_family(stream4):
     """Every law declared semi-only gives the same `_Fail` on the full
     context and on one that knows nothing of the space but n and SO, and
     so does every context part the suite keeps once per family."""
     semi = [law for law in registry().values() if law.semi_only]
     assert semi
     for space in stream4:
-        full, guarded = SpaceContext(space), _semi_only_context(space, monkeypatch)
+        full, guarded = SpaceContext(space), _semi_only_context(space)
         for part in laws_mod._FAMILY_PARTS:
             assert getattr(full, part) == getattr(guarded, part), \
                 (part, space.describe())
@@ -640,31 +638,44 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
             assert len(failed.witnesses) == failed.examined == direct[lid][0]
 
 
+def _calls(funcs, run):
+    """Run `run()`; count the calls of each function in `funcs` by its
+    code object, so a call through any module's binding counts."""
+    counts = dict.fromkeys(funcs, 0)
+    by_code = {func.__code__: func for func in funcs}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in by_code:
+            counts[by_code[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, counts
+
+
 def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
-    """Over the 4-point spaces the suite builds one analysis and family
-    set per distinct SO, and asks `_refusal` about each law once: the
-    scope verdicts and n are the same on every space."""
+    """Over the 4-point spaces the suite builds SO once per space, as its
+    memo key, and the point kernels and generalized families once per
+    distinct SO; it asks `_refusal` about each law once: the scope
+    verdicts and n are the same on every space."""
     families = {semi_open_bits(space) for space in spaces4}
     assert len(families) < len(spaces4)
-    built = dict.fromkeys(("SemiAnalysis", "generalized_families"), 0)
-
-    def counted(name):
-        real = getattr(laws_mod, name)
-
-        def call(*args):
-            built[name] += 1
-            return real(*args)
-        return call
-
-    for name in built:
-        monkeypatch.setattr(laws_mod, name, counted(name))
+    kernels = []
+    monkeypatch.setattr(semi_mod, "meets",
+                        lambda *args: kernels.append(args) or meets(*args))
     refusals = []
     refusal = laws_mod._refusal
     monkeypatch.setattr(laws_mod, "_refusal",
                         lambda law, space: refusals.append(law) or refusal(law, space))
-    report = run_suite(spaces4)
-    assert built == {"SemiAnalysis": len(families),
-                     "generalized_families": len(families)}
+    report, counts = _calls((semi_open_bits, generalized_families),
+                            lambda: run_suite(spaces4))
+    assert counts == {semi_open_bits: len(spaces4),
+                      generalized_families: len(families)}
+    assert len(kernels) == len(families)
     assert len(refusals) == len(registry())
     assert all(r.examined == len(spaces4) for r in report.results
                if registry()[r.law_id].scope is None)

@@ -16,12 +16,24 @@ from semitop.generalized import generalized_families
 from semitop.lattice import columns
 from semitop.semi import (SemiAnalysis, closure_columns, interior_columns,
                           semi_open_family, set_class)
-from semitop.spaces import space_from_masks
+from semitop.spaces import SetFamily, space_from_masks
 
 
 def test_e1_semi_open_family(e1_an):
     assert e1_an.semi_open.members == (0b000, 0b001, 0b110, 0b111)
     assert e1_an.semi_closed.members == (0b000, 0b001, 0b110, 0b111)
+
+
+def test_analysis_builds_each_part_on_first_read(e33):
+    """A new analysis holds only its space; reading `up` builds SO and
+    SC on the way and no other part, and each part is kept."""
+    an = SemiAnalysis(e33)
+    assert vars(an) == {"space": e33}
+    up = an.up
+    assert set(vars(an)) == {"space", "semi_open", "semi_closed", "up"}
+    assert an.up is up
+    parts = (an.semi_open, an.semi_closed, an.point_kernels, an.up, an.down)
+    assert tuple(map(type, parts)) == (SetFamily, SetFamily, tuple, list, list)
 
 
 def test_e1_kernel_values(e1, e1_an):
