@@ -6,9 +6,10 @@ lists every topology on n labeled points, `khalimsky` builds a digital
 line window, and `claim` runs one registry entry by id.
 
 Output is deterministic byte-for-byte for a fixed invocation; timing
-goes to stderr.  Exit codes: 0 success, 1 a claim expected to hold
-failed somewhere (or a disputed claim went stale, or a named law
-examined no space), 2 bad input.
+and the number of spaces decided in full (given no verdict by an
+earlier space of their homeomorphism class) go to stderr.  Exit codes:
+0 success, 1 a claim expected to hold failed somewhere (or a disputed
+claim went stale, or a named law examined no space), 2 bad input.
 """
 
 import argparse
@@ -118,6 +119,9 @@ def _emit_report(report, fmt: str) -> int:
     else:
         print(report.render_text(), end="")
     print(f"wall-time: {report.wall_time:.3f}s", file=sys.stderr)
+    # summed over workers, each of which keeps its own class memo
+    print(f"decided-in-full: {report.decided_in_full}/{report.spaces_total} spaces",
+          file=sys.stderr)
     return report.exit_code()
 
 

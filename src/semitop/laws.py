@@ -18,19 +18,28 @@ The per-query operators and witness renderers `axiom_profile`,
 `set_class` and `g_v_s_singletons` serve `analyze`, `khalimsky` and API
 users.
 
+The laws without a scope speak of the topology, not of the labels, so
+`run_suite` decides them once per homeomorphism class in a call, keyed
+by `FiniteSpace.canonical`.  The first space of a class is decided in
+full; a later one passes the laws that passed there without building a
+context, and reruns on itself the ones that failed there and every
+scoped law, so each witness is its own.  The 7341 spaces with n <= 5
+fall into 187 classes.
+
 28 laws are declared `semi_only`: their outcome depends on n and the
 semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
 cor-3-semi-t1-semi-r0, sec-2-semi-r0-union, 4.5ab, 4.5cd, remark-4.7,
 4.8-4.10, cor-4.11, cor-4.12, 4.13, remark-5.2 and thm-5.3).  Distinct
 topologies often share SO (a topology and its alpha-topology always
-do), so `run_suite` decides these laws once per distinct (n, SO) in a
-call.  Each space's context builds its SO once, first, as the memo
-key.  Per family the suite keeps the failures of these laws
-and the context parts that depend on n and SO alone and that the other
-laws read (`_FAMILY_PARTS`: the V_s-sets, the g.V_s singletons and the
-semi-T1 / semi-R0 verdicts).  A later space with that family starts its
-context with those parts; it computes only what its topology laws
-read, and still counts as examined for every law that runs on it.
+do), so wherever a space builds its context, `run_suite` decides these
+laws once per distinct (n, SO) in a call.  Each such context builds its
+SO once, first, as the memo key.  Per family the suite keeps the
+outcomes of these laws and the context parts that depend on n and SO
+alone and that the other laws read (`_FAMILY_PARTS`: the generalized
+families, the V_s-sets, the g.V_s singletons and the semi-T1 / semi-R0
+verdicts).  A later space with that family starts its context with
+those parts; it computes only what its topology laws read, and still
+counts as examined for every law that runs on it.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
@@ -889,6 +898,7 @@ class LawReport:
     results: list
     spaces_total: int
     wall_time: float = 0.0
+    decided_in_full: int = 0          # spaces given no verdict by their class
 
     def exit_code(self) -> int:
         return 1 if any(r.is_fatal() for r in self.results) else 0
@@ -939,21 +949,32 @@ class LawReport:
 
 
 #: the context parts that depend on n and SO alone and that the
-#: topology laws read: `_Evaluator` keeps them once per family
-_FAMILY_PARTS = ("fix_vs", "gvs", "semi_t1", "semi_r0")
+#: topology laws read, with the generalized families behind `gvs`:
+#: `_Evaluator` keeps each once per family, from the space that built it
+_FAMILY_PARTS = ("fams", "fix_vs", "gvs", "semi_t1", "semi_r0")
 
 
 class _Evaluator:
-    """Decides the laws of one `run_suite` call, space by space: (law
-    id, `_Fail` or None) for each law that runs.
+    """Decides the laws of one `run_suite` call, space by space: whether
+    the space was decided in full (took no verdict from an earlier space
+    of its class), and (law id, `_Fail` or None) for each law that runs.
 
     The runnable laws are listed once per (n, scope verdicts), through
-    `_refusal`, and the semi-only laws are decided once per (n, SO).
-    Each family keeps their failures and the values of its
-    `_FAMILY_PARTS`.  A later space with that family takes its outcomes
-    from there, and its context starts with those parts already read,
-    so the other unscoped laws read only its SO (the key) and its
-    topology: no spreads or families are built for them.
+    `_refusal`.  Every unscoped law is invariant under relabeling, so
+    the unscoped laws are decided once per homeomorphism class, keyed
+    by `FiniteSpace.canonical`: the first space of a class is decided
+    in full, and the class keeps the ids of the unscoped laws that
+    failed there.  A later space of the class passes every other
+    unscoped law without a context; the failed ones and every scoped
+    law run on the space itself, so each witness is that space's own.
+    A space without a canonical form is decided in full.
+
+    Wherever a space builds its context, the semi-only laws are decided
+    once per (n, SO): each family keeps the outcome of a semi-only law
+    from the first of its spaces that runs it, and the `_FAMILY_PARTS`
+    its spaces have built.  A later space with that family starts its
+    context with those parts, so its other laws read only its SO (the
+    key) and its topology: no spreads or families are built for them.
     """
 
     def __init__(self, law_ids):
@@ -963,38 +984,53 @@ class _Evaluator:
             law.scope for law in self.laws if law.scope is not None))
         self.runnable = {}
         self.families = {}
+        self.classes = {}
 
-    def _runnable(self, space: FiniteSpace) -> tuple:
+    def _runnable(self, space: FiniteSpace) -> list:
         key = (space.n, tuple(scope(space) for scope in self.scopes))
-        split = self.runnable.get(key)
-        if split is None:
-            runs = [law for law in self.laws if _refusal(law, space) is None]
-            split = self.runnable[key] = (
-                [law for law in runs if law.semi_only],
-                [law for law in runs if not law.semi_only])
-        return split
+        runs = self.runnable.get(key)
+        if runs is None:
+            runs = self.runnable[key] = [
+                law for law in self.laws if _refusal(law, space) is None]
+        return runs
 
-    def __call__(self, space: FiniteSpace) -> list:
-        semi, rest = self._runnable(space)
-        if not (semi or rest):
-            return []
+    def _decide(self, space: FiniteSpace, laws: list) -> list:
+        """(law id, `_Fail` or None) for each of `laws`, on the space's
+        own context and its family's memo."""
         ctx = SpaceContext(space)
-        key = (space.n, ctx.semi_open.bits)
-        seen = self.families.get(key)
-        if seen is None:
-            fails = {}
-            for law in semi:
+        decided, parts = self.families.setdefault(
+            (space.n, ctx.semi_open.bits), ({}, {}))
+        vars(ctx).update(parts)
+        out = []
+        for law in laws:
+            if not law.semi_only:
                 fail = law.check(ctx)
-                if fail is not None:
-                    fails[law.id] = fail
-            self.families[key] = (
-                fails, tuple(getattr(ctx, part) for part in _FAMILY_PARTS))
-        else:
-            fails, values = seen
-            vars(ctx).update(zip(_FAMILY_PARTS, values))
-        out = [(law.id, fails.get(law.id)) for law in semi]
-        out += [(law.id, law.check(ctx)) for law in rest]
+            elif law.id in decided:
+                fail = decided[law.id]
+            else:
+                fail = decided[law.id] = law.check(ctx)
+            out.append((law.id, fail))
+        built = vars(ctx)
+        parts.update((part, built[part]) for part in _FAMILY_PARTS if part in built)
         return out
+
+    def __call__(self, space: FiniteSpace) -> tuple:
+        runs = self._runnable(space)
+        if not runs:
+            return True, []
+        form = space.canonical
+        failed = self.classes.get(form)   # None for a space without a form
+        if failed is None:
+            out = self._decide(space, runs)
+            if form is not None:
+                self.classes[form] = {lid for (lid, fail), law in zip(out, runs)
+                                      if fail is not None and law.scope is None}
+            return True, out
+        passed = [(law.id, None) for law in runs
+                  if law.scope is None and law.id not in failed]
+        rerun = [law for law in runs if law.scope is not None or law.id in failed]
+        out = self._decide(space, rerun) if rerun else []
+        return not passed, out + passed
 
 
 _WORKER = None   # a pool worker's evaluator, for the pool's lifetime
@@ -1005,7 +1041,7 @@ def _start_worker(law_ids) -> None:
     _WORKER = _Evaluator(law_ids)
 
 
-def _eval_in_worker(space: FiniteSpace) -> list:
+def _eval_in_worker(space: FiniteSpace) -> tuple:
     return _WORKER(space)
 
 
@@ -1015,15 +1051,18 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     in first-seen order; an empty list is an error), over a stream of
     spaces.
 
-    The semi-only laws are decided once per distinct (n, semi-open
-    family) in the call (in each pool worker, once per family it
-    meets); every space they run on still counts as examined, and a
-    failure yields a witness on each such space, in its own labels.
-    Outcomes are merged in stream order as they arrive, and each
-    `Witness` holds the caller's own space.  A named expected law that
-    examines no space fails the report.  The merged report is
-    deterministic in the law registration order and the stream order,
-    independent of the worker count.
+    The unscoped laws are decided once per homeomorphism class in the
+    call, and the semi-only laws once per distinct (n, semi-open
+    family), in each pool worker for the classes and families it meets
+    (see `_Evaluator`); every space a law runs on still counts as
+    examined, and a failure yields a witness on each such space, worked
+    out on that space.  `decided_in_full` counts the spaces that took no
+    verdict from an earlier space of their class.  Outcomes are merged
+    in stream order as they arrive, and each `Witness` holds the
+    caller's own space.  A named expected law that examines no space
+    fails the report.  The merged report is deterministic in the law
+    registration order and the stream order, independent of the worker
+    count.
     """
     reg = registry()
     named = law_ids is not None
@@ -1048,7 +1087,9 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
         evaluated = (pool.map(_eval_in_worker, spaces,
                               chunksize=max(1, len(spaces) // (workers * 8)))
                      if parallel else map(_Evaluator(law_ids), spaces))
-        for space, outcomes in zip(spaces, evaluated):
+        in_full = 0
+        for space, (full, outcomes) in zip(spaces, evaluated):
+            in_full += full
             for lid, fail in outcomes:
                 law = reg[lid]
                 r = results[lid]
@@ -1061,6 +1102,7 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                 else:
                     r.witnesses.append(_witness(law, space, fail))
 
-    report = LawReport([results[lid] for lid in law_ids], len(spaces))
+    report = LawReport([results[lid] for lid in law_ids], len(spaces),
+                       decided_in_full=in_full)
     report.wall_time = time.perf_counter() - started
     return report

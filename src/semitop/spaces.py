@@ -13,14 +13,24 @@ validation time.  Interior and closure are then O(n) mask loops:
 
     interior(A) = {x : min_nbhd[x] subset of A}
     closure(A)  = complement(interior(complement(A)))
+
+The table also names the space up to homeomorphism: `canonical` is the
+least relabeled table over the orderings that colour refinement leaves
+(McKay, J. Algorithms 26, 1998), or None past `CANONICAL_BUDGET`.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .lattice import decode, encode, iter_points, meets, mirror, saturated
 
 MAX_POINTS = 20
+
+#: the most orderings `FiniteSpace.canonical` tries (7!); a space that
+#: needs more has no canonical form
+CANONICAL_BUDGET = 5040
 
 _LABEL_FORBIDDEN = set(" \t\r\n,{}#:")
 
@@ -142,6 +152,108 @@ class SetFamily:
         return f"SetFamily({list(self.members)!r})"
 
 
+def _ranks(keys: list) -> list:
+    """Each key replaced by its index among the sorted distinct keys."""
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def _arrangements(labels: list) -> Iterator[tuple]:
+    """The distinct orderings of a multiset of labels, lexicographically
+    (the next-permutation step, which skips repeats)."""
+    a = sorted(labels)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _is_twin(ups: tuple, x: int, y: int) -> bool:
+    """Whether swapping points x and y maps the table onto itself."""
+    pair = 1 << x | 1 << y
+    for z, u in enumerate(ups):
+        if u & pair and u & pair != pair:
+            u ^= pair
+        if u != ups[y if z == x else x if z == y else z]:
+            return False
+    return True
+
+
+def _orderings(labels: list) -> int:
+    """How many distinct orderings a multiset of labels has."""
+    return factorial(len(labels)) // prod(factorial(labels.count(t))
+                                          for t in set(labels))
+
+
+def _code(spans: list, order: list) -> tuple:
+    """The table relabeled so that point order[i] becomes point i."""
+    bit = [0] * len(order)
+    for i, x in enumerate(order):
+        bit[x] = 1 << i
+    return tuple([sum([bit[y] for y in spans[x]]) for x in order])
+
+
+def _canonical_form(ups: tuple) -> tuple | None:
+    """The least table, as a tuple of masks, over the orderings that keep
+    the colour cells in order and each twin class in index order; None if
+    there are more than `CANONICAL_BUDGET` of them.
+
+    A point's colour starts as (|U_x|, |Cl{x}|).  While more than one
+    ordering is left, it is refined by the multisets of colours over U_x
+    and over Cl{x}, until no cell splits.  Colours and the stopping rule
+    are invariant under relabeling, and permuting twins is an
+    automorphism, so the least table is the same for homeomorphic spaces.
+    """
+    n = len(ups)
+    points = range(n)
+    spans = [[y for y in points if u >> y & 1] for u in ups]
+    cls = [[] for _ in points]
+    for y, span in enumerate(spans):
+        for x in span:
+            cls[x].append(y)
+    colour = _ranks([(len(s), len(c)) for s, c in zip(spans, cls)])
+    twin = list(points)   # twins share every colour
+    for x in points:
+        if twin[x] == x:
+            for y in range(x + 1, n):
+                if twin[y] == y and colour[y] == colour[x] and _is_twin(ups, x, y):
+                    twin[y] = x
+    shift = n.bit_length()   # a count of up to n points fits in one digit
+    while True:
+        cells = [[] for _ in range(max(colour) + 1)]
+        for x in points:
+            cells[colour[x]].append(x)
+        labels = [[twin[x] for x in cell] for cell in cells]
+        total = prod(_orderings(lab) for lab in labels if len(lab) > 1)
+        if total == 1:
+            return _code(spans, [x for cell in cells for x in cell])
+        weight = [1 << shift * c for c in colour]
+        finer = _ranks([(c, sum([weight[y] for y in s]), sum([weight[y] for y in d]))
+                        for c, s, d in zip(colour, spans, cls)])
+        if max(finer) == max(colour):
+            break
+        colour = finer
+    if total > CANONICAL_BUDGET:
+        return None
+    best = None
+    for combo in product(*map(_arrangements, labels)):
+        pools = {}
+        for x in reversed(points):
+            pools.setdefault(twin[x], []).append(x)
+        code = _code(spans, [pools[t].pop() for lab in combo for t in lab])
+        if best is None or code < best:
+            best = code
+    return best
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """A validated finite topological space.
@@ -164,6 +276,13 @@ class FiniteSpace:
     @lazy
     def full(self) -> int:
         return (1 << len(self.names)) - 1
+
+    @lazy
+    def canonical(self) -> tuple | None:
+        """The space up to homeomorphism: n masks, the same for every
+        relabeling, or None when it needs more than `CANONICAL_BUDGET`
+        orderings (see `_canonical_form`)."""
+        return _canonical_form(self.min_nbhd)
 
     def check_mask(self, a: int) -> None:
         if a < 0 or a > self.full:

@@ -11,10 +11,10 @@ mask.
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from semitop.lattice import encode
+from semitop.lattice import encode, saturated
 from semitop.laws import _Fail
 from semitop.semi import SemiAnalysis
-from semitop.spaces import FiniteSpace, space_from_masks, submasks
+from semitop.spaces import FiniteSpace, SetFamily, space_from_masks, submasks
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -255,6 +255,34 @@ def random_space(rng, n: int, name=None) -> FiniteSpace:
         else:
             opens.append(a)
     return space_from_masks(_LETTERS[:n], opens, name=name)
+
+
+def relabeled(space: FiniteSpace, perm) -> FiniteSpace:
+    """The same space with point x moved to index perm[x], its label
+    going with it: a homeomorphic copy with another table."""
+    def move(mask):
+        return sum(1 << perm[x] for x in range(space.n) if mask >> x & 1)
+
+    names = [None] * space.n
+    mins = [0] * space.n
+    for x, to in enumerate(perm):
+        names[to] = space.names[x]
+        mins[to] = move(space.min_nbhd[x])
+    return space_from_masks(names, SetFamily.from_bits(saturated(mins, space.n)))
+
+
+def sierpinski_copies(k: int, isolated: int = 0) -> FiniteSpace:
+    """k disjoint Sierpinski spaces, open points o0.. and closed points
+    c0.., beside `isolated` isolated points i0..: k!**2 orderings keep
+    the kinds apart, and only isolated points can be twins."""
+    names, mins = [], []
+    for i in range(k):
+        names += [f"o{i}", f"c{i}"]
+        mins += [1 << 2 * i, 3 << 2 * i]
+    for i in range(isolated):
+        names.append(f"i{i}")
+        mins.append(1 << len(mins))
+    return space_from_masks(names, SetFamily.from_bits(saturated(mins, len(names))))
 
 
 def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:

@@ -121,6 +121,35 @@ def test_laws_n4_report_is_pinned(capsys, fmt, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == _N4_SHA256[fmt]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_laws_reports_the_spaces_decided_in_full_on_stderr(capsys, workers):
+    """stderr gives, after the wall time, how many spaces were decided in
+    full: one per homeomorphism class (46 on 1..4 points, and the two
+    wider windows), and at 2 workers at least that many, since each
+    worker keeps its own memo.  stdout is the pinned report."""
+    code, out, err = run_cli(capsys, "laws", "--max-points", "4",
+                             "--workers", workers)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _N4_SHA256["text"]
+    wall, full = err.splitlines()
+    assert wall.startswith("wall-time: ")
+    decided, total = full.removeprefix("decided-in-full: ").split(" ")[0].split("/")
+    assert total == "399" and full.endswith(" spaces")
+    assert int(decided) == 48 if workers == "1" else 48 <= int(decided) < 399
+
+
+def test_claim_reports_the_spaces_decided_in_full_on_stderr(capsys):
+    """Of 44 spaces, the first of each of the 15 classes (13 on 1..3
+    points, and the two wider windows) and the 13 later spaces that
+    rerun the law because it failed on their class's first space: with
+    one law, a rerun takes no verdict from the memo."""
+    code, out, err = run_cli(capsys, "claim", "cor-4-cantor-bendixson",
+                             "--max-points", "3")
+    assert code == 0
+    assert "disputed: confirmed" in out
+    assert err.splitlines()[1] == "decided-in-full: 28/44 spaces"
+
+
 _LARGE_ANALYZE_SHA256 = {
     "khalimsky:-9:10": "21c28060d829a74820cf720c089f31d70395c1ce7c9c6daa32baea46e7cd83a9",
     "discrete:18": "2f95337e9c6a2c2a1aa08162520b1cc1335aeac6f871da93a4386cd1f3ad71da",

@@ -12,7 +12,8 @@ import semitop.generalized as generalized_mod
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
-                     levine_sets_oracle, random_space, semi_open_oracle)
+                     levine_sets_oracle, random_space, relabeled,
+                     semi_open_oracle, sierpinski_copies)
 from semitop.axioms import AXIOM_KEYS
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.generalized import generalized_families
@@ -658,12 +659,23 @@ def _calls(funcs, run):
 
 
 def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
-    """Over the 4-point spaces the suite builds SO once per space, as its
-    memo key, and the point kernels and generalized families once per
-    distinct SO; it asks `_refusal` about each law once: the scope
-    verdicts and n are the same on every space."""
-    families = {semi_open_bits(space) for space in spaces4}
-    assert len(families) < len(spaces4)
+    """Over the 4-point spaces the suite builds SO only on the first
+    space of each of the 33 homeomorphism classes and on the later
+    spaces that rerun a law that failed on their class's first space (no
+    scoped law runs on an enumerated space).  It builds the point
+    kernels and generalized families once per distinct SO among those
+    spaces, and asks `_refusal` about each law once: the scope verdicts
+    and n are the same on every space."""
+    runs = [law for law in registry().values()
+            if laws_mod._refusal(law, spaces4[0]) is None]
+    assert all(law.scope is None for law in runs)
+    firsts, builders = {}, []
+    for space in spaces4:
+        first = firsts.setdefault(space.canonical, space)
+        if first is space or any(check_law(law, first) for law in runs):
+            builders.append(space)
+    assert len(firsts) == 33 and len(firsts) < len(builders) < len(spaces4)
+    families = {semi_open_bits(space) for space in builders}
     kernels = []
     monkeypatch.setattr(semi_mod, "meets",
                         lambda *args: kernels.append(args) or meets(*args))
@@ -673,12 +685,58 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
                         lambda law, space: refusals.append(law) or refusal(law, space))
     report, counts = _calls((semi_open_bits, generalized_families),
                             lambda: run_suite(spaces4))
-    assert counts == {semi_open_bits: len(spaces4),
+    assert counts == {semi_open_bits: len(builders),
                       generalized_families: len(families)}
     assert len(kernels) == len(families)
     assert len(refusals) == len(registry())
+    assert report.decided_in_full == len(firsts)
     assert all(r.examined == len(spaces4) for r in report.results
                if registry()[r.law_id].scope is None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8), data=st.data())
+def test_unscoped_laws_are_invariant_under_relabeling(seed, n, data):
+    """The premise of the suite's class memo: a random space and a random
+    relabeling of it pass or fail every unscoped law alike."""
+    space = random_space(random.Random(seed), n)
+    other = relabeled(space, data.draw(st.permutations(range(n))))
+    ctx, other_ctx = SpaceContext(space), SpaceContext(other)
+    for law in registry().values():
+        if law.scope is None and n <= law.max_points:
+            assert (check_law(law, space, ctx) is None) == \
+                (check_law(law, other, other_ctx) is None), law.id
+
+
+def test_suite_decides_an_over_budget_space_in_full():
+    """A space without a canonical form, and a relabeled copy, are each
+    decided in full, with the outcomes of `check_law` on each; the
+    isolated point fails cor-4-cantor-bendixson."""
+    space = sierpinski_copies(5, isolated=1)
+    stream = [space, relabeled(space, [10 - x for x in range(11)]),
+              sierpinski_copies(5, isolated=1)]
+    assert all(s.canonical is None for s in stream)
+    report = run_suite(stream)
+    assert report.decided_in_full == len(stream)
+    outcomes = _outcomes(report, stream)
+    for lid, law in registry().items():
+        runs = [i for i, s in enumerate(stream) if laws_mod._refusal(law, s) is None]
+        direct = [(i, w.subset_masks, w.points, w.message) for i in runs
+                  if (w := check_law(law, stream[i])) is not None]
+        assert outcomes[lid] == (len(runs), len(runs) - len(direct), direct)
+    assert outcomes["cor-4-cantor-bendixson"][2]
+
+
+def test_scoped_laws_never_read_the_class_memo(e1):
+    """A second e1 reruns remark-3.3-strictness on itself: decided in
+    full while it takes no pass from the first, and not once it does."""
+    stream = [e1, named_space("e1")]
+    alone = run_suite(stream, ["remark-3.3-strictness"])
+    assert alone.decided_in_full == 2
+    assert alone.results[0].examined == alone.results[0].passed == 2
+    mixed = run_suite(stream, ["remark-3.3-strictness", "prop-3.2a"])
+    assert mixed.decided_in_full == 1
+    assert [(r.examined, r.passed) for r in mixed.results] == [(2, 2), (2, 2)]
 
 
 def test_suite_takes_no_per_query_route(stream4, monkeypatch):

@@ -1,10 +1,16 @@
 import pickle
 import random
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import closure_oracle, interior_oracle, random_space
-from semitop.spaces import (DuplicateLabel, EmptyCarrier,
+import semitop.spaces as spaces_mod
+from oracles import (closure_oracle, interior_oracle, random_space, relabeled,
+                     sierpinski_copies)
+from semitop.catalog import catalog_entries, enumerate_topologies, named_space
+from semitop.spaces import (CANONICAL_BUDGET, DuplicateLabel, EmptyCarrier,
                             MissingEmptyOrUniverse, NotClosedUnderIntersection,
                             NotClosedUnderUnion, SetFamily, TooManyPoints,
                             UnknownLabel, build_space, iter_points,
@@ -205,3 +211,53 @@ def test_describe(e1):
     assert e1.describe() == "e1"
     anon = space_from_masks("ab", [0, 1, 3])
     assert anon.describe() == "points={a,b} opens={∅,{a},X}"
+
+
+def test_canonical_forms_count_the_homeomorphism_classes():
+    """The labeled topologies on 1..5 points fall into 1, 3, 9, 33 and
+    139 classes up to homeomorphism (OEIS A001930)."""
+    forms = [{space.canonical for space in enumerate_topologies(n)}
+             for n in range(1, 6)]
+    assert [len(f) for f in forms] == [1, 3, 9, 33, 139]
+    assert not any(None in f for f in forms)
+
+
+_CATALOG = [entry.space for entry in catalog_entries()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_canonical_form_ignores_the_labels(data):
+    """A random relabeling of a random space on up to 9 points, or of a
+    catalog space, has the same canonical form."""
+    if data.draw(st.booleans(), label="catalog"):
+        space = data.draw(st.sampled_from(_CATALOG))
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        space = random_space(rng, data.draw(st.integers(1, 9), label="n"))
+    perm = data.draw(st.permutations(range(space.n)), label="perm")
+    assert relabeled(space, perm).canonical == space.canonical
+
+
+@pytest.mark.parametrize("sid", ["discrete:11", "indiscrete:11",
+                                 "khalimsky:-9:10"])
+def test_wide_spaces_stay_within_the_ordering_budget(sid):
+    """Eleven twins in one cell leave one ordering, and a window's
+    unequal ends split every cell."""
+    space = named_space(sid)
+    perm = list(range(space.n))
+    random.Random(sid).shuffle(perm)
+    assert space.canonical is not None
+    assert relabeled(space, perm).canonical == space.canonical
+
+
+def test_an_over_budget_space_has_no_form_and_tries_no_ordering(monkeypatch):
+    """Five disjoint Sierpinski spaces leave 5!*5! orderings: the budget
+    refuses them before any is tried."""
+    assert factorial(5) ** 2 > CANONICAL_BUDGET
+
+    def refused(labels):
+        raise AssertionError("an ordering was tried")
+
+    monkeypatch.setattr(spaces_mod, "_arrangements", refused)
+    assert sierpinski_copies(5).canonical is None
