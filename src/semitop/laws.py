@@ -8,9 +8,10 @@ one analysed space.  Checkers return None on success or a `_Fail`
 carrying the first offending subsets/points in canonical mask order;
 `check_law` and `run_suite` turn a failure into a `Witness`.
 `run_suite` folds a stream of spaces into a deterministic `LawReport`,
-merging each space's outcomes in stream order as they arrive; pool
-workers send back only failures, and every witness holds the caller's
-own space.
+merging each space's failures in stream order as they arrive and
+tallying its passes in bulk: a space sends back only its failures and
+one shared tuple of the laws that passed, and every witness holds the
+caller's own space.
 
 The checkers read one `SpaceContext` per space and nothing else of the
 core: its parts are built on first read from families and columns.
@@ -955,9 +956,14 @@ _FAMILY_PARTS = ("fams", "fix_vs", "gvs", "semi_t1", "semi_r0")
 
 
 class _Evaluator:
-    """Decides the laws of one `run_suite` call, space by space: whether
-    the space was decided in full (took no verdict from an earlier space
-    of its class), and (law id, `_Fail` or None) for each law that runs.
+    """Decides the laws of one `run_suite` call, space by space, and
+    returns a record `(full, fails, passed)`: whether the space was
+    decided in full (took no verdict from an earlier space of its
+    class), `(law id, _Fail)` for each law that failed on it, and the
+    tuple of the ids of the laws that passed on it.  A passing law costs
+    no pair: every space with the same runnable list and the same failed
+    ids gets the same `passed` object, so a pool chunk pickles each
+    distinct tuple once and `run_suite` tallies the passes in bulk.
 
     The runnable laws are listed once per (n, scope verdicts), through
     `_refusal`.  Every unscoped law is invariant under relabeling, so
@@ -967,7 +973,8 @@ class _Evaluator:
     failed there.  A later space of the class passes every other
     unscoped law without a context; the failed ones and every scoped
     law run on the space itself, so each witness is that space's own.
-    A space without a canonical form is decided in full.
+    The laws to rerun are listed once per (runnable list, class failed
+    ids).  A space without a canonical form is decided in full.
 
     Wherever a space builds its context, the semi-only laws are decided
     once per (n, SO): each family keeps the outcome of a semi-only law
@@ -980,28 +987,23 @@ class _Evaluator:
     def __init__(self, law_ids):
         reg = registry()
         self.laws = [reg[lid] for lid in law_ids]
+        self.unscoped = {law.id for law in self.laws if law.scope is None}
         self.scopes = list(dict.fromkeys(
             law.scope for law in self.laws if law.scope is not None))
         self.runnable = {}
         self.families = {}
         self.classes = {}
-
-    def _runnable(self, space: FiniteSpace) -> list:
-        key = (space.n, tuple(scope(space) for scope in self.scopes))
-        runs = self.runnable.get(key)
-        if runs is None:
-            runs = self.runnable[key] = [
-                law for law in self.laws if _refusal(law, space) is None]
-        return runs
+        self.reruns = {}
+        self.passes = {}
 
     def _decide(self, space: FiniteSpace, laws: list) -> list:
-        """(law id, `_Fail` or None) for each of `laws`, on the space's
-        own context and its family's memo."""
+        """(law id, `_Fail`) for each of `laws` that fails on the space,
+        decided on its own context and its family's memo."""
         ctx = SpaceContext(space)
         decided, parts = self.families.setdefault(
             (space.n, ctx.semi_open.bits), ({}, {}))
         vars(ctx).update(parts)
-        out = []
+        fails = []
         for law in laws:
             if not law.semi_only:
                 fail = law.check(ctx)
@@ -1009,28 +1011,41 @@ class _Evaluator:
                 fail = decided[law.id]
             else:
                 fail = decided[law.id] = law.check(ctx)
-            out.append((law.id, fail))
+            if fail is not None:
+                fails.append((law.id, fail))
         built = vars(ctx)
         parts.update((part, built[part]) for part in _FAMILY_PARTS if part in built)
-        return out
+        return fails
 
     def __call__(self, space: FiniteSpace) -> tuple:
-        runs = self._runnable(space)
+        key = (space.n, tuple(scope(space) for scope in self.scopes))
+        runs = self.runnable.get(key)
+        if runs is None:
+            runs = self.runnable[key] = [
+                law for law in self.laws if _refusal(law, space) is None]
         if not runs:
-            return True, []
+            return True, [], ()
         form = space.canonical
         failed = self.classes.get(form)   # None for a space without a form
         if failed is None:
-            out = self._decide(space, runs)
+            fails = self._decide(space, runs)
             if form is not None:
-                self.classes[form] = {lid for (lid, fail), law in zip(out, runs)
-                                      if fail is not None and law.scope is None}
-            return True, out
-        passed = [(law.id, None) for law in runs
-                  if law.scope is None and law.id not in failed]
-        rerun = [law for law in runs if law.scope is not None or law.id in failed]
-        out = self._decide(space, rerun) if rerun else []
-        return not passed, out + passed
+                self.classes[form] = frozenset(
+                    lid for lid, _ in fails if lid in self.unscoped)
+            full = True
+        else:
+            rerun = self.reruns.get((key, failed))
+            if rerun is None:
+                rerun = self.reruns[key, failed] = [
+                    law for law in runs if law.scope is not None or law.id in failed]
+            fails = self._decide(space, rerun) if rerun else []
+            full = len(rerun) == len(runs)
+        failed_here = frozenset(lid for lid, _ in fails)
+        passed = self.passes.get((key, failed_here))
+        if passed is None:
+            passed = self.passes[key, failed_here] = tuple(
+                law.id for law in runs if law.id not in failed_here)
+        return full, fails, passed
 
 
 _WORKER = None   # a pool worker's evaluator, for the pool's lifetime
@@ -1057,9 +1072,14 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     (see `_Evaluator`); every space a law runs on still counts as
     examined, and a failure yields a witness on each such space, worked
     out on that space.  `decided_in_full` counts the spaces that took no
-    verdict from an earlier space of their class.  Outcomes are merged
-    in stream order as they arrive, and each `Witness` holds the
-    caller's own space.  A named expected law that examines no space
+    verdict from an earlier space of their class.  Each space's
+    failures are merged in stream order as they arrive, and each
+    `Witness` holds the caller's own space.  Its passes arrive as one
+    tuple of law ids, shared by every space with the same runnable laws
+    and failed laws: the suite counts each distinct tuple and adds
+    `examined` and `passed` once per law and tuple at the end.  The
+    dispute flag is checked per space, for the laws that name a dispute
+    space.  A named expected law that examines no space
     fails the report.  The merged report is deterministic in the law
     registration order and the stream order, independent of the worker
     count.
@@ -1079,6 +1099,8 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     started = time.perf_counter()
     results = {lid: LawResult(lid, reg[lid].status, named=named)
                for lid in law_ids}
+    disputes = [(results[lid], reg[lid].dispute_space) for lid in law_ids
+                if reg[lid].dispute_space is not None]
 
     parallel = workers > 1 and len(spaces) > 1
     with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
@@ -1088,19 +1110,23 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                               chunksize=max(1, len(spaces) // (workers * 8)))
                      if parallel else map(_Evaluator(law_ids), spaces))
         in_full = 0
-        for space, (full, outcomes) in zip(spaces, evaluated):
+        tally = {}
+        for space, (full, fails, passed) in zip(spaces, evaluated):
             in_full += full
-            for lid, fail in outcomes:
-                law = reg[lid]
+            tally[passed] = tally.get(passed, 0) + 1
+            for lid, fail in fails:
                 r = results[lid]
                 r.examined += 1
-                if law.dispute_space is not None and \
-                        _is_catalog_space(space, law.dispute_space):
+                r.witnesses.append(_witness(reg[lid], space, fail))
+            for r, name in disputes:
+                if _is_catalog_space(space, name) and (
+                        r.law_id in passed or any(lid == r.law_id for lid, _ in fails)):
                     r.dispute_space_examined = True
-                if fail is None:
-                    r.passed += 1
-                else:
-                    r.witnesses.append(_witness(law, space, fail))
+    for passed, count in tally.items():
+        for lid in passed:
+            r = results[lid]
+            r.examined += count
+            r.passed += count
 
     report = LawReport([results[lid] for lid in law_ids], len(spaces),
                        decided_in_full=in_full)

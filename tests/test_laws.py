@@ -639,6 +639,51 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
             assert len(failed.witnesses) == failed.examined == direct[lid][0]
 
 
+def test_suite_records_failures_and_one_shared_pass_tuple(stream4):
+    """A space's record lists only the laws that failed on it, each with
+    its `_Fail`, beside the tuple of the ids that passed; later spaces of
+    one class share that tuple object; and every law's examined count is
+    its passes plus its witnesses, at 1 and 2 workers."""
+    evaluate = laws_mod._Evaluator(list(registry()))
+    records = [evaluate(space) for space in stream4]
+    for space, (_, fails, passed) in zip(stream4, records):
+        failed = [lid for lid, fail in fails if fail is not None]
+        assert len(failed) == len(fails)
+        runs = {lid for lid, law in registry().items()
+                if laws_mod._refusal(law, space) is None}
+        assert sorted(failed + list(passed)) == sorted(runs)
+    classes = {}
+    for space, record in zip(stream4, records):
+        if space.name.startswith("enum:"):   # no scope holds
+            classes.setdefault(space.canonical, []).append(record)
+    shared = [later for _, *later in classes.values() if len(later) >= 2]
+    assert shared
+    for (full, _, passed), (other_full, _, other) in (later[:2] for later in shared):
+        assert not full and not other_full
+        assert passed is other
+    for workers in (1, 2):
+        for r in run_suite(stream4, workers=workers).results:
+            assert r.examined == r.passed + len(r.witnesses), r.law_id
+
+
+def test_law_subset_gives_the_rows_of_the_full_run(stream4):
+    """A failing law, a semi-only law and a scoped law named alone keep
+    the rows the full registry gives them, at 1 and 2 workers: their
+    pass tuples come from a shorter runnable list."""
+    lids = ["cor-4-cantor-bendixson", "prop-3.2e", "example-2-digital-line"]
+
+    def rows(report):
+        outcomes = _outcomes(report, stream4)
+        return {r.law_id: (outcomes[r.law_id], r.verdict())
+                for r in report.results if r.law_id in lids}
+
+    for workers in (1, 2):
+        subset = run_suite(stream4, lids, workers=workers)
+        assert [r.law_id for r in subset.results] == lids
+        assert all(r.examined for r in subset.results)
+        assert rows(subset) == rows(run_suite(stream4, workers=workers))
+
+
 def _calls(funcs, run):
     """Run `run()`; count the calls of each function in `funcs` by its
     code object, so a call through any module's binding counts."""
@@ -815,6 +860,31 @@ def test_stale_dispute_detection(monkeypatch, e33):
     report = run_suite([e33], ["fake-stale-dispute"])
     assert report.exit_code() == 1
     assert "STALE" in report.results[0].verdict()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dispute_flag_survives_the_class_memo(monkeypatch, workers):
+    """The disputed law, patched to pass everywhere, is stale once the
+    catalog's discrete:2 runs, even when that space takes its pass from
+    the class memo after a renamed copy; the copy alone exercises
+    nothing."""
+    lid = "cor-4-cantor-bendixson"
+    law = registry()[lid]
+    _with_fake_law(monkeypatch, dataclasses.replace(law, check=lambda ctx: None))
+    space = named_space(law.dispute_space)
+    pair = dataclasses.replace(space, name="pair")
+
+    def verdict(report):
+        return next(r.verdict() for r in report.results if r.law_id == lid)
+
+    report = run_suite([pair, space], workers=workers)
+    if workers == 1:
+        assert report.decided_in_full == 1
+    assert verdict(report) == "disputed: STALE (no failure reproduced)"
+    assert report.exit_code() == 1
+    alone = run_suite([pair], workers=workers)
+    assert verdict(alone) == "disputed: not exercised"
+    assert alone.exit_code() == 0
 
 
 def test_unexercised_dispute_is_not_fatal(monkeypatch, e1):
