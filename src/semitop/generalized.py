@@ -83,9 +83,13 @@ def derived_set(space: FiniteSpace) -> int:
 
 
 def g_v_s_singletons(an: SemiAnalysis) -> int:
-    """Mask of the points whose singleton is a g.V_s-set."""
-    out = 0
-    for x in range(an.space.n):
-        if is_g_v_s(an, 1 << x):
-            out |= 1 << x
-    return out
+    """Mask of the points whose singleton is a g.V_s-set, read off SO.
+
+    {x} is g.V_s iff B = X minus {x} is g.Lambda_s.  B has only B and X
+    above it, so its semi-kernel is B if B is semi-open and X if not, and
+    its semi-closure is B if B is semi-closed ({x} semi-open) and X if
+    not.  The kernel escapes the closure only when it is X and the
+    closure is B: {x} is g.V_s iff B is semi-open or {x} is not."""
+    so, full = an.semi_open.bits, an.space.full
+    return sum(1 << x for x in range(an.space.n)
+               if so >> (full ^ 1 << x) & 1 or not so >> (1 << x) & 1)

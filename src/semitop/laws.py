@@ -10,14 +10,15 @@ carrying the first offending subsets/points in canonical mask order;
 `run_suite` folds a stream of spaces into a deterministic `LawReport`,
 merging each space's failures in stream order as they arrive and
 tallying its passes in bulk: a space sends back only its failures and
-one shared tuple of the laws that passed, and every witness holds the
-caller's own space.
+one shared tuple of the laws that passed.  Every witness holds the
+caller's own space, the failure's masks and point indices, and renders
+them in that space's labels only when read.
 
 The checkers read one `SpaceContext` per space and nothing else of the
-core: its parts are built on first read from families and columns.
-The per-query operators and witness renderers `axiom_profile`,
-`set_class` and `g_v_s_singletons` serve `analyze`, `khalimsky` and API
-users.
+core: its parts are built on first read from families and columns, and
+its g.V_s singletons from SO alone (`g_v_s_singletons`).  The
+per-query operators and witness renderers `axiom_profile` and
+`set_class` serve `analyze`, `khalimsky` and API users.
 
 The laws without a scope speak of the topology, not of the labels, so
 `run_suite` decides them once per homeomorphism class in a call, keyed
@@ -34,12 +35,11 @@ cor-3-semi-t1-semi-r0, sec-2-semi-r0-union, 4.5ab, 4.5cd, remark-4.7,
 topologies often share SO (a topology and its alpha-topology always
 do), so wherever a space builds its context, `run_suite` decides these
 laws once per distinct (n, SO) in a call.  Each such context builds its
-SO once, first, as the memo key.  Per family the suite keeps the
-outcomes of these laws and the context parts that depend on n and SO
-alone and that the other laws read (`_FAMILY_PARTS`: the generalized
-families, the V_s-sets, the g.V_s singletons and the semi-T1 / semi-R0
-verdicts).  A later space with that family starts its context with
-those parts; it computes only what its topology laws read, and still
+SO once, first, as the memo key, and the memo keeps only the outcomes
+of these laws; every other law reads the space's own context.  The one
+unscoped law that fails at n <= 5, cor-4-cantor-bendixson, reads the
+derived set and SO alone, so a later space of a class that reruns it
+builds no kernels, spreads or generalized families.  Every space still
 counts as examined for every law that runs on it.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
@@ -79,7 +79,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
 from .catalog import named_space
-from .generalized import derived_set, generalized_families
+from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, fixed, mirror, spread, spreads,
                       sub, sup, unions, within)
 from .semi import (OpennessGrades, SemiAnalysis, closure_columns,
@@ -100,19 +100,32 @@ class _Fail(NamedTuple):
 
 @dataclass(frozen=True)
 class Witness:
+    """A failure of a law on one space, held as masks and point indices
+    and rendered in that space's labels on read."""
+
     law_id: str
-    space_name: str
-    subsets: tuple
-    points: tuple
-    message: str
     space: FiniteSpace = field(compare=False, repr=False)
-    subset_masks: tuple = field(compare=False, default=())
+    subset_masks: tuple
+    point_indices: tuple
+    message: str
+
+    @property
+    def space_name(self) -> str:
+        return self.space.describe()
+
+    @property
+    def subsets(self) -> tuple:
+        return tuple(self.space.render(m) for m in self.subset_masks)
+
+    @property
+    def points(self) -> tuple:
+        return tuple(self.space.names[x] for x in self.point_indices)
 
     def render(self) -> str:
         parts = [f"{self.law_id} @ {self.space_name}: {self.message}"]
-        if self.subsets:
+        if self.subset_masks:
             parts.append("subsets " + ", ".join(self.subsets))
-        if self.points:
+        if self.point_indices:
             parts.append("points " + ", ".join(self.points))
         return "; ".join(parts)
 
@@ -144,14 +157,15 @@ class SpaceContext(SemiAnalysis):
     `SemiAnalysis` plus the other parts the checkers read, each built on
     first read from families and columns, then kept.  Those are the
     generalized families, the five axiom verdicts (R0 and semi-R0
-    decided on the neighbourhoods U_x and K_x, see `axioms`) and the
-    tables below.  The semi-kernel has one form, its columns
-    `kern_cols`, and each operator one fixed-set family, `fix_kern`
-    (the Λ_s-sets) and `fix_vs` (the V_s-sets).  The identity's Int and
-    Cl columns, `in_int` and `in_cl`, are built once and read by the
-    openness grades and the two definition laws.  `axiom_profile`,
-    `set_class` and `g_v_s_singletons` serve `analyze`, `khalimsky` and
-    API users, not the checkers."""
+    decided on the neighbourhoods U_x and K_x, see `axioms`), the g.V_s
+    singletons `gvs` (read off SO by `g_v_s_singletons`, with no
+    generalized family) and the tables below.  The semi-kernel has one
+    form, its columns `kern_cols`, and each operator one fixed-set
+    family, `fix_kern` (the Λ_s-sets) and `fix_vs` (the V_s-sets).  The
+    identity's Int and Cl columns, `in_int` and `in_cl`, are built once
+    and read by the openness grades and the two definition laws.
+    `axiom_profile` and `set_class` serve `analyze`, `khalimsky` and API
+    users, not the checkers."""
 
     @lazy
     def fams(self):
@@ -179,9 +193,8 @@ class SpaceContext(SemiAnalysis):
 
     @lazy
     def gvs(self) -> int:
-        """The mask of the points whose singleton is g.V_s."""
-        d_v = self.fams.d_v.bits
-        return sum(1 << x for x in range(self.space.n) if d_v >> (1 << x) & 1)
+        """The mask of the points whose singleton is g.V_s, read off SO."""
+        return g_v_s_singletons(self)
 
     @lazy
     def kern_cols(self) -> list:
@@ -839,20 +852,6 @@ def _refusal(law: Law, space: FiniteSpace) -> str | None:
     return None
 
 
-def _witness(law: Law, space: FiniteSpace, fail: _Fail | None):
-    if fail is None:
-        return None
-    return Witness(
-        law_id=law.id,
-        space_name=space.describe(),
-        subsets=tuple(space.render(m) for m in fail.subsets),
-        points=tuple(space.names[x] for x in fail.points),
-        message=fail.message,
-        space=space,
-        subset_masks=tuple(fail.subsets),
-    )
-
-
 def check_law(law: Law, space, ctx: SpaceContext | None = None):
     """Run one law on one space; None means pass, a Witness means fail."""
     if isinstance(law, str):
@@ -862,7 +861,8 @@ def check_law(law: Law, space, ctx: SpaceContext | None = None):
         raise LawScopeError(refusal)
     if ctx is None:
         ctx = SpaceContext(space)
-    return _witness(law, space, law.check(ctx))
+    fail = law.check(ctx)
+    return None if fail is None else Witness(law.id, space, *fail)
 
 
 @dataclass
@@ -949,12 +949,6 @@ class LawReport:
         return "\n".join(lines) + "\n"
 
 
-#: the context parts that depend on n and SO alone and that the
-#: topology laws read, with the generalized families behind `gvs`:
-#: `_Evaluator` keeps each once per family, from the space that built it
-_FAMILY_PARTS = ("fams", "fix_vs", "gvs", "semi_t1", "semi_r0")
-
-
 class _Evaluator:
     """Decides the laws of one `run_suite` call, space by space, and
     returns a record `(full, fails, passed)`: whether the space was
@@ -978,10 +972,9 @@ class _Evaluator:
 
     Wherever a space builds its context, the semi-only laws are decided
     once per (n, SO): each family keeps the outcome of a semi-only law
-    from the first of its spaces that runs it, and the `_FAMILY_PARTS`
-    its spaces have built.  A later space with that family starts its
-    context with those parts, so its other laws read only its SO (the
-    key) and its topology: no spreads or families are built for them.
+    from the first of its spaces that runs it.  Nothing else is kept per
+    family: the other laws read a fresh context of the space, which
+    builds only the parts they read.
     """
 
     def __init__(self, law_ids):
@@ -1000,9 +993,7 @@ class _Evaluator:
         """(law id, `_Fail`) for each of `laws` that fails on the space,
         decided on its own context and its family's memo."""
         ctx = SpaceContext(space)
-        decided, parts = self.families.setdefault(
-            (space.n, ctx.semi_open.bits), ({}, {}))
-        vars(ctx).update(parts)
+        decided = self.families.setdefault((space.n, ctx.semi_open.bits), {})
         fails = []
         for law in laws:
             if not law.semi_only:
@@ -1013,8 +1004,6 @@ class _Evaluator:
                 fail = decided[law.id] = law.check(ctx)
             if fail is not None:
                 fails.append((law.id, fail))
-        built = vars(ctx)
-        parts.update((part, built[part]) for part in _FAMILY_PARTS if part in built)
         return fails
 
     def __call__(self, space: FiniteSpace) -> tuple:
@@ -1117,7 +1106,7 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
             for lid, fail in fails:
                 r = results[lid]
                 r.examined += 1
-                r.witnesses.append(_witness(reg[lid], space, fail))
+                r.witnesses.append(Witness(lid, space, *fail))
             for r, name in disputes:
                 if _is_catalog_space(space, name) and (
                         r.law_id in passed or any(lid == r.law_id for lid, _ in fails)):

@@ -3,9 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semitop.semi as semi_mod
 from oracles import (derived_set_oracle, g_lambda_oracle, g_v_oracle,
                      random_space, sg_closed_oracle)
-from semitop.catalog import named_space
+from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.generalized import (derived_set, g_v_s_singletons,
                                  generalized_families, is_g_lambda_s, is_g_v_s,
                                  is_sg_closed)
@@ -76,6 +77,36 @@ def test_g_v_s_singletons_values(sierpinski):
     assert derived_set(disc) == 0
     assert g_v_s_singletons(SemiAnalysis(sierpinski)) == \
         sierpinski.mask_of("b")
+
+
+def test_g_v_s_singletons_is_the_family_and_the_oracle():
+    """The SO-only reading agrees with the singletons of the generalized
+    family d_v and with the literal per-point oracle, on every space with
+    n <= 4, the catalog and seeded random spaces on 6..12 points."""
+    rng = random.Random(2026)
+    spaces = [s for n in range(1, 5) for s in enumerate_topologies(n)] + \
+        [entry.space for entry in catalog_entries()] + \
+        [random_space(rng, n) for n in range(6, 13) for _ in range(4)]
+    for space in spaces:
+        an = SemiAnalysis(space)
+        d_v = generalized_families(an).d_v
+        singles = sum(1 << x for x in range(space.n) if 1 << x in d_v)
+        oracle = sum(1 << x for x in range(space.n) if g_v_oracle(an, 1 << x))
+        assert g_v_s_singletons(SemiAnalysis(space)) == singles == oracle, \
+            space.describe()
+
+
+def test_g_v_s_singletons_reads_only_the_semi_open_family(sierpinski, monkeypatch):
+    """No byte view, point kernel or spread is built: SO alone decides."""
+    def refused(*args):
+        raise AssertionError("read beyond SO")
+
+    monkeypatch.setattr(SemiAnalysis, "_views", refused)
+    monkeypatch.setattr(semi_mod, "meets", refused)
+    monkeypatch.setattr(semi_mod, "spreads", refused)
+    disc = named_space("discrete:3")
+    assert g_v_s_singletons(SemiAnalysis(disc)) == disc.full
+    assert g_v_s_singletons(SemiAnalysis(sierpinski)) == sierpinski.mask_of("b")
 
 
 def test_derived_set_matches_literal_closures(upto4_and_random):

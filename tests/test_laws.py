@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semitop.axioms as axioms_mod
-import semitop.generalized as generalized_mod
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
@@ -23,7 +22,7 @@ from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           registry, run_suite)
 from semitop.semi import (grades_from_columns, openness_grades, semi_open_bits,
                           set_class)
-from semitop.spaces import SetFamily, lazy
+from semitop.spaces import FiniteSpace, SetFamily, lazy
 
 
 def _stream3(spaces3):
@@ -579,15 +578,12 @@ def _semi_only_context(space):
 
 def test_semi_only_laws_read_only_the_semi_open_family(stream4):
     """Every law declared semi-only gives the same `_Fail` on the full
-    context and on one that knows nothing of the space but n and SO, and
-    so does every context part the suite keeps once per family."""
+    context and on one that knows nothing of the space but n and SO: the
+    premise of the suite's per-family outcome memo."""
     semi = [law for law in registry().values() if law.semi_only]
     assert semi
     for space in stream4:
         full, guarded = SpaceContext(space), _semi_only_context(space)
-        for part in laws_mod._FAMILY_PARTS:
-            assert getattr(full, part) == getattr(guarded, part), \
-                (part, space.describe())
         for law in semi:
             if laws_mod._refusal(law, space) is None:
                 assert law.check(full) == law.check(guarded), \
@@ -707,10 +703,12 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     """Over the 4-point spaces the suite builds SO only on the first
     space of each of the 33 homeomorphism classes and on the later
     spaces that rerun a law that failed on their class's first space (no
-    scoped law runs on an enumerated space).  It builds the point
-    kernels and generalized families once per distinct SO among those
-    spaces, and asks `_refusal` about each law once: the scope verdicts
-    and n are the same on every space."""
+    scoped law runs on an enumerated space).  A rerun reads SO alone, so
+    the point kernels are built once per first space and the generalized
+    families once per distinct SO among the first spaces (the semi-only
+    laws that read them are decided once per family).  `_refusal` is
+    asked about each law once: the scope verdicts and n are the same on
+    every space."""
     runs = [law for law in registry().values()
             if laws_mod._refusal(law, spaces4[0]) is None]
     assert all(law.scope is None for law in runs)
@@ -720,7 +718,8 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
         if first is space or any(check_law(law, first) for law in runs):
             builders.append(space)
     assert len(firsts) == 33 and len(firsts) < len(builders) < len(spaces4)
-    families = {semi_open_bits(space) for space in builders}
+    families = {semi_open_bits(space) for space in firsts.values()}
+    assert len(families) == 18
     kernels = []
     monkeypatch.setattr(semi_mod, "meets",
                         lambda *args: kernels.append(args) or meets(*args))
@@ -732,7 +731,7 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
                             lambda: run_suite(spaces4))
     assert counts == {semi_open_bits: len(builders),
                       generalized_families: len(families)}
-    assert len(kernels) == len(families)
+    assert len(kernels) == len(firsts)
     assert len(refusals) == len(registry())
     assert report.decided_in_full == len(firsts)
     assert all(r.examined == len(spaces4) for r in report.results
@@ -787,9 +786,9 @@ def test_scoped_laws_never_read_the_class_memo(e1):
 def test_suite_takes_no_per_query_route(stream4, monkeypatch):
     """The law layer reaches the core only through `SpaceContext` parts:
     over the n <= 4 stream the suite builds no axiom profile, grades no
-    single mask through `set_class`, asks `g_v_s_singletons` nothing and
-    builds no byte view of a `SemiAnalysis`."""
-    for name in ("axiom_profile", "set_class", "g_v_s_singletons"):
+    single mask through `set_class` and builds no byte view of a
+    `SemiAnalysis`."""
+    for name in ("axiom_profile", "set_class"):
         assert not hasattr(laws_mod, name)
     calls = []
 
@@ -798,12 +797,26 @@ def test_suite_takes_no_per_query_route(stream4, monkeypatch):
 
     monkeypatch.setattr(axioms_mod, "axiom_profile", refused("axiom_profile"))
     monkeypatch.setattr(semi_mod, "set_class", refused("set_class"))
-    monkeypatch.setattr(generalized_mod, "g_v_s_singletons",
-                        refused("g_v_s_singletons"))
     monkeypatch.setattr(semi_mod.SemiAnalysis, "_views", refused("byte view"))
     report = run_suite(stream4)
     assert report.exit_code() == 0
     assert calls == []
+
+
+def test_witnesses_are_rendered_only_when_read(stream4, monkeypatch):
+    """The suite keeps each failure as masks and point indices: over the
+    n <= 4 stream it renders no subset, and the text report renders only
+    the subsets of the witnesses it prints."""
+    rendered = []
+    render = FiniteSpace.render
+    monkeypatch.setattr(FiniteSpace, "render",
+                        lambda space, a: rendered.append(a) or render(space, a))
+    report = run_suite(stream4)
+    assert rendered == []
+    shown = [w for r in report.results for w in r.witnesses[:WITNESS_CAP]]
+    assert len(shown) < sum(len(r.witnesses) for r in report.results)
+    report.render_text()
+    assert rendered == [m for w in shown for m in w.subset_masks]
 
 
 def test_law_id_filter(spaces3):
