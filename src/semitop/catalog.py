@@ -1,5 +1,5 @@
-"""Ready-made spaces: named fixtures, digital-line windows, and the
-exhaustive enumeration of labeled topologies on up to five points.
+"""Ready-made spaces: named fixtures, digital-line windows, and every
+labeled topology on up to five points, as relabeled homeomorphism classes.
 
 Named ids are reserved words, never file paths: the fixed fixtures
 ("e1", "e33", "e3a", "sierpinski") plus the parametric families
@@ -7,10 +7,12 @@ Named ids are reserved words, never file paths: the fixed fixtures
 """
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import permutations, product
 
-from .lattice import everything, mirror, saturated
+from .lattice import decode, everything, iter_points, mirror, saturated
 from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
-                     TooManyPoints, space_from_masks)
+                     TooManyPoints, _canonical_form, space_from_masks)
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -144,55 +146,51 @@ def khalimsky_window(lo: int, hi: int) -> Window:
 
 # -- enumeration ------------------------------------------------------
 
-def _table_families(n: int) -> list:
-    """Topologies via minimal-neighbourhood tables, as family bitsets.
-
-    A table m assigns each point x a mask with x in m[x] such that
-    y in m[x] implies m[y] subset-of m[x]; tables correspond one-to-one
-    with topologies (opens = the m-saturated sets).  Depth-first search
-    with early pruning of incompatible pairs.  Every family holds the
-    carrier, so its opens tuple is the lower one iff it holds the lowest
-    mask where the two differ: the higher `mirror`, masks reversed.
+@cache
+def _classes(n: int) -> tuple:
+    """The canonical tables of the n-point classes up to homeomorphism,
+    ascending (OEIS A001930).  Each grows an (n-1)-point class by a
+    point p that sees an open A (U_p = A + p) and is seen by the closed
+    complement of an open O: a topology iff A lies inside each U_x that
+    holds p.  Every class arises, as deleting a point leaves a subspace;
+    no candidate through n = 9 passes `CANONICAL_BUDGET`.
     """
-    candidates = [[m for m in range(1 << n) if m >> x & 1] for x in range(n)]
-    table = [0] * n
-    families = []
-
-    def place(x):
-        if x == n:
-            families.append(saturated(table, n))
-            return
-        for m in candidates[x]:
-            ok = True
-            for y in range(x):
-                if m >> y & 1 and table[y] & ~m:
-                    ok = False
-                    break
-                if table[y] >> x & 1 and m & ~table[y]:
-                    ok = False
-                    break
-            if ok:
-                table[x] = m
-                place(x + 1)
-        table[x] = 0
-
-    place(0)
-    families.sort(key=lambda bits: mirror(bits, n), reverse=True)
-    return families
+    if n == 0:
+        return ((),)
+    p = 1 << n - 1
+    forms = set()
+    for table in _classes(n - 1):
+        opens = decode(saturated(table, n - 1))
+        for a, o in product(opens, opens):
+            grown = [u if o >> x & 1 else u | p for x, u in enumerate(table)]
+            if all(a & ~u == 0 for u in grown if u & p):
+                forms.add(_canonical_form(tuple(grown + [a | p])))
+    return tuple(sorted(forms))
 
 
 def enumerate_topologies(n: int):
-    """All labeled topologies on n points, ascending by opens tuple.
-
-    The tests hold the table generator to a naive family filter for
-    n <= 4.
+    """All labeled topologies on n points, ascending by opens tuple: each
+    distinct relabeling of a `_classes(n)` table, saturated once, carries
+    that table as `canonical`.  Every family holds the carrier, so its
+    opens tuple is the lower one iff it holds the lowest mask where the
+    two differ: the higher `mirror`.
     """
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise TooManyPoints(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
+    relabelings = [(order, [sum(1 << order.index(x) for x in iter_points(m))
+                            for m in range(1 << n)])   # point order[i] becomes i
+                   for order in permutations(range(n))]
+    families = []
+    for form in _classes(n):   # two classes share no table
+        orbit = {tuple([image[form[x]] for x in order]) for order, image in relabelings}
+        families += [(saturated(table, n), form) for table in orbit]
+    families.sort(key=lambda family: mirror(family[0], n), reverse=True)
     names = _letters(n)
-    for i, bits in enumerate(_table_families(n)):
-        yield space_from_masks(names, SetFamily.from_bits(bits),
-                               name=f"enum:{n}:{i}")
+    for i, (bits, form) in enumerate(families):
+        space = space_from_masks(names, SetFamily.from_bits(bits),
+                                 name=f"enum:{n}:{i}")
+        vars(space)["canonical"] = form
+        yield space
 
 
 def catalog_entries() -> list:

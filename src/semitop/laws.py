@@ -22,11 +22,11 @@ per-query operators and witness renderers `axiom_profile` and
 
 The laws without a scope speak of the topology, not of the labels, so
 `run_suite` decides them once per homeomorphism class in a call, keyed
-by `FiniteSpace.canonical`.  The first space of a class is decided in
-full; a later one passes the laws that passed there without building a
-context, and reruns on itself the ones that failed there and every
-scoped law, so each witness is its own.  The 7341 spaces with n <= 5
-fall into 187 classes.
+by `FiniteSpace.canonical`, which an enumerated space carries and any
+other space computes.  The first space of a class is decided in full;
+a later one passes the laws that passed there without a context, and
+reruns on itself the failed ones and every scoped law, so each witness
+is its own.  The 7341 spaces with n <= 5 fall into 187 classes.
 
 28 laws are declared `semi_only`: their outcome depends on n and the
 semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
@@ -960,15 +960,15 @@ class _Evaluator:
     distinct tuple once and `run_suite` tallies the passes in bulk.
 
     The runnable laws are listed once per (n, scope verdicts), through
-    `_refusal`.  Every unscoped law is invariant under relabeling, so
-    the unscoped laws are decided once per homeomorphism class, keyed
-    by `FiniteSpace.canonical`: the first space of a class is decided
-    in full, and the class keeps the ids of the unscoped laws that
-    failed there.  A later space of the class passes every other
-    unscoped law without a context; the failed ones and every scoped
-    law run on the space itself, so each witness is that space's own.
-    The laws to rerun are listed once per (runnable list, class failed
-    ids).  A space without a canonical form is decided in full.
+    `_refusal`.  The unscoped laws are invariant under relabeling, so
+    each is decided once per homeomorphism class, keyed by the
+    `FiniteSpace.canonical` that an enumerated space carries and any
+    other space computes.  The class keeps the ids of the unscoped laws
+    that failed on its first space, which is decided in full; a later
+    space passes every other unscoped law without a context, and reruns
+    the failed ones and every scoped law on itself, so each witness is
+    its own.  The laws to rerun are listed once per (runnable list,
+    class failed ids); a space without a canonical form is decided in full.
 
     Wherever a space builds its context, the semi-only laws are decided
     once per (n, SO): each family keeps the outcome of a semi-only law

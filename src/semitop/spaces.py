@@ -16,7 +16,8 @@ validation time.  Interior and closure are then O(n) mask loops:
 
 The table also names the space up to homeomorphism: `canonical` is the
 least relabeled table over the orderings that colour refinement leaves
-(McKay, J. Algorithms 26, 1998), or None past `CANONICAL_BUDGET`.
+(McKay, J. Algorithms 26, 1998), or None past `CANONICAL_BUDGET`.  An
+enumerated space is built with its class's form already assigned.
 """
 
 from dataclasses import dataclass, field

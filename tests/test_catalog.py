@@ -1,11 +1,11 @@
 import pytest
 
 from oracles import naive_is_topology, naive_topology_families
-from semitop.catalog import (EmptyWindow, UnknownId, catalog_entries,
-                             discrete_space, enumerate_topologies,
-                             indiscrete_space, is_named_id, khalimsky_window,
-                             named_space)
-from semitop.spaces import TooManyPoints
+from semitop.catalog import (EmptyWindow, UnknownId, _classes,
+                             catalog_entries, discrete_space,
+                             enumerate_topologies, indiscrete_space,
+                             is_named_id, khalimsky_window, named_space)
+from semitop.spaces import TooManyPoints, _canonical_form
 
 
 def test_fixed_spaces():
@@ -89,6 +89,25 @@ def test_enumeration_counts():
 
 def test_enumeration_count_n5():
     assert sum(1 for _ in enumerate_topologies(5)) == 6942
+
+
+def test_class_counts_and_tables_are_canonical():
+    """The class generator yields 1, 3, 9, 33, 139 and 718 classes on
+    1..6 points (OEIS A001930), ascending, each table its own canonical
+    form."""
+    assert [len(_classes(n)) for n in range(1, 7)] == [1, 3, 9, 33, 139, 718]
+    for n in range(1, 7):
+        assert list(_classes(n)) == sorted(set(_classes(n)))
+        assert all(_canonical_form(table) == table for table in _classes(n))
+
+
+def test_enumerated_spaces_carry_their_computed_form():
+    """The class memo of `run_suite` keys an enumerated space on the form
+    it carries and any other space on the form it computes: the two
+    agree on every labeled topology with n <= 5."""
+    for n in range(1, 6):
+        for space in enumerate_topologies(n):
+            assert vars(space)["canonical"] == _canonical_form(space.min_nbhd)
 
 
 def test_generator_matches_naive_filter_n4():

@@ -22,7 +22,7 @@ from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           registry, run_suite)
 from semitop.semi import (grades_from_columns, openness_grades, semi_open_bits,
                           set_class)
-from semitop.spaces import FiniteSpace, SetFamily, lazy
+from semitop.spaces import FiniteSpace, SetFamily, _canonical_form, lazy
 
 
 def _stream3(spaces3):
@@ -736,6 +736,17 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     assert report.decided_in_full == len(firsts)
     assert all(r.examined == len(spaces4) for r in report.results
                if registry()[r.law_id].scope is None)
+
+
+def test_suite_computes_no_form_for_an_enumerated_space():
+    """An enumerated space carries its class's form from the generator:
+    over a fresh copy of `stream4` (its catalog spaces have read no form
+    yet) the suite computes a canonical form once per catalog space and
+    never for an enumerated space."""
+    catalog = [entry.space for entry in catalog_entries()]
+    stream = [s for n in range(1, 5) for s in enumerate_topologies(n)] + catalog
+    _, counts = _calls((_canonical_form,), lambda: run_suite(stream))
+    assert counts == {_canonical_form: len(catalog)}
 
 
 @settings(max_examples=25, deadline=None)
