@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 
+from . import spaces
 from .lattice import decode, everything, iter_points, mirror, saturated
 from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
                      TooManyPoints, _canonical_form, space_from_masks)
@@ -27,6 +28,10 @@ class UnknownId(SpaceError):
 
 class EmptyWindow(SpaceError):
     pass
+
+
+class OverBudget(SpaceError):
+    """A class candidate needs more orderings than `CANONICAL_BUDGET`."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,8 @@ def _classes(n: int) -> tuple:
     point p that sees an open A (U_p = A + p) and is seen by the closed
     complement of an open O: a topology iff A lies inside each U_x that
     holds p.  Every class arises, as deleting a point leaves a subspace;
-    no candidate through n = 9 passes `CANONICAL_BUDGET`.
+    no candidate through n = 9 passes `CANONICAL_BUDGET`, and one that
+    did would raise `OverBudget`.
     """
     if n == 0:
         return ((),)
@@ -164,7 +170,11 @@ def _classes(n: int) -> tuple:
         for a, o in product(opens, opens):
             grown = [u if o >> x & 1 else u | p for x, u in enumerate(table)]
             if all(a & ~u == 0 for u in grown if u & p):
-                forms.add(_canonical_form(tuple(grown + [a | p])))
+                form = _canonical_form(tuple(grown + [a | p]))
+                if form is None:
+                    raise OverBudget(f"a {n}-point class has no canonical form within "
+                                     f"CANONICAL_BUDGET = {spaces.CANONICAL_BUDGET} orderings")
+                forms.add(form)
     return tuple(sorted(forms))
 
 

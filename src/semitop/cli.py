@@ -119,7 +119,7 @@ def _emit_report(report, fmt: str) -> int:
     else:
         print(report.render_text(), end="")
     print(f"wall-time: {report.wall_time:.3f}s", file=sys.stderr)
-    # summed over workers, each of which keeps its own class memo
+    # the caller keeps the class memo, so this is the same at any worker count
     print(f"decided-in-full: {report.decided_in_full}/{report.spaces_total} spaces",
           file=sys.stderr)
     return report.exit_code()

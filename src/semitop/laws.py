@@ -8,9 +8,8 @@ one analysed space.  Checkers return None on success or a `_Fail`
 carrying the first offending subsets/points in canonical mask order;
 `check_law` and `run_suite` turn a failure into a `Witness`.
 `run_suite` folds a stream of spaces into a deterministic `LawReport`,
-merging each space's failures in stream order as they arrive and
-tallying its passes in bulk: a space sends back only its failures and
-one shared tuple of the laws that passed.  Every witness holds the
+merging each space's failures in stream order and tallying its passes
+in bulk, as one shared tuple of the laws that passed.  Every witness holds the
 caller's own space, the failure's masks and point indices, and renders
 them in that space's labels only when read.
 
@@ -23,19 +22,20 @@ per-query operators and witness renderers `axiom_profile` and
 The laws without a scope speak of the topology, not of the labels, so
 `run_suite` decides them once per homeomorphism class in a call, keyed
 by `FiniteSpace.canonical`, which an enumerated space carries and any
-other space computes.  The first space of a class is decided in full;
-a later one passes the laws that passed there without a context, and
-reruns on itself the failed ones and every scoped law, so each witness
-is its own.  The 7341 spaces with n <= 5 fall into 187 classes.
+other space computes.  The first space of a class is decided in full,
+by the pool if there is one; a later one passes the laws that passed
+there without a context, and reruns on itself the failed ones and every
+scoped law, so each witness is its own.  The 7341 spaces with n <= 5
+fall into 187 classes.
 
 28 laws are declared `semi_only`: their outcome depends on n and the
 semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
 cor-3-semi-t1-semi-r0, sec-2-semi-r0-union, 4.5ab, 4.5cd, remark-4.7,
 4.8-4.10, cor-4.11, cor-4.12, 4.13, remark-5.2 and thm-5.3).  Distinct
 topologies often share SO (a topology and its alpha-topology always
-do), so wherever a space builds its context, `run_suite` decides these
-laws once per distinct (n, SO) in a call.  Each such context builds its
-SO once, first, as the memo key, and the memo keeps only the outcomes
+do), so `run_suite` decides these laws once per distinct (n, SO) in
+each process of a call.  A space that runs one builds its SO once,
+first, as the memo key, and the memo keeps only the outcomes
 of these laws; every other law reads the space's own context.  The one
 unscoped law that fails at n <= 5, cor-4-cantor-bendixson, reads the
 derived set and SO alone, so a later space of a class that reruns it
@@ -950,29 +950,25 @@ class LawReport:
 
 
 class _Evaluator:
-    """Decides the laws of one `run_suite` call, space by space, and
-    returns a record `(full, fails, passed)`: whether the space was
-    decided in full (took no verdict from an earlier space of its
-    class), `(law id, _Fail)` for each law that failed on it, and the
-    tuple of the ids of the laws that passed on it.  A passing law costs
-    no pair: every space with the same runnable list and the same failed
-    ids gets the same `passed` object, so a pool chunk pickles each
-    distinct tuple once and `run_suite` tallies the passes in bulk.
+    """Decides the laws of one `run_suite` call: `plan` lists the
+    spaces to decide in full, `decide` decides them, in the caller or a
+    pool worker, and `records` folds the stream in the caller.
 
     The runnable laws are listed once per (n, scope verdicts), through
     `_refusal`.  The unscoped laws are invariant under relabeling, so
     each is decided once per homeomorphism class, keyed by the
     `FiniteSpace.canonical` that an enumerated space carries and any
-    other space computes.  The class keeps the ids of the unscoped laws
-    that failed on its first space, which is decided in full; a later
-    space passes every other unscoped law without a context, and reruns
-    the failed ones and every scoped law on itself, so each witness is
-    its own.  The laws to rerun are listed once per (runnable list,
-    class failed ids); a space without a canonical form is decided in full.
+    other space computes.  A `records` call keeps, per class, the ids of
+    the unscoped laws that failed on its first space; a later space
+    passes every other unscoped law without a context, and reruns the
+    failed ones and every scoped law on itself, so each witness is its
+    own.  The laws to rerun are listed once per (runnable list, class
+    failed ids); a space without a canonical form is decided in full.
 
-    Wherever a space builds its context, the semi-only laws are decided
-    once per (n, SO): each family keeps the outcome of a semi-only law
-    from the first of its spaces that runs it.  Nothing else is kept per
+    The semi-only laws are decided once per (n, SO) in each evaluator,
+    the caller's or a worker's: each family keeps the outcome of a
+    semi-only law from the first of its spaces that runs it, and only a
+    space that runs one enters the memo.  Nothing else is kept per
     family: the other laws read a fresh context of the space, which
     builds only the parts they read.
     """
@@ -985,15 +981,25 @@ class _Evaluator:
             law.scope for law in self.laws if law.scope is not None))
         self.runnable = {}
         self.families = {}
-        self.classes = {}
-        self.reruns = {}
-        self.passes = {}
 
-    def _decide(self, space: FiniteSpace, laws: list) -> list:
-        """(law id, `_Fail`) for each of `laws` that fails on the space,
-        decided on its own context and its family's memo."""
+    def _runs(self, space: FiniteSpace) -> tuple:
+        """(n, scope verdicts) and the laws that run on the space, one
+        shared pair per key."""
+        key = (space.n, tuple(scope(space) for scope in self.scopes))
+        pair = self.runnable.get(key)
+        if pair is None:
+            pair = self.runnable[key] = (key, [
+                law for law in self.laws if _refusal(law, space) is None])
+        return pair
+
+    def decide(self, space: FiniteSpace, laws: list | None = None) -> list:
+        """(law id, `_Fail`) for each of `laws`, by default every law
+        that runs on the space, that fails on it, decided on its own
+        context and, for the semi-only laws, its family's memo."""
+        laws = self._runs(space)[1] if laws is None else laws
         ctx = SpaceContext(space)
-        decided = self.families.setdefault((space.n, ctx.semi_open.bits), {})
+        decided = (self.families.setdefault((space.n, ctx.semi_open.bits), {})
+                   if any(law.semi_only for law in laws) else None)
         fails = []
         for law in laws:
             if not law.semi_only:
@@ -1006,35 +1012,49 @@ class _Evaluator:
                 fails.append((law.id, fail))
         return fails
 
-    def __call__(self, space: FiniteSpace) -> tuple:
-        key = (space.n, tuple(scope(space) for scope in self.scopes))
-        runs = self.runnable.get(key)
-        if runs is None:
-            runs = self.runnable[key] = [
-                law for law in self.laws if _refusal(law, space) is None]
-        if not runs:
-            return True, [], ()
-        form = space.canonical
-        failed = self.classes.get(form)   # None for a space without a form
-        if failed is None:
-            fails = self._decide(space, runs)
-            if form is not None:
-                self.classes[form] = frozenset(
-                    lid for lid, _ in fails if lid in self.unscoped)
-            full = True
-        else:
-            rerun = self.reruns.get((key, failed))
-            if rerun is None:
-                rerun = self.reruns[key, failed] = [
-                    law for law in runs if law.scope is not None or law.id in failed]
-            fails = self._decide(space, rerun) if rerun else []
-            full = len(rerun) == len(runs)
-        failed_here = frozenset(lid for lid, _ in fails)
-        passed = self.passes.get((key, failed_here))
-        if passed is None:
-            passed = self.passes[key, failed_here] = tuple(
-                law.id for law in runs if law.id not in failed_here)
-        return full, fails, passed
+    def plan(self, spaces: list) -> tuple:
+        """`_runs` of each space, and the spaces to decide in full: the
+        first of each class that runs a law, and every space without a
+        form (keyed by its place), in stream order."""
+        keyed = [self._runs(space) for space in spaces]
+        firsts = {}
+        for i, (space, (_, runs)) in enumerate(zip(spaces, keyed)):
+            if runs:
+                firsts.setdefault(space.canonical or i, space)
+        return keyed, list(firsts.values())
+
+    def records(self, spaces: list, keyed: list, decided: Iterable) -> Iterable:
+        """`(full, fails, passed)` per space: whether it took no verdict
+        from an earlier space of its class, `(law id, _Fail)` per failed
+        law, and the ids of the passed laws, one tuple per runnable list
+        and failed ids.  `decided` yields `decide` of each space `plan`
+        listed to decide in full, in order."""
+        classes, reruns, passes = {}, {}, {}
+        for space, (key, runs) in zip(spaces, keyed):
+            if not runs:
+                yield True, [], ()
+                continue
+            form = space.canonical
+            failed = classes.get(form)   # None for a space without a form
+            if failed is None:
+                fails = next(decided)
+                if form is not None:
+                    classes[form] = frozenset(
+                        lid for lid, _ in fails if lid in self.unscoped)
+                full = True
+            else:
+                rerun = reruns.get((key, failed))
+                if rerun is None:
+                    rerun = reruns[key, failed] = [
+                        law for law in runs if law.scope is not None or law.id in failed]
+                fails = self.decide(space, rerun) if rerun else []
+                full = len(rerun) == len(runs)
+            failed_here = frozenset(lid for lid, _ in fails)
+            passed = passes.get((key, failed_here))
+            if passed is None:
+                passed = passes[key, failed_here] = tuple(
+                    law.id for law in runs if law.id not in failed_here)
+            yield full, fails, passed
 
 
 _WORKER = None   # a pool worker's evaluator, for the pool's lifetime
@@ -1045,8 +1065,8 @@ def _start_worker(law_ids) -> None:
     _WORKER = _Evaluator(law_ids)
 
 
-def _eval_in_worker(space: FiniteSpace) -> tuple:
-    return _WORKER(space)
+def _decide_in_worker(space: FiniteSpace) -> list:
+    return _WORKER.decide(space)
 
 
 def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
@@ -1057,21 +1077,20 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
 
     The unscoped laws are decided once per homeomorphism class in the
     call, and the semi-only laws once per distinct (n, semi-open
-    family), in each pool worker for the classes and families it meets
-    (see `_Evaluator`); every space a law runs on still counts as
-    examined, and a failure yields a witness on each such space, worked
-    out on that space.  `decided_in_full` counts the spaces that took no
-    verdict from an earlier space of their class.  Each space's
-    failures are merged in stream order as they arrive, and each
-    `Witness` holds the caller's own space.  Its passes arrive as one
-    tuple of law ids, shared by every space with the same runnable laws
-    and failed laws: the suite counts each distinct tuple and adds
-    `examined` and `passed` once per law and tuple at the end.  The
-    dispute flag is checked per space, for the laws that name a dispute
-    space.  A named expected law that examines no space
-    fails the report.  The merged report is deterministic in the law
-    registration order and the stream order, independent of the worker
-    count.
+    family) in each process (see `_Evaluator`); every space a law runs
+    on still counts as examined, and a failure yields a witness worked
+    out on each such space.  The caller keeps the class memo and sends
+    a pool only the spaces to decide in full, so `decided_in_full` (the
+    spaces that took no verdict from an earlier space of their class)
+    is the same at any worker count.  Each `Witness` holds the caller's
+    own space.  The passes of a space come as one tuple of law ids,
+    shared by every space with the same runnable and failed laws: the
+    suite counts each distinct tuple and adds `examined` and `passed`
+    once per law and tuple at the end.  The dispute flag is checked per
+    space, for the laws that name a dispute space.  A named expected
+    law that examines no space fails the report.  The report is
+    deterministic in the law registration order and the stream order,
+    independent of the worker count.
     """
     reg = registry()
     named = law_ids is not None
@@ -1091,16 +1110,19 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     disputes = [(results[lid], reg[lid].dispute_space) for lid in law_ids
                 if reg[lid].dispute_space is not None]
 
-    parallel = workers > 1 and len(spaces) > 1
+    evaluate = _Evaluator(law_ids)
+    keyed, firsts = evaluate.plan(spaces)
+    parallel = workers > 1 and len(firsts) > 1
     with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                               initargs=(law_ids,)) if parallel
           else nullcontext()) as pool:
-        evaluated = (pool.map(_eval_in_worker, spaces,
-                              chunksize=max(1, len(spaces) // (workers * 8)))
-                     if parallel else map(_Evaluator(law_ids), spaces))
+        decided = (pool.map(_decide_in_worker, firsts,
+                            chunksize=max(1, len(firsts) // (workers * 8)))
+                   if parallel else map(evaluate.decide, firsts))
         in_full = 0
         tally = {}
-        for space, (full, fails, passed) in zip(spaces, evaluated):
+        records = evaluate.records(spaces, keyed, decided)
+        for space, (full, fails, passed) in zip(spaces, records):
             in_full += full
             tally[passed] = tally.get(passed, 0) + 1
             for lid, fail in fails:

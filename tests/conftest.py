@@ -6,8 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import semitop.spaces as spaces_mod
 from oracles import random_space
-from semitop.catalog import enumerate_topologies, named_space
+from semitop.catalog import _classes, enumerate_topologies, named_space
 from semitop.semi import SemiAnalysis
 
 
@@ -39,6 +40,16 @@ def e1_an(e1):
 @pytest.fixture(scope="session")
 def e33_an(e33):
     return SemiAnalysis(e33)
+
+
+@pytest.fixture
+def tiny_budget(monkeypatch):
+    """`CANONICAL_BUDGET` patched to 1, with `_classes` computed afresh
+    under it and again after it."""
+    monkeypatch.setattr(spaces_mod, "CANONICAL_BUDGET", 1)
+    _classes.cache_clear()
+    yield
+    _classes.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,11 @@
 import pytest
 
 from oracles import naive_is_topology, naive_topology_families
-from semitop.catalog import (EmptyWindow, UnknownId, _classes,
+from semitop.catalog import (EmptyWindow, OverBudget, UnknownId, _classes,
                              catalog_entries, discrete_space,
                              enumerate_topologies, indiscrete_space,
                              is_named_id, khalimsky_window, named_space)
-from semitop.spaces import TooManyPoints, _canonical_form
+from semitop.spaces import SpaceError, TooManyPoints, _canonical_form
 
 
 def test_fixed_spaces():
@@ -99,6 +99,15 @@ def test_class_counts_and_tables_are_canonical():
     for n in range(1, 7):
         assert list(_classes(n)) == sorted(set(_classes(n)))
         assert all(_canonical_form(table) == table for table in _classes(n))
+
+
+def test_class_generator_refuses_a_candidate_past_the_budget(tiny_budget):
+    """A candidate without a canonical form stops the generator with a
+    `SpaceError` naming n and the budget, not a failed sort."""
+    with pytest.raises(OverBudget, match=r"^a 4-point class has no canonical form "
+                       r"within CANONICAL_BUDGET = 1 orderings$"):
+        _classes(4)
+    assert issubclass(OverBudget, SpaceError)
 
 
 def test_enumerated_spaces_carry_their_computed_form():

@@ -125,8 +125,8 @@ def test_laws_n4_report_is_pinned(capsys, fmt, workers):
 def test_laws_reports_the_spaces_decided_in_full_on_stderr(capsys, workers):
     """stderr gives, after the wall time, how many spaces were decided in
     full: one per homeomorphism class (46 on 1..4 points, and the two
-    wider windows), and at 2 workers at least that many, since each
-    worker keeps its own memo.  stdout is the pinned report."""
+    wider windows), at either worker count, since the caller keeps the
+    class memo.  stdout is the pinned report."""
     code, out, err = run_cli(capsys, "laws", "--max-points", "4",
                              "--workers", workers)
     assert code == 0
@@ -135,7 +135,7 @@ def test_laws_reports_the_spaces_decided_in_full_on_stderr(capsys, workers):
     assert wall.startswith("wall-time: ")
     decided, total = full.removeprefix("decided-in-full: ").split(" ")[0].split("/")
     assert total == "399" and full.endswith(" spaces")
-    assert int(decided) == 48 if workers == "1" else 48 <= int(decided) < 399
+    assert int(decided) == 48
 
 
 def test_claim_reports_the_spaces_decided_in_full_on_stderr(capsys):
@@ -148,6 +148,15 @@ def test_claim_reports_the_spaces_decided_in_full_on_stderr(capsys):
     assert code == 0
     assert "disputed: confirmed" in out
     assert err.splitlines()[1] == "decided-in-full: 28/44 spaces"
+
+
+def test_laws_exits_2_when_a_class_has_no_canonical_form(capsys, tiny_budget):
+    """Past `CANONICAL_BUDGET` the class generator's error reaches the
+    user as exit 2 with its message, not a traceback."""
+    code, out, err = run_cli(capsys, "laws", "--max-points", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: a 4-point class has no canonical form within "
+                   "CANONICAL_BUDGET = 1 orderings\n")
 
 
 _LARGE_ANALYZE_SHA256 = {

@@ -14,15 +14,17 @@ from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
                      levine_sets_oracle, random_space, relabeled,
                      semi_open_oracle, sierpinski_copies)
 from semitop.axioms import AXIOM_KEYS
-from semitop.catalog import catalog_entries, enumerate_topologies, named_space
+from semitop.catalog import (_classes, _letters, catalog_entries,
+                             enumerate_topologies, named_space)
 from semitop.generalized import generalized_families
-from semitop.lattice import columns, encode, meets, spread, unions
+from semitop.lattice import columns, encode, meets, saturated, spread, unions
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
 from semitop.semi import (grades_from_columns, openness_grades, semi_open_bits,
                           set_class)
-from semitop.spaces import FiniteSpace, SetFamily, _canonical_form, lazy
+from semitop.spaces import (FiniteSpace, SetFamily, _canonical_form, lazy,
+                            space_from_masks)
 
 
 def _stream3(spaces3):
@@ -213,6 +215,24 @@ def test_law_checkers_match_literal_oracles():
             if space.n > 8 and lid in _QUADRATIC or not reg[lid].applies(space):
                 continue
             assert reg[lid].check(ctx) == oracle(ctx), (lid, space.describe())
+
+
+@pytest.mark.parametrize("n", [5])
+def test_law_checkers_match_literal_oracles_on_every_class(n):
+    """Every checker with a literal oracle returns the oracle's `_Fail`
+    on a space built from each n-point class table: 139 classes and 5004
+    checks at n = 5.  CI calls this with n = 6 (718 classes)."""
+    reg = registry()
+    checks = 0
+    for table in _classes(n):
+        space = space_from_masks(_letters(n), SetFamily.from_bits(saturated(table, n)))
+        ctx = SpaceContext(space)
+        for lid, oracle in LAW_ORACLES.items():
+            if reg[lid].applies(space):
+                assert reg[lid].check(ctx) == oracle(ctx), (lid, table)
+                checks += 1
+    # every oracle but the digital line's, which is scoped to windows
+    assert checks == len(_classes(n)) * (len(LAW_ORACLES) - 1)
 
 
 # the context entries each checker and its oracle both read, directly
@@ -641,7 +661,10 @@ def test_suite_records_failures_and_one_shared_pass_tuple(stream4):
     one class share that tuple object; and every law's examined count is
     its passes plus its witnesses, at 1 and 2 workers."""
     evaluate = laws_mod._Evaluator(list(registry()))
-    records = [evaluate(space) for space in stream4]
+    keyed, firsts = evaluate.plan(stream4)
+    decided = map(evaluate.decide, firsts)
+    records = list(evaluate.records(stream4, keyed, decided))
+    assert next(decided, None) is None
     for space, (_, fails, passed) in zip(stream4, records):
         failed = [lid for lid, fail in fails if fail is not None]
         assert len(failed) == len(fails)
@@ -736,6 +759,59 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     assert report.decided_in_full == len(firsts)
     assert all(r.examined == len(spaces4) for r in report.results
                if registry()[r.law_id].scope is None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch,
+                                                           workers):
+    """The caller keeps the class memo: every law is decided on the
+    first space of each class and on each space without a form, and on
+    no other, at 1 worker in the caller and at 2 in the pool, which gets
+    those spaces and nothing else; every rerun runs in the caller."""
+    formless = sierpinski_copies(5, isolated=1)
+    stream = stream4 + [formless, relabeled(formless, [10 - x for x in range(11)])]
+    firsts = {}
+    for i, space in enumerate(stream):
+        firsts.setdefault(space.canonical or i, space)
+    expected = [id(space) for space in firsts.values()]
+    calls, sent = [], []
+    decide = laws_mod._Evaluator.decide
+
+    def spy(self, space, laws=None):
+        calls.append((id(space), laws is None))
+        return decide(self, space, laws)
+
+    class Pool(laws_mod.ProcessPoolExecutor):
+        def map(self, fn, spaces, **kwargs):
+            sent.extend(map(id, spaces))
+            return super().map(fn, spaces, **kwargs)
+
+    monkeypatch.setattr(laws_mod._Evaluator, "decide", spy)
+    monkeypatch.setattr(laws_mod, "ProcessPoolExecutor", Pool)
+    report = run_suite(stream, workers=workers)
+    in_full = [space for space, whole in calls if whole]
+    assert (in_full, sent) == ((expected, []) if workers == 1 else ([], expected))
+    reruns = [space for space, whole in calls if not whole]
+    assert reruns and not set(reruns) & set(expected)
+    assert report.decided_in_full == len(expected) == 46 + 2 + 2   # classes, windows, formless
+    assert _outcomes(report, stream) == _outcomes(run_suite(stream), stream)
+
+
+def test_family_memo_is_keyed_only_by_semi_only_laws(stream4, monkeypatch):
+    """A space enters the (n, SO) memo only when it runs a semi-only law:
+    the reruns of cor-4-cantor-bendixson on the later spaces of a class
+    leave no empty entry."""
+    made = []
+
+    class Kept(laws_mod._Evaluator):
+        def __init__(self, law_ids):
+            super().__init__(law_ids)
+            made.append(self)
+
+    monkeypatch.setattr(laws_mod, "_Evaluator", Kept)
+    run_suite(stream4)
+    (evaluate,) = made
+    assert evaluate.families and all(evaluate.families.values())
 
 
 def test_suite_computes_no_form_for_an_enumerated_space():
@@ -902,8 +978,7 @@ def test_dispute_flag_survives_the_class_memo(monkeypatch, workers):
         return next(r.verdict() for r in report.results if r.law_id == lid)
 
     report = run_suite([pair, space], workers=workers)
-    if workers == 1:
-        assert report.decided_in_full == 1
+    assert report.decided_in_full == 1
     assert verdict(report) == "disputed: STALE (no failure reproduced)"
     assert report.exit_code() == 1
     alone = run_suite([pair], workers=workers)
