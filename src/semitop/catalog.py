@@ -179,21 +179,23 @@ def _classes(n: int) -> tuple:
 
 
 def enumerate_topologies(n: int):
-    """All labeled topologies on n points, ascending by opens tuple: each
-    distinct relabeling of a `_classes(n)` table, saturated once, carries
-    that table as `canonical`.  Every family holds the carrier, so its
-    opens tuple is the lower one iff it holds the lowest mask where the
-    two differ: the higher `mirror`.
+    """All labeled topologies on n points, ascending by opens tuple.  Each
+    `_classes(n)` table is saturated once and its family relabeled by
+    every permutation; each distinct family carries that table as
+    `canonical`.  Every family holds the carrier, so its opens tuple is
+    the lower one iff it holds the lowest mask where the two differ: the
+    higher `mirror`.
     """
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise TooManyPoints(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
-    relabelings = [(order, [sum(1 << order.index(x) for x in iter_points(m))
-                            for m in range(1 << n)])   # point order[i] becomes i
-                   for order in permutations(range(n))]
+    images = [[sum(1 << order.index(x) for x in iter_points(m))
+               for m in range(1 << n)]   # point order[i] becomes i
+              for order in permutations(range(n))]
     families = []
-    for form in _classes(n):   # two classes share no table
-        orbit = {tuple([image[form[x]] for x in order]) for order, image in relabelings}
-        families += [(saturated(table, n), form) for table in orbit]
+    for form in _classes(n):   # two classes share no family
+        members = decode(saturated(form, n))
+        orbit = {sum([1 << image[m] for m in members]) for image in images}
+        families += [(bits, form) for bits in orbit]
     families.sort(key=lambda family: mirror(family[0], n), reverse=True)
     names = _letters(n)
     for i, (bits, form) in enumerate(families):

@@ -13,6 +13,8 @@ operations per point instead of a loop over all 2**n masks:
              missing (downward) x: all n from one leave-one-out pass of
              at most n*ceil(log2 n) steps, not n spreads of n steps each
     unions   the unions of the non-empty subfamilies of a family
+    lowest   per point x, the numerically lowest member holding x: in a
+             topology, the smallest open neighbourhood U_x
     mirror   bit m -> bit full^m: the family of complements
     within   {A : A inside f(A)}, from the columns of f (below)
     fixed    {A : f(A) = A}, the fixed sets of f
@@ -101,8 +103,33 @@ def fixed(cols, n: int) -> int:
 
 
 def saturated(hulls, n: int) -> int:
-    """The masks A with hulls[x] inside A for every x in A."""
-    return within((sup(hull, n) for hull in hulls), n)
+    """The masks A with hulls[x] inside A for every x in A: `within` of
+    the columns sup(hulls[x]), folded in one loop, since validation
+    calls it once per space."""
+    has, lack = columns(n)
+    out = ones = everything(n)
+    for x, hull in enumerate(hulls):
+        col = ones    # sup(hull)
+        while hull:
+            low = hull & -hull
+            col &= has[low.bit_length() - 1]
+            hull ^= low
+        out &= lack[x] | col
+    return out
+
+
+def lowest(bits: int, n: int) -> list:
+    """Per point x, the numerically lowest member that contains x (-1
+    if none does): n big-int operations where `meets` makes n**2.  In a
+    topology it is the meet U_x, which lies inside every member holding
+    x; in a family not closed under intersection, such as the semi-open
+    sets, it need not be, and `meets` is needed there."""
+    has = columns(n)[0]
+    out = []
+    for x in range(n):
+        w = bits & has[x]
+        out.append((w & -w).bit_length() - 1)
+    return out
 
 
 def meets(bits: int, n: int) -> list:

@@ -25,7 +25,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .lattice import decode, encode, iter_points, meets, mirror, saturated
+from .lattice import decode, encode, iter_points, lowest, mirror, saturated
 
 MAX_POINTS = 20
 
@@ -402,6 +402,11 @@ def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
     equals the family of sets saturated under its own minimal
     neighbourhood table (Alexandrov), so that bitset test decides; the
     quadratic pair scan runs only to locate a witness.
+
+    U_x is read as the numerically lowest member holding x.  The test
+    stays exact: a saturated family is closed under union and
+    intersection, and in a topology U_x lies inside every open holding
+    x, so it is also the numerically lowest one.
     """
     names = tuple(names)
     _validate_names(names)
@@ -421,7 +426,7 @@ def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
         raise MissingEmptyOrUniverse(
             "the topology must contain the empty set and the whole carrier")
 
-    mins = meets(fam.bits, n)
+    mins = lowest(fam.bits, n)
     space = FiniteSpace(names, fam, tuple(mins), name)
     if saturated(mins, n) != fam.bits:
         # neither member of a witness pair is the empty set or the carrier

@@ -424,6 +424,16 @@ def test_enumerate_stdout(capsys):
     assert "# 4 topologies on 2 points" in out
 
 
+def test_enumerate_n5_stdout_is_pinned(capsys):
+    """The labels and opens of every labeled topology on 5 points, in
+    order: a rewrite of the orbit expansion or of its sort that moves or
+    drops any family changes the hash."""
+    code, out, _ = run_cli(capsys, "enumerate", "--points", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7dea07ec217c22748b2110d8409b2d2bc41ef2ae6713918cf5ef6e2e9ac8409e"
+
+
 def test_enumerate_round_trip(capsys, tmp_path):
     out_dir = tmp_path / "spaces"
     code, out, _ = run_cli(capsys, "enumerate", "--points", "3",

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import union_closure_oracle
 from semitop.lattice import (columns, decode, encode, everything, fixed,
-                             spread, spreads, unions, within)
+                             lowest, saturated, spread, spreads, unions,
+                             within)
 
 
 @st.composite
@@ -51,6 +52,26 @@ def test_within_and_fixed_match_per_mask_definitions(case):
     assert within(iter(cols), n) == within(cols, n)
     assert decode(fixed(cols, n)) == tuple(
         m for m, v in enumerate(values) if m == v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families())
+def test_lowest_is_the_least_member_holding_each_point(case):
+    n, bits = case
+    members = decode(bits)
+    assert lowest(bits, n) == [min((m for m in members if m >> x & 1), default=-1)
+                               for x in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+def test_saturated_matches_its_per_mask_definition(case):
+    """The masks A with hulls[x] inside A for every point x of A."""
+    n, hulls = case
+    assert decode(saturated(hulls, n)) == tuple(
+        m for m in range(1 << n)
+        if all(hulls[x] & ~m == 0 for x in range(n) if m >> x & 1))
 
 
 def test_unions_match_union_closure_oracle():

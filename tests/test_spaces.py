@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semitop.spaces as spaces_mod
-from oracles import (closure_oracle, interior_oracle, random_space, relabeled,
-                     sierpinski_copies)
+from oracles import (closure_oracle, interior_oracle, naive_is_topology,
+                     random_space, relabeled, sierpinski_copies)
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
+from semitop.lattice import decode, meets
 from semitop.spaces import (CANONICAL_BUDGET, DuplicateLabel, EmptyCarrier,
                             MissingEmptyOrUniverse, NotClosedUnderIntersection,
                             NotClosedUnderUnion, SetFamily, TooManyPoints,
@@ -158,6 +159,25 @@ def test_minimal_neighborhood(spaces3):
                 if o >> x & 1:
                     direct &= o
             assert m == direct
+
+
+def test_validation_accepts_exactly_the_topologies_n4():
+    """Every family on 4 points holding the empty set and the carrier:
+    `space_from_masks` accepts it iff the axioms hold, and reads each U_x
+    (the lowest member holding x) as the meet of the opens holding x."""
+    accepted = 0
+    for middle in range(1 << 14):
+        bits = 1 | middle << 1 | 1 << 15
+        members = decode(bits)
+        try:
+            space = space_from_masks("abcd", SetFamily.from_bits(bits))
+        except (NotClosedUnderUnion, NotClosedUnderIntersection):
+            assert not naive_is_topology(members, 4)
+            continue
+        assert naive_is_topology(members, 4)
+        assert space.min_nbhd == tuple(meets(bits, 4))
+        accepted += 1
+    assert accepted == 355
 
 
 def test_closed_family_is_complements(spaces3):
