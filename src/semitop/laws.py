@@ -9,9 +9,9 @@ carrying the first offending subsets/points in canonical mask order;
 `check_law` and `run_suite` turn a failure into a `Witness`.
 `run_suite` folds a stream of spaces into a deterministic `LawReport`,
 merging each space's failures in stream order and tallying its passes
-in bulk, as one shared tuple of the laws that passed.  Every witness holds the
-caller's own space, the failure's masks and point indices, and renders
-them in that space's labels only when read.
+in bulk, as one shared tuple of the laws that passed.  Every witness
+holds the caller's own space, the failure's masks and point indices,
+and renders them in that space's labels only when read.
 
 The checkers read one `SpaceContext` per space and nothing else of the
 core: its parts are built on first read from families and columns, and
@@ -19,28 +19,11 @@ its g.V_s singletons from SO alone (`g_v_s_singletons`).  The
 per-query operators and witness renderers `axiom_profile` and
 `set_class` serve `analyze`, `khalimsky` and API users.
 
-The laws without a scope speak of the topology, not of the labels, so
-`run_suite` decides them once per homeomorphism class in a call, keyed
-by `FiniteSpace.canonical`, which an enumerated space carries and any
-other space computes.  The first space of a class is decided in full,
-by the pool if there is one; a later one passes the laws that passed
-there without a context, and reruns on itself the failed ones and every
-scoped law, so each witness is its own.  The 7341 spaces with n <= 5
-fall into 187 classes.
-
-28 laws are declared `semi_only`: their outcome depends on n and the
-semi-open family SO alone (prop-3.2a-j, 3.7a-d, 3.8,
-cor-3-semi-t1-semi-r0, sec-2-semi-r0-union, 4.5ab, 4.5cd, remark-4.7,
-4.8-4.10, cor-4.11, cor-4.12, 4.13, remark-5.2 and thm-5.3).  Distinct
-topologies often share SO (a topology and its alpha-topology always
-do), so `run_suite` decides these laws once per distinct (n, SO) in
-each process of a call.  A space that runs one builds its SO once,
-first, as the memo key, and the memo keeps only the outcomes
-of these laws; every other law reads the space's own context.  The one
-unscoped law that fails at n <= 5, cor-4-cantor-bendixson, reads the
-derived set and SO alone, so a later space of a class that reruns it
-builds no kernels, spreads or generalized families.  Every space still
-counts as examined for every law that runs on it.
+A law without a scope speaks of the topology, not of the labels, and a
+`semi_only` law of n and the semi-open family SO alone, so `run_suite`
+decides the first once per homeomorphism class and the second once per
+(n, SO) (see `_Evaluator`).  A failure a later space takes from its
+class is a `Witness` worked out on first read, on the space itself.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
@@ -78,7 +61,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
-from .catalog import named_space
+from .catalog import is_named_id, named_space
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, fixed, mirror, spread, spreads,
                       sub, sup, unions, within)
@@ -98,16 +81,39 @@ class _Fail(NamedTuple):
     message: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A failure of a law on one space, held as masks and point indices
-    and rendered in that space's labels on read."""
+    and rendered in that space's labels on read.  One that `run_suite`
+    takes from the space's class (`_inherited`) holds the law it ran
+    instead, and works them out on first read, on a fresh context."""
 
     law_id: str
     space: FiniteSpace = field(compare=False, repr=False)
     subset_masks: tuple
     point_indices: tuple
     message: str
+    _law: "Law | None" = field(default=None, init=False, compare=False, repr=False)
+
+    @classmethod
+    def _inherited(cls, law: "Law", space: FiniteSpace) -> "Witness":
+        witness = object.__new__(cls)
+        for name, value in (("law_id", law.id), ("space", space), ("_law", law)):
+            object.__setattr__(witness, name, value)
+        return witness
+
+    def __getattr__(self, name):   # only for a slot not yet set
+        fields = ("subset_masks", "point_indices", "message")
+        if name not in fields or self._law is None:
+            raise AttributeError(name)
+        fail = self._law.check(SpaceContext(self.space))
+        if fail is None:
+            raise RuntimeError(f"{self.law_id} passes on {self.space.describe()} but failed on "
+                               "its class's first space: not invariant under relabeling")
+        for field_name, value in zip(fields, fail):
+            object.__setattr__(self, field_name, value)
+        object.__setattr__(self, "_law", None)
+        return getattr(self, name)
 
     @property
     def space_name(self) -> str:
@@ -137,7 +143,9 @@ class Law:
     check: Callable
     status: str = "expected"          # or "disputed"
     max_points: int = SUBSET_CAP
-    scope: Callable | None = None     # None: every space
+    # None: every space; else a test of catalog spaces, never asked of a
+    # space whose name is not a reserved id (`catalog.is_named_id`)
+    scope: Callable | None = None
     note: str = ""
     dispute_space: str | None = None
     # the outcome depends on n and SO alone, so `run_suite` decides the
@@ -145,7 +153,8 @@ class Law:
     semi_only: bool = False
 
     def applies(self, space: FiniteSpace) -> bool:
-        return self.scope is None or self.scope(space)
+        return self.scope is None or (
+            is_named_id(space.name or "") and self.scope(space))
 
 
 class LawScopeError(Exception):
@@ -955,15 +964,14 @@ class _Evaluator:
     pool worker, and `records` folds the stream in the caller.
 
     The runnable laws are listed once per (n, scope verdicts), through
-    `_refusal`.  The unscoped laws are invariant under relabeling, so
-    each is decided once per homeomorphism class, keyed by the
-    `FiniteSpace.canonical` that an enumerated space carries and any
-    other space computes.  A `records` call keeps, per class, the ids of
-    the unscoped laws that failed on its first space; a later space
-    passes every other unscoped law without a context, and reruns the
-    failed ones and every scoped law on itself, so each witness is its
-    own.  The laws to rerun are listed once per (runnable list, class
-    failed ids); a space without a canonical form is decided in full.
+    `_refusal` (see `Law.scope`).  The unscoped laws are invariant under
+    relabeling, so each is decided once per homeomorphism class, keyed
+    by the `FiniteSpace.canonical` that an enumerated space carries and
+    any other space computes.  A `records` call keeps, per class, the
+    unscoped laws that failed on its first space; a later space takes
+    every unscoped verdict from there, failures as well as passes,
+    without a context, and runs only its scoped laws, listed once per
+    runnable key.  A space without a canonical form is decided in full.
 
     The semi-only laws are decided once per (n, SO) in each evaluator,
     the caller's or a worker's: each family keeps the outcome of a
@@ -985,7 +993,8 @@ class _Evaluator:
     def _runs(self, space: FiniteSpace) -> tuple:
         """(n, scope verdicts) and the laws that run on the space, one
         shared pair per key."""
-        key = (space.n, tuple(scope(space) for scope in self.scopes))
+        key = (space.n, is_named_id(space.name or "")
+               and tuple(scope(space) for scope in self.scopes))
         pair = self.runnable.get(key)
         if pair is None:
             pair = self.runnable[key] = (key, [
@@ -1026,29 +1035,29 @@ class _Evaluator:
     def records(self, spaces: list, keyed: list, decided: Iterable) -> Iterable:
         """`(full, fails, passed)` per space: whether it took no verdict
         from an earlier space of its class, `(law id, _Fail)` per failed
-        law, and the ids of the passed laws, one tuple per runnable list
-        and failed ids.  `decided` yields `decide` of each space `plan`
-        listed to decide in full, in order."""
-        classes, reruns, passes = {}, {}, {}
+        law, with None for a failure taken from the class, and the ids of
+        the passed laws, one tuple per runnable list and failed ids.
+        `decided` yields `decide` of each space `plan` listed to decide
+        in full, in order."""
+        classes, scoped, passes = {}, {}, {}
         for space, (key, runs) in zip(spaces, keyed):
             if not runs:
                 yield True, [], ()
                 continue
             form = space.canonical
-            failed = classes.get(form)   # None for a space without a form
-            if failed is None:
+            inherited = classes.get(form)   # None for a space without a form
+            if inherited is None:
                 fails = next(decided)
                 if form is not None:
-                    classes[form] = frozenset(
-                        lid for lid, _ in fails if lid in self.unscoped)
+                    classes[form] = [(lid, None) for lid, _ in fails
+                                     if lid in self.unscoped]
                 full = True
             else:
-                rerun = reruns.get((key, failed))
-                if rerun is None:
-                    rerun = reruns[key, failed] = [
-                        law for law in runs if law.scope is not None or law.id in failed]
-                fails = self.decide(space, rerun) if rerun else []
-                full = len(rerun) == len(runs)
+                here = scoped.get(key)
+                if here is None:
+                    here = scoped[key] = [law for law in runs if law.scope is not None]
+                fails = inherited + self.decide(space, here) if here else inherited
+                full = len(here) == len(runs)
             failed_here = frozenset(lid for lid, _ in fails)
             passed = passes.get((key, failed_here))
             if passed is None:
@@ -1075,22 +1084,18 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     in first-seen order; an empty list is an error), over a stream of
     spaces.
 
-    The unscoped laws are decided once per homeomorphism class in the
-    call, and the semi-only laws once per distinct (n, semi-open
-    family) in each process (see `_Evaluator`); every space a law runs
-    on still counts as examined, and a failure yields a witness worked
-    out on each such space.  The caller keeps the class memo and sends
-    a pool only the spaces to decide in full, so `decided_in_full` (the
-    spaces that took no verdict from an earlier space of their class)
-    is the same at any worker count.  Each `Witness` holds the caller's
-    own space.  The passes of a space come as one tuple of law ids,
-    shared by every space with the same runnable and failed laws: the
-    suite counts each distinct tuple and adds `examined` and `passed`
-    once per law and tuple at the end.  The dispute flag is checked per
-    space, for the laws that name a dispute space.  A named expected
-    law that examines no space fails the report.  The report is
-    deterministic in the law registration order and the stream order,
-    independent of the worker count.
+    The memos of `_Evaluator` decide each law once per class or per
+    (n, SO); every space a law runs on still counts as examined.  The
+    caller keeps the class memo and sends a pool only the spaces to
+    decide in full, so `decided_in_full` is the same at any worker
+    count.  A witness taken from the class is worked out when read, so
+    `wall_time` leaves that work out.  The passes of a space come as one
+    tuple of law ids, shared by every space with the same runnable and
+    failed laws, and are added once per law and distinct tuple.
+    The dispute flag is checked per space, for the laws that name a
+    dispute space.  A named expected law that examines no space fails
+    the report.  The report is deterministic in the law registration
+    order and the stream order, independent of the worker count.
     """
     reg = registry()
     named = law_ids is not None
@@ -1128,7 +1133,8 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
             for lid, fail in fails:
                 r = results[lid]
                 r.examined += 1
-                r.witnesses.append(Witness(lid, space, *fail))
+                r.witnesses.append(Witness._inherited(reg[lid], space) if fail is None
+                                   else Witness(lid, space, *fail))
             for r, name in disputes:
                 if _is_catalog_space(space, name) and (
                         r.law_id in passed or any(lid == r.law_id for lid, _ in fails)):

@@ -139,15 +139,15 @@ def test_laws_reports_the_spaces_decided_in_full_on_stderr(capsys, workers):
 
 
 def test_claim_reports_the_spaces_decided_in_full_on_stderr(capsys):
-    """Of 44 spaces, the first of each of the 15 classes (13 on 1..3
-    points, and the two wider windows) and the 13 later spaces that
-    rerun the law because it failed on their class's first space: with
-    one law, a rerun takes no verdict from the memo."""
+    """Of 44 spaces, only the first of each of the 15 classes (13 on
+    1..3 points, and the two wider windows): a later space takes the
+    law's failure from its class as it takes a pass, and the law is
+    unscoped, so nothing runs on the space itself."""
     code, out, err = run_cli(capsys, "claim", "cor-4-cantor-bendixson",
                              "--max-points", "3")
     assert code == 0
     assert "disputed: confirmed" in out
-    assert err.splitlines()[1] == "decided-in-full: 28/44 spaces"
+    assert err.splitlines()[1] == "decided-in-full: 15/44 spaces"
 
 
 def test_laws_exits_2_when_a_class_has_no_canonical_form(capsys, tiny_budget):

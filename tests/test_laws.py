@@ -622,8 +622,10 @@ def _outcomes(report, stream):
 
 def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
     """The suite's per-family outcomes equal `check_law` on a fresh
-    context for each space, at 1 and 2 workers; a law patched to fail
-    between two calls fails in the second, so no outcome outlives a
+    context for each space, at 1 and 2 workers: every witness, the ones
+    a later space takes from its class included, equals the one
+    `check_law` gives on its space, with an equal hash.  A law patched to
+    fail between two calls fails in the second, so no outcome outlives a
     call."""
     direct = {}
     contexts = [SpaceContext(space) for space in stream4]
@@ -635,15 +637,26 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
             examined += 1
             w = check_law(law, space, ctx)
             if w is not None:
-                witnesses.append((i, w.subset_masks, w.points, w.message))
+                witnesses.append((i, w))
         direct[lid] = (examined, examined - len(witnesses), witnesses)
     assert any(witnesses for _, _, witnesses in direct.values())
 
     lid = "prop-3.2e"
     law = registry()[lid]
     assert law.semi_only
+    where = {id(space): i for i, space in enumerate(stream4)}
     for workers in (1, 2):
-        assert _outcomes(run_suite(stream4, workers=workers), stream4) == direct
+        report = run_suite(stream4, workers=workers)
+        inherited = [w for r in report.results for w in r.witnesses
+                     if w._law is not None]
+        assert inherited
+        suite = {r.law_id: (r.examined, r.passed,
+                            [(where[id(w.space)], w) for w in r.witnesses])
+                 for r in report.results}
+        assert suite == direct
+        assert [hash(w) for r in report.results for w in r.witnesses] == \
+            [hash(w) for _, _, ws in direct.values() for _, w in ws]
+        assert all(w._law is None for w in inherited)
         with monkeypatch.context() as m:
             m.setattr(laws_mod, "_REGISTRY", dict(registry()))
             held = run_suite(stream4, [lid], workers=workers).results[0]
@@ -656,21 +669,29 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
 
 
 def test_suite_records_failures_and_one_shared_pass_tuple(stream4):
-    """A space's record lists only the laws that failed on it, each with
-    its `_Fail`, beside the tuple of the ids that passed; later spaces of
-    one class share that tuple object; and every law's examined count is
+    """A space's record lists only the laws that failed on it beside the
+    tuple of the ids that passed.  A failure comes without its `_Fail`
+    exactly for the unscoped laws that failed on the first space of a
+    later space's class, and with it otherwise; later spaces of one
+    class share the pass tuple object; and every law's examined count is
     its passes plus its witnesses, at 1 and 2 workers."""
     evaluate = laws_mod._Evaluator(list(registry()))
     keyed, firsts = evaluate.plan(stream4)
     decided = map(evaluate.decide, firsts)
     records = list(evaluate.records(stream4, keyed, decided))
     assert next(decided, None) is None
+    firsts, taken = {}, 0
     for space, (_, fails, passed) in zip(stream4, records):
-        failed = [lid for lid, fail in fails if fail is not None]
-        assert len(failed) == len(fails)
+        first, first_fails = firsts.setdefault(space.canonical, (space, fails))
+        inherited = [lid for lid, fail in fails if fail is None]
+        assert inherited == ([] if first is space else
+                             [lid for lid, _ in first_fails
+                              if registry()[lid].scope is None])
+        taken += len(inherited)
         runs = {lid for lid, law in registry().items()
                 if laws_mod._refusal(law, space) is None}
-        assert sorted(failed + list(passed)) == sorted(runs)
+        assert sorted([lid for lid, _ in fails] + list(passed)) == sorted(runs)
+    assert taken
     classes = {}
     for space, record in zip(stream4, records):
         if space.name.startswith("enum:"):   # no scope holds
@@ -723,24 +744,21 @@ def _calls(funcs, run):
 
 
 def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
-    """Over the 4-point spaces the suite builds SO only on the first
-    space of each of the 33 homeomorphism classes and on the later
-    spaces that rerun a law that failed on their class's first space (no
-    scoped law runs on an enumerated space).  A rerun reads SO alone, so
-    the point kernels are built once per first space and the generalized
-    families once per distinct SO among the first spaces (the semi-only
-    laws that read them are decided once per family).  `_refusal` is
-    asked about each law once: the scope verdicts and n are the same on
-    every space."""
+    """Over the 4-point spaces the suite builds SO, and the point
+    kernels, only on the first space of each of the 33 homeomorphism
+    classes: a later space takes every verdict, failures too, from its
+    class, and no scoped law runs on an enumerated space.  The
+    generalized families are built once per distinct SO among the first
+    spaces (the semi-only laws that read them are decided once per
+    family).  `_refusal` is asked about each law once: the scope
+    verdicts and n are the same on every space."""
     runs = [law for law in registry().values()
             if laws_mod._refusal(law, spaces4[0]) is None]
     assert all(law.scope is None for law in runs)
-    firsts, builders = {}, []
+    firsts = {}
     for space in spaces4:
-        first = firsts.setdefault(space.canonical, space)
-        if first is space or any(check_law(law, first) for law in runs):
-            builders.append(space)
-    assert len(firsts) == 33 and len(firsts) < len(builders) < len(spaces4)
+        firsts.setdefault(space.canonical, space)
+    assert len(firsts) == 33
     families = {semi_open_bits(space) for space in firsts.values()}
     assert len(families) == 18
     kernels = []
@@ -752,7 +770,7 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
                         lambda law, space: refusals.append(law) or refusal(law, space))
     report, counts = _calls((semi_open_bits, generalized_families),
                             lambda: run_suite(spaces4))
-    assert counts == {semi_open_bits: len(builders),
+    assert counts == {semi_open_bits: len(firsts),
                       generalized_families: len(families)}
     assert len(kernels) == len(firsts)
     assert len(refusals) == len(registry())
@@ -767,7 +785,8 @@ def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch
     """The caller keeps the class memo: every law is decided on the
     first space of each class and on each space without a form, and on
     no other, at 1 worker in the caller and at 2 in the pool, which gets
-    those spaces and nothing else; every rerun runs in the caller."""
+    those spaces and nothing else.  A later space runs its scoped laws
+    alone, in the caller, and only if it has any."""
     formless = sierpinski_copies(5, isolated=1)
     stream = stream4 + [formless, relabeled(formless, [10 - x for x in range(11)])]
     firsts = {}
@@ -791,16 +810,19 @@ def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch
     report = run_suite(stream, workers=workers)
     in_full = [space for space, whole in calls if whole]
     assert (in_full, sent) == ((expected, []) if workers == 1 else ([], expected))
-    reruns = [space for space, whole in calls if not whole]
-    assert reruns and not set(reruns) & set(expected)
+    scoped = [id(space) for space in stream if id(space) not in expected
+              and any(law.scope is not None and laws_mod._refusal(law, space) is None
+                      for law in registry().values())]
+    assert scoped
+    assert [space for space, whole in calls if not whole] == scoped
     assert report.decided_in_full == len(expected) == 46 + 2 + 2   # classes, windows, formless
     assert _outcomes(report, stream) == _outcomes(run_suite(stream), stream)
 
 
 def test_family_memo_is_keyed_only_by_semi_only_laws(stream4, monkeypatch):
     """A space enters the (n, SO) memo only when it runs a semi-only law:
-    the reruns of cor-4-cantor-bendixson on the later spaces of a class
-    leave no empty entry."""
+    the later catalog spaces of a class, which run only their scoped
+    laws, leave no empty entry."""
     made = []
 
     class Kept(laws_mod._Evaluator):
@@ -904,6 +926,89 @@ def test_witnesses_are_rendered_only_when_read(stream4, monkeypatch):
     assert len(shown) < sum(len(r.witnesses) for r in report.results)
     report.render_text()
     assert rendered == [m for w in shown for m in w.subset_masks]
+
+
+def _checks(run):
+    """`_calls` of every checker in the registry, summed."""
+    result, counts = _calls({law.check for law in registry().values()}, run)
+    return result, sum(counts.values())
+
+
+def test_text_report_works_out_at_most_the_shown_witnesses(stream4):
+    """The text report works out only the inherited witnesses it prints,
+    at most `WITNESS_CAP` per law, and `to_dict` all the others, each
+    once."""
+    report = run_suite(stream4)
+    inherited = [[w for w in r.witnesses if w._law is not None]
+                 for r in report.results]
+    shown = [sum(w._law is not None for w in r.witnesses[:WITNESS_CAP])
+             for r in report.results]
+    assert 0 < sum(shown) < sum(map(len, inherited))
+    _, text = _checks(report.render_text)
+    assert text == sum(shown) and max(shown) <= WITNESS_CAP
+    _, machine = _checks(report.to_dict)
+    assert machine == sum(map(len, inherited)) - sum(shown)
+    assert _checks(report.to_dict)[1] == _checks(report.render_text)[1] == 0
+
+
+def test_witness_keeps_the_law_the_suite_ran(monkeypatch):
+    """A witness taken from the class holds the `Law` object the suite
+    ran: read after the registry is patched back, it still gives that
+    law's failure, where the registry's law passes."""
+    stream = list(enumerate_topologies(2))
+    lid = "prop-3.2a"
+    with monkeypatch.context() as m:
+        m.setattr(laws_mod, "_REGISTRY", dict(registry()))
+        laws_mod._REGISTRY[lid] = dataclasses.replace(
+            registry()[lid], check=lambda ctx: laws_mod._Fail((0,), (), "forced failure"))
+        report = run_suite(stream, [lid])
+    witnesses = report.results[0].witnesses
+    (inherited,) = [w for w in witnesses if w._law is not None]
+    assert len(witnesses) == len(stream)
+    assert check_law(lid, inherited.space) is None
+    assert {w.message for w in witnesses} == {"forced failure"}
+    assert inherited == Witness(lid, stream[0], (0,), (), "forced failure")
+
+
+def test_label_dependent_law_fails_on_read(monkeypatch):
+    """An unscoped law that depends on the labels breaks the premise of
+    the class memo: the Sierpinski space with {a} open fails it and the
+    relabeled copy with {b} open takes that failure from the class, so
+    reading its witness raises an error that names the law and the
+    space instead of reporting a silent pass."""
+    fake = Law("fake-label-dependent", "$B=B$",
+               lambda ctx: laws_mod._Fail((1,), (0,), "{a} is open")
+               if 1 in ctx.space.opens else None)
+    _with_fake_law(monkeypatch, fake)
+    first, later = (s for s in enumerate_topologies(2)
+                    if s.canonical == named_space("sierpinski").canonical)
+    report = run_suite([first, later], [fake.id])
+    assert report.decided_in_full == 1
+    eager, inherited = report.results[0].witnesses
+    assert eager.message == "{a} is open"
+    error = f"fake-label-dependent passes on {later.describe()} but failed"
+    with pytest.raises(RuntimeError, match=error):
+        inherited.render()
+    with pytest.raises(RuntimeError, match=error):
+        report.render_text()
+
+
+def test_no_scope_is_asked_about_an_unreserved_name(spaces3, e1, monkeypatch):
+    """A space whose name is not a reserved catalog id holds no scope,
+    so the suite and `check_law` never call one on an `enum:` space; the
+    catalog space the scope names still runs the law."""
+    asked = []
+    law = registry()["remark-3.3-strictness"]
+    scope = law.scope
+    _with_fake_law(monkeypatch, dataclasses.replace(
+        law, scope=lambda space: asked.append(space.name) or scope(space)))
+    report = run_suite(spaces3 + [e1], [law.id])
+    assert asked and set(asked) == {"e1"}
+    assert report.results[0].examined == report.results[0].passed == 1
+    asked.clear()
+    with pytest.raises(LawScopeError):
+        check_law(law.id, spaces3[0])
+    assert asked == []
 
 
 def test_law_id_filter(spaces3):
