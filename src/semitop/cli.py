@@ -6,8 +6,8 @@ lists every topology on n labeled points, `khalimsky` builds a digital
 line window, and `claim` runs one registry entry by id.
 
 Output is deterministic byte-for-byte for a fixed invocation; timing
-and the number of spaces decided in full (given no verdict by an
-earlier space of their homeomorphism class) go to stderr.  Exit codes:
+and the number of spaces decided on their own context (not taken from
+an earlier space of their homeomorphism class) go to stderr.  Exit codes:
 0 success, 1 a claim expected to hold failed somewhere (or a disputed
 claim went stale, or a named law examined no space), 2 bad input.
 """

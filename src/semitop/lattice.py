@@ -96,9 +96,9 @@ def within(cols, n: int) -> int:
 
 def fixed(cols, n: int) -> int:
     """The masks m with z in m iff m in cols[z], for every point z."""
-    out = everything(n)
+    out = ones = everything(n)
     for has, col in zip(columns(n)[0], cols):
-        out &= ~(has ^ col)
+        out &= ones ^ has ^ col
     return out
 
 

@@ -7,11 +7,11 @@ checks and a checker that exhaustively quantifies the statement over
 one analysed space.  Checkers return None on success or a `_Fail`
 carrying the first offending subsets/points in canonical mask order;
 `check_law` and `run_suite` turn a failure into a `Witness`.
-`run_suite` folds a stream of spaces into a deterministic `LawReport`,
-merging each space's failures in stream order and tallying its passes
-in bulk, as one shared tuple of the laws that passed.  Every witness
-holds the caller's own space, the failure's masks and point indices,
-and renders them in that space's labels only when read.
+`run_suite` folds a stream of spaces into a deterministic `LawReport`:
+each space's failures in stream order, and each law's examined count
+read off the lists of the laws that run.  Every witness holds the
+caller's own space, the failure's masks and point indices, and renders
+them in that space's labels only when read.
 
 The checkers read one `SpaceContext` per space and nothing else of the
 core: its parts are built on first read from families and columns, and
@@ -22,8 +22,8 @@ per-query operators and witness renderers `axiom_profile` and
 A law without a scope speaks of the topology, not of the labels, and a
 `semi_only` law of n and the semi-open family SO alone, so `run_suite`
 decides the first once per homeomorphism class and the second once per
-(n, SO) (see `_Evaluator`).  A failure a later space takes from its
-class is a `Witness` worked out on first read, on the space itself.
+(n, SO) (see `_Evaluator`).  A failure a space takes from its class is
+a `Witness` worked out on first read, on the space itself.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
@@ -170,7 +170,7 @@ class SpaceContext(SemiAnalysis):
     singletons `gvs` (read off SO by `g_v_s_singletons`, with no
     generalized family) and the tables below.  The semi-kernel has one
     form, its columns `kern_cols`, and each operator one fixed-set
-    family, `fix_kern` (the Λ_s-sets) and `fix_vs` (the V_s-sets).  The
+    family, `fix_kern` (the Λ_s-sets) and the core's `fix_vs`.  The
     identity's Int and Cl columns, `in_int` and `in_cl`, are built once
     and read by the openness grades and the two definition laws.
     `axiom_profile` and `set_class` serve `analyze`, `khalimsky` and API
@@ -226,11 +226,6 @@ class SpaceContext(SemiAnalysis):
     def fix_kern(self) -> int:
         """The masks the semi-kernel fixes, read off `kern_cols`."""
         return fixed(self.kern_cols, self.space.n)
-
-    @lazy
-    def fix_vs(self) -> int:
-        """The masks v_s fixes, read off the core's up[x]."""
-        return fixed(self.up, self.space.n)
 
     @lazy
     def in_int(self) -> list:
@@ -879,13 +874,16 @@ class LawResult:
     law_id: str
     status: str
     examined: int = 0
-    passed: int = 0
     witnesses: list = field(default_factory=list)
     dispute_space_examined: bool = False
     named: bool = False               # the caller asked for this law by id
 
+    @property
+    def passed(self) -> int:
+        return self.examined - len(self.witnesses)
+
     def verdict(self) -> str:
-        failed = self.examined - self.passed
+        failed = len(self.witnesses)
         if self.status == "expected":
             if failed > 0:
                 return f"VIOLATED ({failed} spaces)"
@@ -897,7 +895,7 @@ class LawResult:
         return "disputed: not exercised"
 
     def is_fatal(self) -> bool:
-        failed = self.examined - self.passed
+        failed = len(self.witnesses)
         if self.status == "expected":
             return failed > 0 or (self.named and self.examined == 0)
         return failed == 0 and self.dispute_space_examined
@@ -908,7 +906,7 @@ class LawReport:
     results: list
     spaces_total: int
     wall_time: float = 0.0
-    decided_in_full: int = 0          # spaces given no verdict by their class
+    decided_in_full: int = 0          # spaces decided on their own context
 
     def exit_code(self) -> int:
         return 1 if any(r.is_fatal() for r in self.results) else 0
@@ -959,19 +957,17 @@ class LawReport:
 
 
 class _Evaluator:
-    """Decides the laws of one `run_suite` call: `plan` lists the
-    spaces to decide in full, `decide` decides them, in the caller or a
-    pool worker, and `records` folds the stream in the caller.
+    """Decides the laws of one `run_suite` call: `plan` marks the spaces
+    to decide, and `decide` decides them, in the caller or a pool worker.
 
     The runnable laws are listed once per (n, scope verdicts), through
     `_refusal` (see `Law.scope`).  The unscoped laws are invariant under
     relabeling, so each is decided once per homeomorphism class, keyed
     by the `FiniteSpace.canonical` that an enumerated space carries and
-    any other space computes.  A `records` call keeps, per class, the
-    unscoped laws that failed on its first space; a later space takes
-    every unscoped verdict from there, failures as well as passes,
-    without a context, and runs only its scoped laws, listed once per
-    runnable key.  A space without a canonical form is decided in full.
+    any other space computes.  A space that runs a law has one of two
+    fates.  It is decided on its own context when it has no canonical
+    form, is the first of its class or runs a scoped law; otherwise it
+    takes every verdict from the first decided space of its class.
 
     The semi-only laws are decided once per (n, SO) in each evaluator,
     the caller's or a worker's: each family keeps the outcome of a
@@ -991,21 +987,22 @@ class _Evaluator:
         self.families = {}
 
     def _runs(self, space: FiniteSpace) -> tuple:
-        """(n, scope verdicts) and the laws that run on the space, one
-        shared pair per key."""
+        """(n, scope verdicts), the laws that run on the space and
+        whether one of them is scoped: one shared tuple per key."""
         key = (space.n, is_named_id(space.name or "")
                and tuple(scope(space) for scope in self.scopes))
-        pair = self.runnable.get(key)
-        if pair is None:
-            pair = self.runnable[key] = (key, [
-                law for law in self.laws if _refusal(law, space) is None])
-        return pair
+        runs = self.runnable.get(key)
+        if runs is None:
+            laws = [law for law in self.laws if _refusal(law, space) is None]
+            runs = self.runnable[key] = (
+                key, laws, any(law.scope is not None for law in laws))
+        return runs
 
-    def decide(self, space: FiniteSpace, laws: list | None = None) -> list:
-        """(law id, `_Fail`) for each of `laws`, by default every law
-        that runs on the space, that fails on it, decided on its own
-        context and, for the semi-only laws, its family's memo."""
-        laws = self._runs(space)[1] if laws is None else laws
+    def decide(self, space: FiniteSpace) -> list:
+        """(law id, `_Fail`) for each law that runs on the space and
+        fails on it, decided on its own context and, for the semi-only
+        laws, its family's memo."""
+        laws = self._runs(space)[1]
         ctx = SpaceContext(space)
         decided = (self.families.setdefault((space.n, ctx.semi_open.bits), {})
                    if any(law.semi_only for law in laws) else None)
@@ -1022,48 +1019,18 @@ class _Evaluator:
         return fails
 
     def plan(self, spaces: list) -> tuple:
-        """`_runs` of each space, and the spaces to decide in full: the
-        first of each class that runs a law, and every space without a
-        form (keyed by its place), in stream order."""
+        """`_runs` of each space, its mark, true when the space is
+        decided on its own context, and the marked spaces in order."""
         keyed = [self._runs(space) for space in spaces]
-        firsts = {}
-        for i, (space, (_, runs)) in enumerate(zip(spaces, keyed)):
-            if runs:
-                firsts.setdefault(space.canonical or i, space)
-        return keyed, list(firsts.values())
-
-    def records(self, spaces: list, keyed: list, decided: Iterable) -> Iterable:
-        """`(full, fails, passed)` per space: whether it took no verdict
-        from an earlier space of its class, `(law id, _Fail)` per failed
-        law, with None for a failure taken from the class, and the ids of
-        the passed laws, one tuple per runnable list and failed ids.
-        `decided` yields `decide` of each space `plan` listed to decide
-        in full, in order."""
-        classes, scoped, passes = {}, {}, {}
-        for space, (key, runs) in zip(spaces, keyed):
-            if not runs:
-                yield True, [], ()
-                continue
+        marks, own, seen = [], [], set()
+        for space, (_, laws, scoped) in zip(spaces, keyed):
             form = space.canonical
-            inherited = classes.get(form)   # None for a space without a form
-            if inherited is None:
-                fails = next(decided)
-                if form is not None:
-                    classes[form] = [(lid, None) for lid, _ in fails
-                                     if lid in self.unscoped]
-                full = True
-            else:
-                here = scoped.get(key)
-                if here is None:
-                    here = scoped[key] = [law for law in runs if law.scope is not None]
-                fails = inherited + self.decide(space, here) if here else inherited
-                full = len(here) == len(runs)
-            failed_here = frozenset(lid for lid, _ in fails)
-            passed = passes.get((key, failed_here))
-            if passed is None:
-                passed = passes[key, failed_here] = tuple(
-                    law.id for law in runs if law.id not in failed_here)
-            yield full, fails, passed
+            mark = bool(laws) and (form is None or scoped or form not in seen)
+            if mark:
+                seen.add(form)
+                own.append(space)
+            marks.append(mark)
+        return keyed, marks, own
 
 
 _WORKER = None   # a pool worker's evaluator, for the pool's lifetime
@@ -1085,17 +1052,18 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     spaces.
 
     The memos of `_Evaluator` decide each law once per class or per
-    (n, SO); every space a law runs on still counts as examined.  The
-    caller keeps the class memo and sends a pool only the spaces to
-    decide in full, so `decided_in_full` is the same at any worker
-    count.  A witness taken from the class is worked out when read, so
-    `wall_time` leaves that work out.  The passes of a space come as one
-    tuple of law ids, shared by every space with the same runnable and
-    failed laws, and are added once per law and distinct tuple.
-    The dispute flag is checked per space, for the laws that name a
-    dispute space.  A named expected law that examines no space fails
-    the report.  The report is deterministic in the law registration
-    order and the stream order, independent of the worker count.
+    (n, SO); every space a law runs on still counts as examined.  Each
+    space is decided on its own context or takes every verdict from its
+    class (see `_Evaluator`).  The caller keeps the class memo and sends
+    a pool only the spaces decided on their own context, so
+    `decided_in_full`, their number, is the same at any worker count.
+    A law's examined count is read off the runnable lists: the spaces
+    of each key whose list holds the law.  A witness taken from the
+    class is worked out when read, so `wall_time` leaves that work out.
+    A law's dispute flag is set once it runs on its dispute space.  A
+    named expected law that examines no space fails the report.  The
+    report is deterministic in the law registration order and the
+    stream order, independent of the worker count.
     """
     reg = registry()
     named = law_ids is not None
@@ -1112,40 +1080,38 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     started = time.perf_counter()
     results = {lid: LawResult(lid, reg[lid].status, named=named)
                for lid in law_ids}
-    disputes = [(results[lid], reg[lid].dispute_space) for lid in law_ids
-                if reg[lid].dispute_space is not None]
-
     evaluate = _Evaluator(law_ids)
-    keyed, firsts = evaluate.plan(spaces)
-    parallel = workers > 1 and len(firsts) > 1
+    disputes = [(results[law.id], law) for law in evaluate.laws
+                if law.dispute_space is not None]
+    keyed, marks, own = evaluate.plan(spaces)
+    parallel = workers > 1 and len(own) > 1
     with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                               initargs=(law_ids,)) if parallel
           else nullcontext()) as pool:
-        decided = (pool.map(_decide_in_worker, firsts,
-                            chunksize=max(1, len(firsts) // (workers * 8)))
-                   if parallel else map(evaluate.decide, firsts))
-        in_full = 0
-        tally = {}
-        records = evaluate.records(spaces, keyed, decided)
-        for space, (full, fails, passed) in zip(spaces, records):
-            in_full += full
-            tally[passed] = tally.get(passed, 0) + 1
-            for lid, fail in fails:
-                r = results[lid]
-                r.examined += 1
-                r.witnesses.append(Witness._inherited(reg[lid], space) if fail is None
-                                   else Witness(lid, space, *fail))
-            for r, name in disputes:
-                if _is_catalog_space(space, name) and (
-                        r.law_id in passed or any(lid == r.law_id for lid, _ in fails)):
+        decided = (pool.map(_decide_in_worker, own,
+                            chunksize=max(1, len(own) // (workers * 8)))
+                   if parallel else map(evaluate.decide, own))
+        classes, counts = {}, {}
+        for space, (key, runs, _), mark in zip(spaces, keyed, marks):
+            counts[key] = counts.get(key, 0) + 1
+            if mark:
+                fails = next(decided)
+                for lid, fail in fails:
+                    results[lid].witnesses.append(Witness(lid, space, *fail))
+                if space.canonical not in classes:
+                    classes[space.canonical] = [lid for lid, _ in fails
+                                                if lid in evaluate.unscoped]
+            elif runs:
+                for lid in classes[space.canonical]:
+                    results[lid].witnesses.append(Witness._inherited(reg[lid], space))
+            for r, law in disputes:
+                if _is_catalog_space(space, law.dispute_space) and law in runs:
                     r.dispute_space_examined = True
-    for passed, count in tally.items():
-        for lid in passed:
-            r = results[lid]
-            r.examined += count
-            r.passed += count
+    for key, count in counts.items():
+        for law in evaluate.runnable[key][1]:
+            results[law.id].examined += count
 
     report = LawReport([results[lid] for lid in law_ids], len(spaces),
-                       decided_in_full=in_full)
+                       decided_in_full=len(own))
     report.wall_time = time.perf_counter() - started
     return report

@@ -24,7 +24,7 @@ the columns of v_s.  The fixed-point families and the per-query
 operators read off them:
 
     Lambda_s        = within(sup(K_x))          (`lattice.saturated`)
-    V_s             = within(up)
+    V_s             = fixed(up)                 (`fix_vs`)
     semi_kernel(B)  = union of K_x over x in B
     semi_closure(B) = {y : B not in down[y]}
     v_s(B)          = {x : B in up[x]}      (B in up[x] needs x in B)
@@ -136,9 +136,14 @@ class SemiAnalysis:
         """All subsets equal to their semi-kernel."""
         return SetFamily.from_bits(saturated(self.point_kernels, self.space.n))
 
+    @lazy
+    def fix_vs(self) -> int:
+        """The V_s-sets, the masks v_s fixes, read off its columns."""
+        return fixed(self.up, self.space.n)
+
     def v_s_sets(self) -> SetFamily:
         """All subsets equal to the union of their semi-closed subsets."""
-        return SetFamily.from_bits(within(self.up, self.space.n))
+        return SetFamily.from_bits(self.fix_vs)
 
 
 def interior_columns(space: FiniteSpace, in_s):

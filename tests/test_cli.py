@@ -125,8 +125,9 @@ def test_laws_n4_report_is_pinned(capsys, fmt, workers):
 def test_laws_reports_the_spaces_decided_in_full_on_stderr(capsys, workers):
     """stderr gives, after the wall time, how many spaces were decided in
     full: one per homeomorphism class (46 on 1..4 points, and the two
-    wider windows), at either worker count, since the caller keeps the
-    class memo.  stdout is the pinned report."""
+    wider windows), and e1 and e33, which run a scoped law, at either
+    worker count, since the caller keeps the class memo.  stdout is the
+    pinned report."""
     code, out, err = run_cli(capsys, "laws", "--max-points", "4",
                              "--workers", workers)
     assert code == 0
@@ -135,7 +136,7 @@ def test_laws_reports_the_spaces_decided_in_full_on_stderr(capsys, workers):
     assert wall.startswith("wall-time: ")
     decided, total = full.removeprefix("decided-in-full: ").split(" ")[0].split("/")
     assert total == "399" and full.endswith(" spaces")
-    assert int(decided) == 48
+    assert int(decided) == 50
 
 
 def test_claim_reports_the_spaces_decided_in_full_on_stderr(capsys):
@@ -148,6 +149,19 @@ def test_claim_reports_the_spaces_decided_in_full_on_stderr(capsys):
     assert code == 0
     assert "disputed: confirmed" in out
     assert err.splitlines()[1] == "decided-in-full: 15/44 spaces"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("claim", "example-4.6-intersection", "--max-points", "5"),
+     "decided-in-full: 1/7341 spaces"),
+    (("laws", "--space", "discrete:18"), "decided-in-full: 0/1 spaces"),
+])
+def test_a_space_that_runs_no_law_is_not_decided_in_full(capsys, argv, line):
+    """A space that runs no law is not counted: the scoped law runs on
+    e33 alone, and no law runs on 18 points."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.splitlines()[1] == line
 
 
 def test_laws_exits_2_when_a_class_has_no_canonical_form(capsys, tiny_budget):

@@ -668,48 +668,46 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
             assert len(failed.witnesses) == failed.examined == direct[lid][0]
 
 
-def test_suite_records_failures_and_one_shared_pass_tuple(stream4):
-    """A space's record lists only the laws that failed on it beside the
-    tuple of the ids that passed.  A failure comes without its `_Fail`
-    exactly for the unscoped laws that failed on the first space of a
-    later space's class, and with it otherwise; later spaces of one
-    class share the pass tuple object; and every law's examined count is
-    its passes plus its witnesses, at 1 and 2 workers."""
+def test_suite_inherits_class_failures_and_one_shared_runs_tuple(stream4):
+    """`plan` marks a space as decided on its own context exactly when it
+    is the first of its class or runs a scoped law (every space here has
+    a form and runs a law), and `_runs` gives every space of one key the
+    same tuple.  Every other space takes a failure, worked out on read,
+    exactly for the unscoped laws that failed on its class's first
+    decided space, at 1 and 2 workers."""
     evaluate = laws_mod._Evaluator(list(registry()))
-    keyed, firsts = evaluate.plan(stream4)
-    decided = map(evaluate.decide, firsts)
-    records = list(evaluate.records(stream4, keyed, decided))
-    assert next(decided, None) is None
-    firsts, taken = {}, 0
-    for space, (_, fails, passed) in zip(stream4, records):
-        first, first_fails = firsts.setdefault(space.canonical, (space, fails))
-        inherited = [lid for lid, fail in fails if fail is None]
-        assert inherited == ([] if first is space else
-                             [lid for lid, _ in first_fails
-                              if registry()[lid].scope is None])
-        taken += len(inherited)
-        runs = {lid for lid, law in registry().items()
-                if laws_mod._refusal(law, space) is None}
-        assert sorted([lid for lid, _ in fails] + list(passed)) == sorted(runs)
-    assert taken
-    classes = {}
-    for space, record in zip(stream4, records):
-        if space.name.startswith("enum:"):   # no scope holds
-            classes.setdefault(space.canonical, []).append(record)
-    shared = [later for _, *later in classes.values() if len(later) >= 2]
-    assert shared
-    for (full, _, passed), (other_full, _, other) in (later[:2] for later in shared):
-        assert not full and not other_full
-        assert passed is other
+    keyed, marks, own = evaluate.plan(stream4)
+    assert own == [space for space, mark in zip(stream4, marks) if mark]
+    shared, firsts, class_fails, expected = {}, {}, {}, {}
+    for space, runs, mark in zip(stream4, keyed, marks):
+        key, laws, scoped = runs
+        assert shared.setdefault(key, runs) is runs
+        assert laws == [law for law in registry().values()
+                        if laws_mod._refusal(law, space) is None]
+        assert scoped == any(law.scope is not None for law in laws)
+        first = firsts.setdefault(space.canonical, space)
+        assert mark == (first is space or scoped)
+        if not mark:
+            if id(first) not in class_fails:
+                ctx = SpaceContext(first)
+                class_fails[id(first)] = [law.id for law in laws
+                                          if law.check(ctx) is not None]
+            if class_fails[id(first)]:
+                expected[id(space)] = class_fails[id(first)]
+    assert expected
     for workers in (1, 2):
+        inherited = {}
         for r in run_suite(stream4, workers=workers).results:
-            assert r.examined == r.passed + len(r.witnesses), r.law_id
+            for w in r.witnesses:
+                if w._law is not None:
+                    inherited.setdefault(id(w.space), []).append(r.law_id)
+        assert inherited == expected
 
 
 def test_law_subset_gives_the_rows_of_the_full_run(stream4):
     """A failing law, a semi-only law and a scoped law named alone keep
     the rows the full registry gives them, at 1 and 2 workers: their
-    pass tuples come from a shorter runnable list."""
+    counts come from a shorter runnable list."""
     lids = ["cor-4-cantor-bendixson", "prop-3.2e", "example-2-digital-line"]
 
     def rows(report):
@@ -783,22 +781,25 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
 def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch,
                                                            workers):
     """The caller keeps the class memo: every law is decided on the
-    first space of each class and on each space without a form, and on
-    no other, at 1 worker in the caller and at 2 in the pool, which gets
-    those spaces and nothing else.  A later space runs its scoped laws
-    alone, in the caller, and only if it has any."""
+    first space of each class, on each space without a form and on each
+    space that runs a scoped law, and on no other, at 1 worker in the
+    caller and at 2 in the pool, which gets those spaces and nothing
+    else."""
     formless = sierpinski_copies(5, isolated=1)
     stream = stream4 + [formless, relabeled(formless, [10 - x for x in range(11)])]
-    firsts = {}
-    for i, space in enumerate(stream):
-        firsts.setdefault(space.canonical or i, space)
-    expected = [id(space) for space in firsts.values()]
+    expected, seen = [], set()
+    for space in stream:
+        scoped = any(law.scope is not None and laws_mod._refusal(law, space) is None
+                     for law in registry().values())
+        if space.canonical is None or scoped or space.canonical not in seen:
+            seen.add(space.canonical)
+            expected.append(id(space))
     calls, sent = [], []
     decide = laws_mod._Evaluator.decide
 
-    def spy(self, space, laws=None):
-        calls.append((id(space), laws is None))
-        return decide(self, space, laws)
+    def spy(self, space):
+        calls.append(id(space))
+        return decide(self, space)
 
     class Pool(laws_mod.ProcessPoolExecutor):
         def map(self, fn, spaces, **kwargs):
@@ -808,21 +809,16 @@ def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch
     monkeypatch.setattr(laws_mod._Evaluator, "decide", spy)
     monkeypatch.setattr(laws_mod, "ProcessPoolExecutor", Pool)
     report = run_suite(stream, workers=workers)
-    in_full = [space for space, whole in calls if whole]
-    assert (in_full, sent) == ((expected, []) if workers == 1 else ([], expected))
-    scoped = [id(space) for space in stream if id(space) not in expected
-              and any(law.scope is not None and laws_mod._refusal(law, space) is None
-                      for law in registry().values())]
-    assert scoped
-    assert [space for space, whole in calls if not whole] == scoped
-    assert report.decided_in_full == len(expected) == 46 + 2 + 2   # classes, windows, formless
+    assert (calls, sent) == ((expected, []) if workers == 1 else ([], expected))
+    # classes, wider windows, formless spaces, and e1 and e33
+    assert report.decided_in_full == len(expected) == 46 + 2 + 2 + 2
     assert _outcomes(report, stream) == _outcomes(run_suite(stream), stream)
 
 
 def test_family_memo_is_keyed_only_by_semi_only_laws(stream4, monkeypatch):
-    """A space enters the (n, SO) memo only when it runs a semi-only law:
-    the later catalog spaces of a class, which run only their scoped
-    laws, leave no empty entry."""
+    """A space enters the (n, SO) memo only when it runs a semi-only law,
+    so the memo holds no empty entry, and none at all when no named law
+    is semi-only."""
     made = []
 
     class Kept(laws_mod._Evaluator):
@@ -832,8 +828,10 @@ def test_family_memo_is_keyed_only_by_semi_only_laws(stream4, monkeypatch):
 
     monkeypatch.setattr(laws_mod, "_Evaluator", Kept)
     run_suite(stream4)
-    (evaluate,) = made
-    assert evaluate.families and all(evaluate.families.values())
+    run_suite(stream4, ["sec-2-r0-semi-r0"])
+    every, unmemoized = made
+    assert every.families and all(every.families.values())
+    assert unmemoized.families == {}
 
 
 def test_suite_computes_no_form_for_an_enumerated_space():
@@ -861,6 +859,17 @@ def test_unscoped_laws_are_invariant_under_relabeling(seed, n, data):
                 (check_law(law, other, other_ctx) is None), law.id
 
 
+def _direct_outcomes(stream):
+    """`_outcomes` as `check_law` gives them, space by space."""
+    out = {}
+    for lid, law in registry().items():
+        runs = [i for i, s in enumerate(stream) if laws_mod._refusal(law, s) is None]
+        direct = [(i, w.subset_masks, w.points, w.message) for i in runs
+                  if (w := check_law(law, stream[i])) is not None]
+        out[lid] = (len(runs), len(runs) - len(direct), direct)
+    return out
+
+
 def test_suite_decides_an_over_budget_space_in_full():
     """A space without a canonical form, and a relabeled copy, are each
     decided in full, with the outcomes of `check_law` on each; the
@@ -872,23 +881,33 @@ def test_suite_decides_an_over_budget_space_in_full():
     report = run_suite(stream)
     assert report.decided_in_full == len(stream)
     outcomes = _outcomes(report, stream)
-    for lid, law in registry().items():
-        runs = [i for i, s in enumerate(stream) if laws_mod._refusal(law, s) is None]
-        direct = [(i, w.subset_masks, w.points, w.message) for i in runs
-                  if (w := check_law(law, stream[i])) is not None]
-        assert outcomes[lid] == (len(runs), len(runs) - len(direct), direct)
+    assert outcomes == _direct_outcomes(stream)
     assert outcomes["cor-4-cantor-bendixson"][2]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_scoped_space_before_its_class_is_its_first_decided_space(e1, e33, workers):
+    """e1 and e33 run a scoped law and come before the enumerated spaces
+    of their classes, so each is the first decided space of its class.
+    Ten spaces are decided on their own context (e1, e33, the first of
+    each of the 7 other classes, and the second e1), and every law's
+    outcomes equal `check_law` on each space."""
+    stream = [e1, e33] + list(enumerate_topologies(3)) + [named_space("e1")]
+    report = run_suite(stream, workers=workers)
+    assert report.decided_in_full == 10
+    assert _outcomes(report, stream) == _direct_outcomes(stream)
+
+
 def test_scoped_laws_never_read_the_class_memo(e1):
-    """A second e1 reruns remark-3.3-strictness on itself: decided in
-    full while it takes no pass from the first, and not once it does."""
+    """A second e1 reruns remark-3.3-strictness on itself, so it is
+    decided on its own context, with or without an unscoped law beside
+    the scoped one."""
     stream = [e1, named_space("e1")]
     alone = run_suite(stream, ["remark-3.3-strictness"])
     assert alone.decided_in_full == 2
     assert alone.results[0].examined == alone.results[0].passed == 2
     mixed = run_suite(stream, ["remark-3.3-strictness", "prop-3.2a"])
-    assert mixed.decided_in_full == 1
+    assert mixed.decided_in_full == 2
     assert [(r.examined, r.passed) for r in mixed.results] == [(2, 2), (2, 2)]
 
 
