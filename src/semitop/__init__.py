@@ -17,9 +17,9 @@ from .laws import (Law, LawReport, LawScopeError, Witness, check_law,
 from .semi import (OpennessGrades, SemiAnalysis, SetClass, openness_grades,
                    semi_open_family, set_class)
 from .spaces import (MAX_POINTS, DuplicateLabel, EmptyCarrier, FiniteSpace,
-                     MissingEmptyOrUniverse, NotClosedUnderIntersection,
-                     NotClosedUnderUnion, SetFamily, SpaceError, TooManyPoints,
-                     UnknownLabel, build_space, iter_points, space_from_masks,
-                     submasks)
+                     MissingEmptyOrUniverse, NotAPreorder,
+                     NotClosedUnderIntersection, NotClosedUnderUnion, SetFamily,
+                     SpaceError, TooManyPoints, UnknownLabel, build_space,
+                     iter_points, space_from_masks, space_from_table, submasks)
 
 __version__ = "0.1.0"

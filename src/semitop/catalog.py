@@ -11,9 +11,10 @@ from functools import cache
 from itertools import permutations, product
 
 from . import spaces
-from .lattice import decode, everything, iter_points, mirror, saturated
+from .lattice import decode, iter_points, mirror, saturated
 from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
-                     TooManyPoints, _canonical_form, space_from_masks)
+                     TooManyPoints, _canonical_form, space_from_masks,
+                     space_from_table)
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -68,13 +69,13 @@ def _sized(family: str, n: int) -> tuple:
 
 def discrete_space(n: int) -> FiniteSpace:
     names = _sized("discrete", n)
-    return space_from_masks(names, SetFamily.from_bits(everything(n)),
+    return space_from_table(names, [1 << x for x in range(n)],
                             name=f"discrete:{n}")
 
 
 def indiscrete_space(n: int) -> FiniteSpace:
     names = _sized("indiscrete", n)
-    return space_from_masks(names, [0, (1 << n) - 1], name=f"indiscrete:{n}")
+    return space_from_table(names, [(1 << n) - 1] * n, name=f"indiscrete:{n}")
 
 
 def named_space(sid: str) -> FiniteSpace:
@@ -144,8 +145,7 @@ def khalimsky_window(lo: int, hi: int) -> Window:
         else:
             cell = [j for j in (i - 1, i, i + 1) if lo <= j <= hi]
         mins.append(sum(1 << (j - lo) for j in cell))
-    opens = SetFamily.from_bits(saturated(mins, w))
-    space = space_from_masks(names, opens, name=f"khalimsky:{lo}:{hi}")
+    space = space_from_table(names, mins, name=f"khalimsky:{lo}:{hi}")
     return Window(space, lo, hi, boundary_warning=(lo % 2 == 0 or hi % 2 == 0))
 
 
@@ -179,28 +179,36 @@ def _classes(n: int) -> tuple:
 
 
 def enumerate_topologies(n: int):
-    """All labeled topologies on n points, ascending by opens tuple.  Each
-    `_classes(n)` table is saturated once and its family relabeled by
-    every permutation; each distinct family carries that table as
-    `canonical`.  Every family holds the carrier, so its opens tuple is
-    the lower one iff it holds the lowest mask where the two differ: the
-    higher `mirror`.
+    """All labeled topologies on n points, ascending by opens tuple.
+
+    Each `_classes(n)` table is validated once, by `space_from_table`,
+    and relabeled by every permutation; a relabeled table is reflexive
+    and transitive as its class's is, so it is built into a space
+    without a second check.  Each distinct table is one topology.  Its
+    opens are the class's opens relabeled by one permutation that gives
+    the table, one bitset: the sum of 1 << image[m] over the members m.
+    It carries its class's table as `canonical`.  Every family holds the
+    carrier, so its opens tuple is the lower one iff it holds the lowest
+    mask where the two differ: the higher `mirror`.
     """
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise TooManyPoints(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
-    images = [[sum(1 << order.index(x) for x in iter_points(m))
-               for m in range(1 << n)]   # point order[i] becomes i
-              for order in permutations(range(n))]
-    families = []
-    for form in _classes(n):   # two classes share no family
-        members = decode(saturated(form, n))
-        orbit = {sum([1 << image[m] for m in members]) for image in images}
-        families += [(bits, form) for bits in orbit]
-    families.sort(key=lambda family: mirror(family[0], n), reverse=True)
     names = _letters(n)
-    for i, (bits, form) in enumerate(families):
-        space = space_from_masks(names, SetFamily.from_bits(bits),
-                                 name=f"enum:{n}:{i}")
+    relabelings = [(order, [sum(1 << order.index(x) for x in iter_points(m))
+                            for m in range(1 << n)])   # point order[i] becomes i
+                   for order in permutations(range(n))]
+    labeled = []
+    for form in _classes(n):   # two classes share no table
+        members = decode(space_from_table(names, form).opens.bits)
+        tables = {tuple([image[form[x]] for x in order]): image
+                  for order, image in relabelings}
+        labeled += [(sum([1 << image[m] for m in members]), table, form)
+                    for table, image in tables.items()]
+    # yielded from the end, so each table is let go as its space is made
+    labeled.sort(key=lambda entry: mirror(entry[0], n))
+    for i in range(len(labeled)):
+        bits, table, form = labeled.pop()
+        space = FiniteSpace(names, SetFamily.from_bits(bits), table, f"enum:{n}:{i}")
         vars(space)["canonical"] = form
         yield space
 

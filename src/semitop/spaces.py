@@ -8,8 +8,11 @@ ascending numeric order.  That ascending order is the canonical order
 used everywhere for witness selection, rendering and reports.
 
 Every finite topology is Alexandrov: each point has a smallest open
-neighbourhood, and the table of those neighbourhoods is fixed at
-validation time.  Interior and closure are then O(n) mask loops:
+neighbourhood U_x, and a space holds that table.  A space is built from
+its opens (`space_from_masks`, which reads the table off the family) or
+from the table itself (`space_from_table`, which checks it in O(n**2)
+and saturates it to the opens).  Interior and closure are then O(n)
+mask loops:
 
     interior(A) = {x : min_nbhd[x] subset of A}
     closure(A)  = complement(interior(complement(A)))
@@ -74,6 +77,15 @@ class NotClosedUnderUnion(_NotClosed):
 
 class NotClosedUnderIntersection(_NotClosed):
     pass
+
+
+class NotAPreorder(SpaceError):
+    """A neighbourhood table that is not reflexive and transitive;
+    carries the index of the point whose U_x breaks it."""
+
+    def __init__(self, message: str, point: int):
+        super().__init__(message)
+        self.point = point
 
 
 class lazy:
@@ -259,10 +271,11 @@ def _canonical_form(ups: tuple) -> tuple | None:
 class FiniteSpace:
     """A validated finite topological space.
 
-    Construct through `build_space` (label lists) or `space_from_masks`;
-    both validate the family and precompute the minimal open
-    neighbourhood of every point.  `name` is a catalog id or file path
-    used in reports and never takes part in equality.
+    Construct through `build_space` (label lists), `space_from_masks`
+    (the opens) or `space_from_table` (the minimal open neighbourhood of
+    every point); each validates its input and the space holds both the
+    opens and that table.  `name` is a catalog id or file path used in
+    reports and never takes part in equality.
     """
 
     names: tuple
@@ -336,7 +349,8 @@ class FiniteSpace:
                 out |= 1 << pos[i]
             return out
 
-        return space_from_masks(names, (compress(o) for o in self.opens))
+        # the smallest relative open holding x is U_x ∩ s
+        return space_from_table(names, [compress(self.min_nbhd[x]) for x in keep])
 
     def mask_of(self, labels: Iterable[str]) -> int:
         out = 0
@@ -437,6 +451,35 @@ def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
             raise NotClosedUnderUnion(msg, (a, b))
         raise NotClosedUnderIntersection(msg, (a, b))
     return space
+
+
+def space_from_table(names: Iterable[str], table: Iterable[int], *,
+                     name: str | None = None) -> FiniteSpace:
+    """Validate a table of minimal open neighbourhoods and build the space.
+
+    `table[x]` is U_x as a mask.  A table of n masks is the table of a
+    topology iff it is reflexive (x in U_x) and transitive (y in U_x
+    implies U_y inside U_x), checked in O(n**2); the opens are then the
+    sets saturated under it, and U_x is the smallest of them holding x
+    (Alexandroff, Diskrete Räume, 1937).
+    """
+    names = tuple(names)
+    _validate_names(names)
+    n = len(names)
+    table = tuple(table)
+    if len(table) != n:
+        raise ValueError(f"a table for {n} points needs {n} masks, not {len(table)}")
+    for x, u in enumerate(table):
+        if not 0 <= u < 1 << n:
+            raise ValueError(f"U_{names[x]} = {u} is out of range for {n} points")
+        if not u >> x & 1:
+            raise NotAPreorder(f"U_{names[x]} does not hold {names[x]}", x)
+    for x, u in enumerate(table):
+        for y in iter_points(u):
+            if table[y] & ~u:
+                raise NotAPreorder(f"{names[y]} is in U_{names[x]} but U_{names[y]} "
+                                   f"is not inside U_{names[x]}", x)
+    return FiniteSpace(names, SetFamily.from_bits(saturated(table, n)), table, name)
 
 
 def build_space(names: Iterable[str], opens: Iterable[Iterable[str]], *,

@@ -5,7 +5,8 @@ from semitop.catalog import (EmptyWindow, OverBudget, UnknownId, _classes,
                              catalog_entries, discrete_space,
                              enumerate_topologies, indiscrete_space,
                              is_named_id, khalimsky_window, named_space)
-from semitop.spaces import SpaceError, TooManyPoints, _canonical_form
+from semitop.spaces import (SpaceError, TooManyPoints, _canonical_form,
+                            space_from_masks)
 
 
 def test_fixed_spaces():
@@ -117,6 +118,16 @@ def test_enumerated_spaces_carry_their_computed_form():
     for n in range(1, 6):
         for space in enumerate_topologies(n):
             assert vars(space)["canonical"] == _canonical_form(space.min_nbhd)
+
+
+def test_enumerated_spaces_match_a_full_validation():
+    """Each class's table is validated once and its relabelings are built
+    without a check: every labeled topology on up to 5 points is the
+    space `space_from_masks` builds from its opens, table included."""
+    for n in range(1, 6):
+        for space in enumerate_topologies(n):
+            again = space_from_masks(space.names, space.opens)
+            assert again == space and again.min_nbhd == space.min_nbhd
 
 
 def test_generator_matches_naive_filter_n4():

@@ -98,6 +98,7 @@ def test_oversized_named_space_reports_its_size(capsys, monkeypatch):
         raise AssertionError("built a space past the point limit")
 
     monkeypatch.setattr(catalog_mod, "space_from_masks", no_build)
+    monkeypatch.setattr(catalog_mod, "space_from_table", no_build)
     for sid in ("discrete:21", "indiscrete:40"):
         code, out, err = run_cli(capsys, "analyze", sid)
         assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 import pickle
 import random
+from itertools import product
 from math import factorial
 
 import pytest
@@ -10,12 +11,13 @@ import semitop.spaces as spaces_mod
 from oracles import (closure_oracle, interior_oracle, naive_is_topology,
                      random_space, relabeled, sierpinski_copies)
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
-from semitop.lattice import decode, meets
+from semitop.lattice import decode, lowest, meets, saturated
 from semitop.spaces import (CANONICAL_BUDGET, DuplicateLabel, EmptyCarrier,
-                            MissingEmptyOrUniverse, NotClosedUnderIntersection,
-                            NotClosedUnderUnion, SetFamily, TooManyPoints,
-                            UnknownLabel, build_space, iter_points,
-                            space_from_masks, submasks)
+                            MissingEmptyOrUniverse, NotAPreorder,
+                            NotClosedUnderIntersection, NotClosedUnderUnion,
+                            SetFamily, SpaceError, TooManyPoints, UnknownLabel,
+                            build_space, iter_points, space_from_masks,
+                            space_from_table, submasks)
 
 
 def test_iter_points_ascending():
@@ -178,6 +180,54 @@ def test_validation_accepts_exactly_the_topologies_n4():
         assert space.min_nbhd == tuple(meets(bits, 4))
         accepted += 1
     assert accepted == 355
+
+
+def test_table_validation_accepts_exactly_the_preorders_n3():
+    """Every table of three masks on 3 points: `space_from_table` accepts
+    it iff the relation "y in U_x" is reflexive and transitive (29 such
+    preorders), and then holds it as the table read off its opens; a
+    refused table names a point whose U_x breaks the relation."""
+    accepted = 0
+    for table in product(range(8), repeat=3):
+        rel = {(x, y) for x in range(3) for y in range(3) if table[x] >> y & 1}
+        reflexive = all((x, x) in rel for x in range(3))
+        transitive = all((x, z) in rel for x, y in rel for w, z in rel if y == w)
+        try:
+            space = space_from_table("abc", table)
+        except NotAPreorder as error:
+            assert not (reflexive and transitive)
+            assert isinstance(error, SpaceError)
+            x = error.point
+            assert f"U_{'abc'[x]}" in str(error)
+            assert (x, x) not in rel or any((y, z) in rel and (x, z) not in rel
+                                            for y in range(3) if (x, y) in rel
+                                            for z in range(3))
+            continue
+        assert reflexive and transitive
+        bits = saturated(table, 3)
+        assert space.opens.bits == bits and naive_is_topology(decode(bits), 3)
+        assert space.min_nbhd == tuple(lowest(bits, 3)) == table
+        assert space == space_from_masks("abc", space.opens)
+        accepted += 1
+    assert accepted == 29
+
+
+def test_table_refuses_labels_and_sizes_as_masks_do():
+    """Bad labels and a 21-point carrier raise what `space_from_masks`
+    raises for them; a table of the wrong length or with a mask out of
+    range is a `ValueError`, as an out-of-range open is."""
+    for names in ([], ["a", "a"], ["a", "b c"], ["a", ""], ["a", 3],
+                  [f"p{i}" for i in range(21)]):
+        full = (1 << len(names)) - 1
+        with pytest.raises((SpaceError, ValueError)) as by_masks:
+            space_from_masks(names, [0, full])
+        with pytest.raises(type(by_masks.value)) as by_table:
+            space_from_table(names, [full] * len(names))
+        assert type(by_table.value) is type(by_masks.value)
+        assert str(by_table.value) == str(by_masks.value)
+    for table in ([3], [3, 3, 3], [3, 4], [3, -1]):
+        with pytest.raises(ValueError):
+            space_from_table("ab", table)
 
 
 def test_closed_family_is_complements(spaces3):
