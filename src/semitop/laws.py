@@ -28,13 +28,20 @@ a `Witness` worked out on first read, on the space itself.
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
 the semi-kernel and of v_s, so a pointwise statement about them is a
-column identity; a containment of families is one AND; a statement
-about every family B_λ tests that columns are upward-closed or that a
-family holds `lattice.unions` of itself; and "the value at B lies in F"
-is `_preimage`.  Three laws read "a <= C <= F(a) for some member a"
-and split the candidates C and the members a point by point
-(`_sandwiches`): prop-4.9-sandwich with F the kernel,
-defn-semi-open-levine with the masks A, the opens O and F = Cl, and
+column identity, and "the value at B lies in F" is `_preimage`.  The
+laws that share a statement shape are rows of five factories, each row
+naming a family by its `SpaceContext` attribute path ("fams.d_v.bits")
+read by a getter built once.  `_inside` (every P-set is a Q-set) fails
+at the lowest offender of any row, with the message of the first row it
+breaks; `_iff` (an axiom holds iff each inclusion does) and `_implies`
+(one axiom gives another) with no witness; `_monotone` (a statement
+about every family B_λ: the columns are upward-closed) at the lowest a,
+then the lowest b above it with f(a) escaping f(b); `_closed` (a family
+holds `lattice.unions`, or intersections, of itself) at the lowest
+escaping set of the first row that does not.  Three laws read
+"a <= C <= F(a) for some member a" and split the candidates C and the
+members a point by point (`_sandwiches`): prop-4.9-sandwich with F the
+kernel, defn-semi-open-levine with the masks A, the opens O and F = Cl, and
 defn-beta-open with the regular closed r, the masks m and F = Cl.  The
 definition laws keep their quantifier over the opens and over the
 regular closed sets; neither is reduced to O = Int A or r = Cl(m).
@@ -57,7 +64,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
@@ -329,9 +336,64 @@ def _not_closed(ctx, fam: int, what: str, dual: bool = False):
     n = ctx.space.n
     bits = mirror(fam, n) if dual else fam
     out = unions(bits, n) & ~bits
-    if dual:
-        out = mirror(out, n)
-    return _first(out, f"{what} leaves the family")
+    return _first(mirror(out, n) if dual else out, f"{what} leaves the family")
+
+
+# -- checkers built from rows -----------------------------------------
+
+def _inside(*rows):
+    """Every P-set is a Q-set, for each row (P, Q, message)."""
+    rows = [(attrgetter(p), attrgetter(q), message) for p, q, message in rows]
+
+    def check(ctx):
+        bad = 0
+        for p, q, _ in rows:
+            bad |= p(ctx) & ~q(ctx)
+        if bad:
+            low = bad & -bad
+            for p, q, message in rows:
+                if p(ctx) & ~q(ctx) & low:
+                    return _Fail((_lowest(low),), (), message)
+    return check
+
+
+def _iff(verdict: str, *rows):
+    """The axiom `verdict` holds iff every P-set is a Q-set, for each row
+    (P, Q, label); a P of None is every subset."""
+    rows = [(attrgetter(p) if p else lambda ctx: everything(ctx.space.n),
+             attrgetter(q), label) for p, q, label in rows]
+    holds = attrgetter(verdict)
+
+    def check(ctx):
+        v, oks = holds(ctx), [p(ctx) & ~q(ctx) == 0 for p, q, _ in rows]
+        if oks.count(v) < len(oks):
+            return _Fail((), (), f"{verdict}={v} but " + ", ".join(
+                f"{label}={ok}" for (_, _, label), ok in zip(rows, oks)))
+    return check
+
+
+def _implies(a: str, b: str):
+    """Every space with axiom `a` has axiom `b`."""
+    has_a, has_b = attrgetter(a), attrgetter(b)
+    fail = _Fail((), (), f"{a} space that is not {b}")
+    return lambda ctx: fail if has_a(ctx) and not has_b(ctx) else None
+
+
+def _monotone(cols: str, message: str):
+    """The operator with columns `cols` is monotone."""
+    get = attrgetter(cols)
+    return lambda ctx: _not_monotone(get(ctx), ctx.space.n, message)
+
+
+def _closed(*rows):
+    """Each row's family (fam, what, dual) is closed (`_not_closed`)."""
+    rows = [(attrgetter(fam), what, dual) for fam, what, dual in rows]
+
+    def check(ctx):
+        for get, what, dual in rows:
+            if fail := _not_closed(ctx, get(ctx), what, dual):
+                return fail
+    return check
 
 
 # -- checkers: the semi-kernel and its dual ---------------------------
@@ -340,10 +402,6 @@ def _chk_3_2a(ctx):
     n = ctx.space.n
     return _first(everything(n) ^ within(ctx.kern_cols, n),
                   "subset escapes its semi-kernel")
-
-
-def _chk_3_2b(ctx):
-    return _not_monotone(ctx.kern_cols, ctx.space.n, "semi-kernel not monotone")
 
 
 def _chk_3_2c(ctx):
@@ -379,11 +437,6 @@ def _chk_3_2d(ctx):
         return _Fail((c,), (z,), "kernel of a union holds a point outside the members' kernels")
 
 
-def _chk_3_2e(ctx):
-    return _first(ctx.semi_open.bits & ~ctx.fix_kern,
-                  "semi-open set moved by its semi-kernel")
-
-
 def _chk_3_2f(ctx):
     # z is in K(b^c) iff b^c is in kern_cols[z], i.e. b in its mirror;
     # z is outside v_s(b) iff b is not in up[z]
@@ -396,23 +449,6 @@ def _chk_3_2f(ctx):
 def _chk_3_2g(ctx):
     return _first(reduce(or_, map(and_, ctx.up, columns(ctx.space.n)[1])),
                   "dual operator escapes its argument")
-
-
-def _chk_3_2h(ctx):
-    return _first(ctx.semi_closed.bits & ~ctx.fix_vs,
-                  "semi-closed set moved by the dual operator")
-
-
-def _chk_3_2i(ctx):
-    # K(B_1 & B_2 & ...) lies in every K(B_i) iff K is monotone
-    return _not_monotone(ctx.kern_cols, ctx.space.n,
-                         "kernel of intersection escapes the kernels")
-
-
-def _chk_3_2j(ctx):
-    # v_s(B_1 | B_2 | ...) holds every v_s(B_i) iff v_s is monotone;
-    # its columns are the core's up[x]
-    return _not_monotone(ctx.up, ctx.space.n, "dual of union misses a dual")
 
 
 def _chk_3_3(ctx):
@@ -430,26 +466,9 @@ def _chk_3_7a(ctx):
         return _Fail((), (), "empty set or carrier moved by the dual")
 
 
-def _chk_3_7b(ctx):
-    return (_not_closed(ctx, ctx.fix_kern, "union of kernel-fixed sets")
-            or _not_closed(ctx, ctx.fix_vs, "union of dual-fixed sets"))
-
-
-def _chk_3_7c(ctx):
-    return (_not_closed(ctx, ctx.fix_kern, "intersection of kernel-fixed sets", dual=True)
-            or _not_closed(ctx, ctx.fix_vs, "intersection of dual-fixed sets", dual=True))
-
-
 def _chk_3_7d(ctx):
     return _first(ctx.fix_kern ^ mirror(ctx.fix_vs, ctx.space.n),
                   "kernel-fixed and dual-fixed complements disagree")
-
-
-def _chk_3_8(ctx):
-    every_lam, every_vs = (f == everything(ctx.space.n)
-                           for f in (ctx.fix_kern, ctx.fix_vs))
-    if not ctx.semi_t1 == every_lam == every_vs:
-        return _Fail((), (), f"semi_t1={ctx.semi_t1} but kernel-fixed-all={every_lam}, dual-fixed-all={every_vs}")
 
 
 # -- checkers: separation axioms --------------------------------------
@@ -468,33 +487,6 @@ def _chk_digital_line(ctx):
         elif min(ints) < value < max(ints):
             if bit not in ctx.grades.regular_open:
                 return _Fail((bit,), (x,), "interior odd singleton is not regular open")
-
-
-def _chk_semi_t1_implies_semi_r0(ctx):
-    if ctx.semi_t1 and not ctx.semi_r0:
-        return _Fail((), (), "semi_t1 space that is not semi_r0")
-
-
-def _chk_r0_implies_semi_r0(ctx):
-    if ctx.r0 and not ctx.semi_r0:
-        return _Fail((), (), "r0 space that is not semi_r0")
-
-
-def _chk_semi_t1_v_sets(ctx):
-    fixed = ctx.fix_vs
-    pre = ctx.grades.preopen.bits & ~fixed == 0
-    beta = ctx.grades.beta_open.bits & ~fixed == 0
-    if not ctx.semi_t1 == pre == beta:
-        return _Fail((), (), f"semi_t1={ctx.semi_t1} but preopen-fixed={pre}, beta-fixed={beta}")
-
-
-def _chk_semi_r0_v_sets(ctx):
-    fixed = ctx.fix_vs
-    so_fixed = ctx.semi_open.bits & ~fixed == 0
-    open_fixed = ctx.space.opens.bits & ~fixed == 0
-    simply_fixed = ctx.grades.simply_open.bits & ~fixed == 0
-    if not ctx.semi_r0 == so_fixed == open_fixed == simply_fixed:
-        return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-fixed={so_fixed}, open-fixed={open_fixed}, simply-open-fixed={simply_fixed}")
 
 
 def _chk_semi_r0_union(ctx):
@@ -557,26 +549,7 @@ def _chk_simply_open(ctx):
                   "open-plus-nowhere-dense and boundary forms disagree")
 
 
-def _chk_beta_containments(ctx):
-    g = ctx.grades
-    return _first((g.preopen.bits | ctx.semi_open.bits) & ~g.beta_open.bits,
-                  "preopen or semi-open set that is not beta-open")
-
-
 # -- checkers: generalized classes ------------------------------------
-
-def _chk_4_5ab(ctx):
-    lam = ctx.fix_kern & ~ctx.fams.d_lambda.bits
-    dual = ctx.fix_vs & ~ctx.fams.d_v.bits
-    low = (lam | dual) & -(lam | dual)    # the first offender of either kind
-    return (_first(lam & low, "kernel-fixed set missing from the generalized family")
-            or _first(dual & low, "dual-fixed set missing from the dual generalized family"))
-
-
-def _chk_4_5cd(ctx):
-    return (_not_closed(ctx, ctx.fams.d_lambda.bits, "union of generalized sets")
-            or _not_closed(ctx, ctx.fams.d_v.bits, "intersection of dual-generalized sets", dual=True))
-
 
 def _chk_4_6(ctx):
     a, b = ctx.space.mask_of("ac"), ctx.space.mask_of("bc")
@@ -587,14 +560,6 @@ def _chk_4_6(ctx):
         return _Fail((c,), (), "documented intersection failure does not fail")
     if _value(ctx.kern_cols, a) == a:
         return _Fail((a,), (), "documented non-kernel-fixed set is kernel-fixed")
-
-
-def _chk_4_7(ctx):
-    fams = ctx.fams
-    return (_first(ctx.semi_open.bits & ~fams.d_lambda.bits,
-                   "semi-open set outside the generalized family")
-            or _first(ctx.semi_closed.bits & ~fams.d_v.bits,
-                      "semi-closed set outside the dual generalized family"))
 
 
 def _chk_4_8(ctx):
@@ -680,17 +645,6 @@ def _chk_4_13(ctx):
                   "hypotheses hold but the set is not dual-generalized")
 
 
-def _chk_5_2(ctx):
-    return _first(ctx.semi_closed.bits & ~ctx.fams.sg_closed.bits,
-                  "semi-closed set that is not sg-closed")
-
-
-def _chk_5_3(ctx):
-    every_fixed = ctx.fams.d_v.bits & ~ctx.fix_vs == 0
-    if ctx.semi_t_half != every_fixed:
-        return _Fail((), (), f"semi_t_half={ctx.semi_t_half} but dual-generalized-all-fixed={every_fixed}")
-
-
 # -- scopes -----------------------------------------------------------
 
 def _is_catalog_space(space: FiniteSpace, name: str) -> bool:
@@ -715,27 +669,36 @@ def _scope_odd_window(space):
 # -- registry ---------------------------------------------------------
 
 def register_laws() -> tuple:
+    # remark-4.7 takes the first kind of offender first
+    so_in_gl = _inside(("semi_open.bits", "fams.d_lambda.bits", "semi-open set outside the generalized family"))
+    sc_in_gv = _inside(("semi_closed.bits", "fams.d_v.bits", "semi-closed set outside the dual generalized family"))
     laws = [
         Law("prop-3.2a", "§3: $B \\subseteq B^{\\Lambda_s}$",
             _chk_3_2a, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2b", "§3: If $A \\subseteq B$, then $A^{\\Lambda_s} \\subseteq B^{\\Lambda_s}$",
-            _chk_3_2b, max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
+            _monotone("kern_cols", "semi-kernel not monotone"),
+            max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2c", "§3: $B^{\\Lambda_s\\Lambda_s}=B^{\\Lambda_s}$",
             _chk_3_2c, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2d", "§3: $[\\bigcup B_\\lambda]^{\\Lambda_s}=\\bigcup B_\\lambda^{\\Lambda_s}$",
             _chk_3_2d, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2e", "§3: If $A \\in SO(X,\\tau)$, then $A=A^{\\Lambda_s}$",
-            _chk_3_2e, semi_only=True),
+            _inside(("semi_open.bits", "fix_kern", "semi-open set moved by its semi-kernel")), semi_only=True),
         Law("prop-3.2f", "§3: $(B^c)^{\\Lambda_s}=(B^{V_s})^c$",
             _chk_3_2f, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2g", "§3: $B^{V_s} \\subseteq B$",
             _chk_3_2g, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2h", "§3: If $B \\in SC(X,\\tau)$, then $B=B^{V_s}$",
-            _chk_3_2h, max_points=FAMILY_CAP, semi_only=True),
+            _inside(("semi_closed.bits", "fix_vs", "semi-closed set moved by the dual operator")),
+            max_points=FAMILY_CAP, semi_only=True),
+        # K(B_1 & B_2 & ...) lies in every K(B_i) iff K is monotone
         Law("prop-3.2i", "§3: $[\\bigcap B_\\lambda]^{\\Lambda_s} \\subseteq \\bigcap B_\\lambda^{\\Lambda_s}$",
-            _chk_3_2i, max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
+            _monotone("kern_cols", "kernel of intersection escapes the kernels"),
+            max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
+        # v_s(B_1 | B_2 | ...) holds every v_s(B_i) iff v_s is monotone;
+        # its columns are the core's up[x]
         Law("prop-3.2j", "§3: $[\\bigcup B_\\lambda]^{V_s} \\supseteq \\bigcup B_\\lambda^{V_s}$",
-            _chk_3_2j, max_points=FAMILY_CAP, semi_only=True),
+            _monotone("up", "dual of union misses a dual"), max_points=FAMILY_CAP, semi_only=True),
         Law("remark-3.3-strictness",
             "§3: $(B_1 \\bigcap B_2)^{\\Lambda_s}=\\emptyset$ but $B_1^{\\Lambda_s} \\bigcap B_2^{\\Lambda_s}=\\{b,c\\}$",
             _chk_3_3, scope=_scope_named("e1"),
@@ -743,31 +706,37 @@ def register_laws() -> tuple:
         Law("prop-3.7a", "§3: The subsets $\\emptyset$ and $X$ are $\\Lambda_s$-sets and $V_s$-sets",
             _chk_3_7a, semi_only=True),
         Law("prop-3.7b", "§3: Every union of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7b, max_points=FAMILY_CAP,
+            _closed(("fix_kern", "union of kernel-fixed sets", False),
+                    ("fix_vs", "union of dual-fixed sets", False)), max_points=FAMILY_CAP,
             note="the V_s half holds for any family: v_s is monotone and deflationary, so its fixed sets are the unions of semi-closed sets",
             semi_only=True),
         Law("prop-3.7c", "§3: Every intersection of $\\Lambda_s$-sets ($V_s$-sets) is a $\\Lambda_s$-set ($V_s$-set)",
-            _chk_3_7c, max_points=FAMILY_CAP,
+            _closed(("fix_kern", "intersection of kernel-fixed sets", True),
+                    ("fix_vs", "intersection of dual-fixed sets", True)), max_points=FAMILY_CAP,
             note="the Λ_s half holds for any family: the kernel-fixed sets are the intersections of semi-open sets, and an intersection of such intersections is one",
             semi_only=True),
         Law("prop-3.7d", "§3: $B$ is a $\\Lambda_s$-set if and only if $B^c$ is a $V_s$-set",
             _chk_3_7d, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.8", "§3: semi-$T_1$ iff every subset is a $\\Lambda_s$-set iff every subset is a $V_s$-set",
-            _chk_3_8, max_points=FAMILY_CAP, semi_only=True),
+            _iff("semi_t1", (None, "fix_kern", "kernel-fixed-all"), (None, "fix_vs", "dual-fixed-all")),
+            max_points=FAMILY_CAP, semi_only=True),
         Law("example-2-digital-line",
             "§2: a semi-$T_1$ space and a semi-$R_0$-space which is neither $T_1$ nor $R_0$",
             _chk_digital_line, scope=_scope_odd_window,
             note="odd-endpoint digital-line windows; even singletons closed, interior odd singletons regular open"),
         Law("cor-3-semi-t1-semi-r0", "§3: Every semi-$T_1$-space is a semi-$R_0$-space",
-            _chk_semi_t1_implies_semi_r0, semi_only=True),
+            _implies("semi_t1", "semi_r0"), semi_only=True),
         Law("sec-2-r0-semi-r0", "§2: Every $R_0$-space is a semi-$R_0$-space",
-            _chk_r0_implies_semi_r0),
+            _implies("r0", "semi_r0")),
         Law("thm-3-semi-t1-v-sets",
             "§3: semi-$T_1$ iff every preopen set is a $V_s$-set iff every $\\beta$-open set is a $V_s$-set",
-            _chk_semi_t1_v_sets, max_points=FAMILY_CAP),
+            _iff("semi_t1", ("grades.preopen.bits", "fix_vs", "preopen-fixed"),
+                 ("grades.beta_open.bits", "fix_vs", "beta-fixed")), max_points=FAMILY_CAP),
         Law("thm-3-semi-r0-v-sets",
             "§3: semi-$R_0$ iff every semi-open, every open and every simply-open set is a $V_s$-set",
-            _chk_semi_r0_v_sets, max_points=FAMILY_CAP,
+            _iff("semi_r0", ("semi_open.bits", "fix_vs", "semi-open-fixed"),
+                 ("space.opens.bits", "fix_vs", "open-fixed"),
+                 ("grades.simply_open.bits", "fix_vs", "simply-open-fixed")), max_points=FAMILY_CAP,
             note="simply-open also goes by the name locally semi-closed; only the simply-open form is implemented"),
         Law("sec-2-semi-r0-union",
             "§2: semi-$R_0$ iff every semi-open set is a union of semi-closed sets",
@@ -786,20 +755,25 @@ def register_laws() -> tuple:
             _chk_simply_open, max_points=FAMILY_CAP),
         Law("sec-3-beta-containments",
             "§3: every preopen set and every semi-open set is $\\beta$-open",
-            _chk_beta_containments),
+            _inside(("grades.preopen.bits", "grades.beta_open.bits", "preopen or semi-open set that is not beta-open"),
+                    ("semi_open.bits", "grades.beta_open.bits", "preopen or semi-open set that is not beta-open"))),
         Law("prop-4.5ab",
             "§4: Every $\\Lambda_s$-set is a $g.\\Lambda_s$-set; every $V_s$-set is a $g.V_s$-set",
-            _chk_4_5ab, max_points=FAMILY_CAP, semi_only=True),
+            _inside(("fix_kern", "fams.d_lambda.bits", "kernel-fixed set missing from the generalized family"),
+                    ("fix_vs", "fams.d_v.bits", "dual-fixed set missing from the dual generalized family")),
+            max_points=FAMILY_CAP, semi_only=True),
         Law("prop-4.5cd",
             "§4: unions of $g.\\Lambda_s$-sets are $g.\\Lambda_s$; intersections of $g.V_s$-sets are $g.V_s$",
-            _chk_4_5cd, max_points=FAMILY_CAP, semi_only=True),
+            _closed(("fams.d_lambda.bits", "union of generalized sets", False),
+                    ("fams.d_v.bits", "intersection of dual-generalized sets", True)),
+            max_points=FAMILY_CAP, semi_only=True),
         Law("example-4.6-intersection",
             "§4: $A \\bigcap B=\\{c\\}$ is not a $g.\\Lambda_s$-set",
             _chk_4_6, scope=_scope_named("e33"),
             note="documented witnesses A={a,c}, B={b,c}; A is also not a $\\Lambda_s$-set"),
         Law("remark-4.7",
             "§4: If $A \\in SO(X,\\tau)$ then $A$ is a $g.\\Lambda_s$-set; if $A \\in SC(X,\\tau)$ then $A$ is a $g.V_s$-set",
-            _chk_4_7, semi_only=True),
+            lambda ctx: so_in_gl(ctx) or sc_in_gv(ctx), semi_only=True),
         Law("prop-4.8-dichotomy",
             "§4: $\\{x\\}$ is a semi-open set or $\\{x\\}^c$ is a $g.\\Lambda_s$-set",
             _chk_4_8, note="equivalently the singleton itself is a $g.V_s$-set; the half of cor-4-cantor-bendixson that holds: a point of D(X) has a singleton that is not open, hence not semi-open, so its singleton is g.V_s",
@@ -825,10 +799,11 @@ def register_laws() -> tuple:
             _chk_4_13, max_points=FAMILY_CAP, semi_only=True),
         Law("remark-5.2-semi-closed-sg",
             "§5: Every semi-closed set is sg-closed",
-            _chk_5_2, semi_only=True),
+            _inside(("semi_closed.bits", "fams.sg_closed.bits", "semi-closed set that is not sg-closed")), semi_only=True),
         Law("thm-5.3",
             "§5: semi-$T_{1/2}$ iff every $g.V_s$-set is a $V_s$-set",
-            _chk_5_3, max_points=FAMILY_CAP, semi_only=True),
+            _iff("semi_t_half", ("fams.d_v.bits", "fix_vs", "dual-generalized-all-fixed")),
+            max_points=FAMILY_CAP, semi_only=True),
     ]
     ids = [law.id for law in laws]
     assert len(ids) == len(set(ids))
