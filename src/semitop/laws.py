@@ -330,15 +330,6 @@ def _not_monotone(cols, n: int, message: str):
         return _Fail((a, b), (), message)
 
 
-def _not_closed(ctx, fam: int, what: str, dual: bool = False):
-    """Fail at the lowest union (`dual`: intersection, via complements)
-    of members of the family `fam` that is not a member."""
-    n = ctx.space.n
-    bits = mirror(fam, n) if dual else fam
-    out = unions(bits, n) & ~bits
-    return _first(mirror(out, n) if dual else out, f"{what} leaves the family")
-
-
 # -- checkers built from rows -----------------------------------------
 
 def _inside(*rows):
@@ -386,13 +377,16 @@ def _monotone(cols: str, message: str):
 
 
 def _closed(*rows):
-    """Each row's family (fam, what, dual) is closed (`_not_closed`)."""
+    """Each row's family (fam, what, dual) holds the unions (`dual`: the
+    intersections, via complements) of its members."""
     rows = [(attrgetter(fam), what, dual) for fam, what, dual in rows]
 
     def check(ctx):
+        n = ctx.space.n
         for get, what, dual in rows:
-            if fail := _not_closed(ctx, get(ctx), what, dual):
-                return fail
+            bits = mirror(get(ctx), n) if dual else get(ctx)
+            if out := unions(bits, n) & ~bits:
+                return _first(mirror(out, n) if dual else out, f"{what} leaves the family")
     return check
 
 
