@@ -893,7 +893,7 @@ class LawReport:
                     "witnesses": [
                         {
                             "space": w.space_name,
-                            "subsets": [sorted(w.space.labels_of(m))
+                            "subsets": [list(w.space.labels_of(m))
                                         for m in w.subset_masks],
                             "points": list(w.points),
                             "message": w.message,

@@ -107,7 +107,7 @@ def test_oversized_named_space_reports_its_size(capsys, monkeypatch):
 
 _N4_SHA256 = {
     "text": "1e97198863ce84d66befe57b2cb065d166534854f9464cca11f5712c5aac6efb",
-    "machine": "494576005efa7886e47119316520196a477d761ae57a6d6b435dd7e2d63b661f",
+    "machine": "c5ff1ef121e46bc58c5975378e001324e78b5b9ee30eaf5222d23d6464485f8a",
 }
 
 

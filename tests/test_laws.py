@@ -1133,16 +1133,24 @@ def test_render_text_caps_witnesses(spaces3):
 
 
 def test_machine_dict_shape(spaces3):
-    doc = run_suite(spaces3[:5]).to_dict()
+    report = run_suite(spaces3[:5])
+    doc = report.to_dict()
     assert doc["spaces"] == 5
     assert doc["exit_code"] == 0
-    for rec in doc["laws"]:
+    for rec, result in zip(doc["laws"], report.results):
         assert set(rec) == {"id", "status", "examined", "passed", "verdict",
                             "witnesses"}
-        for w in rec["witnesses"]:
+        for w, witness in zip(rec["witnesses"], result.witnesses):
             assert isinstance(w["subsets"], list)
             for labels in w["subsets"]:
-                assert labels == sorted(labels)
+                assert labels == sorted(labels, key=witness.space.names.index)
     doc = run_suite([named_space("discrete:2")],
                     ["cor-4-cantor-bendixson"]).to_dict()
     assert doc["laws"][0]["witnesses"][0]["subsets"] == [[], ["a", "b"]]
+    # a witness lists its labels in point order, as the text report
+    # renders them, not sorted as strings
+    window = run_suite([named_space("khalimsky:-7:7")], ["cor-4-cantor-bendixson"])
+    (witness,) = window.results[0].witnesses
+    evens = window.to_dict()["laws"][0]["witnesses"][0]["subsets"][0]
+    assert evens == ["-6", "-4", "-2", "0", "2", "4", "6"]
+    assert witness.subsets[0] == "{" + ",".join(evens) + "}"
