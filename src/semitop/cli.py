@@ -183,8 +183,7 @@ def cmd_claim(args) -> int:
         return 0
     if not args.id:
         raise SpaceError("claim needs a law id (or --list)")
-    if args.id not in reg:
-        raise SpaceError(f"unknown law id {args.id!r}; see `semitop claim --list`")
+    _check_law_ids([args.id])
     _check_stream_flags(args)
     law = reg[args.id]
     print(f"law: {law.id}")

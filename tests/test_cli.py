@@ -491,7 +491,8 @@ def test_claim_list(capsys):
 
 
 def test_claim_errors(capsys):
-    code, _, err = run_cli(capsys, "claim", "wat")
-    assert code == 2 and "unknown law id" in err
+    code, out, err = run_cli(capsys, "claim", "wat")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown law id 'wat'; see `semitop claim --list`\n"
     code, _, err = run_cli(capsys, "claim")
     assert code == 2
