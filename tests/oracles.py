@@ -712,6 +712,47 @@ def prop_4_5cd_law_oracle(ctx):
                                dual=True))
 
 
+# -- literal row forms ------------------------------------------------
+#
+# The forms of the factories `_inside`, `_iff` and `_implies` in
+# `semitop.laws`, for rows the registry does not hold.  Each reads a
+# row's families by their `SpaceContext` attribute paths and quantifies
+# mask by mask in ascending order.
+
+def _read(ctx, path: str):
+    return reduce(getattr, path.split("."), ctx)
+
+
+def inside_rows_oracle(*rows):
+    def scan(ctx):
+        fams = [(_read(ctx, p), _read(ctx, q), message) for p, q, message in rows]
+        for m in _masks(ctx):
+            for p, q, message in fams:
+                if p >> m & 1 and not q >> m & 1:
+                    return _Fail((m,), (), message)
+    return scan
+
+
+def iff_rows_oracle(verdict: str, *rows):
+    """A P of None is every subset."""
+    def scan(ctx):
+        v, oks = getattr(ctx, verdict), []
+        for p, q, _ in rows:
+            every = _masks(ctx) if p is None else SetFamily.from_bits(_read(ctx, p))
+            oks.append(all(_read(ctx, q) >> m & 1 for m in every))
+        if any(ok != v for ok in oks):
+            return _Fail((), (), f"{verdict}={v} but " + ", ".join(
+                f"{label}={ok}" for (_, _, label), ok in zip(rows, oks)))
+    return scan
+
+
+def implies_oracle(a: str, b: str):
+    def scan(ctx):
+        if getattr(ctx, a) and not getattr(ctx, b):
+            return _Fail((), (), f"{a} space that is not {b}")
+    return scan
+
+
 LAW_ORACLES = {
     "prop-3.2a": prop_3_2a_law_oracle,
     "prop-3.2b": prop_3_2b_law_oracle,

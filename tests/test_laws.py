@@ -11,6 +11,7 @@ import semitop.axioms as axioms_mod
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
+                     iff_rows_oracle, implies_oracle, inside_rows_oracle,
                      levine_sets_oracle, random_space, relabeled,
                      semi_open_oracle, sierpinski_copies)
 from semitop.axioms import AXIOM_KEYS
@@ -24,7 +25,7 @@ from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
 from semitop.semi import (grades_from_columns, openness_grades, semi_open_bits,
                           set_class)
 from semitop.spaces import (FiniteSpace, SetFamily, _canonical_form, lazy,
-                            space_from_masks)
+                            space_from_masks, space_from_table)
 
 
 def _stream3(spaces3):
@@ -233,6 +234,62 @@ def test_law_checkers_match_literal_oracles_on_every_class(n):
                 checks += 1
     # every oracle but the digital line's, which is scoped to windows
     assert checks == len(_classes(n)) * (len(LAW_ORACLES) - 1)
+
+
+# rows the registry does not hold, each built by its factory and by its
+# literal form, with the classes through n = 5 (185) where it fails and
+# the first of them: (table, witness masks), or no row fails
+_ROWS = {
+    "semi-T1 iff g.Λ_s ⊆ V_s": (
+        laws_mod._iff, iff_rows_oracle,
+        ("semi_t1", ("fams.d_lambda.bits", "fix_vs", "g-lambda-in-v")), 0, None),
+    "semi-R0 iff Λ_s ⊆ V_s iff g.Λ_s ⊆ g.V_s": (
+        laws_mod._iff, iff_rows_oracle,
+        ("semi_r0", ("fix_kern", "fix_vs", "lambda-in-v"),
+         ("fams.d_lambda.bits", "fams.d_v.bits", "g-lambda-in-g-v")), 0, None),
+    "semi-T½ iff g.Λ_s ⊆ Λ_s": (
+        laws_mod._iff, iff_rows_oracle,
+        ("semi_t_half", ("fams.d_lambda.bits", "fix_kern", "g-lambda-in-lambda")), 0, None),
+    "preopen and β-open ⊆ g.Λ_s": (
+        laws_mod._inside, inside_rows_oracle,
+        (("grades.preopen.bits", "fams.d_lambda.bits", "preopen set that is not g.Λ_s"),
+         ("grades.beta_open.bits", "fams.d_lambda.bits", "β-open set that is not g.Λ_s")),
+        0, None),
+    "SO ⊆ τ": (
+        laws_mod._inside, inside_rows_oracle,
+        (("semi_open.bits", "space.opens.bits", "semi-open set that is not open"),),
+        138, ((1, 2, 7), (5,))),
+    "semi-R0 implies semi-T1": (
+        laws_mod._implies, implies_oracle, ("semi_r0", "semi_t1"), 22, ((3, 3), ())),
+    "semi-T½ implies semi-T1": (
+        laws_mod._implies, implies_oracle, ("semi_t_half", "semi_t1"), 95, ((1, 3), ())),
+}
+
+
+@pytest.mark.parametrize("upto", [6])
+def test_factories_match_literal_scans_on_unregistered_rows(upto):
+    """On every class with n <= `upto` (CI calls this with 7), each row
+    the registry does not hold returns its literal form's `_Fail`.  The
+    rows that hold in every finite space hold on each class; each other
+    row fails on its number of classes through n = 5, first at its class
+    and witness."""
+    rows = {name: (factory(*args), literal(*args))
+            for name, (factory, literal, args, _, _) in _ROWS.items()}
+    failed = {name: [] for name in _ROWS}
+    for n in range(1, upto + 1):
+        for table in _classes(n):
+            ctx = SpaceContext(space_from_table(_letters(n), table))
+            for name, (check, literal) in rows.items():
+                fail = check(ctx)
+                assert fail == literal(ctx), (name, table)
+                if fail is not None:
+                    failed[name].append((n, table, fail.subsets))
+    for name, (_, _, _, count, first) in _ROWS.items():
+        if first is None:
+            assert failed[name] == [], name
+        else:
+            small = [(table, subsets) for n, table, subsets in failed[name] if n <= 5]
+            assert (len(small), small[0]) == (count, first), name
 
 
 # the context entries each checker and its oracle both read, directly
