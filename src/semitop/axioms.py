@@ -2,23 +2,19 @@
 
 Each axiom is decided by its own definition; the textbook equivalences
 between them are left to the law registry.  Every `*_witness` helper
-returns the first counterexample in canonical order (ascending point
-index, then ascending subset mask) or None, scanning the opens (or the
-semi-open sets) for one that a closure escapes; `axiom_profile` renders
-it.
+returns None when its axiom holds, else the first counterexample in
+canonical order (ascending point index, then ascending subset mask),
+which `axiom_profile` renders.
 
-For T1, semi-T1 and semi-T½ the `is_*` predicate is just "no witness".
-R0 and semi-R0 are decided on the points instead, with no scan of a
-family.  Both say: every (semi-)open set holding x holds the
-(semi-)closure of {x}.  A set lies in each of those sets iff it lies in
-their intersection, U_x (the point semi-kernel K_x), so the axiom is
-the n containments
-
-    R0       Cl{x}  inside U_x,   Cl{x}  = {y : x in U_y}
-    semi-R0  sCl{x} inside K_x,   sCl{x} = {y : {x} not in down[y]}
-
-and the scan finds a witness iff one of them fails.  For R0 this says
-that the specialization preorder of `min_nbhd` is symmetric.
+T1, R0 and semi-R0 read relations between points.  A point's closures
+are the columns of its neighbourhood U_x and its semi-kernel K_x:
+Cl{x} = {y : x in U_y} and sCl{x} = {y : x in K_y}, the latter for any
+family assigned as SO.  The (semi-)open sets holding x meet in U_x
+(K_x), so R0 (semi-R0) says Cl{x} inside U_x (sCl{x} inside K_x) for
+every x: the relation "y in U_x" ("y in K_x") is symmetric.  `is_r0`
+and `is_semi_r0` decide that, and a failing witness is then only
+located: for R0 the lowest U_x that Cl{x} escapes, since every bad
+open holds such a U_x, for semi-R0 a scan of SO.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +22,7 @@ from dataclasses import dataclass, field
 from .generalized import GeneralizedFamilies, generalized_families
 from .lattice import saturated
 from .semi import SemiAnalysis
-from .spaces import FiniteSpace, SetFamily, iter_points
+from .spaces import FiniteSpace, iter_points
 
 AXIOM_KEYS = ("t1", "r0", "semi_t1", "semi_r0", "semi_t_half")
 
@@ -46,10 +42,24 @@ class AxiomProfile:
         return [(k, getattr(self, k)) for k in AXIOM_KEYS]
 
 
+def _columns(rows) -> list:
+    """The transpose of a relation on points: cols[x] = {y : x in rows[y]}."""
+    cols = [0] * len(rows)
+    for y, row in enumerate(rows):
+        for x in iter_points(row):
+            cols[x] |= 1 << y
+    return cols
+
+
+def _escape(o: int, hulls) -> tuple:
+    """(o, its first point whose hull escapes o)."""
+    return o, next(x for x in iter_points(o) if hulls[x] & ~o)
+
+
 def t1_witness(space: FiniteSpace):
     """First point whose singleton is not closed."""
-    for x in range(space.n):
-        if space.closure(1 << x) != 1 << x:
+    for x, cl in enumerate(_columns(space.min_nbhd)):
+        if cl != 1 << x:
             return x
     return None
 
@@ -58,30 +68,18 @@ def is_t1(space: FiniteSpace) -> bool:
     return t1_witness(space) is None
 
 
-def _first_escape(fam: SetFamily, hulls, n: int):
-    """First (member, point) whose hull escapes the member, or None.
-
-    The bad members are those not saturated under `hulls`; the lowest
-    one is first in canonical order, then its first bad point.
-    """
-    bad = fam.bits & ~saturated(hulls, n)
-    if not bad:
-        return None
-    o = (bad & -bad).bit_length() - 1
-    return o, next(x for x in iter_points(o) if hulls[x] & ~o)
-
-
 def r0_witness(space: FiniteSpace):
     """First (open, point) with the point's closure escaping the open."""
-    hulls = [space.closure(1 << x) for x in range(space.n)]
-    return _first_escape(space.opens, hulls, space.n)
+    if is_r0(space):
+        return None
+    nbhd = space.min_nbhd
+    cl = _columns(nbhd)
+    return _escape(min(u for u, c in zip(nbhd, cl) if c & ~u), cl)
 
 
 def is_r0(space: FiniteSpace) -> bool:
     """Cl{x} inside U_x for every x: y in U_x whenever x in U_y."""
-    nbhd = space.min_nbhd
-    return all(nbhd[x] >> y & 1 for y, u in enumerate(nbhd)
-               for x in iter_points(u))
+    return _columns(space.min_nbhd) == list(space.min_nbhd)
 
 
 def semi_t1_witness(an: SemiAnalysis):
@@ -98,16 +96,16 @@ def is_semi_t1(an: SemiAnalysis) -> bool:
 
 def semi_r0_witness(an: SemiAnalysis):
     """First (semi-open, point) with the semi-closure escaping the set."""
-    hulls = [an.semi_closure(1 << x) for x in range(an.space.n)]
-    return _first_escape(an.semi_open, hulls, an.space.n)
+    if is_semi_r0(an):
+        return None
+    hulls = _columns(an.point_kernels)
+    bad = an.semi_open.bits & ~saturated(hulls, an.space.n)
+    return _escape((bad & -bad).bit_length() - 1, hulls)
 
 
 def is_semi_r0(an: SemiAnalysis) -> bool:
-    """sCl{x} inside K_x for every x: y is in sCl{x} iff the mask {x}
-    is not in down[y]."""
-    return all(kern >> y & 1 or down >> (1 << x) & 1
-               for x, kern in enumerate(an.point_kernels)
-               for y, down in enumerate(an.down))
+    """sCl{x} inside K_x for every x: y in K_x whenever x in K_y."""
+    return _columns(an.point_kernels) == list(an.point_kernels)
 
 
 def semi_t_half_witness(an: SemiAnalysis, fams: GeneralizedFamilies):
@@ -153,7 +151,7 @@ def axiom_profile(space: FiniteSpace,
         o, x = w
         witnesses["semi_r0"] = (f"semi-open {space.render(o)} contains "
                                 f"{space.names[x]} but not sCl({space.render(1 << x)}) = "
-                                f"{space.render(an.semi_closure(1 << x))}")
+                                f"{space.render(_columns(an.point_kernels)[x])}")
 
     w = semi_t_half_witness(an, fams)
     semi_t_half = w is None

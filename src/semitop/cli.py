@@ -153,16 +153,13 @@ def cmd_enumerate(args) -> int:
 def cmd_khalimsky(args) -> int:
     window = khalimsky_window(args.lo, args.hi)
     space = window.space
-    an = SemiAnalysis(space)
-    fams = generalized_families(an)
-    prof = axiom_profile(space, an, fams)
     lines = [f"space: {space.describe()}"]
     if window.boundary_warning:
         lines.append("boundary-warning: even endpoint truncates a minimal "
                      "neighborhood; interior claims do not transfer")
     else:
         lines.append("boundary-warning: none")
-    lines += _axiom_lines(prof)
+    lines += _axiom_lines(axiom_profile(space))
     for x, label in enumerate(space.names):
         value = int(label)
         parity = "even" if value % 2 == 0 else "odd"

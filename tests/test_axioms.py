@@ -8,6 +8,7 @@ from semitop.axioms import (AXIOM_KEYS, axiom_profile, is_r0, is_semi_r0,
 from semitop.catalog import named_space
 from semitop.generalized import generalized_families
 from semitop.semi import SemiAnalysis
+from semitop.spaces import SetFamily
 
 
 def _profile(space):
@@ -83,19 +84,38 @@ def test_semi_axioms_literal_definitions(spaces3):
 
 
 def test_neighbourhood_forms_match_the_witness_scans(upto4_and_random):
-    """is_r0 reads U_x and is_semi_r0 reads K_x and down; each agrees
-    with its family scan and with the literal oracle, and both verdicts
-    occur."""
+    """is_r0 reads U_x and is_semi_r0 reads K_x; each agrees with the
+    literal oracle's scan, each witness is the oracle's, and both
+    verdicts occur."""
     seen = set()
     for space in upto4_and_random:
         an = SemiAnalysis(space)
         r0, semi_r0 = is_r0(space), is_semi_r0(an)
-        assert r0 == (r0_witness(space) is None) == \
-            (r0_witness_oracle(space) is None), space.describe()
-        assert semi_r0 == (semi_r0_witness(an) is None) == \
-            (semi_r0_witness_oracle(an) is None), space.describe()
+        assert r0 == (r0_witness_oracle(space) is None), space.describe()
+        assert r0_witness(space) == r0_witness_oracle(space), space.describe()
+        assert semi_r0 == (semi_r0_witness_oracle(an) is None), space.describe()
+        assert semi_r0_witness(an) == semi_r0_witness_oracle(an), space.describe()
         seen.add((r0, semi_r0))
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_semi_r0_for_any_family(n=3):
+    """Every one of the 2**2**n families on n points, assigned as SO:
+    y is in sCl{x} iff x is in K_y whatever the family, so is_semi_r0 is
+    the literal definition and the witness is the oracle's.  CI calls
+    this with n = 4 (65536 families)."""
+    space = named_space(f"discrete:{n}")
+    verdicts = set()
+    for bits in range(1 << (1 << n)):
+        an = SemiAnalysis(space)
+        an.semi_open = SetFamily.from_bits(bits)
+        expect = all(
+            semi_closure_oracle(an, 1 << x) & ~o == 0
+            for o in an.semi_open for x in range(n) if o >> x & 1)
+        assert is_semi_r0(an) == expect, bits
+        assert semi_r0_witness(an) == semi_r0_witness_oracle(an), bits
+        verdicts.add(expect)
+    assert verdicts == {True, False}
 
 
 def test_semi_t_half_literal_definition(spaces3):

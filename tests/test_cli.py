@@ -426,6 +426,24 @@ def test_khalimsky_even_window(capsys):
     assert "semi-t1: false" in out
 
 
+_KHALIMSKY_SHA256 = {
+    ("-7", "7"): "e0db84473433e0d0758e05f12b62be863fb0abf8902b0fd698d9da8083050756",
+    ("-2", "2"): "da05c75f57388377f73e0f9cacb331aef9c8e9927661d31a930eeaf99ba9d949",
+    ("-8", "9"): "f8a7df2ecf49cea4808b7fb2ca24e89b30abfde1711722c9d0db0295bdafe2ce",
+    ("0", "1"): "cfb151f734db1ba5d9dce0805439bef41f3c8a8c1309e4f321a334c78bc3ade6",
+}
+
+
+@pytest.mark.parametrize("window", sorted(_KHALIMSKY_SHA256))
+def test_khalimsky_report_is_pinned(capsys, window):
+    """The whole khalimsky report, byte for byte, on odd and even
+    windows: the axiom verdicts, the R0 and semi-R0 witnesses and the
+    per-point lines."""
+    code, out, _ = run_cli(capsys, "khalimsky", *window)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _KHALIMSKY_SHA256[window]
+
+
 def test_khalimsky_bad_window(capsys):
     code, _, err = run_cli(capsys, "khalimsky", "2", "1")
     assert code == 2 and "error:" in err

@@ -785,14 +785,25 @@ def test_law_subset_gives_the_rows_of_the_full_run(stream4):
 
 
 def _calls(funcs, run):
-    """Run `run()`; count the calls of each function in `funcs` by its
-    code object, so a call through any module's binding counts."""
+    """Run `run()`; count the outermost calls of each function in
+    `funcs`, those made while none of them runs, so a checker built from
+    other checkers counts once.  A call is known by its code object, so
+    one through any module's binding counts, and no two of `funcs` may
+    share one."""
     counts = dict.fromkeys(funcs, 0)
     by_code = {func.__code__: func for func in funcs}
+    assert len(by_code) == len(counts), "functions share a code object"
+    depth = 0
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code in by_code:
-            counts[by_code[frame.f_code]] += 1
+        nonlocal depth
+        if frame.f_code in by_code:
+            if event == "call":
+                if not depth:
+                    counts[by_code[frame.f_code]] += 1
+                depth += 1
+            elif event == "return":
+                depth -= 1
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -1010,9 +1021,18 @@ def test_witnesses_are_rendered_only_when_read(stream4, monkeypatch):
 
 
 def _checks(run):
-    """`_calls` of every checker in the registry, summed."""
-    result, counts = _calls({law.check for law in registry().values()}, run)
+    """`_calls` of the registry's checkers, summed: the rows of one
+    factory share a code object, so one of them stands for all."""
+    codes = {law.check.__code__: law.check for law in registry().values()}
+    result, counts = _calls(codes.values(), run)
     return result, sum(counts.values())
+
+
+def test_a_checker_built_from_checkers_counts_once(e33):
+    """remark-4.7 runs two `_inside` rows from its own lambda: one
+    `check_law` is one checker run, not three."""
+    _, calls = _checks(lambda: check_law("remark-4.7", e33))
+    assert calls == 1
 
 
 def test_text_report_works_out_at_most_the_shown_witnesses(stream4):
