@@ -7,20 +7,21 @@ canonical order (ascending point index, then ascending subset mask),
 which `axiom_profile` renders.
 
 T1, R0 and semi-R0 read relations between points.  A point's closures
-are the columns of its neighbourhood U_x and its semi-kernel K_x:
-Cl{x} = {y : x in U_y} and sCl{x} = {y : x in K_y}, the latter for any
-family assigned as SO.  The (semi-)open sets holding x meet in U_x
-(K_x), so R0 (semi-R0) says Cl{x} inside U_x (sCl{x} inside K_x) for
-every x: the relation "y in U_x" ("y in K_x") is symmetric.  `is_r0`
-and `is_semi_r0` decide that, and a failing witness is then only
-located: for R0 the lowest U_x that Cl{x} escapes, since every bad
-open holds such a U_x, for semi-R0 a scan of SO.
+are the columns of its neighbourhood U_x and its semi-kernel K_x, the
+`lattice.transpose` of their rows: Cl{x} = {y : x in U_y} and sCl{x} =
+{y : x in K_y}, the latter for any family assigned as SO.  The
+(semi-)open sets holding x meet in U_x (K_x), so R0 (semi-R0) says
+Cl{x} inside U_x (sCl{x} inside K_x) for every x: the relation
+"y in U_x" ("y in K_x") is symmetric.  `is_r0` and `is_semi_r0` decide
+that, and a failing witness is then only located: for R0 the lowest
+U_x that Cl{x} escapes, since every bad open holds such a U_x, for
+semi-R0 a scan of SO.
 """
 
 from dataclasses import dataclass, field
 
 from .generalized import GeneralizedFamilies, generalized_families
-from .lattice import saturated
+from .lattice import saturated, transpose
 from .semi import SemiAnalysis
 from .spaces import FiniteSpace, iter_points
 
@@ -42,15 +43,6 @@ class AxiomProfile:
         return [(k, getattr(self, k)) for k in AXIOM_KEYS]
 
 
-def _columns(rows) -> list:
-    """The transpose of a relation on points: cols[x] = {y : x in rows[y]}."""
-    cols = [0] * len(rows)
-    for y, row in enumerate(rows):
-        for x in iter_points(row):
-            cols[x] |= 1 << y
-    return cols
-
-
 def _escape(o: int, hulls) -> tuple:
     """(o, its first point whose hull escapes o)."""
     return o, next(x for x in iter_points(o) if hulls[x] & ~o)
@@ -58,7 +50,7 @@ def _escape(o: int, hulls) -> tuple:
 
 def t1_witness(space: FiniteSpace):
     """First point whose singleton is not closed."""
-    for x, cl in enumerate(_columns(space.min_nbhd)):
+    for x, cl in enumerate(transpose(space.min_nbhd)):
         if cl != 1 << x:
             return x
     return None
@@ -73,13 +65,13 @@ def r0_witness(space: FiniteSpace):
     if is_r0(space):
         return None
     nbhd = space.min_nbhd
-    cl = _columns(nbhd)
+    cl = transpose(nbhd)
     return _escape(min(u for u, c in zip(nbhd, cl) if c & ~u), cl)
 
 
 def is_r0(space: FiniteSpace) -> bool:
     """Cl{x} inside U_x for every x: y in U_x whenever x in U_y."""
-    return _columns(space.min_nbhd) == list(space.min_nbhd)
+    return transpose(space.min_nbhd) == list(space.min_nbhd)
 
 
 def semi_t1_witness(an: SemiAnalysis):
@@ -98,14 +90,14 @@ def semi_r0_witness(an: SemiAnalysis):
     """First (semi-open, point) with the semi-closure escaping the set."""
     if is_semi_r0(an):
         return None
-    hulls = _columns(an.point_kernels)
+    hulls = transpose(an.point_kernels)
     bad = an.semi_open.bits & ~saturated(hulls, an.space.n)
     return _escape((bad & -bad).bit_length() - 1, hulls)
 
 
 def is_semi_r0(an: SemiAnalysis) -> bool:
     """sCl{x} inside K_x for every x: y in K_x whenever x in K_y."""
-    return _columns(an.point_kernels) == list(an.point_kernels)
+    return transpose(an.point_kernels) == list(an.point_kernels)
 
 
 def semi_t_half_witness(an: SemiAnalysis, fams: GeneralizedFamilies):
@@ -151,7 +143,7 @@ def axiom_profile(space: FiniteSpace,
         o, x = w
         witnesses["semi_r0"] = (f"semi-open {space.render(o)} contains "
                                 f"{space.names[x]} but not sCl({space.render(1 << x)}) = "
-                                f"{space.render(_columns(an.point_kernels)[x])}")
+                                f"{space.render(transpose(an.point_kernels)[x])}")
 
     w = semi_t_half_witness(an, fams)
     semi_t_half = w is None

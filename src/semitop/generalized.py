@@ -14,8 +14,9 @@ and the sg-closed condition is the mirror image
 intersection).  B is g.V_s when its complement is g.Lambda_s.
 
 Family-wide, with in_k[x] the masks whose semi-kernel holds x (the
-union of has[y] over the y with x in K_y) and down[x] the masks whose
-semi-closure misses x (see `semi`):
+union of has[y] over the y with x in K_y: `lattice.join_rows` of the
+transposed point kernels) and down[x] the masks whose semi-closure
+misses x (see `semi`):
 
     g.Lambda_s = AND_x ~(in_k[x] & down[x])
     sg-closed  = AND_x (in_k[x] | down[x])
@@ -24,9 +25,9 @@ semi-closure misses x (see `semi`):
 
 from dataclasses import dataclass
 
-from .lattice import columns, everything, mirror
+from .lattice import columns, everything, join_rows, mirror, transpose
 from .semi import SemiAnalysis
-from .spaces import FiniteSpace, SetFamily, iter_points
+from .spaces import FiniteSpace, SetFamily
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,12 @@ def is_g_v_s(an: SemiAnalysis, b: int) -> bool:
 def generalized_families(an: SemiAnalysis) -> GeneralizedFamilies:
     """The three families as bitsets, from the kernels and down[x]."""
     n = an.space.n
-    has = columns(n)[0]
-    in_k = [0] * n
-    for y, kern in enumerate(an.point_kernels):
-        for x in iter_points(kern):
-            in_k[x] |= has[y]
+    in_k = join_rows(transpose(an.point_kernels), columns(n)[0])
     escapes = 0
     sg = everything(n)
-    for x in range(n):
-        escapes |= in_k[x] & an.down[x]
-        sg &= in_k[x] | an.down[x]
+    for in_kern, down in zip(in_k, an.down):
+        escapes |= in_kern & down
+        sg &= in_kern | down
     d_lambda = everything(n) ^ escapes
     return GeneralizedFamilies(
         d_lambda=SetFamily.from_bits(d_lambda),

@@ -18,6 +18,10 @@ operations per point instead of a loop over all 2**n masks:
     mirror   bit m -> bit full^m: the family of complements
     within   {A : A inside f(A)}, from the columns of f (below)
     fixed    {A : f(A) = A}, the fixed sets of f
+    image    f(m) for one mask m
+    meet_rows, join_rows
+             per row, the AND / OR of the columns of S over its points:
+             on the table U_x, the columns of Int S and of Cl S
 
 An operator f on masks is held as its n columns, col[z] the masks m
 with z in f(m); the tables of values f(m), one per mask, are never
@@ -62,23 +66,12 @@ def iter_points(mask: int) -> Iterator[int]:
 
 def sup(s: int, n: int) -> int:
     """The masks that are supersets of `s`."""
-    has = columns(n)[0]
-    out = everything(n)
-    for x in iter_points(s):
-        out &= has[x]
-    return out
+    return next(meet_rows((s,), columns(n)[0], n))
 
 
 def sub(s: int, n: int) -> int:
     """The masks that are subsets of `s`."""
-    lack = columns(n)[1]
-    out = everything(n)
-    rest = s ^ (1 << n) - 1    # walk only the points outside s
-    while rest:
-        low = rest & -rest
-        out &= lack[low.bit_length() - 1]
-        rest ^= low
-    return out
+    return next(meet_rows((s ^ (1 << n) - 1,), columns(n)[1], n))
 
 
 def within(cols, n: int) -> int:
@@ -102,20 +95,46 @@ def fixed(cols, n: int) -> int:
     return out
 
 
+def image(cols, m: int) -> int:
+    """The value at mask m of the operator with columns `cols`."""
+    return sum(1 << z for z, col in enumerate(cols) if col >> m & 1)
+
+
+def transpose(rows) -> list:
+    """The transpose of a relation on points: out[x] = {y : x in rows[y]}."""
+    return [image(rows, x) for x in range(len(rows))]
+
+
+def meet_rows(rows, cols, n: int):
+    """Per row, lazily, the AND of cols[y] over the points y of the row:
+    with cols[y] the masks A with y in S(A), the masks A with the row
+    inside S(A)."""
+    ones = everything(n)
+    for row in rows:
+        col = ones
+        while row:
+            low = row & -row
+            col &= cols[low.bit_length() - 1]
+            row ^= low
+        yield col
+
+
+def join_rows(rows, cols):
+    """Per row, lazily, the OR of cols[y] over the points y of the row:
+    with cols[y] the masks A with y in S(A), the masks A with the row
+    meeting S(A)."""
+    for row in rows:
+        col = 0
+        while row:
+            low = row & -row
+            col |= cols[low.bit_length() - 1]
+            row ^= low
+        yield col
+
+
 def saturated(hulls, n: int) -> int:
-    """The masks A with hulls[x] inside A for every x in A: `within` of
-    the columns sup(hulls[x]), folded in one loop, since validation
-    calls it once per space."""
-    has, lack = columns(n)
-    out = ones = everything(n)
-    for x, hull in enumerate(hulls):
-        col = ones    # sup(hull)
-        while hull:
-            low = hull & -hull
-            col &= has[low.bit_length() - 1]
-            hull ^= low
-        out &= lack[x] | col
-    return out
+    """The masks A with hulls[x] inside A for every x in A."""
+    return within(meet_rows(hulls, columns(n)[0], n), n)
 
 
 def lowest(bits: int, n: int) -> list:

@@ -48,10 +48,12 @@ regular closed sets; neither is reduced to O = Int A or r = Cl(m).
 prop-3.2c, the kernel of a kernel, is the column identity "K(B) is the
 least kernel-fixed set above B".  A failure reports the lowest bit of
 the family of offenders.  The few single kernel values of remark-3.3
-and example-4.6 are read off `kern_cols` one mask at a time.  The
-literal per-mask and pair forms live in the tests as reference oracles.
-Laws run on spaces up to their `max_points`; an expected law that
-examines no space reports `not exercised`.
+and example-4.6 are read off `kern_cols` one mask at a time
+(`lattice.image`).  The literal per-mask and pair forms live in the
+tests as reference oracles.  Laws run on spaces up to their
+`max_points`: `FAMILY_CAP` for a law that pairs every subset with a
+family scan, else every space the package builds (`MAX_POINTS`).  An
+expected law that examines no space reports `not exercised`.
 
 Disputed laws are claims the suite expects to fail: reproducing their
 documented counterexample keeps the exit code at zero, while a run that
@@ -70,14 +72,13 @@ from typing import Callable, Iterable, NamedTuple
 from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
 from .catalog import is_named_id, named_space
 from .generalized import derived_set, g_v_s_singletons, generalized_families
-from .lattice import (columns, everything, fixed, mirror, spread, spreads,
-                      sub, sup, unions, within)
-from .semi import (OpennessGrades, SemiAnalysis, closure_columns,
-                   grades_from_columns, interior_columns)
-from .spaces import FiniteSpace, SpaceError, lazy
+from .lattice import (columns, everything, fixed, image, join_rows,
+                      meet_rows, mirror, spread, spreads, sub, sup, unions,
+                      within)
+from .semi import OpennessGrades, SemiAnalysis, grades_from_columns
+from .spaces import MAX_POINTS, FiniteSpace, SpaceError, lazy
 
 FAMILY_CAP = 11   # laws pairing every subset with a family scan
-SUBSET_CAP = 15   # laws linear-per-subset (times O(n))
 WITNESS_CAP = 5   # witnesses per law in the text report
 
 _ANY_FAMILY = "holds for the intersection-of-supersets kernel of any family, so it checks that kern_cols is that kernel, not SO"
@@ -149,7 +150,7 @@ class Law:
     anchor: str
     check: Callable
     status: str = "expected"          # or "disputed"
-    max_points: int = SUBSET_CAP
+    max_points: int = MAX_POINTS
     # None: every space; else a test of catalog spaces, never asked of a
     # space whose name is not a reserved id (`catalog.is_named_id`)
     scope: Callable | None = None
@@ -237,22 +238,18 @@ class SpaceContext(SemiAnalysis):
     @lazy
     def in_int(self) -> list:
         """in_int[x]: the masks A with x in Int A."""
-        return list(interior_columns(self.space, columns(self.space.n)[0]))
+        n = self.space.n
+        return list(meet_rows(self.space.min_nbhd, columns(n)[0], n))
 
     @lazy
     def in_cl(self) -> list:
         """in_cl[y]: the masks A with y in Cl A."""
-        return list(closure_columns(self.space, columns(self.space.n)[0]))
+        return list(join_rows(self.space.min_nbhd, columns(self.space.n)[0]))
 
     @lazy
     def grades(self) -> OpennessGrades:
         """The five openness grades of `set_class`, as families."""
         return grades_from_columns(self.space, self.in_int, self.in_cl)
-
-
-def _value(cols, m: int) -> int:
-    """The image of mask m under the operator with columns `cols`."""
-    return sum(1 << z for z, col in enumerate(cols) if col >> m & 1)
 
 
 def _lowest(bits: int) -> int:
@@ -448,7 +445,7 @@ def _chk_3_2g(ctx):
 def _chk_3_3(ctx):
     b1, b2 = ctx.space.mask_of("b"), ctx.space.mask_of("c")
     kern = ctx.kern_cols
-    if _value(kern, b1 & b2) == _value(kern, b1) & _value(kern, b2):
+    if image(kern, b1 & b2) == image(kern, b1) & image(kern, b2):
         return _Fail((b1, b2), (), "documented strict pair is not strict here")
 
 
@@ -519,7 +516,7 @@ def _dense_in_regular_closed(ctx) -> int:
     """The m with a regular closed r, Cl(Int(r)) = r, such that m is
     dense in r: m <= r <= Cl(m)."""
     n = ctx.space.n
-    reg_closed = fixed(closure_columns(ctx.space, ctx.in_int), n)
+    reg_closed = fixed(join_rows(ctx.space.min_nbhd, ctx.in_int), n)
     out = 0
     for _, ms in _sandwiches(ctx.in_cl, reg_closed, everything(n), n):
         out |= ms
@@ -552,7 +549,7 @@ def _chk_4_6(ctx):
         return _Fail((a, b), (), "documented generalized sets are not generalized here")
     if c in ctx.fams.d_lambda:
         return _Fail((c,), (), "documented intersection failure does not fail")
-    if _value(ctx.kern_cols, a) == a:
+    if image(ctx.kern_cols, a) == a:
         return _Fail((a,), (), "documented non-kernel-fixed set is kernel-fixed")
 
 
@@ -612,7 +609,7 @@ def _chk_4_11(ctx):
     bad = _preimage(cols, _under_proper_sc(ctx), ctx.fams.d_v.bits, n)
     if bad:
         b = _lowest(bad)
-        t = _value(cols, b)
+        t = image(cols, b)
         above = ctx.semi_closed.bits & sup(t, n) & ~(1 << full)
         return _Fail((b, _lowest(above)), (), "proper semi-closed set above dual-union of a generalized set")
 

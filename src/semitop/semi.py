@@ -4,10 +4,11 @@ Every family is a 2**n-bit integer over the subset lattice and every
 operator f on masks is held as its n columns, col[z] the masks A with
 z in f(A) (see `lattice`; has[x] marks the masks containing x, so
 `has` is the identity's columns).  With U_x the minimal neighbourhood
-of x, Int and Cl of an operator are column maps:
+of x, Int and Cl of an operator are column maps, the two row folds of
+`lattice` over the table U_x:
 
-    x in Int S(A)  iff  U_x inside S(A)         (`interior_columns`)
-    y in Cl S(A)   iff  U_y meets S(A)          (`closure_columns`)
+    x in Int S(A)  iff  U_x inside S(A)         (`meet_rows`)
+    y in Cl S(A)   iff  U_y meets S(A)          (`join_rows`)
 
 Each family of the space then folds composites of them with
 `lattice.within` (A inside f(A)) or `lattice.fixed` (f(A) = A):
@@ -26,12 +27,13 @@ operators read off them:
     Lambda_s        = within(sup(K_x))          (`lattice.saturated`)
     V_s             = fixed(up)                 (`fix_vs`)
     semi_kernel(B)  = union of K_x over x in B
-    semi_closure(B) = {y : B not in down[y]}
-    v_s(B)          = {x : B in up[x]}      (B in up[x] needs x in B)
+    semi_closure(B) = X minus image(down, B)
+    v_s(B)          = image(up, B)          (B in up[x] needs x in B)
 
-Every part of `SemiAnalysis` is built on its first read.  Per-query
-tests read byte views of up/down, O(1) each at any n, so a caller that
-only reads the families builds no view.
+Every part of `SemiAnalysis` is built on its first read.  The per-query
+operators read bit B of each column (`lattice.image`): n shifts of a
+2**n-bit integer per query, so they serve API callers, not the family
+scans.
 
 The openness grades of `set_class` come as families too
 (`openness_grades`), composed on the identity's Int and Cl columns
@@ -49,9 +51,9 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .lattice import (columns, everything, fixed, meets, mirror, saturated,
-                      spreads, within)
-from .spaces import FiniteSpace, SetFamily, iter_points, lazy
+from .lattice import (columns, everything, fixed, image, join_rows, meet_rows,
+                      meets, mirror, saturated, spreads, within)
+from .spaces import FiniteSpace, SetFamily, lazy
 
 
 class SemiAnalysis:
@@ -82,47 +84,22 @@ class SemiAnalysis:
     def down(self) -> list:
         return spreads(self.semi_closed.bits, self.space.n, upward=False)
 
-    def _views(self, cols) -> list:
-        nbytes = ((1 << self.space.n) + 7) // 8
-        return [b.to_bytes(nbytes, "little") for b in cols]
-
-    @lazy
-    def _up_view(self) -> list:
-        return self._views(self.up)
-
-    @lazy
-    def _down_view(self) -> list:
-        return self._views(self.down)
-
     # -- per-query operators ------------------------------------------
 
     def semi_closure(self, b: int) -> int:
         """Smallest semi-closed superset of b."""
         self.space.check_mask(b)
-        i, bit = b >> 3, 1 << (b & 7)
-        out = 0
-        for y, view in enumerate(self._down_view):
-            if not view[i] & bit:
-                out |= 1 << y
-        return out
+        return self.space.full ^ image(self.down, b)
 
     def semi_kernel(self, b: int) -> int:
         """Intersection of the semi-open supersets of b, via point kernels."""
         self.space.check_mask(b)
-        acc = 0
-        for x in iter_points(b):
-            acc |= self.point_kernels[x]
-        return acc
+        return next(join_rows((b,), self.point_kernels))
 
     def v_s(self, b: int) -> int:
         """Union of the semi-closed subsets of b."""
         self.space.check_mask(b)
-        i, bit = b >> 3, 1 << (b & 7)
-        out = 0
-        for x, view in enumerate(self._up_view):
-            if view[i] & bit:
-                out |= 1 << x
-        return out
+        return image(self.up, b)
 
     def is_lambda_s_set(self, b: int) -> bool:
         return self.semi_kernel(b) == b
@@ -146,38 +123,12 @@ class SemiAnalysis:
         return SetFamily.from_bits(self.fix_vs)
 
 
-def interior_columns(space: FiniteSpace, in_s):
-    """Per point x, lazily, the masks A with x in Int S(A), where in_s[y]
-    holds the masks A with y in S(A): x is in Int S(A) iff every y in
-    U_x is in S(A)."""
-    ones = everything(space.n)
-    for u in space.min_nbhd:
-        col = ones
-        while u:
-            low = u & -u
-            col &= in_s[low.bit_length() - 1]
-            u ^= low
-        yield col
-
-
-def closure_columns(space: FiniteSpace, in_s):
-    """Per point y, lazily, the masks A with y in Cl S(A), where in_s[z]
-    holds the masks A with z in S(A): y is in Cl S(A) iff U_y meets
-    S(A)."""
-    for u in space.min_nbhd:
-        col = 0
-        while u:
-            low = u & -u
-            col |= in_s[low.bit_length() - 1]
-            u ^= low
-        yield col
-
-
 def semi_open_bits(space: FiniteSpace) -> int:
     """SO as one family: the only part of `SemiAnalysis` that reads the
     topology; everything else there follows from SO and n."""
-    in_int = list(interior_columns(space, columns(space.n)[0]))
-    return within(closure_columns(space, in_int), space.n)
+    n, rows = space.n, space.min_nbhd
+    in_int = list(meet_rows(rows, columns(n)[0], n))
+    return within(join_rows(rows, in_int), n)
 
 
 def semi_open_family(space: FiniteSpace) -> SetFamily:
@@ -226,23 +177,24 @@ class OpennessGrades(NamedTuple):
 
 def openness_grades(space: FiniteSpace) -> OpennessGrades:
     """Grade every mask at once: the families of `set_class`'s fields."""
-    has = columns(space.n)[0]
-    return grades_from_columns(space, interior_columns(space, has),
-                               list(closure_columns(space, has)))
+    n, rows = space.n, space.min_nbhd
+    has = columns(n)[0]
+    return grades_from_columns(space, meet_rows(rows, has, n),
+                               list(join_rows(rows, has)))
 
 
 def grades_from_columns(space: FiniteSpace, in_int, in_cl: list) -> OpennessGrades:
     """`openness_grades` from the identity's Int columns (read once, in
     point order) and its Cl columns, for a caller that keeps them."""
-    n = space.n
+    n, rows = space.n, space.min_nbhd
     ones = everything(n)
-    in_ic = list(interior_columns(space, in_cl))
+    in_ic = list(meet_rows(rows, in_cl, n))
     # the columns of R(A) = A minus Int A, then of Int Cl R
     rest = [h & ~i for h, i in zip(columns(n)[0], in_int)]
-    in_icr = interior_columns(space, list(closure_columns(space, rest)))
+    in_icr = meet_rows(rows, list(join_rows(rows, rest)), n)
     return OpennessGrades(
         preopen=SetFamily.from_bits(within(in_ic, n)),
-        beta_open=SetFamily.from_bits(within(closure_columns(space, in_ic), n)),
+        beta_open=SetFamily.from_bits(within(join_rows(rows, in_ic), n)),
         nowhere_dense=SetFamily.from_bits(ones ^ reduce(or_, in_ic, 0)),
         regular_open=SetFamily.from_bits(fixed(in_ic, n)),
         simply_open=SetFamily.from_bits(ones ^ reduce(or_, in_icr, 0)),

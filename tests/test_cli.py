@@ -152,16 +152,19 @@ def test_claim_reports_the_spaces_decided_in_full_on_stderr(capsys):
     assert err.splitlines()[1] == "decided-in-full: 15/44 spaces"
 
 
-@pytest.mark.parametrize("argv, line", [
-    (("claim", "example-4.6-intersection", "--max-points", "5"),
+@pytest.mark.parametrize("argv, exit_code, line", [
+    (("claim", "example-4.6-intersection", "--max-points", "5"), 0,
      "decided-in-full: 1/7341 spaces"),
-    (("laws", "--space", "discrete:18"), "decided-in-full: 0/1 spaces"),
+    (("laws", "--law", "prop-3.2b", "--space", "discrete:18"), 1,
+     "decided-in-full: 0/1 spaces"),
 ])
-def test_a_space_that_runs_no_law_is_not_decided_in_full(capsys, argv, line):
+def test_a_space_that_runs_no_law_is_not_decided_in_full(capsys, argv,
+                                                          exit_code, line):
     """A space that runs no law is not counted: the scoped law runs on
-    e33 alone, and no law runs on 18 points."""
+    e33 alone, and `FAMILY_CAP` keeps prop-3.2b off 18 points (a named
+    law that examines nothing fails the report)."""
     code, _, err = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert err.splitlines()[1] == line
 
 

@@ -97,11 +97,10 @@ def test_g_v_s_singletons_is_the_family_and_the_oracle():
 
 
 def test_g_v_s_singletons_reads_only_the_semi_open_family(sierpinski, monkeypatch):
-    """No byte view, point kernel or spread is built: SO alone decides."""
+    """No point kernel or spread is built: SO alone decides."""
     def refused(*args):
         raise AssertionError("read beyond SO")
 
-    monkeypatch.setattr(SemiAnalysis, "_views", refused)
     monkeypatch.setattr(semi_mod, "meets", refused)
     monkeypatch.setattr(semi_mod, "spreads", refused)
     disc = named_space("discrete:3")

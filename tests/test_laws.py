@@ -18,14 +18,15 @@ from semitop.axioms import AXIOM_KEYS
 from semitop.catalog import (_classes, _letters, catalog_entries,
                              enumerate_topologies, named_space)
 from semitop.generalized import generalized_families
-from semitop.lattice import columns, encode, meets, saturated, spread, unions
+from semitop.lattice import (columns, encode, image, meets, saturated, spread,
+                             unions)
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
 from semitop.semi import (grades_from_columns, openness_grades, semi_open_bits,
                           set_class)
-from semitop.spaces import (FiniteSpace, SetFamily, _canonical_form, lazy,
-                            space_from_masks, space_from_table)
+from semitop.spaces import (MAX_POINTS, FiniteSpace, SetFamily, _canonical_form,
+                            lazy, space_from_masks, space_from_table)
 
 
 def _stream3(spaces3):
@@ -82,6 +83,31 @@ def test_check_law_size_bound():
         check_law("prop-3.2b", named_space(f"discrete:{FAMILY_CAP + 1}"))
 
 
+def test_uncapped_laws_run_on_every_catalog_space_up_to_the_point_limit():
+    """A law with no stated cap runs on every space the package builds:
+    over the catalog spaces of 16..20 points (discrete, indiscrete and
+    five digital-line windows of each width) it examines every space it
+    applies to, the expected ones pass, and cor-4-cantor-bendixson is
+    confirmed on discrete:18."""
+    widths = range(16, MAX_POINTS + 1)
+    spaces = [named_space(f"{family}:{n}") for n in widths
+              for family in ("discrete", "indiscrete")]
+    spaces += [named_space(f"khalimsky:{lo}:{lo + n - 1}") for n in widths
+               for lo in range(-10, -5)]
+    report = run_suite(spaces)
+    assert report.exit_code() == 0
+    uncapped = [(law, result) for law, result
+                in zip(registry().values(), report.results)
+                if law.max_points == MAX_POINTS]
+    assert len(uncapped) > len(registry()) // 3
+    for law, result in uncapped:
+        assert result.examined == sum(map(law.applies, spaces)), law.id
+        if law.status == "expected":
+            assert not result.witnesses, law.id
+        else:
+            assert "discrete:18" in [w.space_name for w in result.witnesses]
+
+
 def test_check_law_disputed_witness():
     w = check_law("cor-4-cantor-bendixson", named_space("discrete:2"))
     assert isinstance(w, Witness)
@@ -108,7 +134,7 @@ def test_context_tables_match_per_call_operators():
             ctx = SpaceContext(space)
             masks = range(1 << n)
             for m in masks:
-                assert laws_mod._value(ctx.kern_cols, m) == ctx.semi_kernel(m)
+                assert image(ctx.kern_cols, m) == ctx.semi_kernel(m)
                 assert _grades_match_set_class(ctx, m)
             assert ctx.grades == openness_grades(space)
             assert SetFamily.from_bits(ctx.fix_kern) == ctx.lambda_s_sets()
@@ -122,13 +148,13 @@ def test_context_tables_match_per_call_operators():
     masks = random.Random(7).sample(range(1 << wide.n), 200)
     for m in masks + [1 << x for x in range(wide.n)]:
         assert _grades_match_set_class(ctx, m)
-        assert laws_mod._value(ctx.kern_cols, m) == ctx.semi_kernel(m)
+        assert image(ctx.kern_cols, m) == ctx.semi_kernel(m)
 
 
 def test_context_builds_only_the_tables_read(monkeypatch):
     """The uncapped laws on a 15-point window build the columns, the two
-    fixed-set families and the grades; they never build the core's byte
-    view of `up` or its fixed-point families."""
+    fixed-set families and the grades; they never build the core's
+    fixed-point families."""
     for name in ("lambda_s_sets", "v_s_sets"):
         monkeypatch.setattr(semi_mod.SemiAnalysis, name, None)
     wide = named_space("khalimsky:-7:7")
@@ -141,14 +167,13 @@ def test_context_builds_only_the_tables_read(monkeypatch):
         witness = check_law(law, wide, ctx)
         assert witness is None or law.status == "disputed", law.id
     assert {"kern_cols", "fix_kern", "fix_vs", "grades"} <= set(vars(ctx))
-    assert "_up_view" not in vars(ctx)
 
 
 def test_registry_grades_each_mask_once(monkeypatch):
     """One grades pass per space, on the context's Int and Cl columns,
     grades every mask, the digital-line law's singletons included.  On
     the window, where every unnamed law runs, the laws read every
-    context part, the analysis's own included, but no byte view."""
+    context part, the analysis's own included."""
     passes = []
 
     def counted_grades(sp, in_int, in_cl):
@@ -166,7 +191,7 @@ def test_registry_grades_each_mask_once(monkeypatch):
         assert passes == [space]
     parts = {name for cls in SpaceContext.__mro__
              for name, attr in vars(cls).items()
-             if isinstance(attr, lazy) and not name.endswith("_view")}
+             if isinstance(attr, lazy)}
     assert parts and parts <= set(vars(ctx))
 
 
@@ -503,7 +528,7 @@ def test_kernel_table_follows_the_semi_open_family():
     ctx = SpaceContext(space)
     ab = space.mask_of("ab")
     ctx.semi_open = _flip(ctx.semi_open, ab)   # {a,b} = {a} | {b} leaves SO
-    assert laws_mod._value(ctx.kern_cols, ab) == space.full
+    assert image(ctx.kern_cols, ab) == space.full
     w = check_law("prop-3.2d", space, ctx)
     assert w is not None
     assert (w.subsets, w.points) == (("{a,b}",), ("c",))
@@ -987,7 +1012,7 @@ def test_scoped_laws_never_read_the_class_memo(e1):
 def test_suite_takes_no_per_query_route(stream4, monkeypatch):
     """The law layer reaches the core only through `SpaceContext` parts:
     over the n <= 4 stream the suite builds no axiom profile, grades no
-    single mask through `set_class` and builds no byte view of a
+    single mask through `set_class` and asks no per-query operator of a
     `SemiAnalysis`."""
     for name in ("axiom_profile", "set_class"):
         assert not hasattr(laws_mod, name)
@@ -998,7 +1023,8 @@ def test_suite_takes_no_per_query_route(stream4, monkeypatch):
 
     monkeypatch.setattr(axioms_mod, "axiom_profile", refused("axiom_profile"))
     monkeypatch.setattr(semi_mod, "set_class", refused("set_class"))
-    monkeypatch.setattr(semi_mod.SemiAnalysis, "_views", refused("byte view"))
+    for name in ("v_s", "semi_closure", "semi_kernel"):
+        monkeypatch.setattr(semi_mod.SemiAnalysis, name, refused(name))
     report = run_suite(stream4)
     assert report.exit_code() == 0
     assert calls == []

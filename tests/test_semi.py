@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semitop.semi as semi_mod
 from oracles import (g_lambda_oracle, g_v_oracle, r0_witness_oracle,
                      random_space, semi_closure_oracle, semi_kernel_oracle,
                      semi_open_oracle, semi_r0_witness_oracle,
@@ -13,9 +14,8 @@ from semitop.axioms import (axiom_profile, r0_witness, semi_r0_witness,
                             semi_t1_witness, semi_t_half_witness, t1_witness)
 from semitop.catalog import enumerate_topologies, khalimsky_window, named_space
 from semitop.generalized import generalized_families
-from semitop.lattice import columns
-from semitop.semi import (SemiAnalysis, closure_columns, interior_columns,
-                          semi_open_family, set_class)
+from semitop.lattice import columns, join_rows, meet_rows
+from semitop.semi import SemiAnalysis, semi_open_family, set_class
 from semitop.spaces import SetFamily, space_from_masks
 
 
@@ -219,13 +219,15 @@ def test_set_class_matches_literal_formulas(spaces4):
 
 def test_interior_and_closure_columns_match_operators():
     """Every topology on n <= 4 points and every mask m: m is in column x
-    of Int (Cl) iff x is in the interior (closure) of m."""
+    of Int (Cl), the meet (join) of the identity's columns over the rows
+    U_x, iff x is in the interior (closure) of m."""
     for n in range(1, 5):
         has = columns(n)[0]
         for space in enumerate_topologies(n):
-            for build, op in ((interior_columns, space.interior),
-                              (closure_columns, space.closure)):
-                cols = list(build(space, has))
+            rows = space.min_nbhd
+            for cols, op in ((meet_rows(rows, has, n), space.interior),
+                             (join_rows(rows, has), space.closure)):
+                cols = list(cols)
                 assert len(cols) == n
                 for m in range(1 << n):
                     value = op(m)
@@ -240,21 +242,40 @@ def test_check_mask_enforced(e33_an):
         e33_an.v_s(-2)
 
 
-def test_byte_views_are_built_on_first_query():
-    """The analyze pipeline asks neither semi_closure nor v_s, so it
-    builds no byte view; semi_closure builds the down view alone on its
-    first call, and v_s the up view."""
+def test_analyze_pipeline_builds_up_and_down_once(monkeypatch):
+    """The analyze pipeline builds the columns of v_s (`up`) and of the
+    semi-closure (`down`) one spread pass each, and the per-query
+    operators then read those columns: no further pass."""
+    spreads, passes = semi_mod.spreads, []
+
+    def counted(bits, n, upward):
+        passes.append(upward)
+        return spreads(bits, n, upward)
+
+    monkeypatch.setattr(semi_mod, "spreads", counted)
     space = named_space("khalimsky:-7:7")
     an = SemiAnalysis(space)
-    views = {"_up_view", "_down_view"}
     an.lambda_s_sets()
     an.v_s_sets()
     axiom_profile(space, an, generalized_families(an))
-    assert not views & set(vars(an))
+    assert sorted(passes) == [False, True]
     assert an.semi_closure(space.full) == space.full
-    assert views & set(vars(an)) == {"_down_view"}
     assert an.v_s(space.full) == space.full
-    assert views <= set(vars(an))
+    assert sorted(passes) == [False, True]
+
+
+def test_per_query_operators_on_the_widest_window(count=4):
+    """On the 20-point window the per-query operators read bit B of
+    2**20-bit columns: v_s, semi_closure and semi_kernel equal their
+    literal oracles on seeded masks.  Each oracle scans SO or SC, so
+    Tier-1 takes a few masks; CI runs more."""
+    space = named_space("khalimsky:-9:10")
+    an = SemiAnalysis(space)
+    rng = random.Random(33)
+    for b in [0, space.full] + [rng.getrandbits(space.n) for _ in range(count)]:
+        assert an.v_s(b) == v_s_oracle(an, b), b
+        assert an.semi_closure(b) == semi_closure_oracle(an, b), b
+        assert an.semi_kernel(b) == semi_kernel_oracle(an, b), b
 
 
 def test_semi_t1_like_space_has_all_fixed_points():
