@@ -12,6 +12,8 @@ operations per point instead of a loop over all 2**n masks:
     spreads  per point x, the spread of the members holding (upward) or
              missing (downward) x: all n from one leave-one-out pass of
              at most n*ceil(log2 n) steps, not n spreads of n steps each
+    spread_where
+             a spread whose step between m and m | {x} needs m in cols[x]
     unions   the unions of the non-empty subfamilies of a family
     lowest   per point x, the numerically lowest member holding x: in a
              topology, the smallest open neighbourhood U_x
@@ -29,6 +31,7 @@ built.
 """
 
 from functools import cache
+from operator import and_
 from typing import Iterator
 
 # bit-reversal of every byte, for `mirror`
@@ -175,6 +178,15 @@ def _steps(bits: int, points, lack, upward: bool) -> int:
 def spread(bits: int, n: int, upward: bool) -> int:
     """Every superset (upward) or subset (downward) of a member."""
     return _steps(bits, range(n), columns(n)[1], upward)
+
+
+def spread_where(bits: int, cols, n: int, upward: bool) -> int:
+    """`spread`, its step between m and m | {x} (m lacking x) taken only
+    where m is in cols[x].  Its n steps take the points of a path in
+    ascending order: they reach every mask reachable from a member when
+    the allowed steps may come in any order, as the steps that keep a
+    closure operator's value may (see `laws`)."""
+    return _steps(bits, range(n), list(map(and_, columns(n)[1], cols)), upward)
 
 
 def spreads(bits: int, n: int, upward: bool) -> list:

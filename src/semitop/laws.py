@@ -35,16 +35,16 @@ read by a getter built once.  `_inside` (every P-set is a Q-set) fails
 at the lowest offender of any row, with the message of the first row it
 breaks; `_iff` (an axiom holds iff each inclusion does) and `_implies`
 (one axiom gives another) with no witness; `_monotone` (a statement
-about every family B_λ: the columns are upward-closed) at the lowest a,
-then the lowest b above it with f(a) escaping f(b); `_closed` (a family
-holds `lattice.unions`, or intersections, of itself) at the lowest
-escaping set of the first row that does not.  Three laws read
-"a <= C <= F(a) for some member a" and split the candidates C and the
-members a point by point (`_sandwiches`): prop-4.9-sandwich with F the
-kernel, defn-semi-open-levine with the masks A, the opens O and F = Cl, and
-defn-beta-open with the regular closed r, the masks m and F = Cl.  The
-definition laws keep their quantifier over the opens and over the
-regular closed sets; neither is reduced to O = Int A or r = Cl(m).
+about every family B_λ: the columns are upward-closed) at the lowest
+rise of the operator, a context part; `_closed` (a family holds
+`lattice.unions`, or intersections, of itself) at the lowest escaping
+set of the first row that does not.  Three laws read "a <= C <= F(a)"
+with a, or C, in a family and F a closure operator, so F(a) = F(C):
+each spreads the family by the steps that keep F
+(`lattice.spread_where`), prop-4.9-sandwich g.Λ_s upward with F the
+kernel, defn-semi-open-levine the opens upward and defn-beta-open the
+regular closed sets downward, with F = Cl.  Neither definition law is
+reduced to O = Int A or r = Cl(m).
 prop-3.2c, the kernel of a kernel, is the column identity "K(B) is the
 least kernel-fixed set above B".  A failure reports the lowest bit of
 the family of offenders.  The few single kernel values of remark-3.3
@@ -73,8 +73,8 @@ from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
 from .catalog import is_named_id, named_space
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, fixed, image, join_rows,
-                      meet_rows, mirror, spread, spreads, sub, sup, unions,
-                      within)
+                      meet_rows, mirror, spread, spread_where, spreads, sub,
+                      sup, unions, within)
 from .semi import OpennessGrades, SemiAnalysis, grades_from_columns
 from .spaces import MAX_POINTS, FiniteSpace, SpaceError, lazy
 
@@ -180,7 +180,8 @@ class SpaceContext(SemiAnalysis):
     form, its columns `kern_cols`, and each operator one fixed-set
     family, `fix_kern` (the Λ_s-sets) and the core's `fix_vs`.  The
     identity's Int and Cl columns, `in_int` and `in_cl`, are built once
-    and read by the openness grades and the two definition laws.
+    and read by the openness grades and the two definition laws; each
+    operator's monotonicity test, `kern_rise` and `up_rise`, once.
     `axiom_profile` and `set_class` serve `analyze`, `khalimsky` and API
     users, not the checkers."""
 
@@ -236,6 +237,16 @@ class SpaceContext(SemiAnalysis):
         return fixed(self.kern_cols, self.space.n)
 
     @lazy
+    def kern_rise(self) -> tuple | None:
+        """The semi-kernel's lowest rise (a, b), or None (`_rise`)."""
+        return _rise(self.kern_cols, self.space.n)
+
+    @lazy
+    def up_rise(self) -> tuple | None:
+        """v_s's lowest rise (a, b), or None (`_rise`)."""
+        return _rise(self.up, self.space.n)
+
+    @lazy
     def in_int(self) -> list:
         """in_int[x]: the masks A with x in Int A."""
         n = self.space.n
@@ -285,36 +296,15 @@ def _preimage(cols, fam: int, cand: int, n: int) -> int:
     return out
 
 
-def _sandwiches(cols, cand: int, fam: int, n: int):
-    """The C in `cand` with a member a of `fam` such that a <= C <= F(a),
-    where a is in cols[z] iff z is in F(a).  Both are split point by
-    point: z in C keeps the a with z in F(a), z outside C the a that miss
-    z, and a branch ends once either side is empty.  Yields each leaf:
-    (one C as a family, every a that sandwiches it)."""
-    has, lack = columns(n)
-    todo = [(0, cand, fam)]
-    while todo:
-        z, c, a = todo.pop()
-        if z == n:
-            yield c, a
-            continue
-        a1 = a & cols[z]
-        if a1 and (c1 := c & has[z]):
-            todo.append((z + 1, c1, a1))
-        a0 = a & lack[z]
-        if a0 and (c0 := c & lack[z]):
-            todo.append((z + 1, c0, a0))
-
-
 def _dual_union_cols(ctx) -> list:
     """Per point z, the masks b with z in v_s(b) | b^c."""
     return [lack | up for lack, up in zip(columns(ctx.space.n)[1], ctx.up)]
 
 
-def _not_monotone(cols, n: int, message: str):
-    """Fail unless f, with z in f(m) iff m in cols[z], is monotone, i.e.
-    every column is upward-closed, at the lowest a with a superset b
-    such that f(a) escapes f(b), then the lowest such b."""
+def _rise(cols, n: int) -> tuple | None:
+    """The lowest rise (a, b) of f, with z in f(m) iff m in cols[z]: the
+    lowest a with a superset b such that f(a) escapes f(b), then the
+    lowest such b; None if f is monotone (every column upward-closed)."""
     ones = everything(n)
     bad = 0
     for col in cols:
@@ -322,9 +312,8 @@ def _not_monotone(cols, n: int, message: str):
     if bad:
         a = _lowest(bad)
         above = sup(a, n)
-        b = min(_lowest(above & ~col) for col in cols
-                if col >> a & 1 and above & ~col)
-        return _Fail((a, b), (), message)
+        return a, min(_lowest(above & ~col) for col in cols
+                      if col >> a & 1 and above & ~col)
 
 
 # -- checkers built from rows -----------------------------------------
@@ -367,10 +356,10 @@ def _implies(a: str, b: str):
     return lambda ctx: fail if has_a(ctx) and not has_b(ctx) else None
 
 
-def _monotone(cols: str, message: str):
-    """The operator with columns `cols` is monotone."""
-    get = attrgetter(cols)
-    return lambda ctx: _not_monotone(get(ctx), ctx.space.n, message)
+def _monotone(rise: str, message: str):
+    """The operator whose lowest rise is the part `rise` is monotone."""
+    get = attrgetter(rise)
+    return lambda ctx: get(ctx) and _Fail(get(ctx), (), message)
 
 
 def _closed(*rows):
@@ -411,11 +400,9 @@ def _chk_3_2d(ctx):
     # K(U B) = U K(B) iff K is monotone and, for each z, the masks whose
     # kernel misses z are closed under unions: being downward closed, they
     # are then the subsets of their union u, so u must be one of them
+    if ctx.kern_rise:
+        return _Fail(ctx.kern_rise, (), "kernel of union differs from union of kernels")
     n = ctx.space.n
-    fail = _not_monotone(ctx.kern_cols, n,
-                         "kernel of union differs from union of kernels")
-    if fail:
-        return fail
     ones, has = everything(n), columns(n)[0]
     found = []
     for z, col in enumerate(ctx.kern_cols):
@@ -499,12 +486,10 @@ def _chk_singleton_dichotomy(ctx):
 
 
 def _levine_sets(ctx) -> int:
-    """The A with an open O such that O <= A <= Cl(O)."""
-    n = ctx.space.n
-    out = 0
-    for a, _ in _sandwiches(ctx.in_cl, everything(n), ctx.space.opens.bits, n):
-        out |= a
-    return out
+    """The A with an open O such that O <= A <= Cl(O).  Cl is a closure
+    operator, so then Cl(A) = Cl(O), and adding to m a point x in Cl(m)
+    keeps Cl(m): the opens spread upward by those steps, in any order."""
+    return spread_where(ctx.space.opens.bits, ctx.in_cl, ctx.space.n, upward=True)
 
 
 def _chk_semi_open_levine(ctx):
@@ -514,13 +499,12 @@ def _chk_semi_open_levine(ctx):
 
 def _dense_in_regular_closed(ctx) -> int:
     """The m with a regular closed r, Cl(Int(r)) = r, such that m is
-    dense in r: m <= r <= Cl(m)."""
+    dense in r: m <= r <= Cl(m).  For a closure operator that is m <= r
+    with Cl(m) = Cl(r), and removing x from m keeps Cl(m) iff x is in
+    Cl(m - {x}): the regular closed sets spread downward by those steps."""
     n = ctx.space.n
     reg_closed = fixed(join_rows(ctx.space.min_nbhd, ctx.in_int), n)
-    out = 0
-    for _, ms in _sandwiches(ctx.in_cl, reg_closed, everything(n), n):
-        out |= ms
-    return out
+    return spread_where(reg_closed, ctx.in_cl, n, upward=False)
 
 
 def _chk_beta_open(ctx):
@@ -529,13 +513,13 @@ def _chk_beta_open(ctx):
 
 
 def _chk_simply_open(ctx):
+    """The m = u + d, u open and d nowhere dense, disjoint: the sum is
+    symmetric, so the loop runs over the members of the smaller family."""
     n, full = ctx.space.n, ctx.space.full
-    nwd = ctx.grades.nowhere_dense.bits
+    few, many = sorted((ctx.space.opens, ctx.grades.nowhere_dense), key=len)
     split = 0
-    for u in ctx.space.opens:
-        # the m = u | d with d nowhere dense and disjoint from u; then
-        # u | d == u + d, so shifting the d family by u lists them
-        split |= (nwd & sub(full ^ u, n)) << u
+    for u in few:
+        split |= (many.bits & sub(full ^ u, n)) << u
     return _first(split ^ ctx.grades.simply_open.bits,
                   "open-plus-nowhere-dense and boundary forms disagree")
 
@@ -572,14 +556,17 @@ def _chk_cantor_bendixson(ctx):
 
 
 def _chk_4_9(ctx):
-    # C escapes when it is not g.Λ_s yet a <= C <= K(a) for a g.Λ_s
-    # member a
+    """C escapes when it is not g.Λ_s yet a <= C <= K(a) for a g.Λ_s
+    member a.  The kernel of any family is a closure operator, so then
+    K(C) = K(a), and adding to m a point x in K(m) keeps K(m): g.Λ_s
+    spread upward by those steps, in any order.  The witness is the
+    lowest escaping C, then the lowest such a: a <= C, C <= K(a)."""
     n, dl = ctx.space.n, ctx.fams.d_lambda.bits
-    found = [(_lowest(c), a) for c, a
-             in _sandwiches(ctx.kern_cols, everything(n) & ~dl, dl, n)]
-    if found:
-        c, a = min(found)
-        return _Fail((_lowest(a), c), (), "set between a generalized set and its kernel escapes the family")
+    escapes = spread_where(dl, ctx.kern_cols, n, upward=True) & ~dl
+    if escapes:
+        c = _lowest(escapes)
+        under = dl & sub(c, n) & next(meet_rows((c,), ctx.kern_cols, n))
+        return _Fail((_lowest(under), c), (), "set between a generalized set and its kernel escapes the family")
 
 
 def _chk_4_10(ctx):
@@ -667,7 +654,7 @@ def register_laws() -> tuple:
         Law("prop-3.2a", "§3: $B \\subseteq B^{\\Lambda_s}$",
             _chk_3_2a, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2b", "§3: If $A \\subseteq B$, then $A^{\\Lambda_s} \\subseteq B^{\\Lambda_s}$",
-            _monotone("kern_cols", "semi-kernel not monotone"),
+            _monotone("kern_rise", "semi-kernel not monotone"),
             max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2c", "§3: $B^{\\Lambda_s\\Lambda_s}=B^{\\Lambda_s}$",
             _chk_3_2c, note=_ANY_FAMILY, semi_only=True),
@@ -684,12 +671,12 @@ def register_laws() -> tuple:
             max_points=FAMILY_CAP, semi_only=True),
         # K(B_1 & B_2 & ...) lies in every K(B_i) iff K is monotone
         Law("prop-3.2i", "§3: $[\\bigcap B_\\lambda]^{\\Lambda_s} \\subseteq \\bigcap B_\\lambda^{\\Lambda_s}$",
-            _monotone("kern_cols", "kernel of intersection escapes the kernels"),
+            _monotone("kern_rise", "kernel of intersection escapes the kernels"),
             max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
         # v_s(B_1 | B_2 | ...) holds every v_s(B_i) iff v_s is monotone;
         # its columns are the core's up[x]
         Law("prop-3.2j", "§3: $[\\bigcup B_\\lambda]^{V_s} \\supseteq \\bigcup B_\\lambda^{V_s}$",
-            _monotone("up", "dual of union misses a dual"), max_points=FAMILY_CAP, semi_only=True),
+            _monotone("up_rise", "dual of union misses a dual"), max_points=FAMILY_CAP, semi_only=True),
         Law("remark-3.3-strictness",
             "§3: $(B_1 \\bigcap B_2)^{\\Lambda_s}=\\emptyset$ but $B_1^{\\Lambda_s} \\bigcap B_2^{\\Lambda_s}=\\{b,c\\}$",
             _chk_3_3, scope=_scope_named("e1"),

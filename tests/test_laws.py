@@ -18,8 +18,8 @@ from semitop.axioms import AXIOM_KEYS
 from semitop.catalog import (_classes, _letters, catalog_entries,
                              enumerate_topologies, named_space)
 from semitop.generalized import generalized_families
-from semitop.lattice import (columns, encode, image, meets, saturated, spread,
-                             unions)
+from semitop.lattice import (columns, encode, everything, image, join_rows,
+                             meets, saturated, spread, spreads, unions)
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
@@ -106,6 +106,19 @@ def test_uncapped_laws_run_on_every_catalog_space_up_to_the_point_limit():
             assert not result.witnesses, law.id
         else:
             assert "discrete:18" in [w.space_name for w in result.witnesses]
+
+
+def test_spread_checkers_pass_past_the_family_cap():
+    """The checkers of the three laws decided by one constrained spread,
+    and of defn-simply-open, pass when called directly on the sparse
+    20-point window, the dense 18-point space and the 20-point space
+    with one open, past the `FAMILY_CAP` the registry keeps on them."""
+    for name in ("khalimsky:-9:10", "discrete:18", "indiscrete:20"):
+        space = named_space(name)
+        for lid in ("defn-semi-open-levine", "defn-beta-open",
+                    "defn-simply-open", "prop-4.9-sandwich"):
+            assert registry()[lid].max_points < space.n
+            assert registry()[lid].check(SpaceContext(space)) is None, (lid, name)
 
 
 def test_check_law_disputed_witness():
@@ -319,9 +332,10 @@ def test_factories_match_literal_scans_on_unregistered_rows(upto):
 
 # the context entries each checker and its oracle both read, directly
 # or through what is built from them (the kernel table and fix_kern
-# from kern_cols, the v_s table and fix_vs from up).  prop-3.2c is not
-# here: its identity is idempotence only for an extensive monotone
-# kernel, which a flipped bit seldom leaves, so
+# from kern_cols, the v_s table and fix_vs from up).  `_corrupt` flips
+# one bit of an entry, except for the pairs of `_CLOSURES`.  prop-3.2c
+# is not here: its identity is idempotence only for an extensive
+# monotone kernel, which a flipped bit seldom leaves, so
 # `test_idempotence_identity_matches_the_per_mask_loop` draws such
 # kernels instead
 _INPUTS = {
@@ -364,15 +378,32 @@ _INPUTS = {
 }
 
 
+# (law, entry) pairs whose checker rests on a lemma about closure
+# operators (Cl(A) = Cl(O) for O <= A <= Cl(O), and its like), which a
+# one-bit flip breaks: `_corrupt` draws the entry whole, as the Cl
+# columns of another preorder on the same points or the kernel columns
+# of another family
+_CLOSURES = (("defn-semi-open-levine", "in_cl"), ("defn-beta-open", "in_cl"),
+             ("prop-4.9-sandwich", "kern_cols"))
+
+
 def _flip(fam, m):
     return SetFamily.from_bits(fam.bits ^ 1 << m)
 
 
-def _corrupt(ctx, entry, rng):
+def _corrupt(ctx, lid, entry, rng):
     """Flip one bit of one context entry, or one axiom verdict, before
-    any table reads it."""
-    m = rng.randrange(1 << ctx.space.n)
-    if entry in AXIOM_KEYS:
+    any table reads it; for a pair of `_CLOSURES`, draw the entry as
+    another closure operator's columns."""
+    n = ctx.space.n
+    m = rng.randrange(1 << n)
+    if (lid, entry) == ("prop-4.9-sandwich", "kern_cols"):
+        family = encode(rng.choices(range(1 << n), k=n))
+        ctx.kern_cols = [everything(n) ^ under for under
+                         in spreads(family, n, upward=False)]
+    elif (lid, entry) in _CLOSURES:
+        ctx.in_cl = list(join_rows(random_space(rng, n).min_nbhd, columns(n)[0]))
+    elif entry in AXIOM_KEYS:
         setattr(ctx, entry, not getattr(ctx, entry))
     elif entry in ("kern_cols", "up", "in_cl", "in_int"):
         getattr(ctx, entry)[rng.randrange(ctx.space.n)] ^= 1 << m
@@ -392,8 +423,9 @@ def _corrupt(ctx, entry, rng):
 
 
 def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
-    """With one flipped bit in an entry both forms read, the checker
-    fails where its literal form fails, at the same witness."""
+    """With one flipped bit in an entry both forms read (for a pair of
+    `_CLOSURES`, the entry drawn from another closure operator), the
+    checker fails where its literal form fails, at the same witness."""
     rng = random.Random(11)
     spaces = spaces3 + [random_space(rng, n) for n in (4, 5, 6) for _ in range(4)]
     reg = registry()
@@ -405,11 +437,33 @@ def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
             for entry in entries:
                 for _ in range(3):
                     ctx = SpaceContext(space)
-                    _corrupt(ctx, entry, rng)
+                    _corrupt(ctx, lid, entry, rng)
                     fail = reg[lid].check(ctx)
                     assert fail == LAW_ORACLES[lid](ctx), (lid, entry)
                     failures[lid] += fail is not None
     assert all(failures.values()), failures
+
+
+@pytest.mark.parametrize("upto", [5])
+def test_closure_draws_match_oracles_on_every_class(upto):
+    """On every class with n <= `upto` (CI calls this with 6), with the
+    entry of each `_CLOSURES` pair drawn as another closure operator's
+    columns, the checker returns its oracle's `_Fail`; each law passes
+    on some draws and fails on others."""
+    reg = registry()
+    rng = random.Random(6)
+    outcomes = {pair: set() for pair in _CLOSURES}
+    for n in range(1, upto + 1):
+        for table in _classes(n):
+            space = space_from_table(_letters(n), table)
+            for lid, entry in _CLOSURES:
+                for _ in range(2):
+                    ctx = SpaceContext(space)
+                    _corrupt(ctx, lid, entry, rng)
+                    fail = reg[lid].check(ctx)
+                    assert fail == LAW_ORACLES[lid](ctx), (lid, table)
+                    outcomes[lid, entry].add(fail is None)
+    assert all(seen == {False, True} for seen in outcomes.values()), outcomes
 
 
 def _identity_kernel(space) -> SpaceContext:
@@ -457,7 +511,7 @@ def test_every_checker_can_fail(spaces3, e1, e33):
             for entry in _INPUTS.get(lid, ()):
                 for _ in range(3):
                     ctx = SpaceContext(space)
-                    _corrupt(ctx, entry, rng)
+                    _corrupt(ctx, lid, entry, rng)
                     yield ctx
         yield from (_identity_kernel(e1), _identity_kernel(e33),
                     _non_idempotent_kernel())
@@ -486,9 +540,9 @@ def test_disputed_corollary_fails_exactly_at_isolated_points():
 
 
 def test_definition_splits_match_literal_families(upto4_and_random):
-    """The point splits of the two definition laws give the families
-    their statements name: the Levine split is the union over the opens
-    O of [O, Cl(O)], the beta-open split the masks dense in some regular
+    """The spreads of the two definition laws give the families their
+    statements name: the Levine spread is the union over the opens O of
+    [O, Cl(O)], the beta-open spread the masks dense in some regular
     closed set."""
     for space in upto4_and_random:
         ctx = SpaceContext(space)
