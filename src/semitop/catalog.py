@@ -187,7 +187,8 @@ def enumerate_topologies(n: int):
     without a second check.  Each distinct table is one topology.  Its
     opens are the class's opens relabeled by one permutation that gives
     the table, one bitset: the sum of 1 << image[m] over the members m.
-    It carries its class's table as `canonical`.  Every family holds the
+    The sort needs that bitset, so each space carries it as `opens`
+    beside its class's table as `canonical`.  Every family holds the
     carrier, so its opens tuple is the lower one iff it holds the lowest
     mask where the two differ: the higher `mirror`.
     """
@@ -208,8 +209,8 @@ def enumerate_topologies(n: int):
     labeled.sort(key=lambda entry: mirror(entry[0], n))
     for i in range(len(labeled)):
         bits, table, form = labeled.pop()
-        space = FiniteSpace(names, SetFamily.from_bits(bits), table, f"enum:{n}:{i}")
-        vars(space)["canonical"] = form
+        space = FiniteSpace(names, table, f"enum:{n}:{i}")
+        vars(space).update(opens=SetFamily.from_bits(bits), canonical=form)
         yield space
 
 

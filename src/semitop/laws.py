@@ -460,7 +460,7 @@ def _chk_digital_line(ctx):
     for x, value in enumerate(ints):
         bit = 1 << x
         if value % 2 == 0:
-            if space.full ^ bit not in space.opens:
+            if not space.is_closed(bit):
                 return _Fail((bit,), (x,), "even singleton is not closed")
         elif min(ints) < value < max(ints):
             if bit not in ctx.grades.regular_open:

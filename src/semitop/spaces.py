@@ -8,11 +8,12 @@ ascending numeric order.  That ascending order is the canonical order
 used everywhere for witness selection, rendering and reports.
 
 Every finite topology is Alexandrov: each point has a smallest open
-neighbourhood U_x, and a space holds that table.  A space is built from
+neighbourhood U_x, and a space is that table.  A space is built from
 its opens (`space_from_masks`, which reads the table off the family) or
-from the table itself (`space_from_table`, which checks it in O(n**2)
-and saturates it to the opens).  Interior and closure are then O(n)
-mask loops:
+from the table itself (`space_from_table`, which checks it in O(n**2));
+its opens, the sets saturated under the table, are built on first read.
+Interior and closure, and with them the tests of one set for openness
+and closedness, are O(n) mask loops:
 
     interior(A) = {x : min_nbhd[x] subset of A}
     closure(A)  = complement(interior(complement(A)))
@@ -273,19 +274,23 @@ class FiniteSpace:
 
     Construct through `build_space` (label lists), `space_from_masks`
     (the opens) or `space_from_table` (the minimal open neighbourhood of
-    every point); each validates its input and the space holds both the
-    opens and that table.  `name` is a catalog id or file path used in
-    reports and never takes part in equality.
+    every point); each validates its input.  The space is its labels and
+    that table, which alone take part in equality; its opens are built
+    on first read.  `name` is a catalog id or file path used in reports.
     """
 
     names: tuple
-    opens: SetFamily
     min_nbhd: tuple
     name: str | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @lazy
+    def opens(self) -> SetFamily:
+        """The sets saturated under the table, all 2**n bits of them."""
+        return SetFamily.from_bits(saturated(self.min_nbhd, len(self.names)))
 
     @lazy
     def full(self) -> int:
@@ -317,7 +322,7 @@ class FiniteSpace:
 
     def closure(self, a: int) -> int:
         """Smallest closed superset of `a`."""
-        return self.full ^ self.interior(self.full ^ a)
+        return self.full ^ self.interior(self.complement(a))
 
     def minimal_neighborhood(self, x: int) -> int:
         if not 0 <= x < self.n:
@@ -325,11 +330,10 @@ class FiniteSpace:
         return self.min_nbhd[x]
 
     def is_open(self, a: int) -> bool:
-        self.check_mask(a)
-        return a in self.opens
+        return self.interior(a) == a
 
     def is_closed(self, a: int) -> bool:
-        return (self.full ^ a) in self.opens
+        return self.closure(a) == a
 
     def closed_family(self) -> SetFamily:
         return SetFamily.from_bits(mirror(self.opens.bits, self.n))
@@ -440,9 +444,8 @@ def space_from_masks(names: Iterable[str], masks: Iterable[int], *,
         raise MissingEmptyOrUniverse(
             "the topology must contain the empty set and the whole carrier")
 
-    mins = lowest(fam.bits, n)
-    space = FiniteSpace(names, fam, tuple(mins), name)
-    if saturated(mins, n) != fam.bits:
+    space = FiniteSpace(names, tuple(lowest(fam.bits, n)), name)
+    if space.opens != fam:
         # neither member of a witness pair is the empty set or the carrier
         kind, a, b = _pairwise_witness(fam)
         msg = (f"{space.render(a)} and {space.render(b)} are opens "
@@ -479,7 +482,7 @@ def space_from_table(names: Iterable[str], table: Iterable[int], *,
             if table[y] & ~u:
                 raise NotAPreorder(f"{names[y]} is in U_{names[x]} but U_{names[y]} "
                                    f"is not inside U_{names[x]}", x)
-    return FiniteSpace(names, SetFamily.from_bits(saturated(table, n)), table, name)
+    return FiniteSpace(names, table, name)
 
 
 def build_space(names: Iterable[str], opens: Iterable[Iterable[str]], *,

@@ -123,11 +123,14 @@ def test_enumerated_spaces_carry_their_computed_form():
 def test_enumerated_spaces_match_a_full_validation():
     """Each class's table is validated once and its relabelings are built
     without a check: every labeled topology on up to 5 points is the
-    space `space_from_masks` builds from its opens, table included."""
+    space `space_from_masks` builds from its opens, table included.  The
+    opens are carried from the relabeling, a second source beside the
+    table, and equality reads only the table, so they are compared too."""
     for n in range(1, 6):
         for space in enumerate_topologies(n):
             again = space_from_masks(space.names, space.opens)
             assert again == space and again.min_nbhd == space.min_nbhd
+            assert again.opens == space.opens
 
 
 def test_generator_matches_naive_filter_n4():

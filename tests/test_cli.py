@@ -8,6 +8,7 @@ import pytest
 import semitop.catalog as catalog_mod
 import semitop.cli as cli_mod
 import semitop.laws as laws_mod
+import semitop.spaces as spaces_mod
 from semitop.axioms import axiom_profile
 from semitop.catalog import enumerate_topologies, named_space
 from semitop.cli import main
@@ -420,6 +421,16 @@ def test_khalimsky_odd_window(capsys):
     assert "t1: false" in out and "r0: false" in out
     assert "-6 (even): closed=true regular-open=false" in out
     assert "1 (odd): closed=false regular-open=true" in out
+
+
+def test_khalimsky_reads_only_the_table(capsys, monkeypatch):
+    """Closedness and the axioms are read off the table: the report on
+    20 points builds no family of opens."""
+    def refused(table, n):
+        raise AssertionError(f"opens built on {n} points")
+    monkeypatch.setattr(spaces_mod, "saturated", refused)
+    code, out, _ = run_cli(capsys, "khalimsky", "-9", "10")
+    assert code == 0 and "10 (even): closed=true regular-open=false" in out
 
 
 def test_khalimsky_even_window(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 from itertools import product
@@ -13,7 +14,7 @@ from oracles import (closure_oracle, interior_oracle, naive_is_topology,
 from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.lattice import decode, lowest, meets, saturated
 from semitop.spaces import (CANONICAL_BUDGET, DuplicateLabel, EmptyCarrier,
-                            MissingEmptyOrUniverse, NotAPreorder,
+                            FiniteSpace, MissingEmptyOrUniverse, NotAPreorder,
                             NotClosedUnderIntersection, NotClosedUnderUnion,
                             SetFamily, SpaceError, TooManyPoints, UnknownLabel,
                             build_space, iter_points, space_from_masks,
@@ -151,6 +152,57 @@ def test_operator_algebra(spaces3):
             assert space.closure(a) == full ^ space.interior(full ^ a)
 
 
+def test_single_set_predicates_match_the_families(upto4_and_random):
+    """`is_open` and `is_closed` read the table; the families are built
+    from it, or for an enumerated space carried from the relabeling."""
+    for space in upto4_and_random:
+        opens, closed = space.opens, space.closed_family()
+        for a in range(1 << space.n):
+            assert space.is_open(a) == (a in opens)
+            assert space.is_closed(a) == (a in closed)
+
+
+def test_a_space_is_its_table():
+    """The labels and the table are the only fields: a space built from
+    its opens and one built from its table compare and hash equal."""
+    assert [f.name for f in dataclasses.fields(FiniteSpace)] == \
+        ["names", "min_nbhd", "name"]
+    from_masks = space_from_masks("abc", [0, 1, 6, 7], name="e1")
+    from_table = space_from_table("abc", [0b001, 0b110, 0b110])
+    assert from_masks == from_table and hash(from_masks) == hash(from_table)
+    assert from_masks.opens == from_table.opens
+    assert from_masks != space_from_table("abd", from_table.min_nbhd)
+
+
+@pytest.fixture
+def saturated_calls(monkeypatch):
+    """The point count of each `spaces.saturated` call the test makes."""
+    calls = []
+    monkeypatch.setattr(spaces_mod, "saturated",
+                        lambda table, n: calls.append(n) or saturated(table, n))
+    return calls
+
+
+@pytest.mark.parametrize("sid", ["discrete:18", "khalimsky:-9:10", "indiscrete:20"])
+def test_table_route_builds_no_family(saturated_calls, sid):
+    """A space from its table holds no opens until they are read; then
+    they are the sets saturated under the table, built once."""
+    space = named_space(sid)
+    sub = space.subspace(space.full >> 1)
+    assert "opens" not in vars(space) and "opens" not in vars(sub)
+    assert saturated_calls == []
+    assert space.opens == SetFamily.from_bits(saturated(space.min_nbhd, space.n))
+    assert space.opens is space.opens and saturated_calls == [space.n]
+
+
+def test_masks_route_saturates_once(saturated_calls):
+    """`space_from_masks` validates by building the saturated family,
+    which the space keeps as its opens."""
+    space = space_from_masks("abcd", [0, 1, 2, 3, 7, 15])
+    assert space.opens.members == (0, 1, 2, 3, 7, 15)
+    assert saturated_calls == [4]
+
+
 def test_minimal_neighborhood(spaces3):
     for space in spaces3:
         for x in range(space.n):
@@ -273,8 +325,10 @@ def test_render_and_labels(e1):
 def test_check_mask_range(e1):
     with pytest.raises(ValueError):
         e1.interior(1 << 3)
-    with pytest.raises(ValueError):
-        e1.closure(-1)
+    for query in (e1.is_open, e1.is_closed, e1.closure):
+        for mask in (-1, 1 << e1.n, (1 << e1.n + 1) - 1):
+            with pytest.raises(ValueError, match=f"^mask {mask} out of range"):
+                query(mask)
 
 
 def test_describe(e1):
