@@ -191,9 +191,8 @@ def cmd_claim(args) -> int:
     if law.dispute_space:
         print(f"dispute-space: {law.dispute_space}")
     print(f"max-points: {law.max_points}")
-    spaces = _space_stream(args)
-    report = run_suite(spaces, [args.id], workers=args.workers)
-    return _emit_report(report, args.format)
+    args.laws = [args.id]
+    return cmd_laws(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,10 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpaceError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpaceError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

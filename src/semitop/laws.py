@@ -29,7 +29,7 @@ A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
 the semi-kernel and of v_s, so a pointwise statement about them is a
 column identity, and "the value at B lies in F" is `_preimage`.  The
-laws that share a statement shape are rows of five factories, each row
+laws that share a statement shape are rows of six factories, each row
 naming a family by its `SpaceContext` attribute path ("fams.d_v.bits")
 read by a getter built once.  `_inside` (every P-set is a Q-set) fails
 at the lowest offender of any row, with the message of the first row it
@@ -38,13 +38,16 @@ breaks; `_iff` (an axiom holds iff each inclusion does) and `_implies`
 about every family B_λ: the columns are upward-closed) at the lowest
 rise of the operator, a context part; `_closed` (a family holds
 `lattice.unions`, or intersections, of itself) at the lowest escaping
-set of the first row that does not.  Three laws read "a <= C <= F(a)"
-with a, or C, in a family and F a closure operator, so F(a) = F(C):
-each spreads the family by the steps that keep F
-(`lattice.spread_where`), prop-4.9-sandwich g.Λ_s upward with F the
-kernel, defn-semi-open-levine the opens upward and defn-beta-open the
-regular closed sets downward, with F = Cl.  Neither definition law is
-reduced to O = Int A or r = Cl(m).
+set of the first row that does not; `_spread` (a family is another
+spread by the steps a column allows, `lattice.spread_where`) at the
+lowest mask where they differ.  Three laws read "a <= C <= F(a)" with
+a, or C, in a family and F a closure operator, so F(a) = F(C): each
+spreads the family by the steps that keep F, prop-4.9-sandwich g.Λ_s
+upward with F the kernel, defn-semi-open-levine the opens upward and
+defn-beta-open the regular closed sets downward, with F = Cl.
+defn-simply-open spreads the opens upward along the nowhere dense
+points.  No definition law is reduced to O = Int A, r = Cl(m) or
+u = Int m.
 prop-3.2c, the kernel of a kernel, is the column identity "K(B) is the
 least kernel-fixed set above B".  A failure reports the lowest bit of
 the family of offenders.  The few single kernel values of remark-3.3
@@ -180,8 +183,10 @@ class SpaceContext(SemiAnalysis):
     form, its columns `kern_cols`, and each operator one fixed-set
     family, `fix_kern` (the Λ_s-sets) and the core's `fix_vs`.  The
     identity's Int and Cl columns, `in_int` and `in_cl`, are built once
-    and read by the openness grades and the two definition laws; each
-    operator's monotonicity test, `kern_rise` and `up_rise`, once.
+    and read by the openness grades and the definition laws, as are the
+    regular closed sets `reg_closed` and the steps `nd_steps` along the
+    nowhere dense points; each operator's monotonicity test,
+    `kern_rise` and `up_rise`, once.
     `axiom_profile` and `set_class` serve `analyze`, `khalimsky` and API
     users, not the checkers."""
 
@@ -261,6 +266,17 @@ class SpaceContext(SemiAnalysis):
     def grades(self) -> OpennessGrades:
         """The five openness grades of `set_class`, as families."""
         return grades_from_columns(self.space, self.in_int, self.in_cl)
+
+    @lazy
+    def reg_closed(self) -> int:
+        """The regular closed sets, the masks r with Cl(Int(r)) = r."""
+        return fixed(join_rows(self.space.min_nbhd, self.in_int), self.space.n)
+
+    @lazy
+    def nd_steps(self) -> list:
+        """Per point x, every mask if {x} is nowhere dense, else none."""
+        n, nd = self.space.n, self.grades.nowhere_dense.bits
+        return [everything(n) if nd >> (1 << x) & 1 else 0 for x in range(n)]
 
 
 def _lowest(bits: int) -> int:
@@ -376,6 +392,14 @@ def _closed(*rows):
     return check
 
 
+def _spread(start: str, steps: str, upward: bool, target: str, message: str):
+    """The family `target` is the family `start` spread by the steps
+    whose columns are `steps` (`lattice.spread_where`)."""
+    start, steps, target = map(attrgetter, (start, steps, target))
+    return lambda ctx: _first(spread_where(start(ctx), steps(ctx), ctx.space.n, upward)
+                              ^ target(ctx), message)
+
+
 # -- checkers: the semi-kernel and its dual ---------------------------
 
 def _chk_3_2a(ctx):
@@ -483,45 +507,6 @@ def _chk_singleton_dichotomy(ctx):
         bit = 1 << x
         if bit not in g.preopen and bit not in g.nowhere_dense:
             return _Fail((bit,), (x,), "singleton neither preopen nor nowhere dense")
-
-
-def _levine_sets(ctx) -> int:
-    """The A with an open O such that O <= A <= Cl(O).  Cl is a closure
-    operator, so then Cl(A) = Cl(O), and adding to m a point x in Cl(m)
-    keeps Cl(m): the opens spread upward by those steps, in any order."""
-    return spread_where(ctx.space.opens.bits, ctx.in_cl, ctx.space.n, upward=True)
-
-
-def _chk_semi_open_levine(ctx):
-    return _first(_levine_sets(ctx) ^ ctx.semi_open.bits,
-                  "open-witness and interior/closure forms disagree")
-
-
-def _dense_in_regular_closed(ctx) -> int:
-    """The m with a regular closed r, Cl(Int(r)) = r, such that m is
-    dense in r: m <= r <= Cl(m).  For a closure operator that is m <= r
-    with Cl(m) = Cl(r), and removing x from m keeps Cl(m) iff x is in
-    Cl(m - {x}): the regular closed sets spread downward by those steps."""
-    n = ctx.space.n
-    reg_closed = fixed(join_rows(ctx.space.min_nbhd, ctx.in_int), n)
-    return spread_where(reg_closed, ctx.in_cl, n, upward=False)
-
-
-def _chk_beta_open(ctx):
-    return _first(_dense_in_regular_closed(ctx) ^ ctx.grades.beta_open.bits,
-                  "dense-in-regular-closed and closure-composite forms disagree")
-
-
-def _chk_simply_open(ctx):
-    """The m = u + d, u open and d nowhere dense, disjoint: the sum is
-    symmetric, so the loop runs over the members of the smaller family."""
-    n, full = ctx.space.n, ctx.space.full
-    few, many = sorted((ctx.space.opens, ctx.grades.nowhere_dense), key=len)
-    split = 0
-    for u in few:
-        split |= (many.bits & sub(full ^ u, n)) << u
-    return _first(split ^ ctx.grades.simply_open.bits,
-                  "open-plus-nowhere-dense and boundary forms disagree")
 
 
 # -- checkers: generalized classes ------------------------------------
@@ -722,15 +707,27 @@ def register_laws() -> tuple:
         Law("sec-3-singleton-dichotomy",
             "§3: every singleton is either locally dense (= preopen) or nowhere dense",
             _chk_singleton_dichotomy),
+        # O <= A <= Cl(O) gives Cl(A) = Cl(O), Cl being a closure
+        # operator, and adding to m a point x in Cl(m) keeps Cl(m): the
+        # opens spread upward by those steps, in any order
         Law("defn-semi-open-levine",
             "§2: $A$ is semi-open iff there exists $O \\in \\tau$ with $O \\subseteq A \\subseteq {\\rm Cl}(O)$",
-            _chk_semi_open_levine, max_points=FAMILY_CAP),
+            _spread("space.opens.bits", "in_cl", True, "semi_open.bits",
+                    "open-witness and interior/closure forms disagree"), max_points=FAMILY_CAP),
+        # m is dense in a regular closed r when m <= r <= Cl(m), i.e. m <= r
+        # with Cl(m) = Cl(r), and removing x from m keeps Cl(m) iff x is in
+        # Cl(m - {x}): the regular closed sets spread downward by those steps
         Law("defn-beta-open",
             "§3: $\\beta$-open iff dense in some regular closed subspace",
-            _chk_beta_open, max_points=FAMILY_CAP),
+            _spread("reg_closed", "in_cl", False, "grades.beta_open.bits",
+                    "dense-in-regular-closed and closure-composite forms disagree"), max_points=FAMILY_CAP),
+        # a finite union of nowhere dense sets is nowhere dense, so they are
+        # the subsets of N, the union of the nowhere dense singletons, and
+        # the u | d are the opens spread upward along the points of N
         Law("defn-simply-open",
             "§3: simply-open iff a union of an open set and a nowhere dense set",
-            _chk_simply_open, max_points=FAMILY_CAP),
+            _spread("space.opens.bits", "nd_steps", True, "grades.simply_open.bits",
+                    "open-plus-nowhere-dense and boundary forms disagree"), max_points=FAMILY_CAP),
         Law("sec-3-beta-containments",
             "§3: every preopen set and every semi-open set is $\\beta$-open",
             _inside(("grades.preopen.bits", "grades.beta_open.bits", "preopen or semi-open set that is not beta-open"),

@@ -171,6 +171,15 @@ def dense_in_regular_closed_oracle(space: FiniteSpace) -> int:
     return encode(out)
 
 
+def open_plus_nowhere_dense_oracle(space: FiniteSpace) -> int:
+    """The masks u | d with u open and d nowhere dense (Int Cl d empty),
+    as a bitset of masks."""
+    masks = range(1 << space.n)
+    nowhere_dense = [d for d in masks
+                     if interior_oracle(space, closure_oracle(space, d)) == 0]
+    return encode(u | d for u in space.opens for d in nowhere_dense)
+
+
 def union_closure_oracle(members) -> tuple:
     """The unions of the non-empty subfamilies of `members`, ascending:
     pairwise unions added until none is new."""

@@ -12,14 +12,16 @@ import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
                      iff_rows_oracle, implies_oracle, inside_rows_oracle,
-                     levine_sets_oracle, random_space, relabeled,
-                     semi_open_oracle, sierpinski_copies)
+                     levine_sets_oracle, open_plus_nowhere_dense_oracle,
+                     random_space, relabeled, semi_open_oracle,
+                     sierpinski_copies)
 from semitop.axioms import AXIOM_KEYS
 from semitop.catalog import (_classes, _letters, catalog_entries,
                              enumerate_topologies, named_space)
 from semitop.generalized import generalized_families
 from semitop.lattice import (columns, encode, everything, image, join_rows,
-                             meets, saturated, spread, spreads, unions)
+                             meets, saturated, spread, spread_where, spreads,
+                             sub, unions)
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
@@ -108,17 +110,21 @@ def test_uncapped_laws_run_on_every_catalog_space_up_to_the_point_limit():
             assert "discrete:18" in [w.space_name for w in result.witnesses]
 
 
-def test_spread_checkers_pass_past_the_family_cap():
-    """The checkers of the three laws decided by one constrained spread,
-    and of defn-simply-open, pass when called directly on the sparse
+def test_capped_checkers_pass_past_the_family_cap():
+    """Every expected law the registry caps at `FAMILY_CAP` passes, when
+    its checker is called directly on one shared context, on the sparse
     20-point window, the dense 18-point space and the 20-point space
-    with one open, past the `FAMILY_CAP` the registry keeps on them."""
+    with one open."""
+    capped = [law for law in registry().values()
+              if law.max_points == FAMILY_CAP and law.status == "expected"]
+    assert len(capped) == 25
     for name in ("khalimsky:-9:10", "discrete:18", "indiscrete:20"):
         space = named_space(name)
-        for lid in ("defn-semi-open-levine", "defn-beta-open",
-                    "defn-simply-open", "prop-4.9-sandwich"):
-            assert registry()[lid].max_points < space.n
-            assert registry()[lid].check(SpaceContext(space)) is None, (lid, name)
+        assert space.n > FAMILY_CAP
+        ctx = SpaceContext(space)
+        for law in capped:
+            assert law.applies(space), law.id
+            assert law.check(ctx) is None, (law.id, name)
 
 
 def test_check_law_disputed_witness():
@@ -379,12 +385,14 @@ _INPUTS = {
 
 
 # (law, entry) pairs whose checker rests on a lemma about closure
-# operators (Cl(A) = Cl(O) for O <= A <= Cl(O), and its like), which a
+# operators (Cl(A) = Cl(O) for O <= A <= Cl(O), and its like) or about
+# the nowhere dense sets (they are the subsets of one set), which a
 # one-bit flip breaks: `_corrupt` draws the entry whole, as the Cl
-# columns of another preorder on the same points or the kernel columns
-# of another family
+# columns of another preorder on the same points, the kernel columns
+# of another family, or the subsets of a random mask
 _CLOSURES = (("defn-semi-open-levine", "in_cl"), ("defn-beta-open", "in_cl"),
-             ("prop-4.9-sandwich", "kern_cols"))
+             ("prop-4.9-sandwich", "kern_cols"),
+             ("defn-simply-open", "nowhere_dense"))
 
 
 def _flip(fam, m):
@@ -393,14 +401,17 @@ def _flip(fam, m):
 
 def _corrupt(ctx, lid, entry, rng):
     """Flip one bit of one context entry, or one axiom verdict, before
-    any table reads it; for a pair of `_CLOSURES`, draw the entry as
-    another closure operator's columns."""
+    any table reads it; for a pair of `_CLOSURES`, draw the entry whole
+    (see there)."""
     n = ctx.space.n
     m = rng.randrange(1 << n)
     if (lid, entry) == ("prop-4.9-sandwich", "kern_cols"):
         family = encode(rng.choices(range(1 << n), k=n))
         ctx.kern_cols = [everything(n) ^ under for under
                          in spreads(family, n, upward=False)]
+    elif (lid, entry) == ("defn-simply-open", "nowhere_dense"):
+        ctx.grades = ctx.grades._replace(
+            nowhere_dense=SetFamily.from_bits(sub(m, n)))
     elif (lid, entry) in _CLOSURES:
         ctx.in_cl = list(join_rows(random_space(rng, n).min_nbhd, columns(n)[0]))
     elif entry in AXIOM_KEYS:
@@ -424,7 +435,7 @@ def _corrupt(ctx, lid, entry, rng):
 
 def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
     """With one flipped bit in an entry both forms read (for a pair of
-    `_CLOSURES`, the entry drawn from another closure operator), the
+    `_CLOSURES`, the entry drawn whole), the
     checker fails where its literal form fails, at the same witness."""
     rng = random.Random(11)
     spaces = spaces3 + [random_space(rng, n) for n in (4, 5, 6) for _ in range(4)]
@@ -447,9 +458,9 @@ def test_law_checkers_match_oracles_on_corrupted_contexts(spaces3):
 @pytest.mark.parametrize("upto", [5])
 def test_closure_draws_match_oracles_on_every_class(upto):
     """On every class with n <= `upto` (CI calls this with 6), with the
-    entry of each `_CLOSURES` pair drawn as another closure operator's
-    columns, the checker returns its oracle's `_Fail`; each law passes
-    on some draws and fails on others."""
+    entry of each `_CLOSURES` pair drawn whole, the checker returns its
+    oracle's `_Fail`; each law passes on some draws and fails on
+    others."""
     reg = registry()
     rng = random.Random(6)
     outcomes = {pair: set() for pair in _CLOSURES}
@@ -540,15 +551,36 @@ def test_disputed_corollary_fails_exactly_at_isolated_points():
 
 
 def test_definition_splits_match_literal_families(upto4_and_random):
-    """The spreads of the two definition laws give the families their
-    statements name: the Levine spread is the union over the opens O of
-    [O, Cl(O)], the beta-open spread the masks dense in some regular
-    closed set."""
+    """The spreads of the three definition laws, on their rows' inputs,
+    give the families their statements name: the Levine spread is the
+    union over the opens O of [O, Cl(O)], the beta-open spread the
+    masks dense in some regular closed set, and the simply-open spread
+    the u | d with u open and d nowhere dense."""
     for space in upto4_and_random:
-        ctx = SpaceContext(space)
-        assert laws_mod._levine_sets(ctx) == levine_sets_oracle(space)
-        assert laws_mod._dense_in_regular_closed(ctx) == \
+        ctx, n = SpaceContext(space), space.n
+        opens = space.opens.bits
+        assert spread_where(opens, ctx.in_cl, n, upward=True) == \
+            levine_sets_oracle(space)
+        assert spread_where(ctx.reg_closed, ctx.in_cl, n, upward=False) == \
             dense_in_regular_closed_oracle(space)
+        assert spread_where(opens, ctx.nd_steps, n, upward=True) == \
+            open_plus_nowhere_dense_oracle(space)
+
+
+@pytest.mark.parametrize("upto", [6])
+def test_nowhere_dense_sets_are_the_subsets_of_their_points(upto):
+    """The lemma defn-simply-open rests on: the nowhere dense sets are
+    the subsets of N, the union of the nowhere dense singletons, on
+    every class with n <= `upto` (CI calls this with 7) and on the three
+    spaces of 18 and 20 points."""
+    spaces = [space_from_table(_letters(n), table)
+              for n in range(1, upto + 1) for table in _classes(n)]
+    spaces += [named_space(name) for name in
+               ("khalimsky:-9:10", "discrete:18", "indiscrete:20")]
+    for space in spaces:
+        n, nowhere_dense = space.n, SpaceContext(space).grades.nowhere_dense.bits
+        points = sum(1 << x for x in range(n) if nowhere_dense >> (1 << x) & 1)
+        assert nowhere_dense == sub(points, n), space.describe()
 
 
 def test_fixed_set_missing_from_both_families_fails_on_the_kernel_side(e33):
