@@ -13,10 +13,10 @@ and the sg-closed condition is the mirror image
 (a set is inside every semi-open superset of B iff it is inside their
 intersection).  B is g.V_s when its complement is g.Lambda_s.
 
-Family-wide, with in_k[x] the masks whose semi-kernel holds x (the
-union of has[y] over the y with x in K_y: `lattice.join_rows` of the
-transposed point kernels) and down[x] the masks whose semi-closure
-misses x (see `semi`):
+Family-wide, with in_k[x] the masks whose semi-kernel holds x when SO
+is closed under unions (the union of has[y] over the y with x in K_y:
+`lattice.join_rows` of the transposed point kernels) and down[x] the
+masks whose semi-closure misses x (see `semi`):
 
     g.Lambda_s = AND_x ~(in_k[x] & down[x])
     sg-closed  = AND_x (in_k[x] | down[x])
@@ -57,7 +57,9 @@ def is_g_v_s(an: SemiAnalysis, b: int) -> bool:
 
 
 def generalized_families(an: SemiAnalysis) -> GeneralizedFamilies:
-    """The three families as bitsets, from the kernels and down[x]."""
+    """The three families as bitsets, from in_k and down[x]: the union
+    of the K_x over x in B is the semi-kernel of B only when SO is
+    closed under unions, as every SO of a topology is."""
     n = an.space.n
     in_k = join_rows(transpose(an.point_kernels), columns(n)[0])
     escapes = 0

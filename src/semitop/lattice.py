@@ -142,25 +142,14 @@ def saturated(hulls, n: int) -> int:
 
 def lowest(bits: int, n: int) -> list:
     """Per point x, the numerically lowest member that contains x (-1
-    if none does): n big-int operations where `meets` makes n**2.  In a
-    topology it is the meet U_x, which lies inside every member holding
-    x; in a family not closed under intersection, such as the semi-open
-    sets, it need not be, and `meets` is needed there."""
+    if none does).  In a topology it is the meet U_x, which lies inside
+    every member holding x; in a family not closed under intersection,
+    such as the semi-open sets, it need not be."""
     has = columns(n)[0]
     out = []
     for x in range(n):
         w = bits & has[x]
         out.append((w & -w).bit_length() - 1)
-    return out
-
-
-def meets(bits: int, n: int) -> list:
-    """Per point x, the intersection of the members that contain x."""
-    has, lack = columns(n)
-    out = []
-    for x in range(n):
-        with_x = bits & has[x]
-        out.append(sum(1 << z for z in range(n) if not with_x & lack[z]))
     return out
 
 

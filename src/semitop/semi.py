@@ -15,7 +15,6 @@ Each family of the space then folds composites of them with
 
     SO  = within(Cl Int)                        A inside Cl(Int(A))
     SC  = SO mirrored (bit m -> bit full^m)
-    K_x = {z : SO & has[x] & lack[z] == 0}      point semi-kernels
     up[x]   = supersets of the semi-closed sets containing x
     down[y] = subsets of the semi-closed sets avoiding y
 
@@ -24,11 +23,15 @@ SC & lack[y], all n of each from one `lattice.spreads` pass; `up` is
 the columns of v_s.  The fixed-point families and the per-query
 operators read off them:
 
-    Lambda_s        = within(sup(K_x))          (`lattice.saturated`)
     V_s             = fixed(up)                 (`fix_vs`)
-    semi_kernel(B)  = union of K_x over x in B
-    semi_closure(B) = X minus image(down, B)
+    Lambda_s        = V_s mirrored              (prop-3.7d)
     v_s(B)          = image(up, B)          (B in up[x] needs x in B)
+    semi_kernel(B)  = X minus v_s(X minus B)    (prop-3.2f)
+    K_x             = semi_kernel({x})          (`point_kernels`)
+    semi_closure(B) = X minus image(down, B)
+
+Complements swap the semi-open supersets of B and the semi-closed
+subsets of X minus B, so these hold for any family taken as SO.
 
 Every part of `SemiAnalysis` is built on its first read.  The per-query
 operators read bit B of each column (`lattice.image`): n shifts of a
@@ -52,14 +55,15 @@ from operator import or_
 from typing import NamedTuple
 
 from .lattice import (columns, everything, fixed, image, join_rows, meet_rows,
-                      meets, mirror, saturated, spreads, within)
+                      mirror, spreads, within)
 from .spaces import FiniteSpace, SetFamily, lazy
 
 
 class SemiAnalysis:
     """Semi-open structure of a fixed space, each part built on first
     read.  Only `semi_open` reads the topology; the rest follow from it
-    and n, so a `semi_open` assigned before any read replaces SO."""
+    and n, each its literal definition whatever the family, so a
+    `semi_open` assigned before any read replaces SO."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -74,7 +78,9 @@ class SemiAnalysis:
 
     @lazy
     def point_kernels(self) -> tuple:
-        return tuple(meets(self.semi_open.bits, self.space.n))
+        full = self.space.full
+        return tuple(full ^ image(self.up, full ^ 1 << x)
+                     for x in range(self.space.n))
 
     @lazy
     def up(self) -> list:
@@ -92,9 +98,10 @@ class SemiAnalysis:
         return self.space.full ^ image(self.down, b)
 
     def semi_kernel(self, b: int) -> int:
-        """Intersection of the semi-open supersets of b, via point kernels."""
+        """Intersection of the semi-open supersets of b, X minus v_s(X
+        minus b)."""
         self.space.check_mask(b)
-        return next(join_rows((b,), self.point_kernels))
+        return self.space.full ^ image(self.up, self.space.full ^ b)
 
     def v_s(self, b: int) -> int:
         """Union of the semi-closed subsets of b."""
@@ -110,8 +117,8 @@ class SemiAnalysis:
     # -- fixed-point families -----------------------------------------
 
     def lambda_s_sets(self) -> SetFamily:
-        """All subsets equal to their semi-kernel."""
-        return SetFamily.from_bits(saturated(self.point_kernels, self.space.n))
+        """All subsets equal to their semi-kernel: V_s-set complements."""
+        return SetFamily.from_bits(mirror(self.fix_vs, self.space.n))
 
     @lazy
     def fix_vs(self) -> int:

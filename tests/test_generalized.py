@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,9 @@ from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.generalized import (derived_set, g_v_s_singletons,
                                  generalized_families, is_g_lambda_s, is_g_v_s,
                                  is_sg_closed)
+from semitop.lattice import unions
 from semitop.semi import SemiAnalysis
+from semitop.spaces import SetFamily
 
 
 def test_e33_families_golden(e33_an):
@@ -64,6 +67,28 @@ def test_families_agree_with_predicates(spaces4):
             assert (b in fams.sg_closed) == is_sg_closed(an, b)
 
 
+@pytest.mark.parametrize("n", [3])
+def test_families_follow_any_union_closed_semi_open_family(n):
+    """Every union-closed family with the empty set on n points, assigned
+    as SO: there the union of the point kernels is the semi-kernel, so
+    the three families meet their literal definitions.  CI calls this
+    with n = 4 (2480 families)."""
+    space = named_space(f"discrete:{n}")
+    seen = 0
+    for bits in range(1, 1 << (1 << n), 2):
+        if unions(bits, n) != bits:
+            continue
+        seen += 1
+        an = SemiAnalysis(space)
+        an.semi_open = SetFamily.from_bits(bits)
+        fams = generalized_families(an)
+        for b in range(1 << n):
+            assert (b in fams.d_lambda) == g_lambda_oracle(an, b), (bits, b)
+            assert (b in fams.d_v) == g_v_oracle(an, b), (bits, b)
+            assert (b in fams.sg_closed) == sg_closed_oracle(an, b), (bits, b)
+    assert seen == {3: 61, 4: 2480}[n]
+
+
 def test_derived_set_values(sierpinski):
     assert derived_set(named_space("discrete:3")) == 0
     ind = named_space("indiscrete:2")
@@ -97,11 +122,12 @@ def test_g_v_s_singletons_is_the_family_and_the_oracle():
 
 
 def test_g_v_s_singletons_reads_only_the_semi_open_family(sierpinski, monkeypatch):
-    """No point kernel or spread is built: SO alone decides."""
+    """No spread is built and no column read, so no point kernel: SO
+    alone decides."""
     def refused(*args):
         raise AssertionError("read beyond SO")
 
-    monkeypatch.setattr(semi_mod, "meets", refused)
+    monkeypatch.setattr(semi_mod, "image", refused)
     monkeypatch.setattr(semi_mod, "spreads", refused)
     disc = named_space("discrete:3")
     assert g_v_s_singletons(SemiAnalysis(disc)) == disc.full

@@ -20,8 +20,8 @@ from semitop.catalog import (_classes, _letters, catalog_entries,
                              enumerate_topologies, named_space)
 from semitop.generalized import generalized_families
 from semitop.lattice import (columns, encode, everything, image, join_rows,
-                             meets, saturated, spread, spread_where, spreads,
-                             sub, unions)
+                             saturated, spread, spread_where, spreads, sub,
+                             unions)
 from semitop.laws import (FAMILY_CAP, WITNESS_CAP, Law, LawScopeError,
                           SpaceContext, Witness, check_law, register_laws,
                           registry, run_suite)
@@ -943,9 +943,9 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     assert len(firsts) == 33
     families = {semi_open_bits(space) for space in firsts.values()}
     assert len(families) == 18
-    kernels = []
-    monkeypatch.setattr(semi_mod, "meets",
-                        lambda *args: kernels.append(args) or meets(*args))
+    kernels, build = [], semi_mod.SemiAnalysis.point_kernels.build
+    monkeypatch.setattr(semi_mod.SemiAnalysis.point_kernels, "build",
+                        lambda an: kernels.append(an) or build(an))
     refusals = []
     refusal = laws_mod._refusal
     monkeypatch.setattr(laws_mod, "_refusal",

@@ -13,7 +13,8 @@ from oracles import (g_lambda_oracle, g_v_oracle, r0_witness_oracle,
 from semitop.axioms import (axiom_profile, r0_witness, semi_r0_witness,
                             semi_t1_witness, semi_t_half_witness, t1_witness)
 from semitop.catalog import enumerate_topologies, khalimsky_window, named_space
-from semitop.generalized import generalized_families
+from semitop.generalized import (generalized_families, is_g_lambda_s, is_g_v_s,
+                                 is_sg_closed)
 from semitop.lattice import columns, join_rows, meet_rows
 from semitop.semi import SemiAnalysis, semi_open_family, set_class
 from semitop.spaces import SetFamily, space_from_masks
@@ -178,6 +179,30 @@ def test_fixed_set_predicates_match_families_and_oracles(spaces3, spaces4):
             vs_fixed = v_s_oracle(an, b) == b
             assert an.is_lambda_s_set(b) == (b in lam) == kern_fixed
             assert an.is_v_s_set(b) == (b in vs) == vs_fixed
+
+
+@pytest.mark.parametrize("n", [3])
+def test_kernel_values_follow_any_semi_open_family(n):
+    """Every one of the 2**2**n families on n points, assigned as SO:
+    the kernel values read off the columns of v_s are the literal
+    intersections of semi-open supersets whatever the family, closed
+    under unions or not, and so are the Λ_s-sets and the three
+    generalized predicates built on them.  CI calls this with n = 4
+    (65536 families)."""
+    space = named_space(f"discrete:{n}")
+    for bits in range(1 << (1 << n)):
+        an = SemiAnalysis(space)
+        an.semi_open = SetFamily.from_bits(bits)
+        lam = an.lambda_s_sets()
+        for x in range(n):
+            assert an.point_kernels[x] == semi_kernel_oracle(an, 1 << x), bits
+        for b in range(1 << n):
+            kern = semi_kernel_oracle(an, b)
+            assert an.semi_kernel(b) == kern, (bits, b)
+            assert an.is_lambda_s_set(b) == (b in lam) == (kern == b), (bits, b)
+            assert is_g_lambda_s(an, b) == g_lambda_oracle(an, b), (bits, b)
+            assert is_g_v_s(an, b) == g_v_oracle(an, b), (bits, b)
+            assert is_sg_closed(an, b) == sg_closed_oracle(an, b), (bits, b)
 
 
 def test_semi_open_family_helper(e1):
