@@ -79,23 +79,24 @@ def indiscrete_space(n: int) -> FiniteSpace:
 
 
 def named_space(sid: str) -> FiniteSpace:
-    """Resolve a reserved space id."""
+    """Resolve a reserved space id.  Only the exact name of the space it
+    builds is one: `discrete:03` and `khalimsky:-0:2` are unknown."""
     if sid in _FIXED:
         names, opens = _FIXED[sid]
         return space_from_masks(names, opens, name=sid)
-    parts = sid.split(":")
+    family, *params = sid.split(":")
     try:
-        if len(parts) == 2 and parts[0] in ("discrete", "indiscrete"):
-            n = int(parts[1])
-            if n < 1:
-                raise UnknownId(f"bad point count in {sid!r}")
-            maker = discrete_space if parts[0] == "discrete" else indiscrete_space
-            return maker(n)
-        if len(parts) == 3 and parts[0] == "khalimsky":
-            lo, hi = int(parts[1]), int(parts[2])
-            return khalimsky_window(lo, hi).space
+        args = [int(p) for p in params]
     except ValueError:
         raise UnknownId(f"unknown space id {sid!r}") from None
+    if sid == ":".join([family, *map(str, args)]):
+        if len(args) == 1 and family in ("discrete", "indiscrete"):
+            if args[0] < 1:
+                raise UnknownId(f"bad point count in {sid!r}")
+            maker = discrete_space if family == "discrete" else indiscrete_space
+            return maker(args[0])
+        if len(args) == 2 and family == "khalimsky":
+            return khalimsky_window(*args).space
     raise UnknownId(f"unknown space id {sid!r}")
 
 
@@ -103,6 +104,17 @@ def is_named_id(sid: str) -> bool:
     """Whether `sid` is reserved: a fixed id, or a parametric family
     prefix whatever its parameters (`named_space` judges those)."""
     return sid in _FIXED or sid.startswith(_FAMILY_PREFIXES)
+
+
+def catalog_id(space: FiniteSpace) -> str | None:
+    """The reserved id of the catalog space that `space` is, by name and
+    value, or None: a space read through the API keeps whatever name it
+    was given, and a malformed reserved name names no space."""
+    sid = space.name or ""
+    try:
+        return sid if is_named_id(sid) and space == named_space(sid) else None
+    except SpaceError:
+        return None
 
 
 @dataclass(frozen=True)

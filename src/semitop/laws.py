@@ -54,9 +54,10 @@ the family of offenders.  The few single kernel values of remark-3.3
 and example-4.6 are read off `kern_cols` one mask at a time
 (`lattice.image`).  The literal per-mask and pair forms live in the
 tests as reference oracles.  Laws run on spaces up to their
-`max_points`: `FAMILY_CAP` for a law that pairs every subset with a
-family scan, else every space the package builds (`MAX_POINTS`).  An
-expected law that examines no space reports `not exercised`.
+`max_points`: every space the package builds (`MAX_POINTS`), or
+`FAMILY_CAP` for 25 laws that pass on 18 and 20 points too, kept only
+for the examined counts `perfbench/reference.json` pins.  An expected
+law that examines no space reports `not exercised`.
 
 Disputed laws are claims the suite expects to fail: reproducing their
 documented counterexample keeps the exit code at zero, while a run that
@@ -73,15 +74,15 @@ from operator import and_, attrgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
 from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
-from .catalog import is_named_id, named_space
+from .catalog import catalog_id
 from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, fixed, image, join_rows,
                       meet_rows, mirror, spread, spread_where, spreads, sub,
                       sup, unions, within)
 from .semi import OpennessGrades, SemiAnalysis, grades_from_columns
-from .spaces import MAX_POINTS, FiniteSpace, SpaceError, lazy
+from .spaces import MAX_POINTS, FiniteSpace, lazy
 
-FAMILY_CAP = 11   # laws pairing every subset with a family scan
+FAMILY_CAP = 11   # only for the laws-n5 counts perfbench/reference.json pins
 WITNESS_CAP = 5   # witnesses per law in the text report
 
 _ANY_FAMILY = "holds for the intersection-of-supersets kernel of any family, so it checks that kern_cols is that kernel, not SO"
@@ -154,8 +155,8 @@ class Law:
     check: Callable
     status: str = "expected"          # or "disputed"
     max_points: int = MAX_POINTS
-    # None: every space; else a test of catalog spaces, never asked of a
-    # space whose name is not a reserved id (`catalog.is_named_id`)
+    # None: every space; else a test of catalog spaces, asked only of a
+    # space that `catalog.catalog_id` names, so it reads `space.name`
     scope: Callable | None = None
     note: str = ""
     dispute_space: str | None = None
@@ -165,7 +166,7 @@ class Law:
 
     def applies(self, space: FiniteSpace) -> bool:
         return self.scope is None or (
-            is_named_id(space.name or "") and self.scope(space))
+            catalog_id(space) is not None and self.scope(space))
 
 
 class LawScopeError(Exception):
@@ -610,23 +611,9 @@ def _chk_4_13(ctx):
 
 # -- scopes -----------------------------------------------------------
 
-def _is_catalog_space(space: FiniteSpace, name: str) -> bool:
-    """Whether the space is the catalog space `name`, by name and value:
-    a space read through the API keeps whatever name it was given."""
-    try:
-        return space.name == name and space == named_space(name)
-    except SpaceError:
-        return False
-
-
-def _scope_named(name: str) -> Callable:
-    return lambda space: _is_catalog_space(space, name)
-
-
 def _scope_odd_window(space):
-    name = space.name or ""
-    return (name.startswith("khalimsky:") and _is_catalog_space(space, name)
-            and all(int(bound) % 2 for bound in name.split(":")[1:]))
+    family, *bounds = space.name.split(":")
+    return family == "khalimsky" and all(int(bound) % 2 for bound in bounds)
 
 
 # -- registry ---------------------------------------------------------
@@ -664,7 +651,7 @@ def register_laws() -> tuple:
             _monotone("up_rise", "dual of union misses a dual"), max_points=FAMILY_CAP, semi_only=True),
         Law("remark-3.3-strictness",
             "§3: $(B_1 \\bigcap B_2)^{\\Lambda_s}=\\emptyset$ but $B_1^{\\Lambda_s} \\bigcap B_2^{\\Lambda_s}=\\{b,c\\}$",
-            _chk_3_3, scope=_scope_named("e1"),
+            _chk_3_3, scope=lambda space: space.name == "e1",
             note="existence claim; the documented pair is B1={b}, B2={c}"),
         Law("prop-3.7a", "§3: The subsets $\\emptyset$ and $X$ are $\\Lambda_s$-sets and $V_s$-sets",
             _chk_3_7a, semi_only=True),
@@ -744,7 +731,7 @@ def register_laws() -> tuple:
             max_points=FAMILY_CAP, semi_only=True),
         Law("example-4.6-intersection",
             "§4: $A \\bigcap B=\\{c\\}$ is not a $g.\\Lambda_s$-set",
-            _chk_4_6, scope=_scope_named("e33"),
+            _chk_4_6, scope=lambda space: space.name == "e33",
             note="documented witnesses A={a,c}, B={b,c}; A is also not a $\\Lambda_s$-set"),
         Law("remark-4.7",
             "§4: If $A \\in SO(X,\\tau)$ then $A$ is a $g.\\Lambda_s$-set; if $A \\in SC(X,\\tau)$ then $A$ is a $g.V_s$-set",
@@ -797,9 +784,10 @@ def registry() -> dict:
 
 # -- running ----------------------------------------------------------
 
-def _refusal(law: Law, space: FiniteSpace) -> str | None:
-    """Why `law` does not run on `space` (scope, then size cap), or None."""
-    if not law.applies(space):
+def _refusal(law: Law, space: FiniteSpace, sid: str | None) -> str | None:
+    """Why `law` does not run on `space`, whose `catalog_id` is `sid`
+    (scope, then size cap), or None."""
+    if law.scope is not None and (sid is None or not law.scope(space)):
         return f"{law.id} does not apply to {space.describe()}"
     if space.n > law.max_points:
         return f"{law.id} is bounded to {law.max_points} points, space has {space.n}"
@@ -810,7 +798,7 @@ def check_law(law: Law, space, ctx: SpaceContext | None = None):
     """Run one law on one space; None means pass, a Witness means fail."""
     if isinstance(law, str):
         law = registry()[law]
-    refusal = _refusal(law, space)
+    refusal = _refusal(law, space, catalog_id(space))
     if refusal is not None:
         raise LawScopeError(refusal)
     if ctx is None:
@@ -910,9 +898,10 @@ class _Evaluator:
     """Decides the laws of one `run_suite` call: `plan` marks the spaces
     to decide, and `decide` decides them, in the caller or a pool worker.
 
-    The runnable laws are listed once per (n, scope verdicts), through
-    `_refusal` (see `Law.scope`).  The unscoped laws are invariant under
-    relabeling, so each is decided once per homeomorphism class, keyed
+    The runnable laws are listed once per (n, catalog id), through
+    `_refusal`: a catalog space is fixed by its id, so the key fixes
+    every scope verdict (see `Law.scope`).  The unscoped laws are
+    invariant under relabeling, so each is decided once per class, keyed
     by the `FiniteSpace.canonical` that an enumerated space carries and
     any other space computes.  A space that runs a law has one of two
     fates.  It is decided on its own context when it has no canonical
@@ -931,19 +920,16 @@ class _Evaluator:
         reg = registry()
         self.laws = [reg[lid] for lid in law_ids]
         self.unscoped = {law.id for law in self.laws if law.scope is None}
-        self.scopes = list(dict.fromkeys(
-            law.scope for law in self.laws if law.scope is not None))
         self.runnable = {}
         self.families = {}
 
     def _runs(self, space: FiniteSpace) -> tuple:
-        """(n, scope verdicts), the laws that run on the space and
-        whether one of them is scoped: one shared tuple per key."""
-        key = (space.n, is_named_id(space.name or "")
-               and tuple(scope(space) for scope in self.scopes))
+        """(n, catalog id), the laws that run on the space and whether
+        one of them is scoped: one shared tuple per key."""
+        key = (space.n, catalog_id(space))
         runs = self.runnable.get(key)
         if runs is None:
-            laws = [law for law in self.laws if _refusal(law, space) is None]
+            laws = [law for law in self.laws if _refusal(law, space, key[1]) is None]
             runs = self.runnable[key] = (
                 key, laws, any(law.scope is not None for law in laws))
         return runs
@@ -1010,7 +996,8 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     A law's examined count is read off the runnable lists: the spaces
     of each key whose list holds the law.  A witness taken from the
     class is worked out when read, so `wall_time` leaves that work out.
-    A law's dispute flag is set once it runs on its dispute space.  A
+    A law's dispute flag is set in the same tally, by a key whose
+    catalog id is the law's dispute space and whose list holds it.  A
     named expected law that examines no space fails the report.  The
     report is deterministic in the law registration order and the
     stream order, independent of the worker count.
@@ -1031,8 +1018,6 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     results = {lid: LawResult(lid, reg[lid].status, named=named)
                for lid in law_ids}
     evaluate = _Evaluator(law_ids)
-    disputes = [(results[law.id], law) for law in evaluate.laws
-                if law.dispute_space is not None]
     keyed, marks, own = evaluate.plan(spaces)
     parallel = workers > 1 and len(own) > 1
     with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
@@ -1054,12 +1039,11 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
             elif runs:
                 for lid in classes[space.canonical]:
                     results[lid].witnesses.append(Witness._inherited(reg[lid], space))
-            for r, law in disputes:
-                if _is_catalog_space(space, law.dispute_space) and law in runs:
-                    r.dispute_space_examined = True
     for key, count in counts.items():
         for law in evaluate.runnable[key][1]:
             results[law.id].examined += count
+            if key[1] is not None and key[1] == law.dispute_space:
+                results[law.id].dispute_space_examined = True
 
     report = LawReport([results[lid] for lid in law_ids], len(spaces),
                        decided_in_full=len(own))

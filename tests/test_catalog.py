@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
+import semitop.catalog as catalog_mod
 from oracles import naive_is_topology, naive_topology_families
 from semitop.catalog import (EmptyWindow, OverBudget, UnknownId, _classes,
-                             catalog_entries, discrete_space,
+                             catalog_entries, catalog_id, discrete_space,
                              enumerate_topologies, indiscrete_space,
                              is_named_id, khalimsky_window, named_space)
 from semitop.spaces import (SpaceError, TooManyPoints, _canonical_form,
@@ -23,16 +26,52 @@ def test_parametric_ids():
         khalimsky_window(-1, 1).space.opens.members
 
 
-def test_unknown_ids():
-    for bad in ("nope", "discrete", "discrete:x", "khalimsky:1", "e2"):
-        with pytest.raises(UnknownId):
+def test_unknown_ids(monkeypatch):
+    """A bad id is refused before any space is built, among them each id
+    whose numerals are not the ones its space's name prints: a sign,
+    leading zeros, a non-ASCII digit, an underscore, a space or a
+    negative zero.  So discrete:0021 is a bad id, not a 21-point space."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a space was built")
+    monkeypatch.setattr(catalog_mod, "space_from_table", refused)
+    for bad in ("nope", "discrete", "discrete:x", "khalimsky:1", "e2",
+                "discrete:+3", "discrete:03", "discrete:\u0663", "discrete: 3",
+                "indiscrete:2_0", "khalimsky:-0:2", "khalimsky:+1:3",
+                "khalimsky:1:03", "discrete:0021"):
+        with pytest.raises(UnknownId, match="unknown space id"):
             named_space(bad)
+    monkeypatch.undo()
     for other in ("nope", "discrete", "e2", "dir/discrete:2"):
         assert not is_named_id(other)
     # a family prefix is reserved whatever its parameters
     for sid in ("e1", "khalimsky:-3:3", "discrete:99", "discrete:x",
                 "khalimsky:1"):
         assert is_named_id(sid)
+
+
+def test_catalog_id_names_every_catalog_space():
+    for entry in catalog_entries():
+        assert catalog_id(entry.space) == entry.id
+    for sid in ("discrete:18", "indiscrete:20", "khalimsky:-9:10"):
+        assert catalog_id(named_space(sid)) == sid
+
+
+def test_catalog_id_is_none_for_every_other_space():
+    """By name and value: a renamed copy, the name e1 on other labels or
+    other opens, an enumerated space, a file path and a malformed
+    reserved name each give None, without raising."""
+    e1 = named_space("e1")
+    others = [dataclasses.replace(e1, name="copy"),
+              space_from_masks("xyz", [0b000, 0b001, 0b110, 0b111], name="e1"),
+              space_from_masks("abc", [0b000, 0b001, 0b111], name="e1"),
+              next(enumerate_topologies(3)),
+              dataclasses.replace(e1, name="./e1")]
+    assert others[3].name == "enum:3:0"
+    pair = named_space("discrete:2")
+    others += [dataclasses.replace(pair, name=name)
+               for name in ("khalimsky:x:y", "discrete:99", "discrete:+2")]
+    for space in others:
+        assert catalog_id(space) is None, space.name
 
 
 def test_window_structure():

@@ -334,6 +334,16 @@ def test_positional_reserved_id_is_never_read_as_a_file(capsys, tmp_path,
     assert err == "error: unknown space id 'khalimsky:x:y'\n"
 
 
+def test_an_id_that_is_not_its_spaces_name_is_unknown(capsys):
+    """A numeral the space's name would not print is a bad id, exit 2,
+    not a space under another name."""
+    for sid in ("discrete:+3", "discrete:03", "discrete:\u0663",
+                "indiscrete:2_0", "khalimsky:-0:2", "discrete:0021"):
+        code, out, err = run_cli(capsys, "analyze", sid)
+        assert code == 2 and out == ""
+        assert err == f"error: unknown space id {sid!r}\n"
+
+
 def test_window_scope_skips_a_name_without_integer_bounds():
     """A space built through the API keeps whatever name it is given; a
     name shaped like a window id is outside the scope unless the space

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semitop.axioms as axioms_mod
+import semitop.catalog as catalog_mod
 import semitop.laws as laws_mod
 import semitop.semi as semi_mod
 from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
@@ -16,7 +17,7 @@ from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
                      random_space, relabeled, semi_open_oracle,
                      sierpinski_copies)
 from semitop.axioms import AXIOM_KEYS
-from semitop.catalog import (_classes, _letters, catalog_entries,
+from semitop.catalog import (_classes, _letters, catalog_entries, catalog_id,
                              enumerate_topologies, named_space)
 from semitop.generalized import generalized_families
 from semitop.lattice import (columns, encode, everything, image, join_rows,
@@ -778,7 +779,7 @@ def test_semi_only_laws_read_only_the_semi_open_family(stream4):
     for space in stream4:
         full, guarded = SpaceContext(space), _semi_only_context(space)
         for law in semi:
-            if laws_mod._refusal(law, space) is None:
+            if laws_mod._refusal(law, space, catalog_id(space)) is None:
                 assert law.check(full) == law.check(guarded), \
                     (law.id, space.describe())
 
@@ -805,7 +806,7 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
     for lid, law in registry().items():
         examined, witnesses = 0, []
         for i, (space, ctx) in enumerate(zip(stream4, contexts)):
-            if laws_mod._refusal(law, space) is not None:
+            if laws_mod._refusal(law, space, catalog_id(space)) is not None:
                 continue
             examined += 1
             w = check_law(law, space, ctx)
@@ -856,7 +857,7 @@ def test_suite_inherits_class_failures_and_one_shared_runs_tuple(stream4):
         key, laws, scoped = runs
         assert shared.setdefault(key, runs) is runs
         assert laws == [law for law in registry().values()
-                        if laws_mod._refusal(law, space) is None]
+                        if laws_mod._refusal(law, space, catalog_id(space)) is None]
         assert scoped == any(law.scope is not None for law in laws)
         first = firsts.setdefault(space.canonical, space)
         assert mark == (first is space or scoped)
@@ -932,10 +933,10 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     class, and no scoped law runs on an enumerated space.  The
     generalized families are built once per distinct SO among the first
     spaces (the semi-only laws that read them are decided once per
-    family).  `_refusal` is asked about each law once: the scope
-    verdicts and n are the same on every space."""
+    family).  `_refusal` is asked about each law once: n and the
+    catalog id (none) are the same on every space."""
     runs = [law for law in registry().values()
-            if laws_mod._refusal(law, spaces4[0]) is None]
+            if laws_mod._refusal(law, spaces4[0], catalog_id(spaces4[0])) is None]
     assert all(law.scope is None for law in runs)
     firsts = {}
     for space in spaces4:
@@ -949,7 +950,7 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     refusals = []
     refusal = laws_mod._refusal
     monkeypatch.setattr(laws_mod, "_refusal",
-                        lambda law, space: refusals.append(law) or refusal(law, space))
+                        lambda law, space, sid: refusals.append(law) or refusal(law, space, sid))
     report, counts = _calls((semi_open_bits, generalized_families),
                             lambda: run_suite(spaces4))
     assert counts == {semi_open_bits: len(firsts),
@@ -973,7 +974,8 @@ def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch
     stream = stream4 + [formless, relabeled(formless, [10 - x for x in range(11)])]
     expected, seen = [], set()
     for space in stream:
-        scoped = any(law.scope is not None and laws_mod._refusal(law, space) is None
+        scoped = any(law.scope is not None
+                     and laws_mod._refusal(law, space, catalog_id(space)) is None
                      for law in registry().values())
         if space.canonical is None or scoped or space.canonical not in seen:
             seen.add(space.canonical)
@@ -997,6 +999,29 @@ def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch
     # classes, wider windows, formless spaces, and e1 and e33
     assert report.decided_in_full == len(expected) == 46 + 2 + 2 + 2
     assert _outcomes(report, stream) == _outcomes(run_suite(stream), stream)
+
+
+def test_runs_builds_a_catalog_space_once_per_call(stream4, monkeypatch):
+    """`_Evaluator._runs` asks `catalog_id` once per call, so planning
+    and deciding the stream build a catalog space's `named_space` once
+    per call on it and never one for an enumerated space; the runnable
+    lists are keyed on (n, catalog id)."""
+    catalog = {entry.id for entry in catalog_entries()}
+    built, named = [], catalog_mod.named_space
+    monkeypatch.setattr(catalog_mod, "named_space",
+                        lambda sid: built.append(sid) or named(sid))
+    calls, runs = [], laws_mod._Evaluator._runs
+    monkeypatch.setattr(laws_mod._Evaluator, "_runs",
+                        lambda self, space: calls.append(space.name) or runs(self, space))
+    evaluate = laws_mod._Evaluator(list(registry()))
+    _, _, own = evaluate.plan(stream4)
+    for space in own:
+        evaluate.decide(space)
+    assert sorted(built) == sorted(name for name in calls if name in catalog)
+    assert set(built) == catalog
+    monkeypatch.undo()
+    assert set(evaluate.runnable) == {(space.n, catalog_id(space))
+                                      for space in stream4}
 
 
 def test_family_memo_is_keyed_only_by_semi_only_laws(stream4, monkeypatch):
@@ -1047,7 +1072,8 @@ def _direct_outcomes(stream):
     """`_outcomes` as `check_law` gives them, space by space."""
     out = {}
     for lid, law in registry().items():
-        runs = [i for i, s in enumerate(stream) if laws_mod._refusal(law, s) is None]
+        runs = [i for i, s in enumerate(stream)
+                if laws_mod._refusal(law, s, catalog_id(s)) is None]
         direct = [(i, w.subset_masks, w.points, w.message) for i in runs
                   if (w := check_law(law, stream[i])) is not None]
         out[lid] = (len(runs), len(runs) - len(direct), direct)
