@@ -16,7 +16,7 @@ intersection).  B is g.V_s when its complement is g.Lambda_s.
 Family-wide, with in_k[x] the masks whose semi-kernel holds x when SO
 is closed under unions (the union of has[y] over the y with x in K_y:
 `lattice.join_rows` of the transposed point kernels) and down[x] the
-masks whose semi-closure misses x (see `semi`):
+masks whose semi-closure misses x (`lattice.spreads` of SC, downward):
 
     g.Lambda_s = AND_x ~(in_k[x] & down[x])
     sg-closed  = AND_x (in_k[x] | down[x])
@@ -25,7 +25,7 @@ masks whose semi-closure misses x (see `semi`):
 
 from dataclasses import dataclass
 
-from .lattice import columns, everything, join_rows, mirror, transpose
+from .lattice import columns, everything, join_rows, mirror, spreads, transpose
 from .semi import SemiAnalysis
 from .spaces import FiniteSpace, SetFamily
 
@@ -57,14 +57,14 @@ def is_g_v_s(an: SemiAnalysis, b: int) -> bool:
 
 
 def generalized_families(an: SemiAnalysis) -> GeneralizedFamilies:
-    """The three families as bitsets, from in_k and down[x]: the union
-    of the K_x over x in B is the semi-kernel of B only when SO is
-    closed under unions, as every SO of a topology is."""
+    """The three families as bitsets, from in_k and down[x], each read
+    once as built: the union of the K_x over x in B is the semi-kernel
+    of B only when SO is closed under unions, as every SO of a topology is."""
     n = an.space.n
-    in_k = join_rows(transpose(an.point_kernels), columns(n)[0])
-    escapes = 0
-    sg = everything(n)
-    for in_kern, down in zip(in_k, an.down):
+    in_k = join_rows(transpose(an.point_kernels), columns(n))
+    escapes, sg = 0, everything(n)
+    # down[x] first, so that in_k[x] is not alive while down[x] is built
+    for down, in_kern in zip(spreads(an.semi_closed.bits, n, upward=False), in_k):
         escapes |= in_kern & down
         sg &= in_kern | down
     d_lambda = everything(n) ^ escapes

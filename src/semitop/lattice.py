@@ -4,14 +4,14 @@ A family of subsets is one 2**n-bit integer whose bit m is set iff mask
 m is a member.  Family-wide questions then become a few big-int
 operations per point instead of a loop over all 2**n masks:
 
-    has[x]   the masks containing point x;  lack[x] = its complement
+    has[x]   the masks containing point x, the one table (`columns`)
     sup(S)   AND of has[x] over x in S: the supersets of S
-    sub(S)   AND of lack[x] over x outside S: the subsets of S
+    sub(S)   the masks in no has[x] with x outside S: the subsets of S
     spread   closure under adding (or removing) points, the subset-sum
              (zeta) transform, Knuth TAOCP 4A section 7.1.3: n shift steps
-    spreads  per point x, the spread of the members holding (upward) or
-             missing (downward) x: all n from one leave-one-out pass of
-             at most n*ceil(log2 n) steps, not n spreads of n steps each
+    spreads  per point x in turn, the spread of the members holding
+             (upward) or missing (downward) x: all n from one lazy
+             leave-one-out pass of at most n*ceil(log2 n) steps
     spread_where
              a spread whose step between m and m | {x} needs m in cols[x]
     unions   the unions of the non-empty subfamilies of a family
@@ -31,7 +31,6 @@ built.
 """
 
 from functools import cache
-from operator import and_
 from typing import Iterator
 
 # bit-reversal of every byte, for `mirror`
@@ -46,17 +45,16 @@ def everything(n: int) -> int:
 
 @cache
 def columns(n: int) -> tuple:
-    """(has, lack): per point, the masks with that bit set / clear."""
-    lack = []
+    """has: per point, the masks with that bit set."""
+    has = []
     for i in range(n):
         # 2**i masks with bit i clear, then 2**i with it set, repeated
-        col, period = (1 << (1 << i)) - 1, 2 << i
+        col, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
         while period < 1 << n:
             col |= col << period
             period <<= 1
-        lack.append(col)
-    ones = everything(n)
-    return tuple(ones ^ c for c in lack), tuple(lack)
+        has.append(col)
+    return tuple(has)
 
 
 def iter_points(mask: int) -> Iterator[int]:
@@ -69,12 +67,12 @@ def iter_points(mask: int) -> Iterator[int]:
 
 def sup(s: int, n: int) -> int:
     """The masks that are supersets of `s`."""
-    return next(meet_rows((s,), columns(n)[0], n))
+    return next(meet_rows((s,), columns(n), n))
 
 
 def sub(s: int, n: int) -> int:
-    """The masks that are subsets of `s`."""
-    return next(meet_rows((s ^ (1 << n) - 1,), columns(n)[1], n))
+    """The masks that are subsets of `s`, holding no point outside it."""
+    return everything(n) ^ next(join_rows((s ^ (1 << n) - 1,), columns(n)))
 
 
 def within(cols, n: int) -> int:
@@ -84,16 +82,16 @@ def within(cols, n: int) -> int:
     generator) where each column is built for this fold alone, so only
     one 2**n-bit column is alive at a time.
     """
-    out = everything(n)
-    for lack, col in zip(columns(n)[1], cols):
-        out &= lack | col
-    return out
+    bad = 0
+    for has, col in zip(columns(n), cols):
+        bad |= has ^ (has & col)    # A holds x, A not in cols[x]
+    return everything(n) ^ bad
 
 
 def fixed(cols, n: int) -> int:
     """The masks m with z in m iff m in cols[z], for every point z."""
     out = ones = everything(n)
-    for has, col in zip(columns(n)[0], cols):
+    for has, col in zip(columns(n), cols):
         out &= ones ^ has ^ col
     return out
 
@@ -137,7 +135,7 @@ def join_rows(rows, cols):
 
 def saturated(hulls, n: int) -> int:
     """The masks A with hulls[x] inside A for every x in A."""
-    return within(meet_rows(hulls, columns(n)[0], n), n)
+    return within(meet_rows(hulls, columns(n), n), n)
 
 
 def lowest(bits: int, n: int) -> list:
@@ -145,7 +143,7 @@ def lowest(bits: int, n: int) -> list:
     if none does).  In a topology it is the meet U_x, which lies inside
     every member holding x; in a family not closed under intersection,
     such as the semi-open sets, it need not be."""
-    has = columns(n)[0]
+    has = columns(n)
     out = []
     for x in range(n):
         w = bits & has[x]
@@ -153,20 +151,20 @@ def lowest(bits: int, n: int) -> list:
     return out
 
 
-def _steps(bits: int, points, lack, upward: bool) -> int:
+def _steps(bits: int, points, has, upward: bool) -> int:
     """One spread step along each direction in `points`."""
     if upward:
         for i in points:
-            bits |= (bits & lack[i]) << (1 << i)
+            bits |= (bits << (1 << i)) & has[i]
     else:
         for i in points:
-            bits |= (bits >> (1 << i)) & lack[i]
+            bits |= (bits & has[i]) >> (1 << i)
     return bits
 
 
 def spread(bits: int, n: int, upward: bool) -> int:
     """Every superset (upward) or subset (downward) of a member."""
-    return _steps(bits, range(n), columns(n)[1], upward)
+    return _steps(bits, range(n), columns(n), upward)
 
 
 def spread_where(bits: int, cols, n: int, upward: bool) -> int:
@@ -175,37 +173,44 @@ def spread_where(bits: int, cols, n: int, upward: bool) -> int:
     ascending order: they reach every mask reachable from a member when
     the allowed steps may come in any order, as the steps that keep a
     closure operator's value may (see `laws`)."""
-    return _steps(bits, range(n), list(map(and_, columns(n)[1], cols)), upward)
+    for i, (has, col) in enumerate(zip(columns(n), cols)):
+        s = 1 << i
+        bits |= ((bits & col) << s) & has if upward else ((bits & has) >> s) & col
+    return bits
 
 
-def spreads(bits: int, n: int, upward: bool) -> list:
-    """Per point x, spread(bits & has[x]) upward or spread(bits & lack[x])
-    downward.
+def spreads(bits: int, n: int, upward: bool) -> Iterator[int]:
+    """Per point x, lazily and in point order, spread(the members of
+    `bits` holding x) upward or spread(the members missing x) downward.
 
-    A step along i != x maps has[x] and lack[x] into themselves, and a
-    step along x is idle on the members that hold x (upward) or miss it
-    (downward), so out[x] is `bits` spread along every direction but x,
-    then masked by x's column.  The points are split in halves and each
-    half takes the other half's steps before it is split in turn (the
+    A step along i != x keeps a mask's bit x, and a step along x is idle
+    on the members that hold x (upward) or miss it (downward), so the
+    x-th column is `bits` spread along every direction but x, then
+    masked by x's column.  The points are split in halves and each half
+    takes the other half's steps before it is split in turn (the
     leave-one-out sums of "Fourier meets Möbius", Björklund et al., STOC
-    2007): at most n*ceil(log2 n) steps, 88 at n = 20 against 400.
+    2007): at most n*ceil(log2 n) steps, 88 at n = 20 against 400.  Depth
+    first, left half first, each half stepped when popped: about log2(n)
+    pending halves hold a parent's column each, not n finished columns.
     """
-    has, lack = columns(n)
-    cols = has if upward else lack
-    out = [0] * n
-    todo = [(bits, 0, n)] if n else []
+    has = columns(n)
+    todo = [(bits, (), 0, n)] if n else []
     while todo:
-        fam, lo, hi = todo.pop()
+        fam, steps, lo, hi = todo.pop()
+        fam = _steps(fam, steps, has, upward)
         if hi - lo == 1:
-            out[lo] = fam & cols[lo]
-        elif hi - lo == 2:    # most leaves come in pairs: no pushes
-            out[lo] = _steps(fam, (hi - 1,), lack, upward) & cols[lo]
-            out[lo + 1] = _steps(fam, (lo,), lack, upward) & cols[lo + 1]
+            yield fam & has[lo] if upward else (fam | has[lo]) ^ has[lo]
+        elif hi - lo == 2:    # most leaves come in pairs: each takes the other's step
+            a, b, s = has[lo], has[hi - 1], 1 << lo
+            if upward:
+                yield (fam | (fam << 2 * s) & b) & a
+                yield (fam | (fam << s) & a) & b
+            else:
+                yield (fam | (fam & b) >> 2 * s | a) ^ a
+                yield (fam | (fam & a) >> s | b) ^ b
         else:
             mid = (lo + hi) // 2
-            todo += ((_steps(fam, range(mid, hi), lack, upward), lo, mid),
-                     (_steps(fam, range(lo, mid), lack, upward), mid, hi))
-    return out
+            todo += ((fam, range(lo, mid), mid, hi), (fam, range(mid, hi), lo, mid))
 
 
 def unions(bits: int, n: int) -> int:

@@ -256,12 +256,12 @@ class SpaceContext(SemiAnalysis):
     def in_int(self) -> list:
         """in_int[x]: the masks A with x in Int A."""
         n = self.space.n
-        return list(meet_rows(self.space.min_nbhd, columns(n)[0], n))
+        return list(meet_rows(self.space.min_nbhd, columns(n), n))
 
     @lazy
     def in_cl(self) -> list:
         """in_cl[y]: the masks A with y in Cl A."""
-        return list(join_rows(self.space.min_nbhd, columns(self.space.n)[0]))
+        return list(join_rows(self.space.min_nbhd, columns(self.space.n)))
 
     @lazy
     def grades(self) -> OpennessGrades:
@@ -301,21 +301,22 @@ def _preimage(cols, fam: int, cand: int, n: int) -> int:
     """The b in `cand` whose image {z : b in cols[z]} is in `fam`: both
     split point by point, a branch ending once either side is empty or
     `fam` holds every image that agrees with it so far."""
-    has, lack = columns(n)
+    has = columns(n)
     out, todo = 0, [(0, cand, fam)]
     while todo:
         z, c, f = todo.pop()
         if c and f.bit_count() == 1 << (n - z):
             out |= c
         elif c and f:
-            todo += ((z + 1, c & cols[z], f & has[z]),
-                     (z + 1, c & ~cols[z], f & lack[z]))
+            c_in, f_in = c & cols[z], f & has[z]
+            todo += ((z + 1, c_in, f_in), (z + 1, c ^ c_in, f ^ f_in))
     return out
 
 
 def _dual_union_cols(ctx) -> list:
     """Per point z, the masks b with z in v_s(b) | b^c."""
-    return [lack | up for lack, up in zip(columns(ctx.space.n)[1], ctx.up)]
+    ones = everything(ctx.space.n)
+    return [(ones ^ has) | up for has, up in zip(columns(ctx.space.n), ctx.up)]
 
 
 def _rise(cols, n: int) -> tuple | None:
@@ -428,7 +429,7 @@ def _chk_3_2d(ctx):
     if ctx.kern_rise:
         return _Fail(ctx.kern_rise, (), "kernel of union differs from union of kernels")
     n = ctx.space.n
-    ones, has = everything(n), columns(n)[0]
+    ones, has = everything(n), columns(n)
     found = []
     for z, col in enumerate(ctx.kern_cols):
         out = ones ^ col
@@ -450,7 +451,8 @@ def _chk_3_2f(ctx):
 
 
 def _chk_3_2g(ctx):
-    return _first(reduce(or_, map(and_, ctx.up, columns(ctx.space.n)[1])),
+    return _first(reduce(or_, (up ^ (up & has) for up, has
+                               in zip(ctx.up, columns(ctx.space.n)))),
                   "dual operator escapes its argument")
 
 
@@ -559,16 +561,12 @@ def _chk_4_10(ctx):
     n = ctx.space.n
     # complement route fails at b when a semi-closed superset of B = b^c
     # misses a point z of the semi-kernel of B
-    complement_fails = 0
-    for in_kern, under in zip(ctx.kern_cols,
-                              spreads(ctx.semi_closed.bits, n, upward=False)):
-        complement_fails |= in_kern & under
-    complement_fails = mirror(complement_fails, n)
+    complement_fails = mirror(reduce(or_, map(and_, ctx.kern_cols, spreads(
+        ctx.semi_closed.bits, n, upward=False)), 0), n)
     # semi-open route fails at b when a semi-open subset of b holds a
     # point x outside v_s(b), i.e. b is not in up[x]
-    semi_open_fails = 0
-    for above, up in zip(spreads(ctx.semi_open.bits, n, upward=True), ctx.up):
-        semi_open_fails |= above & ~up
+    semi_open_fails = reduce(or_, (above ^ (above & up) for above, up in zip(
+        spreads(ctx.semi_open.bits, n, upward=True), ctx.up)), 0)
     diff = complement_fails ^ semi_open_fails
     if diff:
         b = _lowest(diff)

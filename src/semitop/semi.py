@@ -16,27 +16,26 @@ Each family of the space then folds composites of them with
     SO  = within(Cl Int)                        A inside Cl(Int(A))
     SC  = SO mirrored (bit m -> bit full^m)
     up[x]   = supersets of the semi-closed sets containing x
-    down[y] = subsets of the semi-closed sets avoiding y
 
-`up` and `down` are the subset-sum spreads of SC & has[x] and
-SC & lack[y], all n of each from one `lattice.spreads` pass; `up` is
-the columns of v_s.  The fixed-point families and the per-query
-operators read off them:
+`up` is the subset-sum spreads of SC & has[x], all n from one
+`lattice.spreads` pass, kept: it is the columns of v_s.  The fixed-point
+families and the per-query operators read off it and SC:
 
     V_s             = fixed(up)                 (`fix_vs`)
     Lambda_s        = V_s mirrored              (prop-3.7d)
     v_s(B)          = image(up, B)          (B in up[x] needs x in B)
     semi_kernel(B)  = X minus v_s(X minus B)    (prop-3.2f)
     K_x             = semi_kernel({x})          (`point_kernels`)
-    semi_closure(B) = X minus image(down, B)
+    semi_closure(B) = the z in every member of SC & sup(B)
 
 Complements swap the semi-open supersets of B and the semi-closed
-subsets of X minus B, so these hold for any family taken as SO.
+subsets of X minus B, so these hold for any family taken as SO.  The
+downward spreads of SC are not kept (see `generalized`).
 
 Every part of `SemiAnalysis` is built on its first read.  The per-query
-operators read bit B of each column (`lattice.image`): n shifts of a
-2**n-bit integer per query, so they serve API callers, not the family
-scans.
+operators read bit B of each column (`lattice.image`) or AND the
+columns of B (`lattice.sup`): n or |B| operations on 2**n-bit integers
+per query, so they serve API callers, not the family scans.
 
 The openness grades of `set_class` come as families too
 (`openness_grades`), composed on the identity's Int and Cl columns
@@ -55,7 +54,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .lattice import (columns, everything, fixed, image, join_rows, meet_rows,
-                      mirror, spreads, within)
+                      mirror, spreads, sup, within)
 from .spaces import FiniteSpace, SetFamily, lazy
 
 
@@ -84,18 +83,16 @@ class SemiAnalysis:
 
     @lazy
     def up(self) -> list:
-        return spreads(self.semi_closed.bits, self.space.n, upward=True)
-
-    @lazy
-    def down(self) -> list:
-        return spreads(self.semi_closed.bits, self.space.n, upward=False)
+        return list(spreads(self.semi_closed.bits, self.space.n, upward=True))
 
     # -- per-query operators ------------------------------------------
 
     def semi_closure(self, b: int) -> int:
-        """Smallest semi-closed superset of b."""
+        """Intersection of the semi-closed supersets of b."""
         self.space.check_mask(b)
-        return self.space.full ^ image(self.down, b)
+        above = self.semi_closed.bits & sup(b, self.space.n)
+        return sum(1 << z for z, has in enumerate(columns(self.space.n))
+                   if above & has == above)
 
     def semi_kernel(self, b: int) -> int:
         """Intersection of the semi-open supersets of b, X minus v_s(X
@@ -134,7 +131,7 @@ def semi_open_bits(space: FiniteSpace) -> int:
     """SO as one family: the only part of `SemiAnalysis` that reads the
     topology; everything else there follows from SO and n."""
     n, rows = space.n, space.min_nbhd
-    in_int = list(meet_rows(rows, columns(n)[0], n))
+    in_int = list(meet_rows(rows, columns(n), n))
     return within(join_rows(rows, in_int), n)
 
 
@@ -185,7 +182,7 @@ class OpennessGrades(NamedTuple):
 def openness_grades(space: FiniteSpace) -> OpennessGrades:
     """Grade every mask at once: the families of `set_class`'s fields."""
     n, rows = space.n, space.min_nbhd
-    has = columns(n)[0]
+    has = columns(n)
     return grades_from_columns(space, meet_rows(rows, has, n),
                                list(join_rows(rows, has)))
 
@@ -197,7 +194,7 @@ def grades_from_columns(space: FiniteSpace, in_int, in_cl: list) -> OpennessGrad
     ones = everything(n)
     in_ic = list(meet_rows(rows, in_cl, n))
     # the columns of R(A) = A minus Int A, then of Int Cl R
-    rest = [h & ~i for h, i in zip(columns(n)[0], in_int)]
+    rest = [h & ~i for h, i in zip(columns(n), in_int)]
     in_icr = meet_rows(rows, list(join_rows(rows, rest)), n)
     return OpennessGrades(
         preopen=SetFamily.from_bits(within(in_ic, n)),

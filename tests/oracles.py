@@ -189,6 +189,31 @@ def union_closure_oracle(members) -> tuple:
     return tuple(sorted(closed))
 
 
+def spread_oracle(members, n: int, upward: bool) -> tuple:
+    """Every superset (upward) or subset (downward) of a member,
+    ascending: a mask is in it iff it is a member or a point away from
+    a mask in it, filled in from the bottom (upward) or the top."""
+    inside = [False] * (1 << n)
+    for m in members:
+        inside[m] = True
+    order = range(1 << n) if upward else reversed(range(1 << n))
+    for m in order:
+        inside[m] = inside[m] or any(
+            inside[m ^ 1 << x] for x in range(n) if (m >> x & 1) == upward)
+    return tuple(m for m, v in enumerate(inside) if v)
+
+
+def spread_where_oracle(members, cols, n: int, upward: bool) -> tuple:
+    """Point by point in ascending order, every member m lacking x with
+    m in cols[x] adds m | {x} (upward), or every member m | {x} with m
+    in cols[x] adds m (downward); the members at the end, ascending."""
+    out = set(members)
+    for x, col in enumerate(cols):
+        out |= {m ^ 1 << x for m in out
+                if (m >> x & 1) != upward and col >> (m & ~(1 << x)) & 1}
+    return tuple(sorted(out))
+
+
 def naive_is_topology(masks, n: int) -> bool:
     """Axioms checked directly on a candidate family."""
     fam = set(masks)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from semitop.catalog import catalog_entries, enumerate_topologies, named_space
 from semitop.generalized import (derived_set, g_v_s_singletons,
                                  generalized_families, is_g_lambda_s, is_g_v_s,
                                  is_sg_closed)
-from semitop.lattice import unions
+from semitop.lattice import columns, unions
 from semitop.semi import SemiAnalysis
 from semitop.spaces import SetFamily
 
@@ -23,6 +24,25 @@ def test_e33_families_golden(e33_an):
     assert fams.d_v.members == (0b000, 0b001, 0b010, 0b100, 0b101,
                                 0b110, 0b111)
     assert fams.sg_closed.members == (0b000, 0b100, 0b101, 0b110, 0b111)
+
+
+def test_families_on_the_widest_window_keep_no_downward_columns():
+    """On the 20-point window, with v_s's columns and the point kernels
+    built and the has table warm, `generalized_families` reads the 20
+    downward spreads as they are yielded: its tracemalloc peak stays
+    under 9 columns of 2**20 bits (1.125 MiB), where the 20 kept
+    downward columns alone take 20.  The has table holds one column per
+    point."""
+    an = SemiAnalysis(named_space("khalimsky:-9:10"))
+    an.up, an.point_kernels
+    assert len(columns(20)) == 20
+    tracemalloc.start()
+    try:
+        generalized_families(an)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 << 17, peak / (1 << 17)
 
 
 def test_e33_membership_predicates(e33, e33_an):

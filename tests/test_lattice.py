@@ -3,10 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import union_closure_oracle
+from oracles import spread_oracle, spread_where_oracle, union_closure_oracle
 from semitop.lattice import (columns, decode, encode, everything, fixed,
-                             lowest, saturated, spread, spreads, unions,
-                             within)
+                             lowest, saturated, spread, spread_where, spreads,
+                             sub, sup, unions, within)
 
 
 @st.composite
@@ -24,11 +24,13 @@ def _families(draw):
 @settings(max_examples=300, deadline=None)
 @given(_families(), st.booleans())
 def test_spreads_match_one_spread_per_point(case, upward):
+    """spreads yields, in point order, the spread of the members holding
+    (upward) or missing (downward) each point."""
     n, bits = case
-    has, lack = columns(n)
-    cols = has if upward else lack
-    assert spreads(bits, n, upward) == [spread(bits & cols[x], n, upward)
-                                        for x in range(n)]
+    ones = everything(n)
+    parts = [bits & has if upward else bits & (ones ^ has) for has in columns(n)]
+    assert list(spreads(bits, n, upward)) == [spread(part, n, upward)
+                                              for part in parts]
 
 
 @st.composite
@@ -82,3 +84,39 @@ def test_unions_match_union_closure_oracle():
               for _ in range(300)]
     for n, bits in cases:
         assert decode(unions(bits, n)) == union_closure_oracle(decode(bits))
+
+
+def test_lattice_operations_match_their_definitions(upto=8):
+    """On seeded families and operators for every n <= `upto` (CI calls
+    this with 12): `columns` is the literal has table, one column per
+    point; `spreads` is an iterator that yields, in point order, the
+    spread of the members holding (upward) or missing (downward) each
+    point; and `spread`, `spread_where`, `within`, `sub` and `sup` match
+    their per-mask definitions."""
+    rng = random.Random(40)
+    for n in range(1, upto + 1):
+        size = 1 << n
+        has = columns(n)
+        assert has == tuple(encode(m for m in range(size) if m >> x & 1)
+                            for x in range(n))
+        families = (0, everything(n), rng.getrandbits(size),
+                    encode(rng.sample(range(size), min(size, 3))))
+        for bits, upward in ((b, u) for b in families for u in (True, False)):
+            members = decode(bits)
+            assert decode(spread(bits, n, upward)) == spread_oracle(members, n, upward)
+            parts = [[m for m in members if (m >> x & 1) == upward] for x in range(n)]
+            out = spreads(bits, n, upward)
+            assert iter(out) is out
+            assert [decode(col) for col in out] == [
+                spread_oracle(part, n, upward) for part in parts]
+            cols = [rng.getrandbits(size) for _ in range(n)]
+            assert decode(spread_where(bits, cols, n, upward)) == \
+                spread_where_oracle(members, cols, n, upward)
+        cols = [rng.getrandbits(size) for _ in range(n)]
+        values = [sum(1 << z for z in range(n) if cols[z] >> m & 1)
+                  for m in range(size)]
+        assert decode(within(cols, n)) == tuple(
+            m for m in range(size) if m & values[m] == m)
+        s = rng.getrandbits(n)
+        assert decode(sub(s, n)) == tuple(m for m in range(size) if m & s == m)
+        assert decode(sup(s, n)) == tuple(m for m in range(size) if m & s == s)

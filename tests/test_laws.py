@@ -220,7 +220,7 @@ def _closure_operators(draw):
     """(n, columns) of a random extensive monotone operator on n points:
     column z is has[z] plus a few masks, spread upward."""
     n = draw(st.integers(1, 6))
-    has = columns(n)[0]
+    has = columns(n)
     extra = st.lists(st.integers(0, (1 << n) - 1), max_size=3).map(encode)
     return n, [spread(has[z] | draw(extra), n, upward=True) for z in range(n)]
 
@@ -414,7 +414,7 @@ def _corrupt(ctx, lid, entry, rng):
         ctx.grades = ctx.grades._replace(
             nowhere_dense=SetFamily.from_bits(sub(m, n)))
     elif (lid, entry) in _CLOSURES:
-        ctx.in_cl = list(join_rows(random_space(rng, n).min_nbhd, columns(n)[0]))
+        ctx.in_cl = list(join_rows(random_space(rng, n).min_nbhd, columns(n)))
     elif entry in AXIOM_KEYS:
         setattr(ctx, entry, not getattr(ctx, entry))
     elif entry in ("kern_cols", "up", "in_cl", "in_int"):
@@ -422,7 +422,7 @@ def _corrupt(ctx, lid, entry, rng):
     elif entry in ("semi_open", "semi_closed"):
         # the analysis's other parts follow SO on first read: build them
         # first, so that the flip reaches none of them
-        for part in ("semi_closed", "up", "down", "point_kernels"):
+        for part in ("semi_closed", "up", "point_kernels", "fams"):
             getattr(ctx, part)
         setattr(ctx, entry, _flip(getattr(ctx, entry), m))
     elif entry in ("d_lambda", "d_v", "sg_closed"):
@@ -481,7 +481,7 @@ def test_closure_draws_match_oracles_on_every_class(upto):
 def _identity_kernel(space) -> SpaceContext:
     """A context whose semi-kernel is the identity, K(B) = B."""
     ctx = SpaceContext(space)
-    ctx.kern_cols = list(columns(space.n)[0])
+    ctx.kern_cols = list(columns(space.n))
     return ctx
 
 
@@ -489,7 +489,7 @@ def _non_idempotent_kernel() -> SpaceContext:
     """discrete:3 with the extensive, monotone kernel K(a) = {a,b},
     K(b) = {b,c}, K(c) = {c}, K(B) the union over B: K(K(a)) = X."""
     ctx = SpaceContext(named_space("discrete:3"))
-    has = columns(3)[0]
+    has = columns(3)
     ctx.kern_cols = [has[0], has[0] | has[1], has[1] | has[2]]
     return ctx
 

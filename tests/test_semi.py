@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semitop.generalized as generalized_mod
+import semitop.lattice as lattice_mod
 import semitop.semi as semi_mod
 from oracles import (g_lambda_oracle, g_v_oracle, r0_witness_oracle,
                      random_space, semi_closure_oracle, semi_kernel_oracle,
@@ -33,8 +35,8 @@ def test_analysis_builds_each_part_on_first_read(e33):
     up = an.up
     assert set(vars(an)) == {"space", "semi_open", "semi_closed", "up"}
     assert an.up is up
-    parts = (an.semi_open, an.semi_closed, an.point_kernels, an.up, an.down)
-    assert tuple(map(type, parts)) == (SetFamily, SetFamily, tuple, list, list)
+    parts = (an.semi_open, an.semi_closed, an.point_kernels, an.up)
+    assert tuple(map(type, parts)) == (SetFamily, SetFamily, tuple, list)
 
 
 def test_e1_kernel_values(e1, e1_an):
@@ -247,7 +249,7 @@ def test_interior_and_closure_columns_match_operators():
     of Int (Cl), the meet (join) of the identity's columns over the rows
     U_x, iff x is in the interior (closure) of m."""
     for n in range(1, 5):
-        has = columns(n)[0]
+        has = columns(n)
         for space in enumerate_topologies(n):
             rows = space.min_nbhd
             for cols, op in ((meet_rows(rows, has, n), space.interior),
@@ -268,25 +270,35 @@ def test_check_mask_enforced(e33_an):
 
 
 def test_analyze_pipeline_builds_up_and_down_once(monkeypatch):
-    """The analyze pipeline builds the columns of v_s (`up`) and of the
-    semi-closure (`down`) one spread pass each, and the per-query
-    operators then read those columns: no further pass."""
-    spreads, passes = semi_mod.spreads, []
+    """The analyze pipeline keeps one upward spread pass, the columns of
+    v_s (`up`), and reads one downward pass, the masks whose
+    semi-closure misses each point, to its end in
+    `generalized_families` without keeping it.  The per-query
+    operators then make no further pass."""
+    spreads, passes, read = lattice_mod.spreads, [], []
 
     def counted(bits, n, upward):
         passes.append(upward)
-        return spreads(bits, n, upward)
+        for col in spreads(bits, n, upward):
+            read.append(upward)
+            yield col
 
     monkeypatch.setattr(semi_mod, "spreads", counted)
+    monkeypatch.setattr(generalized_mod, "spreads", counted)
     space = named_space("khalimsky:-7:7")
     an = SemiAnalysis(space)
     an.lambda_s_sets()
     an.v_s_sets()
+    assert passes == [True] and read == [True] * space.n
     axiom_profile(space, an, generalized_families(an))
-    assert sorted(passes) == [False, True]
+    assert passes == [True, False] and read == [True] * space.n + [False] * space.n
+    assert set(vars(an)) <= {"space", "semi_open", "semi_closed", "up",
+                             "fix_vs", "point_kernels"}
     assert an.semi_closure(space.full) == space.full
+    assert an.semi_closure(0) == 0
     assert an.v_s(space.full) == space.full
-    assert sorted(passes) == [False, True]
+    assert an.semi_kernel(0) == 0
+    assert passes == [True, False]
 
 
 def test_per_query_operators_on_the_widest_window(count=4):
