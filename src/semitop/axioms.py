@@ -76,10 +76,9 @@ def is_r0(space: FiniteSpace) -> bool:
 
 def semi_t1_witness(an: SemiAnalysis):
     """First point whose singleton is not semi-closed."""
-    for x in range(an.space.n):
-        if 1 << x not in an.semi_closed:
-            return x
-    return None
+    singles = sum(1 << (1 << x) for x in range(an.space.n))   # the masks 1 << x
+    bad = singles ^ (singles & an.semi_closed.bits)
+    return ((bad & -bad).bit_length() - 1).bit_length() - 1 if bad else None
 
 
 def is_semi_t1(an: SemiAnalysis) -> bool:
@@ -90,8 +89,8 @@ def semi_r0_witness(an: SemiAnalysis):
     """First (semi-open, point) with the semi-closure escaping the set."""
     if is_semi_r0(an):
         return None
-    hulls = transpose(an.point_kernels)
-    bad = an.semi_open.bits & ~saturated(hulls, an.space.n)
+    hulls, so = transpose(an.point_kernels), an.semi_open.bits
+    bad = so ^ (so & saturated(hulls, an.space.n))
     return _escape((bad & -bad).bit_length() - 1, hulls)
 
 
@@ -102,7 +101,7 @@ def is_semi_r0(an: SemiAnalysis) -> bool:
 
 def semi_t_half_witness(an: SemiAnalysis, fams: GeneralizedFamilies):
     """First sg-closed subset that is not semi-closed."""
-    bad = fams.sg_closed.bits & ~an.semi_closed.bits
+    bad = fams.sg_closed.bits ^ (fams.sg_closed.bits & an.semi_closed.bits)
     return (bad & -bad).bit_length() - 1 if bad else None
 
 

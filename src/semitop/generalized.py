@@ -40,19 +40,19 @@ class GeneralizedFamilies:
 
 
 def is_sg_closed(an: SemiAnalysis, b: int) -> bool:
-    """Semi-closure of b inside every semi-open superset of b."""
+    """Semi-closure of b inside every semi-open one; two per-query operators."""
     scl = an.semi_closure(b)
     return scl & an.semi_kernel(b) == scl
 
 
 def is_g_lambda_s(an: SemiAnalysis, b: int) -> bool:
-    """Semi-kernel of b inside every semi-closed superset of b."""
+    """Semi-kernel of b inside every semi-closed one; two per-query operators."""
     kern = an.semi_kernel(b)
     return kern & an.semi_closure(b) == kern
 
 
 def is_g_v_s(an: SemiAnalysis, b: int) -> bool:
-    """Complement is g.Lambda_s."""
+    """Complement is g.Lambda_s; two per-query operators."""
     return is_g_lambda_s(an, an.space.complement(b))
 
 

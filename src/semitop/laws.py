@@ -26,7 +26,7 @@ decides the first once per homeomorphism class and the second once per
 a `Witness` worked out on first read, on the space itself.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
-`lattice`).  `kern_cols[z]` and the core's `up[x]` are the columns of
+`lattice`).  `kern_cols[z]` and the context's `up[x]` are the columns of
 the semi-kernel and of v_s, so a pointwise statement about them is a
 column identity, and "the value at B lies in F" is `_preimage`.  The
 laws that share a statement shape are rows of six factories, each row
@@ -180,14 +180,14 @@ class SpaceContext(SemiAnalysis):
     generalized families, the five axiom verdicts (R0 and semi-R0
     decided on the neighbourhoods U_x and K_x, see `axioms`), the g.V_s
     singletons `gvs` (read off SO by `g_v_s_singletons`, with no
-    generalized family) and the tables below.  The semi-kernel has one
-    form, its columns `kern_cols`, and each operator one fixed-set
-    family, `fix_kern` (the Λ_s-sets) and the core's `fix_vs`.  The
-    identity's Int and Cl columns, `in_int` and `in_cl`, are built once
-    and read by the openness grades and the definition laws, as are the
-    regular closed sets `reg_closed` and the steps `nd_steps` along the
-    nowhere dense points; each operator's monotonicity test,
-    `kern_rise` and `up_rise`, once.
+    generalized family) and the tables below.  The semi-kernel and v_s
+    have one form each, their columns `kern_cols` and `up`, and one
+    fixed-set family, `fix_kern` (the Λ_s-sets) and the core's `fix_vs`
+    (read off `up`).  The identity's Int and Cl columns, `in_int` and
+    `in_cl`, are built once and read by the openness grades and the
+    definition laws, as are the regular closed sets `reg_closed` and the
+    steps `nd_steps` along the nowhere dense points; each operator's
+    monotonicity test, `kern_rise` and `up_rise`, once.
     `axiom_profile` and `set_class` serve `analyze`, `khalimsky` and API
     users, not the checkers."""
 
@@ -219,6 +219,14 @@ class SpaceContext(SemiAnalysis):
     def gvs(self) -> int:
         """The mask of the points whose singleton is g.V_s, read off SO."""
         return g_v_s_singletons(self)
+
+    @lazy
+    def up(self) -> list:
+        """v_s's columns, kept for `_preimage`; the core's fold reads them."""
+        return list(super()._vs_columns())
+
+    def _vs_columns(self) -> list:
+        return self.up
 
     @lazy
     def kern_cols(self) -> list:
@@ -293,8 +301,8 @@ def _first(bad: int, message: str):
 
 def _under_proper_sc(ctx) -> int:
     """The masks inside some semi-closed set other than X."""
-    proper = ctx.semi_closed.bits & ~(1 << ctx.space.full)
-    return spread(proper, ctx.space.n, upward=False)
+    n = ctx.space.n   # everything(n) >> 1: every mask but X, the highest
+    return spread(ctx.semi_closed.bits & everything(n) >> 1, n, upward=False)
 
 
 def _preimage(cols, fam: int, cand: int, n: int) -> int:
@@ -330,8 +338,8 @@ def _rise(cols, n: int) -> tuple | None:
     if bad:
         a = _lowest(bad)
         above = sup(a, n)
-        return a, min(_lowest(above & ~col) for col in cols
-                      if col >> a & 1 and above & ~col)
+        return a, min(_lowest(above ^ (above & col)) for col in cols
+                      if col >> a & 1 and above & col != above)
 
 
 # -- checkers built from rows -----------------------------------------
@@ -343,11 +351,11 @@ def _inside(*rows):
     def check(ctx):
         bad = 0
         for p, q, _ in rows:
-            bad |= p(ctx) & ~q(ctx)
+            bad |= p(ctx) ^ (p(ctx) & q(ctx))
         if bad:
             low = bad & -bad
             for p, q, message in rows:
-                if p(ctx) & ~q(ctx) & low:
+                if p(ctx) & low and not q(ctx) & low:
                     return _Fail((_lowest(low),), (), message)
     return check
 
@@ -360,7 +368,7 @@ def _iff(verdict: str, *rows):
     holds = attrgetter(verdict)
 
     def check(ctx):
-        v, oks = holds(ctx), [p(ctx) & ~q(ctx) == 0 for p, q, _ in rows]
+        v, oks = holds(ctx), [p(ctx) & q(ctx) == p(ctx) for p, q, _ in rows]
         if oks.count(v) < len(oks):
             return _Fail((), (), f"{verdict}={v} but " + ", ".join(
                 f"{label}={ok}" for (_, _, label), ok in zip(rows, oks)))
@@ -389,7 +397,7 @@ def _closed(*rows):
         n = ctx.space.n
         for get, what, dual in rows:
             bits = mirror(get(ctx), n) if dual else get(ctx)
-            if out := unions(bits, n) & ~bits:
+            if out := unions(bits, n) ^ bits:
                 return _first(mirror(out, n) if dual else out, f"{what} leaves the family")
     return check
 
@@ -445,9 +453,8 @@ def _chk_3_2f(ctx):
     # z is in K(b^c) iff b^c is in kern_cols[z], i.e. b in its mirror;
     # z is outside v_s(b) iff b is not in up[z]
     n = ctx.space.n
-    bad = reduce(or_, (mirror(c, n) ^ ~up for c, up in zip(ctx.kern_cols, ctx.up)))
-    return _first(bad & everything(n),
-                  "kernel of complement differs from complement of dual")
+    bad = reduce(or_, (mirror(c, n) ^ everything(n) ^ up for c, up in zip(ctx.kern_cols, ctx.up)))
+    return _first(bad, "kernel of complement differs from complement of dual")
 
 
 def _chk_3_2g(ctx):
@@ -497,7 +504,7 @@ def _chk_digital_line(ctx):
 def _chk_semi_r0_union(ctx):
     # the empty set is the empty union; any other o is the union of the
     # semi-closed sets inside it iff it is a union of semi-closed sets
-    unions_ok = ctx.semi_open.bits & ~1 & ~unions(ctx.semi_closed.bits, ctx.space.n) == 0
+    unions_ok = (so := ctx.semi_open.bits) & (unions(ctx.semi_closed.bits, ctx.space.n) | 1) == so
     if ctx.semi_r0 != unions_ok:
         return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
 
@@ -550,7 +557,7 @@ def _chk_4_9(ctx):
     spread upward by those steps, in any order.  The witness is the
     lowest escaping C, then the lowest such a: a <= C, C <= K(a)."""
     n, dl = ctx.space.n, ctx.fams.d_lambda.bits
-    escapes = spread_where(dl, ctx.kern_cols, n, upward=True) & ~dl
+    escapes = spread_where(dl, ctx.kern_cols, n, upward=True) ^ dl
     if escapes:
         c = _lowest(escapes)
         under = dl & sub(c, n) & next(meet_rows((c,), ctx.kern_cols, n))
@@ -575,13 +582,13 @@ def _chk_4_10(ctx):
 
 
 def _chk_4_11(ctx):
-    n, full = ctx.space.n, ctx.space.full
+    n = ctx.space.n
     cols = _dual_union_cols(ctx)
     bad = _preimage(cols, _under_proper_sc(ctx), ctx.fams.d_v.bits, n)
     if bad:
         b = _lowest(bad)
         t = image(cols, b)
-        above = ctx.semi_closed.bits & sup(t, n) & ~(1 << full)
+        above = ctx.semi_closed.bits & sup(t, n) & everything(n) >> 1
         return _Fail((b, _lowest(above)), (), "proper semi-closed set above dual-union of a generalized set")
 
 
@@ -599,10 +606,10 @@ def _chk_4_13(ctx):
     # v_s(b) semi-closed and X the only semi-closed set above
     # v_s(b) | b^c, yet b not g.V_s
     n = ctx.space.n
-    cand = everything(n) & ~ctx.fams.d_v.bits
+    cand = everything(n) ^ ctx.fams.d_v.bits
     # the semi-closed test on v_s(b) is the costlier split, so it runs
     # on the sets the test on v_s(b) | b^c leaves
-    cand &= ~_preimage(_dual_union_cols(ctx), _under_proper_sc(ctx), cand, n)
+    cand ^= _preimage(_dual_union_cols(ctx), _under_proper_sc(ctx), cand, n)
     return _first(_preimage(ctx.up, ctx.semi_closed.bits, cand, n),
                   "hypotheses hold but the set is not dual-generalized")
 
@@ -644,7 +651,7 @@ def register_laws() -> tuple:
             _monotone("kern_rise", "kernel of intersection escapes the kernels"),
             max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
         # v_s(B_1 | B_2 | ...) holds every v_s(B_i) iff v_s is monotone;
-        # its columns are the core's up[x]
+        # its columns are the context's up[x]
         Law("prop-3.2j", "§3: $[\\bigcup B_\\lambda]^{V_s} \\supseteq \\bigcup B_\\lambda^{V_s}$",
             _monotone("up_rise", "dual of union misses a dual"), max_points=FAMILY_CAP, semi_only=True),
         Law("remark-3.3-strictness",

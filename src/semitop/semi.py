@@ -17,25 +17,24 @@ Each family of the space then folds composites of them with
     SC  = SO mirrored (bit m -> bit full^m)
     up[x]   = supersets of the semi-closed sets containing x
 
-`up` is the subset-sum spreads of SC & has[x], all n from one
-`lattice.spreads` pass, kept: it is the columns of v_s.  The fixed-point
-families and the per-query operators read off it and SC:
+`up` is the subset-sum spreads of SC & has[x], the columns of v_s, all
+n from one lazy `lattice.spreads` pass.  No part keeps it: one fold
+reads it once, in point order, for the first two rows below:
 
     V_s             = fixed(up)                 (`fix_vs`)
+    K_x             = X minus v_s(X minus {x})  (`point_kernels`)
     Lambda_s        = V_s mirrored              (prop-3.7d)
-    v_s(B)          = image(up, B)          (B in up[x] needs x in B)
+    v_s(B)          = the z in some member of SC & sub(B)
     semi_kernel(B)  = X minus v_s(X minus B)    (prop-3.2f)
-    K_x             = semi_kernel({x})          (`point_kernels`)
     semi_closure(B) = the z in every member of SC & sup(B)
 
 Complements swap the semi-open supersets of B and the semi-closed
 subsets of X minus B, so these hold for any family taken as SO.  The
 downward spreads of SC are not kept (see `generalized`).
 
-Every part of `SemiAnalysis` is built on its first read.  The per-query
-operators read bit B of each column (`lattice.image`) or AND the
-columns of B (`lattice.sup`): n or |B| operations on 2**n-bit integers
-per query, so they serve API callers, not the family scans.
+The per-query operators AND SC with one `lattice.sub` or `sup` and
+test the result against each has[z]: about 2n operations on 2**n-bit
+integers per query, so they serve API callers, not the family scans.
 
 The openness grades of `set_class` come as families too
 (`openness_grades`), composed on the identity's Int and Cl columns
@@ -50,11 +49,11 @@ The openness grades of `set_class` come as families too
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import NamedTuple
 
-from .lattice import (columns, everything, fixed, image, join_rows, meet_rows,
-                      mirror, spreads, sup, within)
+from .lattice import (columns, everything, fixed, iter_points, join_rows,
+                      meet_rows, mirror, spreads, sub, sup, within)
 from .spaces import FiniteSpace, SetFamily, lazy
 
 
@@ -77,13 +76,24 @@ class SemiAnalysis:
 
     @lazy
     def point_kernels(self) -> tuple:
-        full = self.space.full
-        return tuple(full ^ image(self.up, full ^ 1 << x)
-                     for x in range(self.space.n))
+        return self._read_vs()[1]
 
-    @lazy
-    def up(self) -> list:
-        return list(spreads(self.semi_closed.bits, self.space.n, upward=True))
+    def _vs_columns(self):
+        """The columns `up` of v_s, streamed in point order."""
+        return spreads(self.semi_closed.bits, self.space.n, upward=True)
+
+    def _read_vs(self) -> tuple:
+        """`fix_vs` and `point_kernels`, both kept, from one pass over `up`."""
+        n, full = self.space.n, self.space.full
+        kern = [full] * n
+
+        def tap():   # z leaves K_x iff X minus {x} is in up[z]
+            for z, col in enumerate(self._vs_columns()):
+                for x in range(n):
+                    kern[x] ^= (col >> (full ^ 1 << x) & 1) << z
+                yield col
+        self.fix_vs, self.point_kernels = fixed(tap(), n), tuple(kern)
+        return self.fix_vs, self.point_kernels
 
     # -- per-query operators ------------------------------------------
 
@@ -98,12 +108,13 @@ class SemiAnalysis:
         """Intersection of the semi-open supersets of b, X minus v_s(X
         minus b)."""
         self.space.check_mask(b)
-        return self.space.full ^ image(self.up, self.space.full ^ b)
+        return self.space.full ^ self.v_s(self.space.full ^ b)
 
     def v_s(self, b: int) -> int:
         """Union of the semi-closed subsets of b."""
         self.space.check_mask(b)
-        return image(self.up, b)
+        below = self.semi_closed.bits & sub(b, self.space.n)
+        return sum(1 << z for z, has in enumerate(columns(self.space.n)) if below & has)
 
     def is_lambda_s_set(self, b: int) -> bool:
         return self.semi_kernel(b) == b
@@ -119,8 +130,8 @@ class SemiAnalysis:
 
     @lazy
     def fix_vs(self) -> int:
-        """The V_s-sets, the masks v_s fixes, read off its columns."""
-        return fixed(self.up, self.space.n)
+        """The V_s-sets, the masks v_s fixes (`_read_vs`)."""
+        return self._read_vs()[0]
 
     def v_s_sets(self) -> SetFamily:
         """All subsets equal to the union of their semi-closed subsets."""
@@ -128,11 +139,16 @@ class SemiAnalysis:
 
 
 def semi_open_bits(space: FiniteSpace) -> int:
-    """SO as one family: the only part of `SemiAnalysis` that reads the
-    topology; everything else there follows from SO and n."""
-    n, rows = space.n, space.min_nbhd
-    in_int = list(meet_rows(rows, columns(n), n))
-    return within(join_rows(rows, in_int), n)
+    """SO as one family, the only part of `SemiAnalysis` that reads the
+    topology: Cl Int's columns join the meets of least rows (see README)."""
+    n, rows, has = space.n, space.min_nbhd, columns(space.n)
+    meets, lows = [0] * n, 0   # each least row's meet, at its lowest point
+    for y, u in enumerate(rows):   # U_y is least iff U_w = U_y for every w in it
+        if u == 1 << y:
+            meets[y], lows = has[y], lows | u
+        elif u & -u == 1 << y and all(rows[w] == u for w in iter_points(u)):
+            meets[y], lows = reduce(and_, (has[z] for z in iter_points(u))), lows | 1 << y
+    return within(join_rows([u & lows for u in rows], meets), n)
 
 
 def semi_open_family(space: FiniteSpace) -> SetFamily:
@@ -194,7 +210,7 @@ def grades_from_columns(space: FiniteSpace, in_int, in_cl: list) -> OpennessGrad
     ones = everything(n)
     in_ic = list(meet_rows(rows, in_cl, n))
     # the columns of R(A) = A minus Int A, then of Int Cl R
-    rest = [h & ~i for h, i in zip(columns(n), in_int)]
+    rest = [h ^ (h & i) for h, i in zip(columns(n), in_int)]
     in_icr = meet_rows(rows, list(join_rows(rows, rest)), n)
     return OpennessGrades(
         preopen=SetFamily.from_bits(within(in_ic, n)),

@@ -341,7 +341,7 @@ def random_lattice_space(rng, n: int, name=None) -> FiniteSpace:
 # The per-mask forms of the bit-sliced checkers in `semitop.laws`.  Each
 # reads the same `SpaceContext` entries as its checker, or a per-mask
 # table of operator values built from them by a plain loop (the kernel
-# table from `kern_cols`, the `v_s` table from `an.up`, the Cl and Int
+# table from `kern_cols`, the `v_s` table from `ctx.up`, the Cl and Int
 # tables from `in_cl` and `in_int`), so a corrupted
 # entry reaches both, and scans masks, SC, SO or a generalized family in
 # ascending order to the first offender.  The verdict laws read the
@@ -374,7 +374,7 @@ def _kern_table(ctx) -> list:
 
 
 def _vs_table(ctx) -> list:
-    """vs[m] is v_s(m): the points x with m in the core's up[x]."""
+    """vs[m] is v_s(m): the points x with m in the context's up[x]."""
     return _table(ctx.up, ctx.space.n)
 
 

@@ -27,14 +27,13 @@ def test_e33_families_golden(e33_an):
 
 
 def test_families_on_the_widest_window_keep_no_downward_columns():
-    """On the 20-point window, with v_s's columns and the point kernels
-    built and the has table warm, `generalized_families` reads the 20
-    downward spreads as they are yielded: its tracemalloc peak stays
-    under 9 columns of 2**20 bits (1.125 MiB), where the 20 kept
-    downward columns alone take 20.  The has table holds one column per
-    point."""
+    """On the 20-point window, with the point kernels built and the has
+    table warm, `generalized_families` reads the 20 downward spreads as
+    they are yielded: its tracemalloc peak stays under 9 columns of
+    2**20 bits (1.125 MiB), where the 20 kept downward columns alone
+    take 20.  The has table holds one column per point."""
     an = SemiAnalysis(named_space("khalimsky:-9:10"))
-    an.up, an.point_kernels
+    an.point_kernels
     assert len(columns(20)) == 20
     tracemalloc.start()
     try:
@@ -147,8 +146,10 @@ def test_g_v_s_singletons_reads_only_the_semi_open_family(sierpinski, monkeypatc
     def refused(*args):
         raise AssertionError("read beyond SO")
 
-    monkeypatch.setattr(semi_mod, "image", refused)
+    monkeypatch.setattr(semi_mod.SemiAnalysis, "_read_vs", refused)
     monkeypatch.setattr(semi_mod, "spreads", refused)
+    monkeypatch.setattr(semi_mod, "sub", refused)
+    monkeypatch.setattr(semi_mod, "sup", refused)
     disc = named_space("discrete:3")
     assert g_v_s_singletons(SemiAnalysis(disc)) == disc.full
     assert g_v_s_singletons(SemiAnalysis(sierpinski)) == sierpinski.mask_of("b")

@@ -926,6 +926,26 @@ def _calls(funcs, run):
     return result, counts
 
 
+def test_context_makes_one_upward_pass(monkeypatch):
+    """A context keeps v_s's columns as its part `up`, and the core's
+    fold for `fix_vs` and the point kernels reads that list: whichever
+    of the three is read first, the context makes one upward spreads
+    pass, and the fold's values are the analysis's own."""
+    spreads, passes = semi_mod.spreads, []
+    monkeypatch.setattr(semi_mod, "spreads",
+                        lambda bits, n, upward: passes.append(upward) or spreads(bits, n, upward))
+    space = named_space("khalimsky:-7:7")
+    an = semi_mod.SemiAnalysis(space)
+    an.fix_vs
+    for first in ("up", "fix_vs", "point_kernels"):
+        passes.clear()
+        ctx = SpaceContext(space)
+        getattr(ctx, first)
+        assert (ctx.up, ctx.fix_vs, ctx.point_kernels) == (
+            list(spreads(an.semi_closed.bits, space.n, True)), an.fix_vs, an.point_kernels)
+        assert passes == [True], first
+
+
 def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     """Over the 4-point spaces the suite builds SO, and the point
     kernels, only on the first space of each of the 33 homeomorphism
@@ -944,9 +964,9 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
     assert len(firsts) == 33
     families = {semi_open_bits(space) for space in firsts.values()}
     assert len(families) == 18
-    kernels, build = [], semi_mod.SemiAnalysis.point_kernels.build
-    monkeypatch.setattr(semi_mod.SemiAnalysis.point_kernels, "build",
-                        lambda an: kernels.append(an) or build(an))
+    kernels, read_vs = [], semi_mod.SemiAnalysis._read_vs
+    monkeypatch.setattr(semi_mod.SemiAnalysis, "_read_vs",
+                        lambda an: kernels.append(an) or read_vs(an))
     refusals = []
     refusal = laws_mod._refusal
     monkeypatch.setattr(laws_mod, "_refusal",

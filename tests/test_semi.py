@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,14 @@ from oracles import (g_lambda_oracle, g_v_oracle, r0_witness_oracle,
                      sg_closed_oracle, t1_witness_oracle, v_s_oracle)
 from semitop.axioms import (axiom_profile, r0_witness, semi_r0_witness,
                             semi_t1_witness, semi_t_half_witness, t1_witness)
-from semitop.catalog import enumerate_topologies, khalimsky_window, named_space
+from semitop.catalog import (_classes, _letters, enumerate_topologies,
+                             khalimsky_window, named_space)
 from semitop.generalized import (generalized_families, is_g_lambda_s, is_g_v_s,
                                  is_sg_closed)
-from semitop.lattice import columns, join_rows, meet_rows
-from semitop.semi import SemiAnalysis, semi_open_family, set_class
-from semitop.spaces import SetFamily, space_from_masks
+from semitop.lattice import columns, encode, everything, join_rows, meet_rows
+from semitop.semi import (SemiAnalysis, semi_open_bits, semi_open_family,
+                          set_class)
+from semitop.spaces import SetFamily, space_from_masks, space_from_table
 
 
 def test_e1_semi_open_family(e1_an):
@@ -28,15 +31,21 @@ def test_e1_semi_open_family(e1_an):
 
 
 def test_analysis_builds_each_part_on_first_read(e33):
-    """A new analysis holds only its space; reading `up` builds SO and
-    SC on the way and no other part, and each part is kept."""
-    an = SemiAnalysis(e33)
-    assert vars(an) == {"space": e33}
-    up = an.up
-    assert set(vars(an)) == {"space", "semi_open", "semi_closed", "up"}
-    assert an.up is up
-    parts = (an.semi_open, an.semi_closed, an.point_kernels, an.up)
-    assert tuple(map(type, parts)) == (SetFamily, SetFamily, tuple, list)
+    """A new analysis holds only its space; reading SC builds SO on the
+    way and no other part; reading either of `fix_vs` and
+    `point_kernels` builds both, from one pass over v_s's columns, and
+    keeps no column.  Each part is kept."""
+    for first in ("fix_vs", "point_kernels"):
+        an = SemiAnalysis(e33)
+        assert vars(an) == {"space": e33}
+        an.semi_closed
+        assert set(vars(an)) == {"space", "semi_open", "semi_closed"}
+        part = getattr(an, first)
+        assert set(vars(an)) == {"space", "semi_open", "semi_closed", "fix_vs",
+                                 "point_kernels"}
+        assert getattr(an, first) is part
+        parts = (an.semi_open, an.semi_closed, an.point_kernels, an.fix_vs)
+        assert tuple(map(type, parts)) == (SetFamily, SetFamily, tuple, int)
 
 
 def test_e1_kernel_values(e1, e1_an):
@@ -270,11 +279,12 @@ def test_check_mask_enforced(e33_an):
 
 
 def test_analyze_pipeline_builds_up_and_down_once(monkeypatch):
-    """The analyze pipeline keeps one upward spread pass, the columns of
-    v_s (`up`), and reads one downward pass, the masks whose
-    semi-closure misses each point, to its end in
-    `generalized_families` without keeping it.  The per-query
-    operators then make no further pass."""
+    """The analyze pipeline reads one upward spread pass, the columns of
+    v_s, to its end in the fold for `fix_vs` and the point kernels, and
+    one downward pass, the masks whose semi-closure misses each point,
+    to its end in `generalized_families`, keeping neither: no part of
+    the analysis is then a list of columns.  The per-query operators
+    make no further pass."""
     spreads, passes, read = lattice_mod.spreads, [], []
 
     def counted(bits, n, upward):
@@ -292,8 +302,9 @@ def test_analyze_pipeline_builds_up_and_down_once(monkeypatch):
     assert passes == [True] and read == [True] * space.n
     axiom_profile(space, an, generalized_families(an))
     assert passes == [True, False] and read == [True] * space.n + [False] * space.n
-    assert set(vars(an)) <= {"space", "semi_open", "semi_closed", "up",
+    assert set(vars(an)) <= {"space", "semi_open", "semi_closed",
                              "fix_vs", "point_kernels"}
+    assert not any(isinstance(part, list) for part in vars(an).values())
     assert an.semi_closure(space.full) == space.full
     assert an.semi_closure(0) == 0
     assert an.v_s(space.full) == space.full
@@ -301,10 +312,85 @@ def test_analyze_pipeline_builds_up_and_down_once(monkeypatch):
     assert passes == [True, False]
 
 
+def test_analyze_pipeline_on_the_widest_window_keeps_no_column_table():
+    """On the 20-point window, with the has table, the family of all
+    masks and the opens warm, the tracemalloc peak of the analyze
+    pipeline stays under 16 columns of 2**20 bits (2 MiB), where the 20
+    columns of v_s alone take 20: v_s's columns are streamed, and SO's
+    Cl Int columns are built one at a time."""
+    space = named_space("khalimsky:-9:10")
+    columns(20), everything(20), space.opens
+    tracemalloc.start()
+    try:
+        an = SemiAnalysis(space)
+        an.lambda_s_sets(), an.v_s_sets()
+        axiom_profile(space, an, generalized_families(an))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 17, peak / (1 << 17)
+
+
+def _cl_int_family(space) -> int:
+    """The masks A inside Cl(Int(A)), one mask at a time."""
+    return encode(a for a in range(1 << space.n)
+                  if space.closure(space.interior(a)) & a == a)
+
+
+@pytest.mark.parametrize("upto", [6])
+def test_semi_open_bits_match_cl_int_on_every_class(upto):
+    """`semi_open_bits` reads Cl Int off the least neighbourhoods (the
+    U_y with U_w = U_y for every w in U_y); on every class with n <=
+    `upto`, T0 or not, it is the family of the A inside Cl(Int(A)).  CI
+    calls this with 7 (5438 classes)."""
+    for n in range(1, upto + 1):
+        for table in _classes(n):
+            space = space_from_table(_letters(n), table)
+            assert semi_open_bits(space) == _cl_int_family(space), table
+
+
+@st.composite
+def _preorders(draw):
+    """A space on 1-10 points whose point x sees x and up to two drawn
+    points, closed transitively: a cycle makes it not T0."""
+    n = draw(st.integers(1, 10))
+    rows = [1 << x | encode(draw(st.lists(st.integers(0, n - 1), max_size=2)))
+            for x in range(n)]
+    for _ in range(n.bit_length()):   # each round doubles the paths' length
+        rows = list(join_rows(rows, rows))
+    return space_from_table(_letters(n), rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_preorders())
+def test_semi_open_bits_match_cl_int_on_random_preorders(space):
+    """As on every class, on preorders up to 10 points."""
+    assert semi_open_bits(space) == _cl_int_family(space), space.min_nbhd
+
+
+def test_semi_open_bits_keep_only_the_least_rows():
+    """On a 16-point chain with U_x = {y : y >= x}, every row's lowest
+    point is its own x but only U_15 = {15} is least.  `semi_open_bits`
+    keeps no meet of the 15 other rows: with the has table warm its
+    tracemalloc peak stays under 6 columns of 2**16 bits, where one
+    kept meet per row takes 15."""
+    n = 16
+    space = space_from_table(_letters(n), [(1 << n) - 1 >> x << x for x in range(n)])
+    columns(n), everything(n)
+    tracemalloc.start()
+    try:
+        bits = semi_open_bits(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits == _cl_int_family(space)
+    assert peak < 6 << 13, peak / (1 << 13)
+
+
 def test_per_query_operators_on_the_widest_window(count=4):
-    """On the 20-point window the per-query operators read bit B of
-    2**20-bit columns: v_s, semi_closure and semi_kernel equal their
-    literal oracles on seeded masks.  Each oracle scans SO or SC, so
+    """On the 20-point window the per-query operators AND the 2**20-bit
+    SC with `sub` or `sup`: v_s, semi_closure and semi_kernel equal
+    their literal oracles on seeded masks.  Each oracle scans SO or SC, so
     Tier-1 takes a few masks; CI runs more."""
     space = named_space("khalimsky:-9:10")
     an = SemiAnalysis(space)
