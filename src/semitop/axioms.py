@@ -21,7 +21,7 @@ semi-R0 a scan of SO.
 from dataclasses import dataclass, field
 
 from .generalized import GeneralizedFamilies, generalized_families
-from .lattice import saturated, transpose
+from .lattice import first, saturated, transpose
 from .semi import SemiAnalysis
 from .spaces import FiniteSpace, iter_points
 
@@ -78,7 +78,7 @@ def semi_t1_witness(an: SemiAnalysis):
     """First point whose singleton is not semi-closed."""
     singles = sum(1 << (1 << x) for x in range(an.space.n))   # the masks 1 << x
     bad = singles ^ (singles & an.semi_closed.bits)
-    return ((bad & -bad).bit_length() - 1).bit_length() - 1 if bad else None
+    return first(bad).bit_length() - 1 if bad else None
 
 
 def is_semi_t1(an: SemiAnalysis) -> bool:
@@ -91,7 +91,7 @@ def semi_r0_witness(an: SemiAnalysis):
         return None
     hulls, so = transpose(an.point_kernels), an.semi_open.bits
     bad = so ^ (so & saturated(hulls, an.space.n))
-    return _escape((bad & -bad).bit_length() - 1, hulls)
+    return _escape(first(bad), hulls)
 
 
 def is_semi_r0(an: SemiAnalysis) -> bool:
@@ -102,7 +102,7 @@ def is_semi_r0(an: SemiAnalysis) -> bool:
 def semi_t_half_witness(an: SemiAnalysis, fams: GeneralizedFamilies):
     """First sg-closed subset that is not semi-closed."""
     bad = fams.sg_closed.bits ^ (fams.sg_closed.bits & an.semi_closed.bits)
-    return (bad & -bad).bit_length() - 1 if bad else None
+    return first(bad) if bad else None
 
 
 def is_semi_t_half(an: SemiAnalysis, fams: GeneralizedFamilies) -> bool:

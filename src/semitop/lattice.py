@@ -15,6 +15,7 @@ operations per point instead of a loop over all 2**n masks:
     spread_where
              a spread whose step between m and m | {x} needs m in cols[x]
     unions   the unions of the non-empty subfamilies of a family
+    first    the numerically lowest member of a family
     lowest   per point x, the numerically lowest member holding x: in a
              topology, the smallest open neighbourhood U_x
     mirror   bit m -> bit full^m: the family of complements
@@ -138,17 +139,18 @@ def saturated(hulls, n: int) -> int:
     return within(meet_rows(hulls, columns(n), n), n)
 
 
+def first(bits: int) -> int:
+    """The numerically lowest member of a family, -1 if it is empty, read
+    off bits ^ (bits - 1), its bit and those below: no big int negated."""
+    return (bits ^ (bits - 1)).bit_length() - 1 if bits else -1
+
+
 def lowest(bits: int, n: int) -> list:
     """Per point x, the numerically lowest member that contains x (-1
     if none does).  In a topology it is the meet U_x, which lies inside
     every member holding x; in a family not closed under intersection,
     such as the semi-open sets, it need not be."""
-    has = columns(n)
-    out = []
-    for x in range(n):
-        w = bits & has[x]
-        out.append((w & -w).bit_length() - 1)
-    return out
+    return [first(bits & has) for has in columns(n)]
 
 
 def _steps(bits: int, points, has, upward: bool) -> int:

@@ -29,18 +29,21 @@ A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the context's `up[x]` are the columns of
 the semi-kernel and of v_s, so a pointwise statement about them is a
 column identity, and "the value at B lies in F" is `_preimage`.  The
-laws that share a statement shape are rows of six factories, each row
-naming a family by its `SpaceContext` attribute path ("fams.d_v.bits")
-read by a getter built once.  `_inside` (every P-set is a Q-set) fails
-at the lowest offender of any row, with the message of the first row it
-breaks; `_iff` (an axiom holds iff each inclusion does) and `_implies`
-(one axiom gives another) with no witness; `_monotone` (a statement
-about every family B_λ: the columns are upward-closed) at the lowest
-rise of the operator, a context part; `_closed` (a family holds
-`lattice.unions`, or intersections, of itself) at the lowest escaping
-set of the first row that does not; `_spread` (a family is another
-spread by the steps a column allows, `lattice.spread_where`) at the
-lowest mask where they differ.  Three laws read "a <= C <= F(a)" with
+laws that share a statement shape are rows of eight factories, each row
+naming a family or an operator's columns by its `SpaceContext` attribute
+path ("fams.d_v.bits") read by a getter built once.  `_inside` (every
+P-set is a Q-set) fails at the lowest offender of any row, with the
+message of the first row it breaks; `_under` (f(B) inside g(B), None
+the identity) at the lowest B where a column of f escapes g's;
+`_singletons` (each {x}, or with `dual` X∖{x}, in a row's family) at
+the lowest point in none; `_iff` (an axiom holds iff each inclusion
+does) and `_implies` (one axiom gives another) with no witness;
+`_monotone` (a statement about every family B_λ: the columns are
+upward-closed) at the lowest rise of the operator, a context part;
+`_closed` (a family holds `lattice.unions`, or intersections, of
+itself) at the lowest escaping set of the first row that does not;
+`_spread` (a family is another spread by the steps a column allows,
+`lattice.spread_where`) at the lowest mask where they differ.  Three laws read "a <= C <= F(a)" with
 a, or C, in a family and F a closure operator, so F(a) = F(C): each
 spreads the family by the steps that keep F, prop-4.9-sandwich g.Λ_s
 upward with F the kernel, defn-semi-open-levine the opens upward and
@@ -76,9 +79,9 @@ from typing import Callable, Iterable, NamedTuple
 from .axioms import is_r0, is_semi_r0, is_semi_t1, is_semi_t_half, is_t1
 from .catalog import catalog_id
 from .generalized import derived_set, g_v_s_singletons, generalized_families
-from .lattice import (columns, everything, fixed, image, join_rows,
+from .lattice import (columns, everything, first, fixed, image, join_rows,
                       meet_rows, mirror, spread, spread_where, spreads, sub,
-                      sup, unions, within)
+                      sup, unions)
 from .semi import OpennessGrades, SemiAnalysis, grades_from_columns
 from .spaces import MAX_POINTS, FiniteSpace, lazy
 
@@ -246,6 +249,11 @@ class SpaceContext(SemiAnalysis):
         return [ones ^ under for under in spreads(self.semi_open.bits, n, upward=False)]
 
     @lazy
+    def sc_unions(self) -> int:
+        """The unions of semi-closed sets, the empty union included."""
+        return unions(self.semi_closed.bits, self.space.n) | 1
+
+    @lazy
     def fix_kern(self) -> int:
         """The masks the semi-kernel fixes, read off `kern_cols`."""
         return fixed(self.kern_cols, self.space.n)
@@ -288,15 +296,10 @@ class SpaceContext(SemiAnalysis):
         return [everything(n) if nd >> (1 << x) & 1 else 0 for x in range(n)]
 
 
-def _lowest(bits: int) -> int:
-    """The first member of a non-empty family in canonical order."""
-    return (bits & -bits).bit_length() - 1
-
-
 def _first(bad: int, message: str):
     """Fail at the lowest member of a family of offenders, if any."""
     if bad:
-        return _Fail((_lowest(bad),), (), message)
+        return _Fail((first(bad),), (), message)
 
 
 def _under_proper_sc(ctx) -> int:
@@ -336,9 +339,9 @@ def _rise(cols, n: int) -> tuple | None:
     for col in cols:
         bad |= col & spread(ones ^ col, n, upward=False)
     if bad:
-        a = _lowest(bad)
+        a = first(bad)
         above = sup(a, n)
-        return a, min(_lowest(above ^ (above & col)) for col in cols
+        return a, min(first(above ^ (above & col)) for col in cols
                       if col >> a & 1 and above & col != above)
 
 
@@ -353,10 +356,36 @@ def _inside(*rows):
         for p, q, _ in rows:
             bad |= p(ctx) ^ (p(ctx) & q(ctx))
         if bad:
-            low = bad & -bad
+            low = first(bad)
             for p, q, message in rows:
-                if p(ctx) & low and not q(ctx) & low:
-                    return _Fail((_lowest(low),), (), message)
+                if p(ctx) >> low & 1 and not q(ctx) >> low & 1:
+                    return _Fail((low,), (), message)
+    return check
+
+
+def _under(f: str | None, g: str | None, message: str):
+    """f(B) lies inside g(B) for every mask B: each column of f inside
+    the same column of g; an operator of None is the identity."""
+    f, g = (attrgetter(op) if op else lambda ctx: columns(ctx.space.n) for op in (f, g))
+    return lambda ctx: _first(reduce(or_, (a ^ (a & b) for a, b in zip(f(ctx), g(ctx))), 0), message)
+
+
+def _singletons(message: str, *rows):
+    """Each {x} (`dual`: X∖{x}) lies in the family of some row (fam,
+    dual); a family is read once, and only while a point is in none."""
+    rows = [(attrgetter(fam), dual) for fam, dual in rows]
+
+    def check(ctx):
+        full = bad = ctx.space.full
+        for get, dual in rows:
+            if bad:
+                bits, flip = get(ctx), full if dual else 0
+                for x in range(ctx.space.n):
+                    if bad >> x & 1 and bits >> (flip ^ 1 << x) & 1:
+                        bad ^= 1 << x
+        if bad:
+            x = first(bad)
+            return _Fail((1 << x,), (x,), message)
     return check
 
 
@@ -412,12 +441,6 @@ def _spread(start: str, steps: str, upward: bool, target: str, message: str):
 
 # -- checkers: the semi-kernel and its dual ---------------------------
 
-def _chk_3_2a(ctx):
-    n = ctx.space.n
-    return _first(everything(n) ^ within(ctx.kern_cols, n),
-                  "subset escapes its semi-kernel")
-
-
 def _chk_3_2c(ctx):
     # K is extensive and monotone, so K(b) lies in every fixed set above
     # b: K is idempotent iff K(b) is itself fixed, the least fixed set
@@ -443,7 +466,7 @@ def _chk_3_2d(ctx):
         out = ones ^ col
         u = sum(1 << x for x in range(n) if out & has[x])
         if out and col >> u & 1:
-            found.append((_lowest(sub(u, n) & col), z))
+            found.append((first(sub(u, n) & col), z))
     if found:
         c, z = min(found)
         return _Fail((c,), (z,), "kernel of a union holds a point outside the members' kernels")
@@ -455,12 +478,6 @@ def _chk_3_2f(ctx):
     n = ctx.space.n
     bad = reduce(or_, (mirror(c, n) ^ everything(n) ^ up for c, up in zip(ctx.kern_cols, ctx.up)))
     return _first(bad, "kernel of complement differs from complement of dual")
-
-
-def _chk_3_2g(ctx):
-    return _first(reduce(or_, (up ^ (up & has) for up, has
-                               in zip(ctx.up, columns(ctx.space.n)))),
-                  "dual operator escapes its argument")
 
 
 def _chk_3_3(ctx):
@@ -501,24 +518,6 @@ def _chk_digital_line(ctx):
                 return _Fail((bit,), (x,), "interior odd singleton is not regular open")
 
 
-def _chk_semi_r0_union(ctx):
-    # the empty set is the empty union; any other o is the union of the
-    # semi-closed sets inside it iff it is a union of semi-closed sets
-    unions_ok = (so := ctx.semi_open.bits) & (unions(ctx.semi_closed.bits, ctx.space.n) | 1) == so
-    if ctx.semi_r0 != unions_ok:
-        return _Fail((), (), f"semi_r0={ctx.semi_r0} but semi-open-as-union-of-semi-closed={unions_ok}")
-
-
-# -- checkers: openness grades ----------------------------------------
-
-def _chk_singleton_dichotomy(ctx):
-    g = ctx.grades
-    for x in range(ctx.space.n):
-        bit = 1 << x
-        if bit not in g.preopen and bit not in g.nowhere_dense:
-            return _Fail((bit,), (x,), "singleton neither preopen nor nowhere dense")
-
-
 # -- checkers: generalized classes ------------------------------------
 
 def _chk_4_6(ctx):
@@ -532,19 +531,12 @@ def _chk_4_6(ctx):
         return _Fail((a,), (), "documented non-kernel-fixed set is kernel-fixed")
 
 
-def _chk_4_8(ctx):
-    for x in range(ctx.space.n):
-        bit = 1 << x
-        if bit not in ctx.semi_open and ctx.space.full ^ bit not in ctx.fams.d_lambda:
-            return _Fail((bit,), (x,), "singleton neither semi-open nor complement-generalized")
-
-
 def _chk_cantor_bendixson(ctx):
     der = derived_set(ctx.space)
     gvs = ctx.gvs
     diff = der ^ gvs
     if diff:
-        x = _lowest(diff)
+        x = first(diff)
         return _Fail((der, gvs), (x,), "singleton is dual-generalized but the point is isolated"
                      if gvs >> x & 1 else
                      "point is in the derived set but its singleton is not dual-generalized")
@@ -559,9 +551,9 @@ def _chk_4_9(ctx):
     n, dl = ctx.space.n, ctx.fams.d_lambda.bits
     escapes = spread_where(dl, ctx.kern_cols, n, upward=True) ^ dl
     if escapes:
-        c = _lowest(escapes)
+        c = first(escapes)
         under = dl & sub(c, n) & next(meet_rows((c,), ctx.kern_cols, n))
-        return _Fail((_lowest(under), c), (), "set between a generalized set and its kernel escapes the family")
+        return _Fail((first(under), c), (), "set between a generalized set and its kernel escapes the family")
 
 
 def _chk_4_10(ctx):
@@ -576,7 +568,7 @@ def _chk_4_10(ctx):
         spreads(ctx.semi_open.bits, n, upward=True), ctx.up)), 0)
     diff = complement_fails ^ semi_open_fails
     if diff:
-        b = _lowest(diff)
+        b = first(diff)
         by_complement = not complement_fails >> b & 1
         return _Fail((b,), (), f"complement route {by_complement} vs semi-open route {not by_complement}")
 
@@ -586,10 +578,10 @@ def _chk_4_11(ctx):
     cols = _dual_union_cols(ctx)
     bad = _preimage(cols, _under_proper_sc(ctx), ctx.fams.d_v.bits, n)
     if bad:
-        b = _lowest(bad)
+        b = first(bad)
         t = image(cols, b)
         above = ctx.semi_closed.bits & sup(t, n) & everything(n) >> 1
-        return _Fail((b, _lowest(above)), (), "proper semi-closed set above dual-union of a generalized set")
+        return _Fail((b, first(above)), (), "proper semi-closed set above dual-union of a generalized set")
 
 
 def _chk_4_12(ctx):
@@ -597,7 +589,7 @@ def _chk_4_12(ctx):
     closed = _preimage(_dual_union_cols(ctx), ctx.semi_closed.bits, d_v, ctx.space.n)
     bad = d_v & (closed ^ ctx.fix_vs)
     if bad:
-        b = _lowest(bad)
+        b = first(bad)
         closed_side, fixed_side = bool(closed >> b & 1), bool(ctx.fix_vs >> b & 1)
         return _Fail((b,), (), f"semi-closed test {closed_side} vs dual-fixed test {fixed_side}")
 
@@ -629,7 +621,7 @@ def register_laws() -> tuple:
     sc_in_gv = _inside(("semi_closed.bits", "fams.d_v.bits", "semi-closed set outside the dual generalized family"))
     laws = [
         Law("prop-3.2a", "§3: $B \\subseteq B^{\\Lambda_s}$",
-            _chk_3_2a, note=_ANY_FAMILY, semi_only=True),
+            _under(None, "kern_cols", "subset escapes its semi-kernel"), note=_ANY_FAMILY, semi_only=True),
         Law("prop-3.2b", "§3: If $A \\subseteq B$, then $A^{\\Lambda_s} \\subseteq B^{\\Lambda_s}$",
             _monotone("kern_rise", "semi-kernel not monotone"),
             max_points=FAMILY_CAP, note=_ANY_FAMILY, semi_only=True),
@@ -642,7 +634,7 @@ def register_laws() -> tuple:
         Law("prop-3.2f", "§3: $(B^c)^{\\Lambda_s}=(B^{V_s})^c$",
             _chk_3_2f, max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2g", "§3: $B^{V_s} \\subseteq B$",
-            _chk_3_2g, max_points=FAMILY_CAP, semi_only=True),
+            _under("up", None, "dual operator escapes its argument"), max_points=FAMILY_CAP, semi_only=True),
         Law("prop-3.2h", "§3: If $B \\in SC(X,\\tau)$, then $B=B^{V_s}$",
             _inside(("semi_closed.bits", "fix_vs", "semi-closed set moved by the dual operator")),
             max_points=FAMILY_CAP, semi_only=True),
@@ -695,10 +687,12 @@ def register_laws() -> tuple:
             note="simply-open also goes by the name locally semi-closed; only the simply-open form is implemented"),
         Law("sec-2-semi-r0-union",
             "§2: semi-$R_0$ iff every semi-open set is a union of semi-closed sets",
-            _chk_semi_r0_union, max_points=FAMILY_CAP, semi_only=True),
+            _iff("semi_r0", ("semi_open.bits", "sc_unions", "semi-open-as-union-of-semi-closed")),
+            max_points=FAMILY_CAP, semi_only=True),
         Law("sec-3-singleton-dichotomy",
             "§3: every singleton is either locally dense (= preopen) or nowhere dense",
-            _chk_singleton_dichotomy),
+            _singletons("singleton neither preopen nor nowhere dense",
+                        ("grades.preopen.bits", False), ("grades.nowhere_dense.bits", False))),
         # O <= A <= Cl(O) gives Cl(A) = Cl(O), Cl being a closure
         # operator, and adding to m a point x in Cl(m) keeps Cl(m): the
         # opens spread upward by those steps, in any order
@@ -743,7 +737,9 @@ def register_laws() -> tuple:
             lambda ctx: so_in_gl(ctx) or sc_in_gv(ctx), semi_only=True),
         Law("prop-4.8-dichotomy",
             "§4: $\\{x\\}$ is a semi-open set or $\\{x\\}^c$ is a $g.\\Lambda_s$-set",
-            _chk_4_8, note="equivalently the singleton itself is a $g.V_s$-set; the half of cor-4-cantor-bendixson that holds: a point of D(X) has a singleton that is not open, hence not semi-open, so its singleton is g.V_s",
+            _singletons("singleton neither semi-open nor complement-generalized",
+                        ("semi_open.bits", False), ("fams.d_lambda.bits", True)),
+            note="equivalently the singleton itself is a $g.V_s$-set; the half of cor-4-cantor-bendixson that holds: a point of D(X) has a singleton that is not open, hence not semi-open, so its singleton is g.V_s",
             semi_only=True),
         Law("cor-4-cantor-bendixson",
             "§4: the Cantor-Bendixson derivative $D(X)$ is the set of all points whose singleton is a $g.V_s$-set",

@@ -748,10 +748,11 @@ def prop_4_5cd_law_oracle(ctx):
 
 # -- literal row forms ------------------------------------------------
 #
-# The forms of the factories `_inside`, `_iff` and `_implies` in
-# `semitop.laws`, for rows the registry does not hold.  Each reads a
-# row's families by their `SpaceContext` attribute paths and quantifies
-# mask by mask in ascending order.
+# The forms of the factories `_inside`, `_under`, `_singletons`, `_iff`
+# and `_implies` in `semitop.laws`, for rows the registry does not hold.
+# Each reads a row's families or operator columns by their
+# `SpaceContext` attribute paths and quantifies mask by mask, or point
+# by point, in ascending order.
 
 def _read(ctx, path: str):
     return reduce(getattr, path.split("."), ctx)
@@ -764,6 +765,30 @@ def inside_rows_oracle(*rows):
             for p, q, message in fams:
                 if p >> m & 1 and not q >> m & 1:
                     return _Fail((m,), (), message)
+    return scan
+
+
+def under_oracle(f, g, message: str):
+    """An operator of None is the identity."""
+    def scan(ctx):
+        n = ctx.space.n
+        fs, gs = (list(_masks(ctx)) if op is None else _table(_read(ctx, op), n)
+                  for op in (f, g))
+        for m in _masks(ctx):
+            if fs[m] & ~gs[m]:
+                return _Fail((m,), (), message)
+    return scan
+
+
+def singletons_oracle(message: str, *rows):
+    """A row (fam, dual) with `dual` holds X∖{x}, not {x}."""
+    def scan(ctx):
+        full = ctx.space.full
+        for x in range(ctx.space.n):
+            single = 1 << x
+            if not any((full ^ single if dual else single) in SetFamily.from_bits(_read(ctx, fam))
+                       for fam, dual in rows):
+                return _Fail((single,), (x,), message)
     return scan
 
 

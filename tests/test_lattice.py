@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import spread_oracle, spread_where_oracle, union_closure_oracle
-from semitop.lattice import (columns, decode, encode, everything, fixed,
-                             lowest, saturated, spread, spread_where, spreads,
-                             sub, sup, unions, within)
+from semitop.lattice import (columns, decode, encode, everything, first,
+                             fixed, lowest, saturated, spread, spread_where,
+                             spreads, sub, sup, unions, within)
 
 
 @st.composite
@@ -91,8 +91,9 @@ def test_lattice_operations_match_their_definitions(upto=8):
     this with 12): `columns` is the literal has table, one column per
     point; `spreads` is an iterator that yields, in point order, the
     spread of the members holding (upward) or missing (downward) each
-    point; and `spread`, `spread_where`, `within`, `sub` and `sup` match
-    their per-mask definitions."""
+    point; `spread`, `spread_where`, `within`, `sub` and `sup` match
+    their per-mask definitions; and `first` is the lowest member, -1 for
+    the empty family, also of a 2**20-bit family."""
     rng = random.Random(40)
     for n in range(1, upto + 1):
         size = 1 << n
@@ -103,6 +104,7 @@ def test_lattice_operations_match_their_definitions(upto=8):
                     encode(rng.sample(range(size), min(size, 3))))
         for bits, upward in ((b, u) for b in families for u in (True, False)):
             members = decode(bits)
+            assert first(bits) == (members[0] if members else -1)
             assert decode(spread(bits, n, upward)) == spread_oracle(members, n, upward)
             parts = [[m for m in members if (m >> x & 1) == upward] for x in range(n)]
             out = spreads(bits, n, upward)
@@ -120,3 +122,6 @@ def test_lattice_operations_match_their_definitions(upto=8):
         s = rng.getrandbits(n)
         assert decode(sub(s, n)) == tuple(m for m in range(size) if m & s == m)
         assert decode(sup(s, n)) == tuple(m for m in range(size) if m & s == s)
+    top = (1 << 20) - 1
+    assert [first(everything(20) ^ everything(k)) for k in (0, 9, 20)] == [1, 512, -1]
+    assert first(1 << top) == top

@@ -15,7 +15,7 @@ from oracles import (LAW_ORACLES, dense_in_regular_closed_oracle,
                      iff_rows_oracle, implies_oracle, inside_rows_oracle,
                      levine_sets_oracle, open_plus_nowhere_dense_oracle,
                      random_space, relabeled, semi_open_oracle,
-                     sierpinski_copies)
+                     sierpinski_copies, singletons_oracle, under_oracle)
 from semitop.axioms import AXIOM_KEYS
 from semitop.catalog import (_classes, _letters, catalog_entries, catalog_id,
                              enumerate_topologies, named_space)
@@ -189,6 +189,15 @@ def test_context_builds_only_the_tables_read(monkeypatch):
     assert {"kern_cols", "fix_kern", "fix_vs", "grades"} <= set(vars(ctx))
 
 
+def test_singleton_rows_read_a_family_only_while_a_point_is_in_none():
+    """prop-4.8-dichotomy reads g.Λ_s only where a singleton is not
+    semi-open, so on a discrete space it builds no generalized family."""
+    for name, read in (("discrete:3", False), ("sierpinski", True)):
+        ctx = SpaceContext(named_space(name))
+        assert registry()["prop-4.8-dichotomy"].check(ctx) is None
+        assert ("fams" in vars(ctx)) == read, name
+
+
 def test_registry_grades_each_mask_once(monkeypatch):
     """One grades pass per space, on the context's Int and Cl columns,
     grades every mask, the digital-line law's singletons included.  On
@@ -304,6 +313,20 @@ _ROWS = {
         laws_mod._inside, inside_rows_oracle,
         (("semi_open.bits", "space.opens.bits", "semi-open set that is not open"),),
         138, ((1, 2, 7), (5,))),
+    "B^V_s ⊆ B^Λ_s": (
+        laws_mod._under, under_oracle,
+        ("up", "kern_cols", "dual operator escapes the semi-kernel"), 0, None),
+    "B ⊆ B^V_s": (
+        laws_mod._under, under_oracle,
+        (None, "up", "subset escapes its dual operator"), 153, ((1, 3), (1,))),
+    "{x} open or X∖{x} g.Λ_s": (
+        laws_mod._singletons, singletons_oracle,
+        ("singleton neither open nor complement-generalized",
+         ("space.opens.bits", False), ("fams.d_lambda.bits", True)), 0, None),
+    "{x} semi-open or X∖{x} Λ_s": (
+        laws_mod._singletons, singletons_oracle,
+        ("singleton neither semi-open nor complement-kernel-fixed",
+         ("semi_open.bits", False), ("fix_kern", True)), 58, ((3, 3), (1,))),
     "semi-R0 implies semi-T1": (
         laws_mod._implies, implies_oracle, ("semi_r0", "semi_t1"), 22, ((3, 3), ())),
     "semi-T½ implies semi-T1": (
