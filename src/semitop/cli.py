@@ -105,9 +105,15 @@ def _check_stream_flags(args) -> None:
     """Reject a bad --max-points or --workers before any output."""
     if not 1 <= args.max_points <= ENUMERATION_LIMIT:
         raise SpaceError(f"--max-points must be between 1 and {ENUMERATION_LIMIT}")
-    # a fork pool starts every worker up front, so cap them at the CPUs
+    # each worker past the first is a forked child that runs from the
+    # start of the suite, so cap them at the CPUs
     if args.workers < 1:
         raise SpaceError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise SpaceError(f"--workers {args.workers} needs the fork start "
+                             "method, which this platform lacks")
     cpus = os.cpu_count() or 1
     if args.workers > cpus:
         raise SpaceError(f"--workers must be at most {cpus}, got {args.workers}")

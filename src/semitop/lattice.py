@@ -68,12 +68,20 @@ def iter_points(mask: int) -> Iterator[int]:
 
 def sup(s: int, n: int) -> int:
     """The masks that are supersets of `s`."""
-    return next(meet_rows((s,), columns(n), n))
+    out = everything(n)
+    for x, has in enumerate(columns(n)):
+        if s >> x & 1:
+            out &= has
+    return out
 
 
 def sub(s: int, n: int) -> int:
     """The masks that are subsets of `s`, holding no point outside it."""
-    return everything(n) ^ next(join_rows((s ^ (1 << n) - 1,), columns(n)))
+    bad = 0
+    for x, has in enumerate(columns(n)):
+        if not s >> x & 1:
+            bad |= has
+    return everything(n) ^ bad
 
 
 def within(cols, n: int) -> int:

@@ -68,9 +68,8 @@ examines the documented space without any failure flags the dispute as
 stale.
 """
 
+import gc
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, attrgetter, or_
@@ -897,7 +896,7 @@ class LawReport:
 
 class _Evaluator:
     """Decides the laws of one `run_suite` call: `plan` marks the spaces
-    to decide, and `decide` decides them, in the caller or a pool worker.
+    to decide, and `decide` decides them, in the caller or a forked child.
 
     The runnable laws are listed once per (n, catalog id), through
     `_refusal`: a catalog space is fixed by its id, so the key fixes
@@ -909,10 +908,10 @@ class _Evaluator:
     form, is the first of its class or runs a scoped law; otherwise it
     takes every verdict from the first decided space of its class.
 
-    The semi-only laws are decided once per (n, SO) in each evaluator,
-    the caller's or a worker's: each family keeps the outcome of a
-    semi-only law from the first of its spaces that runs it, and only a
-    space that runs one enters the memo.  Nothing else is kept per
+    The semi-only laws are decided once per (n, SO) in each process,
+    the caller or a child with the copy it was forked with: each family
+    keeps the outcome of a semi-only law from the first of its spaces
+    that runs it, and only a space that runs one enters the memo.  Nothing else is kept per
     family: the other laws read a fresh context of the space, which
     builds only the parts they read.
     """
@@ -970,16 +969,58 @@ class _Evaluator:
         return keyed, marks, own
 
 
-_WORKER = None   # a pool worker's evaluator, for the pool's lifetime
+def _decide_share(evaluate: _Evaluator, share: list, send) -> None:
+    """A forked child's work: decide its share and send back, in one
+    message, each space's failures, or the exception that stopped it."""
+    # keep the child's collections off the objects it inherits: walking
+    # them would copy every page they sit on
+    gc.freeze()
+    try:
+        out = True, [evaluate.decide(space) for space in share]
+    except Exception as exc:
+        out = False, exc
+    send.send(out)
 
 
-def _start_worker(law_ids) -> None:
-    global _WORKER
-    _WORKER = _Evaluator(law_ids)
-
-
-def _decide_in_worker(space: FiniteSpace) -> list:
-    return _WORKER.decide(space)
+def _decided(evaluate: _Evaluator, own: list, workers: int):
+    """`evaluate.decide` over `own`, lazily and in order.  With more than
+    one worker, `own` is cut into `workers` contiguous shares: forked
+    children decide all but the first, which the caller decides while
+    they run, and each child's list is read as the merge reaches it."""
+    workers = min(workers, len(own))
+    if workers < 2:
+        yield from map(evaluate.decide, own)
+        return
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
+    cuts = [len(own) * k // workers for k in range(workers + 1)]
+    children = []
+    try:
+        for k in range(1, workers):
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_decide_share, args=(
+                evaluate, own[cuts[k]:cuts[k + 1]], send))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        yield from map(evaluate.decide, own[:cuts[1]])
+        for k, (child, recv) in enumerate(children, 1):
+            try:
+                ok, out = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"worker {k} exited with code {child.exitcode} "
+                                   "without sending its decisions") from None
+            child.join()
+            if not ok:
+                raise out
+            yield from out
+    finally:
+        for child, recv in children:
+            recv.close()
+            if child.exitcode is None:   # the caller stopped first
+                child.terminate()
+            child.join()
 
 
 def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
@@ -991,9 +1032,10 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     The memos of `_Evaluator` decide each law once per class or per
     (n, SO); every space a law runs on still counts as examined.  Each
     space is decided on its own context or takes every verdict from its
-    class (see `_Evaluator`).  The caller keeps the class memo and sends
-    a pool only the spaces decided on their own context, so
-    `decided_in_full`, their number, is the same at any worker count.
+    class (see `_Evaluator`).  The caller keeps the class memo and
+    shares out only the spaces decided on their own context (see
+    `_decided`), so `decided_in_full`, their number, is the same at any
+    worker count.
     A law's examined count is read off the runnable lists: the spaces
     of each key whose list holds the law.  A witness taken from the
     class is worked out when read, so `wall_time` leaves that work out.
@@ -1020,14 +1062,9 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                for lid in law_ids}
     evaluate = _Evaluator(law_ids)
     keyed, marks, own = evaluate.plan(spaces)
-    parallel = workers > 1 and len(own) > 1
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                              initargs=(law_ids,)) if parallel
-          else nullcontext()) as pool:
-        decided = (pool.map(_decide_in_worker, own,
-                            chunksize=max(1, len(own) // (workers * 8)))
-                   if parallel else map(evaluate.decide, own))
-        classes, counts = {}, {}
+    decided = _decided(evaluate, own, workers)
+    classes, counts = {}, {}
+    try:
         for space, (key, runs, _), mark in zip(spaces, keyed, marks):
             counts[key] = counts.get(key, 0) + 1
             if mark:
@@ -1040,6 +1077,8 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
             elif runs:
                 for lid in classes[space.canonical]:
                     results[lid].witnesses.append(Witness._inherited(reg[lid], space))
+    finally:
+        decided.close()
     for key, count in counts.items():
         for law in evaluate.runnable[key][1]:
             results[law.id].examined += count

@@ -381,10 +381,25 @@ def test_workers_must_be_positive(capsys):
             assert code == 2 and out == ""
             assert f"--workers must be at least 1, got {bad}" in err
             assert "Traceback" not in err
-        # rejected before any pool exists
+        # rejected before any child is forked
         code, out, err = run_cli(capsys, *argv, "--workers", str(cpus + 1))
         assert code == 2 and out == ""
         assert err == f"error: --workers must be at most {cpus}, got {cpus + 1}\n"
+
+
+def test_workers_need_the_fork_start_method(capsys, monkeypatch):
+    """Without fork, --workers past 1 exits 2 before any output; one
+    worker forks nothing and still runs."""
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    for argv in (("laws", "--max-points", "1"), ("claim", "prop-3.2a")):
+        code, out, err = run_cli(capsys, *argv, "--workers", "2")
+        assert code == 2 and out == ""
+        assert err == ("error: --workers 2 needs the fork start method, "
+                       "which this platform lacks\n")
+        code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert code == 0 and out
 
 
 def test_laws_exit_one_on_expected_failure(capsys, monkeypatch):

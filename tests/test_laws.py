@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 import random
+import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -1007,12 +1011,12 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch,
-                                                           workers):
+                                                           tmp_path, workers):
     """The caller keeps the class memo: every law is decided on the
     first space of each class, on each space without a form and on each
-    space that runs a scoped law, and on no other, at 1 worker in the
-    caller and at 2 in the pool, which gets those spaces and nothing
-    else."""
+    space that runs a scoped law, and on no other.  At 1 worker the
+    caller decides them all; at 2 it decides the first half, and the
+    forked child the rest and nothing else."""
     formless = sierpinski_copies(5, isolated=1)
     stream = stream4 + [formless, relabeled(formless, [10 - x for x in range(11)])]
     expected, seen = [], set()
@@ -1023,25 +1027,90 @@ def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch
         if space.canonical is None or scoped or space.canonical not in seen:
             seen.add(space.canonical)
             expected.append(id(space))
-    calls, sent = [], []
+    log = tmp_path / "decided"
     decide = laws_mod._Evaluator.decide
 
     def spy(self, space):
-        calls.append(id(space))
+        # a forked child keeps the caller's addresses, so id(space) and
+        # a line appended to one file name the space in either process
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {id(space)}\n")
         return decide(self, space)
 
-    class Pool(laws_mod.ProcessPoolExecutor):
-        def map(self, fn, spaces, **kwargs):
-            sent.extend(map(id, spaces))
-            return super().map(fn, spaces, **kwargs)
-
     monkeypatch.setattr(laws_mod._Evaluator, "decide", spy)
-    monkeypatch.setattr(laws_mod, "ProcessPoolExecutor", Pool)
     report = run_suite(stream, workers=workers)
-    assert (calls, sent) == ((expected, []) if workers == 1 else ([], expected))
+    calls, sent = [], []
+    for line in log.read_text().splitlines():
+        pid, space = map(int, line.split())
+        (calls if pid == os.getpid() else sent).append(space)
+    half = len(expected) // 2 if workers == 2 else len(expected)
+    assert (calls, sent) == (expected[:half], expected[half:])
     # classes, wider windows, formless spaces, and e1 and e33
     assert report.decided_in_full == len(expected) == 46 + 2 + 2 + 2
     assert _outcomes(report, stream) == _outcomes(run_suite(stream), stream)
+
+
+def _in_a_child(monkeypatch, act):
+    """A fake law that passes in the caller and runs `act` in a forked
+    child, over a stream of 1..3 points whose second half the child
+    decides."""
+    caller = os.getpid()
+
+    def check(ctx):
+        if os.getpid() != caller:
+            act()
+
+    _with_fake_law(monkeypatch, Law("fake-in-a-child", "$B=B$", check))
+    return [s for n in range(1, 4) for s in enumerate_topologies(n)]
+
+
+def test_a_childs_exception_reaches_the_caller(monkeypatch):
+    def act():
+        raise ArithmeticError("raised in a child")
+
+    stream = _in_a_child(monkeypatch, act)
+    assert run_suite(stream, ["fake-in-a-child"]).results[0].passed == len(stream)
+    with pytest.raises(ArithmeticError, match="^raised in a child$"):
+        run_suite(stream, ["fake-in-a-child"], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_is_named_with_its_exit_code(monkeypatch):
+    stream = _in_a_child(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="^worker 1 exited with code 3 "):
+        run_suite(stream, ["fake-in-a-child"], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_the_callers_exception_stops_and_joins_the_children(monkeypatch):
+    """The caller's own share raises while the child still decides: the
+    child is stopped and joined before the exception leaves run_suite."""
+    caller = os.getpid()
+
+    def check(ctx):
+        if os.getpid() == caller:
+            raise LookupError("raised in the caller")
+        time.sleep(0.01)
+
+    _with_fake_law(monkeypatch, Law("fake-in-the-caller", "$B=B$", check))
+    stream = [s for n in range(1, 4) for s in enumerate_topologies(n)]
+    with pytest.raises(LookupError, match="^raised in the caller$"):
+        run_suite(stream, ["fake-in-the-caller"], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_serial_suite_imports_no_process_machinery():
+    """`import semitop` and a 1-worker suite load none of the modules
+    that forking workers needs."""
+    code = ("import sys, semitop, semitop.cli\n"
+            "from semitop.catalog import enumerate_topologies\n"
+            "from semitop.laws import run_suite\n"
+            "run_suite([s for n in range(1, 4) for s in enumerate_topologies(n)])\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent',"
+            " 'multiprocessing')) or m in ('logging', 'queue')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_runs_builds_a_catalog_space_once_per_call(stream4, monkeypatch):
