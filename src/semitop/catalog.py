@@ -9,10 +9,11 @@ Named ids are reserved words, never file paths: the fixed fixtures
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
+from operator import itemgetter
 
 from . import spaces
-from .lattice import decode, iter_points, mirror, saturated
-from .spaces import (MAX_POINTS, FiniteSpace, SetFamily, SpaceError,
+from .lattice import decode, saturated
+from .spaces import (MAX_POINTS, FiniteSpace, SpaceError,
                      TooManyPoints, _canonical_form, space_from_masks,
                      space_from_table)
 
@@ -169,9 +170,13 @@ def _classes(n: int) -> tuple:
     ascending (OEIS A001930).  Each grows an (n-1)-point class by a
     point p that sees an open A (U_p = A + p) and is seen by the closed
     complement of an open O: a topology iff A lies inside each U_x that
-    holds p.  Every class arises, as deleting a point leaves a subspace;
-    no candidate through n = 9 passes `CANONICAL_BUDGET`, and one that
-    did would raise `OverBudget`.
+    holds p.  Only a candidate whose p has the greatest colour
+    (|U_x|, |Cl{x}|), the one `_canonical_form` starts from, is kept,
+    so an A with |A| + 1 below some |U_x| is never tried.  Every class
+    arises: deleting a point q of greatest colour leaves a subspace, and
+    growing its class's table by U_q and Cl{q} gives the class back with
+    p = q.  No candidate through n = 9 passes `CANONICAL_BUDGET`, and
+    one that did would raise `OverBudget`.
     """
     if n == 0:
         return ((),)
@@ -179,10 +184,16 @@ def _classes(n: int) -> tuple:
     forms = set()
     for table in _classes(n - 1):
         opens = decode(saturated(table, n - 1))
-        for a, o in product(opens, opens):
+        widest = max([u.bit_count() for u in table], default=0)
+        for a, o in product([a for a in opens if a.bit_count() + 1 >= widest], opens):
             grown = [u if o >> x & 1 else u | p for x, u in enumerate(table)]
             if all(a & ~u == 0 for u in grown if u & p):
-                form = _canonical_form(tuple(grown + [a | p]))
+                grown.append(a | p)
+                colour = [(u.bit_count(), sum([v >> x & 1 for v in grown]))
+                          for x, u in enumerate(grown)]
+                if colour[-1] < max(colour):
+                    continue
+                form = _canonical_form(tuple(grown))
                 if form is None:
                     raise OverBudget(f"a {n}-point class has no canonical form within "
                                      f"CANONICAL_BUDGET = {spaces.CANONICAL_BUDGET} orderings")
@@ -196,33 +207,41 @@ def enumerate_topologies(n: int):
     Each `_classes(n)` table is validated once, by `space_from_table`,
     and relabeled by every permutation; a relabeled table is reflexive
     and transitive as its class's is, so it is built into a space
-    without a second check.  Each distinct table is one topology.  Its
-    opens are the class's opens relabeled by one permutation that gives
-    the table, one bitset: the sum of 1 << image[m] over the members m.
-    The sort needs that bitset, so each space carries it as `opens`
-    beside its class's table as `canonical`.  Every family holds the
-    carrier, so its opens tuple is the lower one iff it holds the lowest
-    mask where the two differ: the higher `mirror`.
+    without a second check.  Each distinct table is one topology, and
+    its space carries only the table and its class's table as
+    `canonical`: the opens are built on first read, as for any space.
+    Every family holds the carrier, so its opens tuple is the lower one
+    iff it holds the lowest mask where the two differ: the higher family
+    of closed sets.  A relabeling commutes with complement, so that
+    family is the class's closed sets relabeled, the sum of
+    1 << image[c] over them.
     """
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise TooManyPoints(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
     names = _letters(n)
-    relabelings = [(order, [sum(1 << order.index(x) for x in iter_points(m))
-                            for m in range(1 << n)])   # point order[i] becomes i
-                   for order in permutations(range(n))]
+    full = (1 << n) - 1
+    relabelings = []
+    for order in permutations(range(n)):   # point order[i] becomes i
+        image = [0]
+        for x in range(n):
+            bit = 1 << order.index(x)
+            image += [m | bit for m in image]
+        # one index makes itemgetter return the mask itself, not a tuple
+        relabelings.append((itemgetter(*order) if n > 1 else tuple, image))
     labeled = []
     for form in _classes(n):   # two classes share no table
-        members = decode(space_from_table(names, form).opens.bits)
-        tables = {tuple([image[form[x]] for x in order]): image
-                  for order, image in relabelings}
-        labeled += [(sum([1 << image[m] for m in members]), table, form)
+        closed = [full ^ m for m in decode(space_from_table(names, form).opens.bits)]
+        tables = {tuple(map(image.__getitem__, pick(form))): image
+                  for pick, image in relabelings}
+        labeled += [(sum([1 << image[c] for c in closed]), table, form)
                     for table, image in tables.items()]
-    # yielded from the end, so each table is let go as its space is made
-    labeled.sort(key=lambda entry: mirror(entry[0], n))
+    # the keys are distinct, so no table is compared; yielded from the
+    # end, so each table is let go as its space is made
+    labeled.sort()
     for i in range(len(labeled)):
-        bits, table, form = labeled.pop()
+        _, table, form = labeled.pop()
         space = FiniteSpace(names, table, f"enum:{n}:{i}")
-        vars(space).update(opens=SetFamily.from_bits(bits), canonical=form)
+        vars(space)["canonical"] = form
         yield space
 
 

@@ -141,18 +141,20 @@ def cmd_laws(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    spaces = list(enumerate_topologies(args.points))
+    spaces = enumerate_topologies(args.points)   # a bad --points raises on first read
+    count = 0
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, space in enumerate(spaces):
-            path = out_dir / f"topology_{args.points}_{i:04d}.txt"
+        for count, space in enumerate(spaces, 1):
+            if count == 1:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            path = out_dir / f"topology_{args.points}_{count - 1:04d}.txt"
             path.write_text(serialize_topology(space), encoding="utf-8")
-        print(f"wrote {len(spaces)} topologies to {out_dir}")
+        print(f"wrote {count} topologies to {out_dir}")
     else:
-        chunks = [serialize_topology(space) for space in spaces]
-        print("---\n".join(chunks), end="")
-        print(f"# {len(spaces)} topologies on {args.points} points")
+        for count, space in enumerate(spaces, 1):
+            print("---\n" * (count > 1) + serialize_topology(space), end="")
+        print(f"# {count} topologies on {args.points} points")
     return 0
 
 

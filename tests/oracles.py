@@ -9,12 +9,14 @@ mask.
 """
 
 from functools import lru_cache, reduce
+from itertools import product
 from operator import and_, or_
 
-from semitop.lattice import encode, saturated
+from semitop.lattice import decode, encode, saturated
 from semitop.laws import _Fail
 from semitop.semi import SemiAnalysis
-from semitop.spaces import FiniteSpace, SetFamily, space_from_masks, submasks
+from semitop.spaces import (FiniteSpace, SetFamily, _canonical_form,
+                            space_from_masks, submasks)
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -255,6 +257,24 @@ def naive_topology_families(n: int) -> list:
             out.append(tuple(sorted(index)))
     out.sort()
     return out
+
+
+@lru_cache(maxsize=None)
+def classes_unfiltered(n: int) -> tuple:
+    """The canonical tables of the n-point classes, grown as
+    `catalog._classes` grows them but with every candidate topology
+    canonicalised, whichever point it was grown by."""
+    if n == 0:
+        return ((),)
+    p = 1 << n - 1
+    forms = set()
+    for table in classes_unfiltered(n - 1):
+        opens = decode(saturated(table, n - 1))
+        for a, o in product(opens, opens):
+            grown = [u if o >> x & 1 else u | p for x, u in enumerate(table)]
+            if all(a & ~u == 0 for u in grown if u & p):
+                forms.add(_canonical_form(tuple(grown + [a | p])))
+    return tuple(sorted(forms))
 
 
 def random_space(rng, n: int, name=None) -> FiniteSpace:

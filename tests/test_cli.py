@@ -521,6 +521,18 @@ def test_enumerate_round_trip(capsys, tmp_path):
     assert not by_opens
 
 
+def test_enumerate_refuses_a_bad_count_before_any_output(capsys, tmp_path):
+    """The enumeration is read as a stream, and its point count is checked
+    on the first read: a bad --points exits 2 with nothing printed and no
+    directory made."""
+    out_dir = tmp_path / "spaces"
+    for extra in ([], ["--out", str(out_dir)]):
+        code, out, err = run_cli(capsys, "enumerate", "--points", "6", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration supports 1 <= n <= 5\n"
+    assert not out_dir.exists()
+
+
 def test_claim_metadata_and_run(capsys):
     code, out, _ = run_cli(capsys, "claim", "prop-3.2f", "--max-points", "2")
     assert code == 0
