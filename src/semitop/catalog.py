@@ -7,9 +7,9 @@ Named ids are reserved words, never file paths: the fixed fixtures
 """
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import permutations, product
-from operator import itemgetter
+from functools import cache, reduce
+from itertools import permutations
+from operator import and_, itemgetter
 
 from . import spaces
 from .lattice import decode, saturated
@@ -185,15 +185,19 @@ def _classes(n: int) -> tuple:
     for table in _classes(n - 1):
         opens = decode(saturated(table, n - 1))
         widest = max([u.bit_count() for u in table], default=0)
-        for a, o in product([a for a in opens if a.bit_count() + 1 >= widest], opens):
+        wide = [a for a in opens if a.bit_count() + 1 >= widest]
+        for o in opens:
             grown = [u if o >> x & 1 else u | p for x, u in enumerate(table)]
-            if all(a & ~u == 0 for u in grown if u & p):
-                grown.append(a | p)
-                colour = [(u.bit_count(), sum([v >> x & 1 for v in grown]))
-                          for x, u in enumerate(grown)]
+            meet = reduce(and_, [u for u in grown if u & p], 2 * p - 1)
+            for a in wide:
+                if a & ~meet:   # A must lie inside each U_x that holds p
+                    continue
+                ups = grown + [a | p]
+                colour = [(u.bit_count(), sum([v >> x & 1 for v in ups]))
+                          for x, u in enumerate(ups)]
                 if colour[-1] < max(colour):
                     continue
-                form = _canonical_form(tuple(grown))
+                form = _canonical_form(tuple(ups))
                 if form is None:
                     raise OverBudget(f"a {n}-point class has no canonical form within "
                                      f"CANONICAL_BUDGET = {spaces.CANONICAL_BUDGET} orderings")
