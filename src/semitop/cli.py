@@ -125,7 +125,7 @@ def _emit_report(report, fmt: str) -> int:
     else:
         print(report.render_text(), end="")
     print(f"wall-time: {report.wall_time:.3f}s", file=sys.stderr)
-    # the caller keeps the class memo, so this is the same at any worker count
+    # the caller plans the jobs, so this is the same at any worker count
     print(f"decided-in-full: {report.decided_in_full}/{report.spaces_total} spaces",
           file=sys.stderr)
     return report.exit_code()
@@ -181,6 +181,7 @@ def cmd_khalimsky(args) -> int:
 
 def cmd_claim(args) -> int:
     reg = registry()
+    _check_stream_flags(args)
     if args.list:
         width = max(len(lid) for lid in reg) + 2
         for lid, law in reg.items():
@@ -189,7 +190,7 @@ def cmd_claim(args) -> int:
     if not args.id:
         raise SpaceError("claim needs a law id (or --list)")
     _check_law_ids([args.id])
-    _check_stream_flags(args)
+    spaces = _space_stream(args)   # a bad space exits 2 before any output
     law = reg[args.id]
     print(f"law: {law.id}")
     print(f"status: {law.status}")
@@ -199,8 +200,7 @@ def cmd_claim(args) -> int:
     if law.dispute_space:
         print(f"dispute-space: {law.dispute_space}")
     print(f"max-points: {law.max_points}")
-    args.laws = [args.id]
-    return cmd_laws(args)
+    return _emit_report(run_suite(spaces, [law.id], workers=args.workers), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,8 +22,9 @@ per-query operators and witness renderers `axiom_profile` and
 A law without a scope speaks of the topology, not of the labels, and a
 `semi_only` law of n and the semi-open family SO alone, so `run_suite`
 decides the first once per homeomorphism class and the second once per
-(n, SO) (see `_Evaluator`).  A failure a space takes from its class is
-a `Witness` worked out on first read, on the space itself.
+(n, SO), both planned by the caller before any fork (see `_plan`).  A
+failure a space takes from its class is a `Witness` worked out on first
+read, on the space itself.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the context's `up[x]` are the columns of
@@ -81,8 +82,9 @@ from .generalized import derived_set, g_v_s_singletons, generalized_families
 from .lattice import (columns, everything, first, fixed, image, join_rows,
                       meet_rows, mirror, spread, spread_where, spreads, sub,
                       sup, unions)
-from .semi import OpennessGrades, SemiAnalysis, grades_from_columns
-from .spaces import MAX_POINTS, FiniteSpace, lazy
+from .semi import (OpennessGrades, SemiAnalysis, grades_from_columns,
+                   semi_open_bits)
+from .spaces import MAX_POINTS, FiniteSpace, SetFamily, lazy
 
 FAMILY_CAP = 11   # only for the laws-n5 counts perfbench/reference.json pins
 WITNESS_CAP = 5   # witnesses per law in the text report
@@ -894,116 +896,97 @@ class LawReport:
         return "\n".join(lines) + "\n"
 
 
-class _Evaluator:
-    """Decides the laws of one `run_suite` call: `plan` marks the spaces
-    to decide, and `decide` decides them, in the caller or a forked child.
+def _plan(laws: list, spaces: list) -> tuple:
+    """Plan one `run_suite` call in the caller: the runnable lists and,
+    for each space, its runs tuple and its job, or None.
 
     The runnable laws are listed once per (n, catalog id), through
-    `_refusal`: a catalog space is fixed by its id, so the key fixes
-    every scope verdict (see `Law.scope`).  The unscoped laws are
-    invariant under relabeling, so each is decided once per class, keyed
-    by the `FiniteSpace.canonical` that an enumerated space carries and
-    any other space computes.  A space that runs a law has one of two
-    fates.  It is decided on its own context when it has no canonical
-    form, is the first of its class or runs a scoped law; otherwise it
-    takes every verdict from the first decided space of its class.
+    `_refusal`, as one shared runs tuple (key, laws, scoped): a catalog
+    space is fixed by its id, so the key fixes every scope verdict (see
+    `Law.scope`).  The unscoped laws are invariant under relabeling, so
+    each is decided once per class, keyed by the `FiniteSpace.canonical`
+    that an enumerated space carries and any other space computes.  A
+    space that runs a law has a job (space, SO or None, laws), decided
+    on its own context, when it has no canonical form, is the first of
+    its class or runs a scoped law; otherwise it takes every verdict
+    from the first job of its class.
 
-    The semi-only laws are decided once per (n, SO) in each process,
-    the caller or a child with the copy it was forked with: each family
-    keeps the outcome of a semi-only law from the first of its spaces
-    that runs it, and only a space that runs one enters the memo.  Nothing else is kept per
-    family: the other laws read a fresh context of the space, which
-    builds only the parts they read.
+    A job that runs a semi-only law carries SO, read here once.  A later
+    job of a family (n, SO) already planned leaves the semi-only laws
+    out, and the merge gives it the failures of its family's first job.
+    It leaves out exactly the laws that job checked: semi-only laws are
+    unscoped and their cap reads n alone, so every job of one n runs the
+    same ones.
     """
-
-    def __init__(self, law_ids):
-        reg = registry()
-        self.laws = [reg[lid] for lid in law_ids]
-        self.unscoped = {law.id for law in self.laws if law.scope is None}
-        self.runnable = {}
-        self.families = {}
-
-    def _runs(self, space: FiniteSpace) -> tuple:
-        """(n, catalog id), the laws that run on the space and whether
-        one of them is scoped: one shared tuple per key."""
+    runnable, keyed, planned, seen, families = {}, [], [], set(), set()
+    for space in spaces:
         key = (space.n, catalog_id(space))
-        runs = self.runnable.get(key)
+        runs = runnable.get(key)
         if runs is None:
-            laws = [law for law in self.laws if _refusal(law, space, key[1]) is None]
-            runs = self.runnable[key] = (
-                key, laws, any(law.scope is not None for law in laws))
-        return runs
-
-    def decide(self, space: FiniteSpace) -> list:
-        """(law id, `_Fail`) for each law that runs on the space and
-        fails on it, decided on its own context and, for the semi-only
-        laws, its family's memo."""
-        laws = self._runs(space)[1]
-        ctx = SpaceContext(space)
-        decided = (self.families.setdefault((space.n, ctx.semi_open.bits), {})
-                   if any(law.semi_only for law in laws) else None)
-        fails = []
-        for law in laws:
-            if not law.semi_only:
-                fail = law.check(ctx)
-            elif law.id in decided:
-                fail = decided[law.id]
-            else:
-                fail = decided[law.id] = law.check(ctx)
-            if fail is not None:
-                fails.append((law.id, fail))
-        return fails
-
-    def plan(self, spaces: list) -> tuple:
-        """`_runs` of each space, its mark, true when the space is
-        decided on its own context, and the marked spaces in order."""
-        keyed = [self._runs(space) for space in spaces]
-        marks, own, seen = [], [], set()
-        for space, (_, laws, scoped) in zip(spaces, keyed):
-            form = space.canonical
-            mark = bool(laws) and (form is None or scoped or form not in seen)
-            if mark:
-                seen.add(form)
-                own.append(space)
-            marks.append(mark)
-        return keyed, marks, own
+            listed = [law for law in laws if _refusal(law, space, key[1]) is None]
+            runs = runnable[key] = (key, listed, any(law.scope is not None for law in listed))
+        _, listed, scoped = runs
+        form, job = space.canonical, None
+        if listed and (form is None or scoped or form not in seen):
+            seen.add(form)
+            so = None
+            if any(law.semi_only for law in listed):
+                so = semi_open_bits(space)
+                if (space.n, so) in families:
+                    listed = [law for law in listed if not law.semi_only]
+                families.add((space.n, so))
+            job = space, so, listed
+        keyed.append(runs)
+        planned.append(job)
+    return runnable, keyed, planned
 
 
-def _decide_share(evaluate: _Evaluator, share: list, send) -> None:
+def _decide(job) -> list:
+    """(law id, `_Fail`) for each law of a job (space, SO or None, laws)
+    that fails on the space, checked on one fresh context given the
+    planned SO.  It keeps nothing, so any process can run any job."""
+    space, so, laws = job
+    ctx = SpaceContext(space)
+    if so is not None:
+        ctx.semi_open = SetFamily.from_bits(so)
+    return [(law.id, fail) for law in laws if (fail := law.check(ctx)) is not None]
+
+
+def _decide_share(share: list, send) -> None:
     """A forked child's work: decide its share and send back, in one
-    message, each space's failures, or the exception that stopped it."""
+    message, each job's failures, or the exception that stopped it."""
     # keep the child's collections off the objects it inherits: walking
     # them would copy every page they sit on
     gc.freeze()
     try:
-        out = True, [evaluate.decide(space) for space in share]
+        out = True, list(map(_decide, share))
     except Exception as exc:
         out = False, exc
     send.send(out)
 
 
-def _decided(evaluate: _Evaluator, own: list, workers: int):
-    """`evaluate.decide` over `own`, lazily and in order.  With more than
-    one worker, `own` is cut into `workers` contiguous shares: forked
+def _decided(jobs: list, workers: int):
+    """`_decide` over `jobs`, lazily and in order.  With more than one
+    worker, `jobs` is cut into `workers` contiguous shares: forked
     children decide all but the first, which the caller decides while
     they run, and each child's list is read as the merge reaches it."""
-    workers = min(workers, len(own))
+    workers = min(workers, len(jobs))
     if workers < 2:
-        yield from map(evaluate.decide, own)
+        yield from map(_decide, jobs)
         return
     import multiprocessing
     fork = multiprocessing.get_context("fork")
-    cuts = [len(own) * k // workers for k in range(workers + 1)]
+    cuts = [len(jobs) * k // workers for k in range(workers + 1)]
     children = []
     try:
         for k in range(1, workers):
             recv, send = fork.Pipe(duplex=False)
             child = fork.Process(target=_decide_share, args=(
-                evaluate, own[cuts[k]:cuts[k + 1]], send))
+                jobs[cuts[k]:cuts[k + 1]], send))
             child.start()
             send.close()
             children.append((child, recv))
-        yield from map(evaluate.decide, own[:cuts[1]])
+        yield from map(_decide, jobs[:cuts[1]])
         for k, (child, recv) in enumerate(children, 1):
             try:
                 ok, out = recv.recv()
@@ -1029,13 +1012,14 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     in first-seen order; an empty list is an error), over a stream of
     spaces.
 
-    The memos of `_Evaluator` decide each law once per class or per
-    (n, SO); every space a law runs on still counts as examined.  Each
-    space is decided on its own context or takes every verdict from its
-    class (see `_Evaluator`).  The caller keeps the class memo and
-    shares out only the spaces decided on their own context (see
-    `_decided`), so `decided_in_full`, their number, is the same at any
-    worker count.
+    `_plan`, in the caller before any fork, has each law decided once
+    per class or per (n, SO); every space a law runs on still counts as
+    examined.  Only its jobs are decided, by `_decide`, which keeps
+    nothing, over the workers' shares (see `_decided`), so
+    `decided_in_full`, their number, and the checks made are the same
+    at any worker count.  The merge gives each later job of a family the
+    semi-only failures of its first job, and each later space of a class
+    the unscoped failures of its class's first job.
     A law's examined count is read off the runnable lists: the spaces
     of each key whose list holds the law.  A witness taken from the
     class is worked out when read, so `wall_time` leaves that work out.
@@ -1060,32 +1044,37 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     started = time.perf_counter()
     results = {lid: LawResult(lid, reg[lid].status, named=named)
                for lid in law_ids}
-    evaluate = _Evaluator(law_ids)
-    keyed, marks, own = evaluate.plan(spaces)
-    decided = _decided(evaluate, own, workers)
-    classes, counts = {}, {}
+    runnable, keyed, planned = _plan([reg[lid] for lid in law_ids], spaces)
+    jobs = [job for job in planned if job is not None]
+    decided = _decided(jobs, workers)
+    classes, families, counts = {}, {}, {}
     try:
-        for space, (key, runs, _), mark in zip(spaces, keyed, marks):
+        for space, (key, laws, _), job in zip(spaces, keyed, planned):
             counts[key] = counts.get(key, 0) + 1
-            if mark:
-                fails = next(decided)
+            if job is not None:
+                fails, so = next(decided), job[1]
+                if (space.n, so) in families:
+                    fails += families[space.n, so]
+                elif so is not None:
+                    families[space.n, so] = [(lid, fail) for lid, fail in fails
+                                             if reg[lid].semi_only]
                 for lid, fail in fails:
                     results[lid].witnesses.append(Witness(lid, space, *fail))
                 if space.canonical not in classes:
                     classes[space.canonical] = [lid for lid, _ in fails
-                                                if lid in evaluate.unscoped]
-            elif runs:
+                                                if reg[lid].scope is None]
+            elif laws:
                 for lid in classes[space.canonical]:
                     results[lid].witnesses.append(Witness._inherited(reg[lid], space))
     finally:
         decided.close()
     for key, count in counts.items():
-        for law in evaluate.runnable[key][1]:
+        for law in runnable[key][1]:
             results[law.id].examined += count
             if key[1] is not None and key[1] == law.dispute_space:
                 results[law.id].dispute_space_examined = True
 
     report = LawReport([results[lid] for lid in law_ids], len(spaces),
-                       decided_in_full=len(own))
+                       decided_in_full=len(jobs))
     report.wall_time = time.perf_counter() - started
     return report

@@ -371,6 +371,13 @@ def test_laws_bad_inputs(capsys):
             code, out, err = run_cli(capsys, *argv, "--max-points", bad)
             assert code == 2 and out == "", (argv, bad)
             assert "--max-points" in err
+        # a space that cannot be resolved too, before the claim's header
+        for bad in ("/nonexistent", "discrete:99"):
+            code, out, err = run_cli(capsys, *argv, "--space", bad)
+            assert code == 2 and out == "", (argv, bad)
+            assert err.startswith("error: ") and "Traceback" not in err
+    code, out, err = run_cli(capsys, "claim", "--list", "--max-points", "9")
+    assert code == 2 and out == "" and "--max-points" in err
 
 
 def test_workers_must_be_positive(capsys):

@@ -870,25 +870,24 @@ def test_suite_memo_matches_direct_checks(stream4, monkeypatch):
 
 
 def test_suite_inherits_class_failures_and_one_shared_runs_tuple(stream4):
-    """`plan` marks a space as decided on its own context exactly when it
-    is the first of its class or runs a scoped law (every space here has
-    a form and runs a law), and `_runs` gives every space of one key the
-    same tuple.  Every other space takes a failure, worked out on read,
-    exactly for the unscoped laws that failed on its class's first
-    decided space, at 1 and 2 workers."""
-    evaluate = laws_mod._Evaluator(list(registry()))
-    keyed, marks, own = evaluate.plan(stream4)
-    assert own == [space for space, mark in zip(stream4, marks) if mark]
-    shared, firsts, class_fails, expected = {}, {}, {}, {}
-    for space, runs, mark in zip(stream4, keyed, marks):
+    """`_plan` makes a job of a space exactly when it is the first of its
+    class or runs a scoped law (every space here has a form and runs a
+    law), and gives every space of one key the same runs tuple.  Every
+    other space takes a failure, worked out on read, exactly for the
+    unscoped laws that failed on its class's first job, at 1 and 2
+    workers."""
+    runnable, keyed, planned = laws_mod._plan(list(registry().values()), stream4)
+    assert all(job is None or job[0] is space for space, job in zip(stream4, planned))
+    firsts, class_fails, expected = {}, {}, {}
+    for space, runs, job in zip(stream4, keyed, planned):
         key, laws, scoped = runs
-        assert shared.setdefault(key, runs) is runs
+        assert runnable[key] is runs
         assert laws == [law for law in registry().values()
                         if laws_mod._refusal(law, space, catalog_id(space)) is None]
         assert scoped == any(law.scope is not None for law in laws)
         first = firsts.setdefault(space.canonical, space)
-        assert mark == (first is space or scoped)
-        if not mark:
+        assert (job is not None) == (first is space or scoped)
+        if job is None:
             if id(first) not in class_fails:
                 ctx = SpaceContext(first)
                 class_fails[id(first)] = [law.id for law in laws
@@ -1012,11 +1011,11 @@ def test_suite_builds_one_analysis_per_semi_open_family(spaces4, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch,
                                                            tmp_path, workers):
-    """The caller keeps the class memo: every law is decided on the
-    first space of each class, on each space without a form and on each
-    space that runs a scoped law, and on no other.  At 1 worker the
-    caller decides them all; at 2 it decides the first half, and the
-    forked child the rest and nothing else."""
+    """The caller plans the class memo: a job is made of the first space
+    of each class, of each space without a form and of each space that
+    runs a scoped law, and of no other.  At 1 worker the caller decides
+    every job; at 2 it decides the first half, and the forked child the
+    rest and nothing else."""
     formless = sierpinski_copies(5, isolated=1)
     stream = stream4 + [formless, relabeled(formless, [10 - x for x in range(11)])]
     expected, seen = [], set()
@@ -1028,16 +1027,16 @@ def test_only_the_first_space_of_a_class_is_decided_in_full(stream4, monkeypatch
             seen.add(space.canonical)
             expected.append(id(space))
     log = tmp_path / "decided"
-    decide = laws_mod._Evaluator.decide
+    decide = laws_mod._decide
 
-    def spy(self, space):
+    def spy(job):
         # a forked child keeps the caller's addresses, so id(space) and
         # a line appended to one file name the space in either process
         with open(log, "a") as out:
-            out.write(f"{os.getpid()} {id(space)}\n")
-        return decide(self, space)
+            out.write(f"{os.getpid()} {id(job[0])}\n")
+        return decide(job)
 
-    monkeypatch.setattr(laws_mod._Evaluator, "decide", spy)
+    monkeypatch.setattr(laws_mod, "_decide", spy)
     report = run_suite(stream, workers=workers)
     calls, sent = [], []
     for line in log.read_text().splitlines():
@@ -1114,45 +1113,82 @@ def test_a_serial_suite_imports_no_process_machinery():
 
 
 def test_runs_builds_a_catalog_space_once_per_call(stream4, monkeypatch):
-    """`_Evaluator._runs` asks `catalog_id` once per call, so planning
-    and deciding the stream build a catalog space's `named_space` once
-    per call on it and never one for an enumerated space; the runnable
-    lists are keyed on (n, catalog id)."""
+    """`_plan` asks `catalog_id` once per space, so planning and deciding
+    the stream build a catalog space's `named_space` once per call on it
+    and never one for an enumerated space; the runnable lists are keyed
+    on (n, catalog id)."""
     catalog = {entry.id for entry in catalog_entries()}
     built, named = [], catalog_mod.named_space
     monkeypatch.setattr(catalog_mod, "named_space",
                         lambda sid: built.append(sid) or named(sid))
-    calls, runs = [], laws_mod._Evaluator._runs
-    monkeypatch.setattr(laws_mod._Evaluator, "_runs",
-                        lambda self, space: calls.append(space.name) or runs(self, space))
-    evaluate = laws_mod._Evaluator(list(registry()))
-    _, _, own = evaluate.plan(stream4)
-    for space in own:
-        evaluate.decide(space)
+    calls, ask = [], laws_mod.catalog_id
+    monkeypatch.setattr(laws_mod, "catalog_id",
+                        lambda space: calls.append(space.name) or ask(space))
+    runnable, _, planned = laws_mod._plan(list(registry().values()), stream4)
+    for job in filter(None, planned):
+        laws_mod._decide(job)
+    assert calls == [space.name for space in stream4]
     assert sorted(built) == sorted(name for name in calls if name in catalog)
     assert set(built) == catalog
     monkeypatch.undo()
-    assert set(evaluate.runnable) == {(space.n, catalog_id(space))
-                                      for space in stream4}
+    assert set(runnable) == {(space.n, catalog_id(space)) for space in stream4}
 
 
-def test_family_memo_is_keyed_only_by_semi_only_laws(stream4, monkeypatch):
-    """A space enters the (n, SO) memo only when it runs a semi-only law,
-    so the memo holds no empty entry, and none at all when no named law
-    is semi-only."""
-    made = []
+def test_family_memo_is_keyed_only_by_semi_only_laws(stream4):
+    """A job carries SO exactly when it runs a semi-only law, and leaves
+    a law out only when its family (n, SO) was planned before: then it
+    leaves out every semi-only law and nothing else.  A run naming no
+    semi-only law plans no family."""
+    _, keyed, planned = laws_mod._plan(list(registry().values()), stream4)
+    families, later = set(), 0
+    for space, (_, laws, _), job in zip(stream4, keyed, planned):
+        if job is None:
+            continue
+        _, so, listed = job
+        runs_semi = any(law.semi_only for law in laws)
+        assert (so is not None) == runs_semi
+        if (space.n, so) in families:
+            later += 1
+            assert listed == [law for law in laws if not law.semi_only]
+        else:
+            assert listed is laws
+        if runs_semi:
+            assert so == semi_open_bits(space)
+            families.add((space.n, so))
+    assert families and later
+    _, _, planned = laws_mod._plan([registry()["sec-2-r0-semi-r0"]], stream4)
+    jobs = [job for job in planned if job is not None]
+    assert jobs and all(so is None for _, so, _ in jobs)
 
-    class Kept(laws_mod._Evaluator):
-        def __init__(self, law_ids):
-            super().__init__(law_ids)
-            made.append(self)
 
-    monkeypatch.setattr(laws_mod, "_Evaluator", Kept)
-    run_suite(stream4)
-    run_suite(stream4, ["sec-2-r0-semi-r0"])
-    every, unmemoized = made
-    assert every.families and all(every.families.values())
-    assert unmemoized.families == {}
+def test_each_family_is_decided_once_per_call_at_any_worker_count(
+        stream4, monkeypatch, tmp_path):
+    """The plan leaves the semi-only laws out of every later job of a
+    family, so the semi-only checks that the caller and its forked child
+    make together at 2 workers are the 848 of 1 worker."""
+    log = os.open(tmp_path / "checks", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def counted(check):
+        def spy(ctx):
+            # one descriptor opened for appending, shared over the fork
+            os.write(log, f"{os.getpid()}\n".encode())
+            return check(ctx)
+        return spy
+
+    monkeypatch.setattr(laws_mod, "_REGISTRY", {
+        lid: dataclasses.replace(law, check=counted(law.check)) if law.semi_only else law
+        for lid, law in registry().items()})
+    counts = []
+    try:
+        for workers in (1, 2):
+            os.truncate(tmp_path / "checks", 0)
+            run_suite(stream4, workers=workers)
+            pids = (tmp_path / "checks").read_text().split()
+            counts.append(len(pids))
+    finally:
+        os.close(log)
+    assert counts == [848, 848]
+    assert len(set(pids)) == 2   # the child made some of them
 
 
 def test_suite_computes_no_form_for_an_enumerated_space():
@@ -1323,25 +1359,32 @@ def test_witness_keeps_the_law_the_suite_ran(monkeypatch):
 
 def test_label_dependent_law_fails_on_read(monkeypatch):
     """An unscoped law that depends on the labels breaks the premise of
-    the class memo: the Sierpinski space with {a} open fails it and the
-    relabeled copy with {b} open takes that failure from the class, so
-    reading its witness raises an error that names the law and the
-    space instead of reporting a silent pass."""
+    the class memo: a Sierpinski space with its point 0 open fails it and
+    a relabeled copy with point 0 closed takes that failure from the
+    class, so reading its witness raises an error that names the law and
+    the space instead of reporting a silent pass.  Both enumerated spaces,
+    which carry their form, and spaces built from a table, which compute
+    theirs, hit that guard."""
     fake = Law("fake-label-dependent", "$B=B$",
                lambda ctx: laws_mod._Fail((1,), (0,), "{a} is open")
                if 1 in ctx.space.opens else None)
     _with_fake_law(monkeypatch, fake)
-    first, later = (s for s in enumerate_topologies(2)
-                    if s.canonical == named_space("sierpinski").canonical)
-    report = run_suite([first, later], [fake.id])
-    assert report.decided_in_full == 1
-    eager, inherited = report.results[0].witnesses
-    assert eager.message == "{a} is open"
-    error = f"fake-label-dependent passes on {later.describe()} but failed"
-    with pytest.raises(RuntimeError, match=error):
-        inherited.render()
-    with pytest.raises(RuntimeError, match=error):
-        report.render_text()
+    table = space_from_table("ab", (1, 3))
+    pairs = [[s for s in enumerate_topologies(2)
+              if s.canonical == named_space("sierpinski").canonical],
+             [table, relabeled(table, [1, 0])]]
+    for first, later in pairs:
+        report = run_suite([first, later], [fake.id])
+        assert report.decided_in_full == 1
+        eager, inherited = report.results[0].witnesses
+        assert eager.message == "{a} is open"
+        error = f"fake-label-dependent passes on {later.describe()} but failed"
+        with pytest.raises(RuntimeError, match=error):
+            inherited.subset_masks
+        with pytest.raises(RuntimeError, match=error):
+            inherited.render()
+        with pytest.raises(RuntimeError, match=error):
+            report.render_text()
 
 
 def test_no_scope_is_asked_about_an_unreserved_name(spaces3, e1, monkeypatch):
