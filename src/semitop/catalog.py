@@ -213,7 +213,10 @@ def enumerate_topologies(n: int):
     and transitive as its class's is, so it is built into a space
     without a second check.  Each distinct table is one topology, and
     its space carries only the table and its class's table as
-    `canonical`: the opens are built on first read, as for any space.
+    `canonical`, set as the dataclass's `__init__` sets a field: through
+    `vars()` it would give each space an instance dict on CPython 3.11+
+    (and turn 3.10's key-sharing dict into a combined one).  The opens
+    are built on first read, as for any space.
     Every family holds the carrier, so its opens tuple is the lower one
     iff it holds the lowest mask where the two differ: the higher family
     of closed sets.  A relabeling commutes with complement, so that
@@ -245,7 +248,7 @@ def enumerate_topologies(n: int):
     for i in range(len(labeled)):
         _, table, form = labeled.pop()
         space = FiniteSpace(names, table, f"enum:{n}:{i}")
-        vars(space)["canonical"] = form
+        object.__setattr__(space, "canonical", form)
         yield space
 
 

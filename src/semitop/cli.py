@@ -80,18 +80,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _named_spaces(args) -> list:
+    """The spaces that --space and FILE name, in that order."""
+    return [resolve_space(spec) for spec in (args.spaces or []) + args.files]
+
+
 def _space_stream(args) -> list:
-    spaces = []
+    named = _named_spaces(args)
     if args.spaces:
-        for spec in args.spaces:
-            spaces.append(resolve_space(spec))
-    else:
-        for n in range(1, args.max_points + 1):
-            spaces.extend(enumerate_topologies(n))
-        spaces.extend(entry.space for entry in catalog_entries())
-    for spec in args.files:
-        spaces.append(resolve_space(spec))
-    return spaces
+        return named
+    spaces = []
+    for n in range(1, args.max_points + 1):
+        spaces.extend(enumerate_topologies(n))
+    spaces.extend(entry.space for entry in catalog_entries())
+    return spaces + named
 
 
 def _check_law_ids(law_ids) -> None:
@@ -183,6 +185,9 @@ def cmd_claim(args) -> int:
     reg = registry()
     _check_stream_flags(args)
     if args.list:
+        if args.id:   # --list takes no law id, so this is the first FILE
+            args.files.insert(0, args.id)
+        _named_spaces(args)   # a bad space exits 2 before the list
         width = max(len(lid) for lid in reg) + 2
         for lid, law in reg.items():
             print(f"{lid:<{width}}{law.status:<10}{law.anchor}")

@@ -23,8 +23,9 @@ A law without a scope speaks of the topology, not of the labels, and a
 `semi_only` law of n and the semi-open family SO alone, so `run_suite`
 decides the first once per homeomorphism class and the second once per
 (n, SO), both planned by the caller before any fork (see `_plan`).  A
-failure a space takes from its class is a `Witness` worked out on first
-read, on the space itself.
+failure a space takes from its class is held as the space until a
+report reads it (see `LawResult`), then a `Witness` worked out on first
+read, on that space.
 
 A quantifier over all masks is an operation on 2**n-bit families (see
 `lattice`).  `kern_cols[z]` and the context's `up[x]` are the columns of
@@ -100,9 +101,10 @@ class _Fail(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class Witness:
     """A failure of a law on one space, held as masks and point indices
-    and rendered in that space's labels on read.  One that `run_suite`
-    takes from the space's class (`_inherited`) holds the law it ran
-    instead, and works them out on first read, on a fresh context."""
+    and rendered in that space's labels on read.  One that a space takes
+    from its class (`_inherited`, built as `LawResult.witnesses` is
+    read) holds the law the suite ran instead, and works them out on
+    first read, on a fresh context."""
 
     law_id: str
     space: FiniteSpace = field(compare=False, repr=False)
@@ -811,19 +813,37 @@ def check_law(law: Law, space, ctx: SpaceContext | None = None):
 
 @dataclass
 class LawResult:
+    """One law's tally over a suite.  `held` lists its failures in
+    stream order: a `Witness`, or the space itself where the space took
+    the failure from its class.  Reading `witnesses` turns each held
+    space, once, into `Witness._inherited` of `law`, the law the suite
+    ran; the counts read `held` and build no witness."""
+
     law_id: str
     status: str
     examined: int = 0
-    witnesses: list = field(default_factory=list)
+    held: list = field(default_factory=list)
     dispute_space_examined: bool = False
     named: bool = False               # the caller asked for this law by id
+    law: Law | None = field(default=None, repr=False)
+
+    @property
+    def witnesses(self) -> list:
+        return self._first(len(self.held))
+
+    def _first(self, k: int) -> list:
+        held = self.held
+        for i in range(min(k, len(held))):
+            if not isinstance(held[i], Witness):
+                held[i] = Witness._inherited(self.law, held[i])
+        return held[:k]
 
     @property
     def passed(self) -> int:
-        return self.examined - len(self.witnesses)
+        return self.examined - len(self.held)
 
     def verdict(self) -> str:
-        failed = len(self.witnesses)
+        failed = len(self.held)
         if self.status == "expected":
             if failed > 0:
                 return f"VIOLATED ({failed} spaces)"
@@ -835,7 +855,7 @@ class LawResult:
         return "disputed: not exercised"
 
     def is_fatal(self) -> bool:
-        failed = len(self.witnesses)
+        failed = len(self.held)
         if self.status == "expected":
             return failed > 0 or (self.named and self.examined == 0)
         return failed == 0 and self.dispute_space_examined
@@ -883,13 +903,13 @@ class LawReport:
         for r in self.results:
             lines.append(f"{r.law_id:<{width}}{r.examined:>6} examined"
                          f"{r.passed:>6} passed  {r.verdict()}")
-        shown = [r for r in self.results if r.witnesses]
+        shown = [r for r in self.results if r.held]
         if shown:
             lines.append("witnesses:")
             for r in shown:
-                for w in r.witnesses[:WITNESS_CAP]:
+                for w in r._first(WITNESS_CAP):
                     lines.append("  " + w.render())
-                extra = len(r.witnesses) - WITNESS_CAP
+                extra = len(r.held) - WITNESS_CAP
                 if extra > 0:
                     lines.append(f"  {r.law_id}: ... and {extra} more")
         lines.append(f"exit-code: {self.exit_code()}")
@@ -1021,8 +1041,9 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
     semi-only failures of its first job, and each later space of a class
     the unscoped failures of its class's first job.
     A law's examined count is read off the runnable lists: the spaces
-    of each key whose list holds the law.  A witness taken from the
-    class is worked out when read, so `wall_time` leaves that work out.
+    of each key whose list holds the law.  A failure taken from the
+    class is held as the space (see `LawResult`) and worked out when its
+    witness is read, so `wall_time` leaves that work out.
     A law's dispute flag is set in the same tally, by a key whose
     catalog id is the law's dispute space and whose list holds it.  A
     named expected law that examines no space fails the report.  The
@@ -1042,7 +1063,7 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                 raise KeyError(f"unknown law id {lid!r}")
     spaces = list(spaces)
     started = time.perf_counter()
-    results = {lid: LawResult(lid, reg[lid].status, named=named)
+    results = {lid: LawResult(lid, reg[lid].status, named=named, law=reg[lid])
                for lid in law_ids}
     runnable, keyed, planned = _plan([reg[lid] for lid in law_ids], spaces)
     jobs = [job for job in planned if job is not None]
@@ -1059,13 +1080,13 @@ def run_suite(spaces: Iterable[FiniteSpace], law_ids=None,
                     families[space.n, so] = [(lid, fail) for lid, fail in fails
                                              if reg[lid].semi_only]
                 for lid, fail in fails:
-                    results[lid].witnesses.append(Witness(lid, space, *fail))
+                    results[lid].held.append(Witness(lid, space, *fail))
                 if space.canonical not in classes:
                     classes[space.canonical] = [lid for lid, _ in fails
                                                 if reg[lid].scope is None]
             elif laws:
                 for lid in classes[space.canonical]:
-                    results[lid].witnesses.append(Witness._inherited(reg[lid], space))
+                    results[lid].held.append(space)
     finally:
         decided.close()
     for key, count in counts.items():

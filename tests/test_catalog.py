@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import sys
 
 import pytest
 
@@ -205,6 +207,20 @@ def test_enumerated_spaces_carry_no_opens():
         for space in enumerate_topologies(n):
             assert "opens" not in vars(space)
             assert space.opens.bits == saturated(space.min_nbhd, n)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                    reason="every instance has a dict on CPython 3.10; "
+                           "3.11 keeps a new instance's attributes inline")
+def test_enumerated_spaces_keep_no_instance_dict():
+    """An enumerated space's form is set as the dataclass's `__init__`
+    sets a field, so the space has no instance dict; a lazy part read
+    later still lands in `vars(space)`."""
+    for n in range(1, 5):
+        for space in enumerate_topologies(n):
+            assert not any(isinstance(r, dict) for r in gc.get_referents(space))
+            space.opens
+            assert "opens" in vars(space)
 
 
 def test_generator_matches_naive_filter_n4():

@@ -378,6 +378,11 @@ def test_laws_bad_inputs(capsys):
             assert err.startswith("error: ") and "Traceback" not in err
     code, out, err = run_cli(capsys, "claim", "--list", "--max-points", "9")
     assert code == 2 and out == "" and "--max-points" in err
+    # --list resolves the spaces it is given before it lists
+    for argv in (("--space", "/nonexistent"), ("nosuchfile",)):
+        code, out, err = run_cli(capsys, "claim", "--list", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_workers_must_be_positive(capsys):

@@ -1338,6 +1338,29 @@ def test_text_report_works_out_at_most_the_shown_witnesses(stream4):
     assert _checks(report.to_dict)[1] == _checks(report.render_text)[1] == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_taken_from_the_class_are_held_not_built(stream4, monkeypatch,
+                                                          workers):
+    """A failure a space takes from its class is held as the space: the
+    suite builds no inherited witness, the text report builds at most
+    `WITNESS_CAP` per law, and reading `witnesses` builds the rest, each
+    once."""
+    built = []
+    inherited = Witness._inherited
+    monkeypatch.setattr(Witness, "_inherited", classmethod(
+        lambda cls, law, space: built.append((law.id, id(space))) or inherited(law, space)))
+    report = run_suite(stream4, workers=workers)
+    assert built == []
+    held = sum(not isinstance(h, Witness) for r in report.results for h in r.held)
+    report.render_text()
+    per_law = [sum(lid == r.law_id for lid, _ in built) for r in report.results]
+    assert 0 < len(built) < held and max(per_law) <= WITNESS_CAP
+    for _ in range(2):
+        for r in report.results:
+            assert all(isinstance(w, Witness) for w in r.witnesses)
+    assert len(built) == len(set(built)) == held
+
+
 def test_witness_keeps_the_law_the_suite_ran(monkeypatch):
     """A witness taken from the class holds the `Law` object the suite
     ran: read after the registry is patched back, it still gives that
